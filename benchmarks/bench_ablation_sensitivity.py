@@ -1,7 +1,7 @@
 """Ablation A3: sensitivity of certainty and cleaning effort to K and the
 missing rate.
 
-Not a paper table, but a design-space check DESIGN.md calls out: more
+Not a paper table, but a design-space check: more
 incompleteness must monotonically (in expectation) reduce the fraction of
 CP'ed validation points; the choice of K shifts where certainty lands but
 must not break the pipeline. Reported: CP'ed fraction before cleaning and

@@ -4,26 +4,32 @@ The scale-out question the gateway exists to answer: 16 concurrent
 cleaning sessions each fire certainty queries with *their own pins*
 (each analyst has provisionally repaired a different cell — the CPClean
 workload). Pins are part of the query-family key, so micro-batching
-cannot coalesce across sessions; every family flush in a single process
-pays a full candidate-stacking preparation over all rows. The gateway's
-executors hold shard-local prepared state that is *pin-independent* —
-pins are applied per request on top of it — so a flush costs one
-scatter-gather instead of a re-preparation.
+cannot coalesce across sessions. The gateway's executors hold
+shard-local prepared state that is *pin-independent* — pins are applied
+per request on top of it — so a flush costs one scatter-gather.
 
 Two runs over the *same* workload (identical points, identical pins,
 identical broker settings — window, max_batch, caching off so every
 request really executes):
 
-* **single-process** — the classic broker topology;
+* **single-process** — the classic broker topology on the vectorised
+  local path: the dataset's memoized candidate layout is pin-independent
+  too, so a flush re-stacks nothing (asserted: no flush runs the per-row
+  ``sequential`` reference);
 * **gateway** — 4 executor processes own candidate-row partitions; a
   flush scatter-gathers per-partition min/max tallies and merges them
   losslessly.
 
-The acceptance bar is a **>=2x** throughput advantage for the gateway
-(the PR's headline claim), with bit-identical per-point values between
-the two modes — partitioning is a placement decision, never a semantic
-one. The advantage is preparation amortisation, not parallelism, so it
-holds even on a single-core runner (and widens on real multi-core CI).
+The gateway used to win by 13-29x, because every single-process flush
+re-stacked all candidates and scanned them per row. Since the local path
+keeps one layout per dataset version, that advantage is gone: on a
+2-CPU box the gateway serves at 0.48-0.62x the single-process
+throughput, paying inter-process scatter-gather for parallelism it
+cannot use. The bar is therefore an overhead guard — the gateway must
+keep at least a quarter of the local throughput — plus bit-identical
+per-point values between the two modes: partitioning is a placement
+decision, never a semantic one. The report records absolute times and
+the CPU count.
 
 Emits ``BENCH_gateway.json``. Run as a script::
 
@@ -35,6 +41,7 @@ Emits ``BENCH_gateway.json``. Run as a script::
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 import threading
@@ -53,6 +60,10 @@ DEFAULT_OUTPUT = bench_output_path("gateway")
 N_THREADS = 16
 N_EXECUTORS = 4
 
+#: The gateway's throughput must stay at least this fraction of the
+#: single-process throughput.
+MIN_THROUGHPUT_RATIO = 0.25
+
 _WORKLOADS = {
     "smoke": dict(n_rows=6_000, per_thread=3, window_s=0.005, max_batch=16),
     "default": dict(n_rows=12_000, per_thread=8, window_s=0.005, max_batch=16),
@@ -60,12 +71,12 @@ _WORKLOADS = {
 
 
 def _prep_dominated_dataset(n_rows: int, n_features: int = 4) -> IncompleteDataset:
-    """Many certain rows, a few dirty ones: preparation cost is the story.
+    """Many certain rows, a few dirty ones.
 
     One candidate per row (plus periodic 2-candidate dirty rows the
-    sessions pin) keeps the kernel work small while the per-flush
-    candidate stacking a single process repeats — and the executors never
-    do — stays O(n_rows).
+    sessions pin) keeps the kernel work small, so a flush costs mostly
+    its fixed serving overhead: the regime where a partitioned topology
+    pays the most for its scatter-gather.
     """
     rng = np.random.default_rng(42)
     sets = []
@@ -85,8 +96,9 @@ def _client_load(
     window_s: float,
     max_batch: int,
     gateway: Gateway | None,
-) -> tuple[float, list, dict]:
-    """Run the 16-session pinned workload; return (seconds, values, metrics)."""
+) -> tuple[float, list, dict, set]:
+    """Run the 16-session pinned workload; return
+    (seconds, values, metrics, serving backends)."""
     registry = DatasetRegistry()
     registry.register("bench", dataset, k=3)
     broker = QueryBroker(
@@ -99,17 +111,20 @@ def _client_load(
     )
     # Warm up outside the timed window: the gateway pays a one-time
     # distribute (partition + place + push candidate sets), the local
-    # broker pays nothing it would not pay again per flush.
+    # broker builds the dataset's candidate layout once.
     broker.query("bench", points[0], kind="certain_label")
     values: list = [None] * len(points)
+    backends: set = set()
 
     def session(thread: int) -> None:
         pins = session_pins[thread]
         for j in range(per_thread):
             index = thread * per_thread + j
-            values[index] = broker.query(
+            response = broker.query(
                 "bench", points[index], kind="certain_label", pins=pins
-            )["values"][0]
+            )
+            values[index] = response["values"][0]
+            backends.add(response["backend"])
 
     threads = [
         threading.Thread(target=session, args=(t,)) for t in range(N_THREADS)
@@ -122,7 +137,7 @@ def _client_load(
     elapsed = time.perf_counter() - start
     metrics = broker.metrics()
     broker.close()  # also shuts the gateway's executors down
-    return elapsed, values, metrics
+    return elapsed, values, metrics, backends
 
 
 def main(argv=None) -> int:
@@ -149,11 +164,14 @@ def main(argv=None) -> int:
         {int(dirty[t % len(dirty)]): 0} for t in range(N_THREADS)
     ]
 
-    t_single, values_single, metrics_single = _client_load(
+    t_single, values_single, metrics_single, backends_single = _client_load(
         dataset, points, session_pins, size["per_thread"],
         size["window_s"], size["max_batch"], gateway=None,
     )
-    t_gateway, values_gateway, metrics_gateway = _client_load(
+    assert "sequential" not in backends_single, (
+        "the single-process baseline must be the vectorised local path"
+    )
+    t_gateway, values_gateway, metrics_gateway, _ = _client_load(
         dataset, points, session_pins, size["per_thread"],
         size["window_s"], size["max_batch"], gateway=Gateway(N_EXECUTORS),
     )
@@ -192,6 +210,7 @@ def main(argv=None) -> int:
             "pins_per_session": 1,
         },
         "single_process": {
+            "backends": sorted(backends_single),
             "seconds": t_single,
             "queries_per_sec": n_points / t_single,
             "batches_executed": metrics_single["batches_executed"],
@@ -208,6 +227,7 @@ def main(argv=None) -> int:
             "respawns": metrics_gateway["gateway"]["respawns"],
         },
         "speedup": speedup,
+        "bars": {"min_throughput_ratio": MIN_THROUGHPUT_RATIO},
         "values_bit_identical": True,
     }
     write_bench_report(args.output, report)
@@ -233,15 +253,16 @@ def main(argv=None) -> int:
             ],
             title=(
                 f"{n_points} pinned certainty queries over {dataset.n_rows} rows "
-                f"from {N_THREADS} cleaning sessions ({scale} scale)"
+                f"from {N_THREADS} cleaning sessions, "
+                f"{os.cpu_count()} CPUs ({scale} scale)"
             ),
         )
     )
 
-    if speedup < 2.0:
+    if speedup < MIN_THROUGHPUT_RATIO:
         print(
-            f"FAIL: the gateway is only {speedup:.2f}x over single-process "
-            "serving; the bar is 2x",
+            f"FAIL: the gateway runs at {speedup:.2f}x the single-process "
+            f"throughput; the bar is {MIN_THROUGHPUT_RATIO}x",
             file=sys.stderr,
         )
         return 1

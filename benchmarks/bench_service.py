@@ -1,21 +1,30 @@
 """Benchmark: the service broker's micro-batching under concurrent load.
 
 The serving question the broker exists to answer: when 16 client threads
-fire single-point certainty queries at the same dataset, how much does
-coalescing them into planner batch calls buy over dispatching each
-request on its own? Two runs over the *same* workload (identical points,
-16 threads, result caching off so every request really executes):
+fire single-point certainty queries at the same dataset, what does
+coalescing them into planner batch calls cost or buy against dispatching
+each request on its own? Two runs over the *same* workload (identical
+points, 16 threads, result caching off so every request really
+executes):
 
 * **per-request** — ``max_batch=1``: every query is its own planner
-  call, paying a full vectorised preparation per point;
+  call on the vectorised local path (``batch`` backend, the dataset's
+  memoized candidate layout; asserted, not assumed);
 * **micro-batched** — a ``window_s`` coalescing window with
   ``max_batch`` points per flush: concurrent requests on the query
-  family share one preparation.
+  family share one planner call.
 
-The acceptance bar is a **>=2x** throughput advantage for the
-micro-batched broker (the PR's headline claim), with bit-identical
-per-point values between the two modes — batching is a latency/
-throughput decision, never a semantic one.
+Per-request dispatch used to run the per-row ``sequential`` scan for
+every point, and micro-batching beat it by 6-14x. Against the vectorised
+path a point costs about as much as the broker's own bookkeeping, so
+coalescing no longer buys throughput at this size (0.70-1.02x on a
+2-CPU box). The bars are therefore regression guards: a flush must
+really coalesce (at most a quarter as many planner calls as requests),
+and micro-batching may cost at most half the per-request throughput —
+a window that stops filling and waits out its timer on every flush
+falls below that. Values must be bit-identical between the two modes
+— batching is a latency/throughput decision, never a semantic one. The
+report records absolute times and the CPU count.
 
 Emits ``BENCH_service.json``. Run as a script::
 
@@ -27,6 +36,7 @@ Emits ``BENCH_service.json``. Run as a script::
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 import threading
@@ -43,6 +53,12 @@ DEFAULT_OUTPUT = bench_output_path("service")
 
 N_THREADS = 16
 
+#: Micro-batched throughput must stay at least this fraction of
+#: per-request throughput, and each flush must serve on average at least
+#: ``MIN_POINTS_PER_CALL`` points.
+MIN_THROUGHPUT_RATIO = 0.5
+MIN_POINTS_PER_CALL = 4
+
 _WORKLOADS = {
     "smoke": dict(n_train=100, n_points=128, max_batch=16, window_s=0.01),
     "default": dict(n_train=150, n_points=256, max_batch=32, window_s=0.01),
@@ -54,8 +70,9 @@ def _client_load(
     points: np.ndarray,
     window_s: float,
     max_batch: int,
-) -> tuple[float, list, dict]:
-    """Run the 16-thread single-point workload; return (seconds, values, metrics)."""
+) -> tuple[float, list, dict, set]:
+    """Run the 16-thread single-point workload; return
+    (seconds, values, metrics, serving backends)."""
     broker = QueryBroker(
         registry,
         window_s=window_s,
@@ -64,12 +81,13 @@ def _client_load(
         cache=False,  # every request must actually execute
     )
     values: list = [None] * len(points)
+    backends: set = set()
 
     def worker(indices: range) -> None:
         for index in indices:
-            values[index] = broker.query(
-                "bench", points[index], kind="certain_label"
-            )["values"][0]
+            response = broker.query("bench", points[index], kind="certain_label")
+            values[index] = response["values"][0]
+            backends.add(response["backend"])
 
     threads = [
         threading.Thread(target=worker, args=(range(t, len(points), N_THREADS),))
@@ -83,7 +101,7 @@ def _client_load(
     elapsed = time.perf_counter() - start
     metrics = broker.metrics()
     broker.close()
-    return elapsed, values, metrics
+    return elapsed, values, metrics, backends
 
 
 def main(argv=None) -> int:
@@ -107,11 +125,15 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(7)
     points = rng.normal(size=(size["n_points"], entry.dataset.n_features)) * 0.5
 
-    t_request, values_request, metrics_request = _client_load(
+    t_request, values_request, metrics_request, backends_request = _client_load(
         registry, points, window_s=0.0, max_batch=1
     )
-    t_batched, values_batched, metrics_batched = _client_load(
+    t_batched, values_batched, metrics_batched, backends_batched = _client_load(
         registry, points, window_s=size["window_s"], max_batch=size["max_batch"]
+    )
+    assert backends_request == backends_batched == {"batch"}, (
+        "the baseline must be the vectorised local path, got "
+        f"{sorted(backends_request | backends_batched)}"
     )
 
     assert values_batched == values_request, (
@@ -126,6 +148,7 @@ def main(argv=None) -> int:
 
     n = len(points)
     speedup = t_request / t_batched
+    points_per_call = n / metrics_batched["batches_executed"]
     report = {
         "benchmark": "service",
         "scale": scale,
@@ -137,6 +160,7 @@ def main(argv=None) -> int:
             "kind": "certain_label",
         },
         "per_request": {
+            "backend": "batch",
             "seconds": t_request,
             "queries_per_sec": n / t_request,
             "batches_executed": metrics_request["batches_executed"],
@@ -149,8 +173,13 @@ def main(argv=None) -> int:
             "batches_executed": metrics_batched["batches_executed"],
             "coalesced_batches": metrics_batched["coalesced_batches"],
             "max_batch_size": metrics_batched["max_batch_size"],
+            "points_per_call": points_per_call,
         },
         "speedup": speedup,
+        "bars": {
+            "min_throughput_ratio": MIN_THROUGHPUT_RATIO,
+            "min_points_per_call": MIN_POINTS_PER_CALL,
+        },
         "values_bit_identical": True,
     }
     write_bench_report(args.output, report)
@@ -176,19 +205,27 @@ def main(argv=None) -> int:
             ],
             title=(
                 f"{n} single-point certainty queries from {N_THREADS} client "
-                f"threads ({scale} scale)"
+                f"threads, {os.cpu_count()} CPUs ({scale} scale)"
             ),
         )
     )
 
-    if speedup < 2.0:
+    failed = False
+    if points_per_call < MIN_POINTS_PER_CALL:
         print(
-            f"FAIL: micro-batched broker is only {speedup:.2f}x over per-request "
-            "dispatch; the bar is 2x",
+            f"FAIL: micro-batching served {points_per_call:.1f} points per "
+            f"planner call; the bar is {MIN_POINTS_PER_CALL}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = True
+    if speedup < MIN_THROUGHPUT_RATIO:
+        print(
+            f"FAIL: micro-batched broker runs at {speedup:.2f}x the throughput "
+            f"of per-request dispatch; the bar is {MIN_THROUGHPUT_RATIO}x",
+            file=sys.stderr,
+        )
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

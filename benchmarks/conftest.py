@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see
-DESIGN.md's experiment index), prints it, and appends it to
+Every benchmark regenerates one table or figure of the paper (or one
+ablation or CI bar), prints it, and appends it to
 ``benchmarks/output/results.txt`` so the rows survive pytest's output
 capturing. Benchmarks honour the ``REPRO_SCALE`` environment variable
 (``quick`` / ``default`` / ``large``).

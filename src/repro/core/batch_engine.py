@@ -65,12 +65,7 @@ from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.knn import majority_label, top_k_rows
 from repro.core.polynomials import poly_one
 from repro.core.prepared import PreparedQuery
-from repro.core.scan import (
-    ScanOrder,
-    _scan_from_sims,
-    candidate_index_arrays,
-    stack_candidates,
-)
+from repro.core.scan import ScanOrder, _scan_from_sims
 from repro.core.tally import tallies_with_prediction
 from repro.utils.validation import check_matrix, check_positive_int
 
@@ -480,21 +475,17 @@ class PreparedBatch:
         self.dataset = dataset
         self.kernel = resolve_kernel(kernel)
         self.test_X = check_matrix(test_X, "test_X", n_cols=dataset.n_features)
-        if sims_matrix is None:
-            stacked, rows, cands, counts = stack_candidates(dataset)
-        else:
-            rows, cands, counts = candidate_index_arrays(dataset)
-        self._rows = rows
-        self._cands = cands
-        self._counts = counts
-        # offsets[i] is where row i's candidates start in the stacked order.
-        self._offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
+        # The dataset version's shared, read-only stacked layout; offsets[i]
+        # is where row i's candidates start in the stacked order.
+        layout = dataset.candidate_layout()
+        rows = self._rows = layout.rows
+        self._cands = layout.cands
+        self._counts = layout.counts
+        self._offsets = layout.offsets
         self._labels = dataset.labels.copy()
         if sims_matrix is None:
             # The whole (T, P) candidate-similarity matrix in one kernel call.
-            self.sims_matrix = self.kernel.pairwise(stacked, self.test_X)
+            self.sims_matrix = self.kernel.pairwise(layout.stacked, self.test_X)
         else:
             # A caller-computed similarity matrix — the sharded layer hands
             # in views of its streamed tile buffer so a tile-sized

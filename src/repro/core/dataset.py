@@ -17,12 +17,30 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.utils.validation import check_matrix
 
-__all__ = ["IncompleteDataset"]
+__all__ = ["CandidateLayout", "IncompleteDataset"]
+
+
+class CandidateLayout(NamedTuple):
+    """Every candidate of a dataset stacked into one matrix, in candidate order.
+
+    ``stacked`` is the ``(P, d)`` matrix of all candidates (rows grouped,
+    candidates in row order); ``rows``/``cands`` give each stacked
+    position's (row index, candidate index) pair; ``counts`` is the
+    per-row candidate count ``m_i`` and ``offsets[i]:offsets[i + 1]`` is
+    row ``i``'s segment. All arrays are read-only.
+    """
+
+    stacked: np.ndarray
+    rows: np.ndarray
+    cands: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
 
 
 class IncompleteDataset:
@@ -73,6 +91,7 @@ class IncompleteDataset:
         self._labels.setflags(write=False)
         self._dim = dim
         self._fingerprint: str | None = None
+        self._layout: CandidateLayout | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -102,7 +121,9 @@ class IncompleteDataset:
         return self._candidate_sets[row]
 
     def candidate_counts(self) -> np.ndarray:
-        """Vector of candidate-set sizes ``m_i`` for every row."""
+        """Vector of candidate-set sizes ``m_i`` for every row (a fresh copy)."""
+        if self._layout is not None:
+            return self._layout.counts.copy()
         return np.array([c.shape[0] for c in self._candidate_sets], dtype=np.int64)
 
     def label_of(self, row: int) -> int:
@@ -149,6 +170,40 @@ class IncompleteDataset:
                 digest.update(np.ascontiguousarray(candidates).tobytes())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
+
+    def candidate_layout(self) -> CandidateLayout:
+        """The pin-independent stacked layout of every candidate (memoized).
+
+        Built on first use and kept for the lifetime of this instance, so
+        every consumer of one dataset version — batch preparation, tiling,
+        delta recounts, the gateway's scan merge — shares a single copy
+        instead of re-stacking ``N`` candidate sets per query. The arrays
+        are read-only. Derived datasets (:meth:`restrict_row`,
+        :meth:`with_row_fixed`, appends, deletes) are new instances and
+        start without a layout; pickles never carry it (see
+        :meth:`__getstate__`). Two threads racing on the first call may
+        both build it; the builds are identical, so either result is fine.
+        """
+        layout = self._layout
+        if layout is None:
+            counts = self.candidate_counts()
+            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
+            cands = np.arange(rows.shape[0], dtype=np.int64)
+            offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+            cands -= np.repeat(offsets[:-1], counts)
+            stacked = np.concatenate(self._candidate_sets, axis=0)
+            for array in (stacked, rows, cands, counts, offsets):
+                array.setflags(write=False)
+            layout = self._layout = CandidateLayout(stacked, rows, cands, counts, offsets)
+        return layout
+
+    def __getstate__(self) -> dict:
+        # The layout is a cache of the candidate sets: rebuilding it is
+        # cheaper than shipping a second copy of every candidate to a
+        # gateway executor or a worker process.
+        state = self.__dict__.copy()
+        state["_layout"] = None
+        return state
 
     def __len__(self) -> int:
         return self.n_rows

@@ -64,7 +64,7 @@ from repro.core.pruning import (
     empty_prune_stats,
     prune_mask,
 )
-from repro.core.scan import _scan_from_sims, candidate_index_arrays
+from repro.core.scan import _scan_from_sims
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
@@ -215,12 +215,10 @@ class DeltaMaintainedState:
                 f"got {points.shape}"
             )
         self._points = points
-        counts = dataset.candidate_counts()
+        layout = dataset.candidate_layout()
+        counts = layout.counts
         if sims_matrix is None:
-            stacked = np.concatenate(
-                [dataset.candidates(i) for i in range(dataset.n_rows)], axis=0
-            )
-            sims_matrix = self.kernel.pairwise(stacked, points)
+            sims_matrix = self.kernel.pairwise(layout.stacked, points)
         else:
             sims_matrix = np.asarray(sims_matrix, dtype=np.float64)
             expected = (points.shape[0], int(counts.sum()))
@@ -324,10 +322,10 @@ class DeltaMaintainedState:
         """
         if self.prune:
             return self._recount_pruned(point)
-        rows, cands, counts = candidate_index_arrays(self.dataset)
+        layout = self.dataset.candidate_layout()
         sims = np.concatenate([block[point] for block in self._row_sims])
         scan = _scan_from_sims(
-            sims, rows, cands, self.dataset.labels.copy(), counts
+            sims, layout.rows, layout.cands, self.dataset.labels.copy(), layout.counts
         )
         return _counts_from_scan(scan, self.k, self.dataset.n_labels)
 

@@ -24,10 +24,11 @@ through one engine layer:
   :func:`backend_names`) makes backends pluggable.
 * :func:`plan_query` is the cost-model-lite planner: an explicit backend
   request is validated against capabilities, ``"auto"`` scores every
-  capable backend and picks the cheapest (single points stay on the
-  sequential path, batches go parallel, warm incremental state wins for
-  repeated pinned queries). :func:`execute_query` executes the plan and
-  returns a :class:`QueryResult`.
+  capable backend and picks the cheapest (single points and batches go to
+  the vectorised path, warm incremental state wins for repeated pinned
+  queries; the per-row reference is chosen only for the algorithm
+  overrides nothing else serves). :func:`execute_query` executes the plan
+  and returns a :class:`QueryResult`.
 
 Four backends ship by default (the first three here; the fourth —
 ``sharded``, the tile-streaming out-of-core executor — lives in
@@ -35,9 +36,11 @@ Four backends ship by default (the first three here; the fourth —
 
 ``sequential``
     The reference path: one :class:`~repro.core.prepared.PreparedQuery`
-    scan per test point (or the flavor's per-point kernel). Supports every
-    flavor and every published algorithm override — the semantics anchor
-    the others are tested against.
+    scan per test point (or the flavor's per-point kernel), with per-row
+    similarities. Supports every flavor and every published algorithm
+    override — the semantics anchor the others are tested against.
+    Declared a reference backend, so ``"auto"`` plans onto it only for
+    those overrides.
 ``batch``
     Wraps the PR-1 batch layer (:class:`~repro.core.batch_engine.PreparedBatch`
     + :class:`~repro.core.batch_engine.BatchQueryExecutor` +
@@ -79,6 +82,7 @@ from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -219,9 +223,14 @@ class CPQuery:
         """The pins as a ``row -> candidate`` mapping."""
         return dict(self.pins)
 
+    @cached_property
+    def n_candidates(self) -> int:
+        """Total candidates over all rows (counted once per query)."""
+        return int(np.sum(self.dataset.candidate_counts()))
+
     def workload_size(self) -> int:
         """``n_points * total candidates`` — the planner's cost unit."""
-        return self.n_points * int(np.sum(self.dataset.candidate_counts()))
+        return self.n_points * self.n_candidates
 
     def fingerprint(self) -> str:
         """Content fingerprint of the underlying dataset (cache-key part)."""
@@ -473,6 +482,10 @@ class BackendCapabilities:
     incremental: bool = False
     exact: bool = True
     algorithms: frozenset[str] = frozenset({"auto"})
+    #: A per-row reference oracle: ``"auto"`` plans onto it only when no
+    #: other capable backend can serve the query (the published algorithm
+    #: overrides). Explicit requests are unaffected.
+    reference: bool = False
 
 
 class Backend(ABC):
@@ -554,8 +567,11 @@ def plan_query(
     An explicit ``backend`` name is validated against the backend's
     declared capabilities; ``"auto"`` scores every capable backend with
     its own cost estimate and picks the cheapest (registration order
-    breaks ties). Raises :class:`PlanError` when nothing can serve the
-    query.
+    breaks ties). Reference backends
+    (:attr:`BackendCapabilities.reference`) are scored and listed in
+    :attr:`QueryPlan.considered`, but chosen only when nothing else can
+    serve the query — the per-row oracle is the yardstick, not a serving
+    path. Raises :class:`PlanError` when nothing can serve the query.
     """
     options = options or ExecutionOptions()
     if options.prune == "on" and query.algorithm not in ("auto", "engine"):
@@ -584,7 +600,8 @@ def plan_query(
     if not candidates:
         raise PlanError(f"no registered backend can serve {query!r}")
     scored = [(*b.estimate_cost(query, options), b) for b in candidates]
-    best_cost, best_reason, best = min(scored, key=lambda item: item[0])
+    eligible = [item for item in scored if not item[2].capabilities.reference]
+    best_cost, best_reason, best = min(eligible or scored, key=lambda item: item[0])
     return QueryPlan(
         backend=best.name,
         reason=best_reason,
@@ -749,6 +766,7 @@ class SequentialBackend(Backend):
         incremental=False,
         exact=True,
         algorithms=frozenset({"auto", *Q2_ALGORITHMS}),
+        reference=True,
     )
 
     def estimate_cost(self, query, options):

@@ -57,6 +57,7 @@ __all__ = [
     "batch_interval_arrays",
     "prune_mask",
     "certificate_from_intervals",
+    "world_product",
     "apply_pins_to_scan",
     "restrict_scan",
     "positive_support_scan",
@@ -175,6 +176,22 @@ class PruneCertificate:
             )
 
 
+def world_product(world_counts: Sequence[int] | np.ndarray) -> int:
+    """The exact product of ``world_counts`` as a Python int.
+
+    Multiplicities repeat a lot (a handful of distinct candidate-set
+    sizes), so one exact power per distinct value replaces a big-integer
+    multiply per row — a certificate's scale runs over almost every row.
+    """
+    values, exponents = np.unique(
+        np.asarray(world_counts, dtype=np.int64), return_counts=True
+    )
+    return math.prod(
+        value**exponent
+        for value, exponent in zip(values.tolist(), exponents.tolist())
+    )
+
+
 def certificate_from_intervals(
     mins: np.ndarray,
     maxs: np.ndarray,
@@ -194,7 +211,7 @@ def certificate_from_intervals(
     mask = prune_mask(mins, maxs, k)
     pruned = np.flatnonzero(mask)
     keep = np.flatnonzero(~mask)
-    scale = math.prod(int(world_counts[row]) for row in pruned.tolist())
+    scale = world_product(np.asarray(world_counts, dtype=np.int64)[pruned])
     return PruneCertificate(
         k=k,
         keep_rows=keep,

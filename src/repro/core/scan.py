@@ -29,8 +29,6 @@ __all__ = [
     "compute_scan_order",
     "compute_scan_orders",
     "candidate_similarities",
-    "candidate_index_arrays",
-    "stack_candidates",
 ]
 
 
@@ -77,41 +75,6 @@ class ScanOrder:
         return int(self.row_counts.shape[0])
 
 
-def candidate_index_arrays(
-    dataset: IncompleteDataset,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(rows, cands, counts)`` bookkeeping of the stacked candidate order.
-
-    The index arrays of :func:`stack_candidates` without materialising the
-    stacked feature matrix itself — consumers that receive similarities from
-    elsewhere (a precomputed ``sims_matrix``, a streamed tile) only need to
-    know which stacked position belongs to which (row, candidate) pair.
-    """
-    counts = dataset.candidate_counts()
-    rows = np.repeat(np.arange(dataset.n_rows, dtype=np.int64), counts)
-    cands = np.concatenate([np.arange(int(m), dtype=np.int64) for m in counts])
-    return rows, cands, counts
-
-
-def stack_candidates(
-    dataset: IncompleteDataset,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten every candidate set into one matrix, in candidate order.
-
-    Returns ``(stacked, rows, cands, counts)`` where ``stacked`` is the
-    ``(P, d)`` matrix of all candidates (rows grouped, candidates in row
-    order), ``rows``/``cands`` give each stacked row's (row index,
-    candidate index) pair, and ``counts`` is the per-row candidate count.
-    This is the shared starting point of per-point and batch scan-order
-    construction.
-    """
-    rows, cands, counts = candidate_index_arrays(dataset)
-    stacked = np.concatenate(
-        [dataset.candidates(i) for i in range(dataset.n_rows)], axis=0
-    )
-    return stacked, rows, cands, counts
-
-
 def _scan_from_sims(
     sims: np.ndarray,
     rows: np.ndarray,
@@ -144,11 +107,11 @@ def compute_scan_order(
     analysis of SS.
     """
     sims_per_row = candidate_similarities(dataset, t, kernel)
-    counts = dataset.candidate_counts()
-    rows = np.repeat(np.arange(dataset.n_rows, dtype=np.int64), counts)
-    cands = np.concatenate([np.arange(int(m), dtype=np.int64) for m in counts])
+    layout = dataset.candidate_layout()
     sims = np.concatenate(sims_per_row)
-    return _scan_from_sims(sims, rows, cands, dataset.labels.copy(), counts)
+    return _scan_from_sims(
+        sims, layout.rows, layout.cands, dataset.labels.copy(), layout.counts
+    )
 
 
 def compute_scan_orders(
@@ -164,16 +127,17 @@ def compute_scan_orders(
     :meth:`repro.core.kernels.Kernel.pairwise` call over the stacked
     candidate matrix instead of ``N`` kernel calls per test point. This is
     the standalone convenience form of the recipe; the batch engine's
-    ``PreparedBatch`` uses the same underlying pieces
-    (:func:`stack_candidates` + the shared sort) directly because it also
-    keeps the similarity matrix for MinMax checks and row similarities.
+    ``PreparedBatch`` uses the same underlying pieces (the dataset's
+    :meth:`~repro.core.dataset.IncompleteDataset.candidate_layout` + the
+    shared sort) directly because it also keeps the similarity matrix for
+    MinMax checks and row similarities.
     """
     kernel = resolve_kernel(kernel)
     test_X = np.asarray(test_X, dtype=np.float64)
-    stacked, rows, cands, counts = stack_candidates(dataset)
-    sims_matrix = kernel.pairwise(stacked, test_X)
+    layout = dataset.candidate_layout()
+    sims_matrix = kernel.pairwise(layout.stacked, test_X)
     labels = dataset.labels.copy()
     return [
-        _scan_from_sims(sims_matrix[i], rows, cands, labels, counts)
+        _scan_from_sims(sims_matrix[i], layout.rows, layout.cands, labels, layout.counts)
         for i in range(test_X.shape[0])
     ]

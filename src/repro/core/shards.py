@@ -100,7 +100,7 @@ from repro.core.pruning import (
     pruned_topk_counts_from_scan,
     pruned_weighted_probabilities,
 )
-from repro.core.scan import ScanOrder, _scan_from_sims, stack_candidates
+from repro.core.scan import ScanOrder, _scan_from_sims
 from repro.core.topk_prob import topk_inclusion_counts
 from repro.core.weighted import weighted_prediction_probabilities
 from repro.utils.validation import check_matrix, check_positive_int
@@ -351,12 +351,12 @@ class ShardedExecutor:
             )
         self.kernel = resolve_kernel(kernel)
         self.test_X = check_matrix(test_X, "test_X", n_cols=dataset.n_features)
-        stacked, rows, cands, counts = stack_candidates(dataset)
-        self._stacked = stacked
-        self._rows = rows
-        self._cands = cands
-        self._counts = counts
-        self._offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+        layout = dataset.candidate_layout()
+        self._stacked = layout.stacked
+        rows = self._rows = layout.rows
+        self._cands = layout.cands
+        self._counts = layout.counts
+        self._offsets = layout.offsets
         self._labels = dataset.labels.copy()
         self.plan = plan_tiles(
             int(self.test_X.shape[0]),

@@ -55,7 +55,7 @@ from repro.core.planner import (
     _restricted_dataset,
     _weighted_to_kind,
 )
-from repro.core.scan import _scan_from_sims, candidate_index_arrays
+from repro.core.scan import _scan_from_sims
 from repro.core.shards import binary_minmax_label
 from repro.core.topk_prob import topk_inclusion_counts
 from repro.core.weighted import weighted_prediction_probabilities
@@ -685,7 +685,8 @@ class Gateway:
                 {"test_X": query.test_X, "kernel": query.kernel, "restrict": restrict},
             )
         )
-        rows, cands, counts = candidate_index_arrays(scan_dataset)
+        layout = scan_dataset.candidate_layout()
+        rows, cands, counts = layout.rows, layout.cands, layout.counts
         if sims.shape[1] != rows.shape[0]:
             raise GatewayError(
                 f"merged similarity blocks cover {sims.shape[1]} candidates, "

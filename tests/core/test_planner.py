@@ -164,10 +164,59 @@ class TestRegistryErrorPaths:
 
 
 class TestPlanning:
-    def test_single_point_goes_sequential(self):
+    @pytest.mark.parametrize("n_points", [1, 8])
+    @pytest.mark.parametrize("algorithm", ["auto", "engine"])
+    def test_engine_queries_go_batch(self, n_points, algorithm):
+        # The per-row reference is scored but never chosen for a query the
+        # vectorised engine serves, however few points it has.
         dataset = random_dataset(1)
-        plan = plan_query(make_query(dataset, np.zeros((1, 2)), k=2))
-        assert plan.backend == "sequential"
+        query = make_query(dataset, np.zeros((n_points, 2)), k=2, algorithm=algorithm)
+        plan = plan_query(query)
+        assert plan.backend == "batch"
+        assert "sequential" in dict(plan.considered)
+
+    @pytest.mark.parametrize("algorithm", ["naive", "tree", "bruteforce"])
+    def test_alternative_algorithms_go_sequential(self, algorithm):
+        dataset = random_dataset(1)
+        for n_points in (1, 4):
+            query = make_query(
+                dataset, np.zeros((n_points, 2)), k=2, algorithm=algorithm
+            )
+            assert plan_query(query).backend == "sequential"
+
+    def test_explicit_sequential_still_serves(self):
+        dataset = random_dataset(1)
+        query = make_query(dataset, np.zeros((1, 2)), k=2)
+        plan = plan_query(query, backend="sequential")
+        assert (plan.backend, plan.reason) == ("sequential", "requested explicitly")
+        result = execute_query(query, backend="sequential")
+        assert result.plan.backend == "sequential"
+        assert result.values == execute_query(query).values
+
+    @pytest.mark.parametrize(
+        "flavor, kind",
+        [
+            (flavor, kind)
+            for flavor in ("binary", "multiclass", "weighted", "label_uncertainty")
+            for kind in ("counts", "certain_label", "check")
+        ]
+        + [("topk", "counts")],
+    )
+    def test_auto_matches_sequential_on_single_points(self, flavor, kind):
+        features = random_dataset(21, n_labels=3 if flavor == "multiclass" else 2)
+        dataset = features
+        if flavor == "label_uncertainty":
+            dataset = LabelUncertainDataset.from_incomplete(features, flip_rows=[0, 2])
+        test_X = np.random.default_rng(22).normal(size=(5, 2))
+        for pins in ({}, some_pins(features, 21)):
+            for t in test_X:
+                query = make_query(
+                    dataset, t, kind=kind, flavor=flavor, k=2, pins=pins,
+                    label=1 if kind == "check" else None,
+                )
+                auto = execute_query(query, options=ExecutionOptions(cache=False))
+                assert auto.plan.backend != "sequential"
+                assert auto.values == execute_query(query, backend="sequential").values
 
     def test_batch_goes_parallel(self):
         dataset = random_dataset(2)

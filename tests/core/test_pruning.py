@@ -8,6 +8,7 @@ pin down the building blocks one at a time.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.label_uncertainty import LabelUncertainDataset, label_uncertain_
 from repro.core.planner import (
     ExecutionOptions,
     PlanError,
+    _restricted_dataset,
     make_query,
     plan_query,
 )
@@ -31,6 +33,7 @@ from repro.core.pruning import (
     certificate_from_intervals,
     empty_prune_stats,
     interval_arrays,
+    positive_support_scan,
     prune_mask,
     pruned_counts_from_scan,
     pruned_counts_from_sims,
@@ -41,6 +44,7 @@ from repro.core.pruning import (
     pruned_weighted_decision,
     pruned_weighted_probabilities,
     restrict_scan,
+    world_product,
 )
 from repro.core.scan import compute_scan_order
 from repro.core.topk_prob import topk_inclusion_counts_from_scan
@@ -139,6 +143,64 @@ def test_certificate_rejects_bad_k():
     maxs = np.ones(3)
     with pytest.raises(ValueError, match="out of range"):
         certificate_from_intervals(mins, maxs, 4, [1, 1, 1])
+
+
+def _flavor_world_counts(flavor, dataset, t, pins):
+    """``(effective scan, world counts)`` exactly as each flavor's pruned
+    path hands them to its certificate."""
+    rng = np.random.default_rng(len(pins))
+    if flavor == "weighted":
+        weights = []
+        for m in dataset.candidate_counts():
+            raw = [Fraction(int(rng.integers(1, 6))) for _ in range(int(m))]
+            weights.append([w / sum(raw) for w in raw])
+        conditioned = condition_weights(weights, pins)
+        effective, _ = positive_support_scan(compute_scan_order(dataset, t, None), conditioned)
+        return effective, effective.row_counts
+    if flavor == "topk":
+        query = make_query(dataset, t, flavor="topk", k=1, pins=pins)
+        effective = compute_scan_order(_restricted_dataset(query), t, None)
+        return effective, effective.row_counts
+    if flavor == "label_uncertainty":
+        lu = LabelUncertainDataset.from_incomplete(dataset, flip_rows=[0, 2])
+        effective = apply_pins_to_scan(compute_scan_order(dataset, t, None), pins)
+        sizes = [len(label_set) for label_set in lu.label_sets]
+        return effective, [int(m) * size for m, size in zip(effective.row_counts, sizes)]
+    effective = apply_pins_to_scan(compute_scan_order(dataset, t, None), pins)
+    return effective, effective.row_counts
+
+
+@pytest.mark.parametrize("seed", SEEDS[:8])
+@pytest.mark.parametrize("flavor", ["counts", "weighted", "topk", "label_uncertainty"])
+def test_scale_equals_direct_product(seed, flavor):
+    """The certificate's scale (one exact power per distinct multiplicity)
+    equals the pruned rows' direct product, with and without pins."""
+    dataset, t, k, pins = random_problem(seed, n_labels=2, clustered=True)
+    for fixed in ({}, pins):
+        effective, counts = _flavor_world_counts(flavor, dataset, t, fixed)
+        mins, maxs = interval_arrays(effective)
+        cert = certificate_from_intervals(mins, maxs, k, counts)
+        assert cert.n_pruned > 0
+        assert cert.scale == math.prod(
+            int(counts[row]) for row in cert.pruned_rows.tolist()
+        )
+
+
+def test_scale_with_a_zero_multiplicity():
+    dataset, t, k, _ = random_problem(3, clustered=True)
+    scan = compute_scan_order(dataset, t, None)
+    mins, maxs = interval_arrays(scan)
+    direct = certificate_from_intervals(mins, maxs, k, scan.row_counts)
+    for row, expected in ((int(direct.keep_rows[0]), direct.scale), (int(direct.pruned_rows[0]), 0)):
+        counts = scan.row_counts.copy()
+        counts[row] = 0
+        assert certificate_from_intervals(mins, maxs, k, counts).scale == expected
+
+
+def test_world_product_is_exact_beyond_int64():
+    counts = [3] * 50 + [7] * 40 + [1] * 5
+    assert world_product(counts) == 3**50 * 7**40
+    assert world_product([]) == 1
 
 
 # ---------------------------------------------------------------------------
