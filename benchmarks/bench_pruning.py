@@ -16,7 +16,7 @@ that workload and measures three things, emitted human-readable and as
 2. **Telemetry** — the pruning counters the run reported: rows and
    candidate positions pruned, positions actually scanned.
 3. **Cross-backend identity** — the same query with ``prune=on`` on the
-   sequential and sharded backends, asserted bit-identical to the
+   sequential and batch backends, asserted bit-identical to the
    unpruned reference (pruning is a pure execution knob).
 
 Run as a script::
@@ -110,12 +110,7 @@ def bench_identity(query, reference) -> dict:
     checks = []
     for backend, options in (
         ("sequential", ExecutionOptions(cache=False, prune="on")),
-        (
-            "sharded",
-            ExecutionOptions(
-                cache=False, prune="on", tile_rows=8, tile_candidates=256
-            ),
-        ),
+        ("batch", ExecutionOptions(cache=False, prune="on")),
     ):
         result = execute_query(query, backend=backend, options=options)
         assert result.values == reference, (

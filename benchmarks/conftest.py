@@ -6,8 +6,8 @@ ablation or CI bar), prints it, and appends it to
 capturing. Benchmarks honour the ``REPRO_SCALE`` environment variable
 (``quick`` / ``default`` / ``large``).
 
-The CI-gating benchmarks (``bench_planner``, ``bench_shards``,
-``bench_service``) additionally emit a machine-readable
+The CI-gating benchmarks (``bench_planner``, ``bench_pruning``,
+``bench_service``, …) additionally emit a machine-readable
 ``BENCH_<name>.json`` report; :func:`bench_output_path` and
 :func:`write_bench_report` are the one shared implementation of that
 emit path (every script used to hand-roll its own mkdir+dump).

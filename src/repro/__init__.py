@@ -8,7 +8,7 @@ over Incomplete Information: From Certain Answers to Certain Predictions"*
   polynomial-time exact algorithms for the two CP queries (checking ``q1``
   and counting ``q2``), and the unified query planner
   (:mod:`repro.core.planner`) with its pluggable backends (sequential,
-  batch-parallel, incremental, sharded out-of-core) behind one front door;
+  batch-parallel, incremental) behind one front door;
 * :mod:`repro.data` — synthetic dataset recipes, missingness injection and
   candidate-repair generation;
 * :mod:`repro.cleaning` — the CPClean algorithm and every baseline cleaner

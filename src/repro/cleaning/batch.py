@@ -60,23 +60,20 @@ def run_batch_clean(
     n_jobs: int | None = 1,
     use_cache: bool = True,
     backend: str = "auto",
-    tile_rows: int | None = None,
-    tile_candidates: int | None = None,
 ) -> CleaningReport:
     """CPClean with ``batch_size`` human answers per selection round.
 
     ``batch_size=1`` reproduces the sequential algorithm exactly. Returns
     the usual :class:`~repro.cleaning.report.CleaningReport`; steps within
     one round share their ``cp_fraction_before`` value (the check runs once
-    per round). ``n_jobs``/``use_cache``/``backend`` and the sharded
-    backend's ``tile_rows``/``tile_candidates`` bounds configure the
+    per round). ``n_jobs``/``use_cache``/``backend`` configure the
     session's planner-routed query execution (wall-clock only; the report
     is identical).
     """
     batch_size = check_positive_int(batch_size, "batch_size")
     session = CleaningSession(
         dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, use_cache=use_cache,
-        backend=backend, tile_rows=tile_rows, tile_candidates=tile_candidates,
+        backend=backend,
     )
     report = CleaningReport()
     iteration = 0

@@ -67,8 +67,6 @@ def run_cp_clean(
     n_jobs: int | None = 1,
     use_cache: bool = True,
     backend: str = "auto",
-    tile_rows: int | None = None,
-    tile_candidates: int | None = None,
 ) -> CleaningReport:
     """Run CPClean until all validation points are CP'ed (or budget is hit).
 
@@ -76,13 +74,12 @@ def run_cp_clean(
     dataset is recoverable through ``report.final_fixed`` (any world of the
     partially cleaned dataset has the same validation accuracy as the
     ground-truth world once every validation point is CP'ed — the paper's
-    termination guarantee). ``n_jobs``/``use_cache``/``backend`` and the
-    ``tile_rows``/``tile_candidates`` bounds of the ``sharded`` backend
-    configure the session's planner-routed query execution (see
+    termination guarantee). ``n_jobs``/``use_cache``/``backend`` configure
+    the session's planner-routed query execution (see
     :class:`CleaningSession`); they change the wall-clock, never the report.
     """
     session = CleaningSession(
         dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, use_cache=use_cache,
-        backend=backend, tile_rows=tile_rows, tile_candidates=tile_candidates,
+        backend=backend,
     )
     return session.run(CPCleanStrategy(), oracle, max_cleaned=max_cleaned, on_step=on_step)

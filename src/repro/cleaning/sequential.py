@@ -52,7 +52,6 @@ from repro.core.deltas import (
 from repro.core.entropy import prediction_entropy
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.planner import ExecutionOptions, execute_query, get_backend, make_query
-from repro.utils.validation import check_positive_int
 
 __all__ = ["CleaningStrategy", "CleaningSession"]
 
@@ -96,17 +95,11 @@ class CleaningSession:
         are identical either way.
     backend:
         Planner backend for the per-step certainty checks:
-        ``"sequential"``, ``"batch"``, ``"incremental"``, ``"sharded"``,
+        ``"sequential"``, ``"batch"``, ``"incremental"``,
         or ``"auto"`` (default) which picks ``"batch"`` for binary labels
         (the vectorised MinMax check) and ``"incremental"`` otherwise
         (exact Q2 counts maintained across cleaning steps). Every choice
         returns bit-identical labels (tested); only wall-clock changes.
-    tile_rows, tile_candidates:
-        Tile bounds handed to the ``sharded`` backend's streamed
-        certainty checks (:mod:`repro.core.shards`); ``None`` keeps the
-        backend defaults. Ignored by the other backends. Note the
-        session's own selection scoring still uses its dense prepared
-        batch — the sharded backend bounds the certainty-check path.
     """
 
     def __init__(
@@ -118,8 +111,6 @@ class CleaningSession:
         n_jobs: int | None = 1,
         use_cache: bool = True,
         backend: str = "auto",
-        tile_rows: int | None = None,
-        tile_candidates: int | None = None,
     ) -> None:
         self.dataset = dataset
         self.k = k
@@ -132,14 +123,6 @@ class CleaningSession:
         self._delta_state: DeltaMaintainedState | None = None
         self.fixed: dict[int, int] = {}
         self.backend = backend
-        self.tile_rows = (
-            None if tile_rows is None else check_positive_int(tile_rows, "tile_rows")
-        )
-        self.tile_candidates = (
-            None
-            if tile_candidates is None
-            else check_positive_int(tile_candidates, "tile_candidates")
-        )
         if backend != "auto":
             get_backend(backend)  # fail fast on unknown backend names
         if backend == "auto":
@@ -202,8 +185,6 @@ class CleaningSession:
             n_jobs=self.n_jobs,
             cache=self.cache if self.cache is not None else False,
             prepared=self.batch,
-            tile_rows=self.tile_rows,
-            tile_candidates=self.tile_candidates,
         )
         return execute_query(query, backend=self._check_backend, options=options).values
 

@@ -128,8 +128,6 @@ class WeightedCPCleanStrategy(CleaningStrategy):
             n_jobs=session.n_jobs,
             cache=session.cache if session.cache is not None else False,
             prepared=session.batch,
-            tile_rows=session.tile_rows,
-            tile_candidates=session.tile_candidates,
         )
         return execute_query(query, backend=self.backend, options=options).values
 
@@ -166,24 +164,19 @@ def run_weighted_cp_clean(
     n_jobs: int | None = 1,
     use_cache: bool = True,
     backend: str = "auto",
-    tile_rows: int | None = None,
-    tile_candidates: int | None = None,
 ) -> CleaningReport:
     """Run CPClean with a non-uniform candidate prior.
 
-    ``n_jobs``/``use_cache``/``backend`` (and the sharded backend's
-    ``tile_rows``/``tile_candidates`` bounds) configure the planner-routed
+    ``n_jobs``/``use_cache``/``backend`` configure the planner-routed
     query execution (wall-clock only; the report is identical).
     """
     session = CleaningSession(
         dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, use_cache=use_cache,
-        backend=backend, tile_rows=tile_rows, tile_candidates=tile_candidates,
+        backend=backend,
     )
     # The incremental backend maintains integer counts only; weighted
     # evaluations fall back to the planner's choice in that case.
-    strategy_backend = (
-        backend if backend in ("sequential", "batch", "sharded") else "auto"
-    )
+    strategy_backend = backend if backend in ("sequential", "batch") else "auto"
     return session.run(
         WeightedCPCleanStrategy(weights, backend=strategy_backend), oracle,
         max_cleaned=max_cleaned, on_step=on_step,

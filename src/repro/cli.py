@@ -27,12 +27,11 @@ dataset version that every query response echoes.
 The CLI is a thin layer over the library; every command accepts ``--seed``
 and size flags so runs are reproducible and laptop-sized by default. The
 query-heavy commands (``screen``, ``clean``, ``csv-screen``) also accept
-``--backend {auto,sequential,batch,incremental,sharded}`` (force a
-query-planner backend; ``auto`` lets the cost model choose), ``--n-jobs``
-(fan per-point CP scans out over worker processes), ``--no-cache``
-(disable the LRU result cache) and ``--tile-rows`` / ``--tile-candidates``
-(bound the sharded backend's resident tile); none of these knobs changes
-the printed results, only wall-clock time and memory.
+``--backend {auto,sequential,batch,incremental}`` (force a query-planner
+backend; ``auto`` lets the cost model choose), ``--n-jobs`` (fan per-point
+CP scans out over worker processes) and ``--no-cache`` (disable the LRU
+result cache); none of these knobs changes the printed results, only
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -460,7 +459,7 @@ def _float_flag(flag: str, minimum: float, inclusive: bool):
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=("auto", "sequential", "batch", "incremental", "sharded"),
+        choices=("auto", "sequential", "batch", "incremental"),
         default="auto",
         help=(
             "query-planner backend for CP queries (default auto: the cost "
@@ -477,24 +476,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the batch engine's LRU result cache",
-    )
-    parser.add_argument(
-        "--tile-rows",
-        type=_positive_int_flag("--tile-rows"),
-        default=None,
-        help=(
-            "test points resident per tile of the sharded backend "
-            "(default: the backend's setting; other backends ignore it)"
-        ),
-    )
-    parser.add_argument(
-        "--tile-candidates",
-        type=_positive_int_flag("--tile-candidates"),
-        default=None,
-        help=(
-            "stacked candidates per kernel block of the sharded backend "
-            "(default: the backend's setting; other backends ignore it)"
-        ),
     )
 
 
@@ -539,8 +520,6 @@ def _command_screen(args: argparse.Namespace) -> int:
         n_jobs=args.n_jobs,
         cache=not args.no_cache,
         backend=args.backend,
-        tile_rows=args.tile_rows,
-        tile_candidates=args.tile_candidates,
     )
     certain, total = result.n_certain, result.n_points
     print(f"recipe={task.name} dirty_rows={len(task.dirty_rows)}/{task.incomplete.n_rows}")
@@ -577,13 +556,11 @@ def _command_clean(args: argparse.Namespace) -> int:
             task.incomplete, task.val_X, oracle, batch_size=args.batch,
             k=task.k, max_cleaned=args.budget,
             n_jobs=args.n_jobs, use_cache=not args.no_cache, backend=args.backend,
-            tile_rows=args.tile_rows, tile_candidates=args.tile_candidates,
         )
     else:
         report = run_cp_clean(
             task.incomplete, task.val_X, oracle, k=task.k, max_cleaned=args.budget,
             n_jobs=args.n_jobs, use_cache=not args.no_cache, backend=args.backend,
-            tile_rows=args.tile_rows, tile_candidates=args.tile_candidates,
         )
 
     def world_accuracy(fixed):
@@ -631,7 +608,6 @@ def _command_csv_screen(args: argparse.Namespace) -> int:
     result = screen_dataset(
         incomplete, workload.val_X, k=args.k,
         n_jobs=args.n_jobs, cache=not args.no_cache, backend=args.backend,
-        tile_rows=args.tile_rows, tile_candidates=args.tile_candidates,
     )
     certain, total = result.n_certain, result.n_points
     print(f"validation points certainly predicted: {certain}/{total} ({result.cp_fraction:.0%})")
@@ -642,7 +618,6 @@ def _command_csv_screen(args: argparse.Namespace) -> int:
     session = CleaningSession(
         incomplete, workload.val_X, k=args.k,
         n_jobs=args.n_jobs, use_cache=not args.no_cache, backend=args.backend,
-        tile_rows=args.tile_rows, tile_candidates=args.tile_candidates,
     )
     gains = information_gains(session)
     ranked = sorted(gains.items(), key=lambda item: (-item[1], item[0]))
@@ -767,8 +742,6 @@ def _command_query(args: argparse.Namespace) -> int:
         options = ExecutionOptions(
             n_jobs=args.n_jobs,
             cache=not args.no_cache,
-            tile_rows=args.tile_rows,
-            tile_candidates=args.tile_candidates,
             prune=args.prune,
         )
         result = execute_query(query, backend=args.backend, options=options)
@@ -1001,8 +974,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         n_jobs=args.n_jobs,
         cache=not args.no_cache,
         ttl_s=args.ttl,
-        tile_rows=args.tile_rows,
-        tile_candidates=args.tile_candidates,
         executors=args.executors,
         partitions_per_executor=args.partitions_per_executor,
         executor_timeout_s=args.executor_timeout,

@@ -6,7 +6,7 @@ The public entry points are :func:`repro.core.queries.q1`,
 single point — the unified planner (:func:`repro.core.planner.make_query`,
 :func:`~repro.core.planner.plan_query`,
 :func:`~repro.core.planner.execute_query` and the backend registry);
-everything else is the machinery behind them (see DESIGN.md for the
+everything else is the machinery behind them (``__all__`` below is the
 inventory).
 """
 
@@ -82,12 +82,6 @@ from repro.core.prepared import PreparedQuery
 from repro.core.queries import certain_label, q1, q2, q2_counts
 from repro.core.scan import ScanOrder, compute_scan_order
 from repro.core.screening import ScreeningResult, screen_dataset
-from repro.core.shards import (
-    ShardedBackend,
-    ShardedExecutor,
-    TilePlan,
-    plan_tiles,
-)
 from repro.core.sortscan import sortscan_counts_naive
 from repro.core.sortscan_tree import sortscan_counts_tree
 from repro.core.topk_prob import (
@@ -128,10 +122,6 @@ __all__ = [
     "SequentialBackend",
     "BatchParallelBackend",
     "IncrementalBackend",
-    "ShardedBackend",
-    "ShardedExecutor",
-    "TilePlan",
-    "plan_tiles",
     "make_query",
     "plan_query",
     "execute_query",

@@ -10,10 +10,13 @@ or CPClean re-evaluating the same validation points after every cleaning
 step. This module is the batch execution layer above the per-query kernel:
 
 * :class:`PreparedBatch` extends the prepared layer across an entire test
-  set: the full candidate-distance matrix is computed in **one** vectorised
-  :meth:`~repro.core.kernels.Kernel.pairwise` call over the stacked
-  candidate matrix, and per-point scan orders are derived from its rows on
-  demand (bit-identical to :func:`repro.core.scan.compute_scan_order`).
+  set: the full candidate-distance matrix is computed with vectorised
+  :meth:`~repro.core.kernels.Kernel.pairwise` calls over the stacked
+  candidate matrix — one per row block, sized so the kernel's
+  ``(rows, P, d)`` broadcast temporary stays under
+  :data:`PAIRWISE_BLOCK_BYTES` — and per-point scan orders are derived
+  from its rows on demand (bit-identical to
+  :func:`repro.core.scan.compute_scan_order`).
 * :class:`BatchQueryExecutor` runs the counting query over every test point
   through a tuned scan kernel (:func:`_counts_from_scan` — same exact
   big-integer algorithm as :class:`~repro.core.engine.LabelPolynomials`,
@@ -62,7 +65,7 @@ import numpy as np
 from repro.core.dataset import IncompleteDataset
 from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.knn import majority_label, top_k_rows
+from repro.core.minmax import binary_minmax_label
 from repro.core.polynomials import poly_one
 from repro.core.prepared import PreparedQuery
 from repro.core.scan import ScanOrder, _scan_from_sims
@@ -70,6 +73,7 @@ from repro.core.tally import tallies_with_prediction
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
+    "PAIRWISE_BLOCK_BYTES",
     "QueryResultCache",
     "PreparedBatch",
     "BatchQueryExecutor",
@@ -79,6 +83,13 @@ __all__ = [
     "resolve_n_jobs",
     "kernel_cache_key",
 ]
+
+
+#: Upper bound on the ``(rows, P, d)`` float64 broadcast temporary of one
+#: :meth:`~repro.core.kernels.Kernel.pairwise` call while a
+#: :class:`PreparedBatch` fills its similarity matrix (at least one test
+#: point per call).
+PAIRWISE_BLOCK_BYTES = 16 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +495,12 @@ class PreparedBatch:
         self._offsets = layout.offsets
         self._labels = dataset.labels.copy()
         if sims_matrix is None:
-            # The whole (T, P) candidate-similarity matrix in one kernel call.
-            self.sims_matrix = self.kernel.pairwise(layout.stacked, self.test_X)
+            self.sims_matrix = self._pairwise_in_blocks(layout.stacked)
         else:
-            # A caller-computed similarity matrix — the sharded layer hands
-            # in views of its streamed tile buffer so a tile-sized
-            # PreparedBatch is zero-copy. The caller owns correctness of
-            # the values; the shape contract is enforced here.
+            # A caller-computed similarity matrix (a cleaning session's or
+            # the delta layer's maintained one), used without a copy. The
+            # caller owns correctness of the values; the shape contract is
+            # enforced here.
             sims_matrix = np.asarray(sims_matrix, dtype=np.float64)
             expected = (self.test_X.shape[0], int(rows.shape[0]))
             if sims_matrix.shape != expected:
@@ -500,6 +510,26 @@ class PreparedBatch:
             self.sims_matrix = sims_matrix
         self._scans: list[ScanOrder | None] = [None] * self.n_points
         self._queries: list[PreparedQuery | None] = [None] * self.n_points
+
+    def _pairwise_in_blocks(self, stacked: np.ndarray) -> np.ndarray:
+        """The ``(T, P)`` similarity matrix, filled one row block at a time.
+
+        Each block's ``pairwise`` call keeps its broadcast temporary under
+        :data:`PAIRWISE_BLOCK_BYTES`. Every similarity is reduced over its
+        own feature vector alone, so the blocks are bit-identical to one
+        whole-matrix call.
+        """
+        n_points = self.n_points
+        row_bytes = max(stacked.shape[0] * stacked.shape[1] * 8, 1)
+        step = max(PAIRWISE_BLOCK_BYTES // row_bytes, 1)
+        if step >= n_points:
+            return self.kernel.pairwise(stacked, self.test_X)
+        sims = np.empty((n_points, stacked.shape[0]))
+        for r0 in range(0, n_points, step):
+            sims[r0 : r0 + step] = self.kernel.pairwise(
+                stacked, self.test_X[r0 : r0 + step]
+            )
+        return sims
 
     @property
     def n_points(self) -> int:
@@ -762,6 +792,12 @@ class BatchQueryExecutor:
         mins = np.minimum.reduceat(sims, starts)
         maxs = np.maximum.reduceat(sims, starts)
         for row, cand in fixed.items():
+            # Checked explicitly: numpy's negative indexing would otherwise
+            # let row=-1 silently pin the last row.
+            if not 0 <= row < row_counts.shape[0]:
+                raise IndexError(
+                    f"fixed row {row} out of range for {row_counts.shape[0]} rows"
+                )
             if not 0 <= cand < row_counts[row]:
                 raise IndexError(
                     f"fixed candidate {cand} out of range for row {row} "
@@ -770,14 +806,7 @@ class BatchQueryExecutor:
             pinned_sim = sims[int(starts[row]) + cand]
             mins[row] = pinned_sim
             maxs[row] = pinned_sim
-        labels = self.dataset.labels
-        winners = []
-        for target in range(2):
-            extremes = np.where(labels == target, maxs, mins)
-            top = top_k_rows(extremes, self.k)
-            if majority_label(labels[top], tally_size=2) == target:
-                winners.append(target)
-        return winners[0] if len(winners) == 1 else None
+        return binary_minmax_label(mins, maxs, self.dataset.labels, self.k)
 
     def certain_labels(
         self,

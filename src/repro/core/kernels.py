@@ -12,9 +12,15 @@ candidate matrix to an ``(m,)`` similarity vector; ``__call__`` on a pair of
 single vectors is provided for convenience. For batch workloads
 (:mod:`repro.core.batch_engine`) kernels also expose
 ``pairwise(candidates, test_X)`` which computes the whole ``(T, m)``
-similarity matrix in one vectorised call; the built-in kernels override it
-with broadcasting implementations whose per-element reductions are
-bit-identical to the per-point path.
+similarity matrix in one vectorised call.
+
+Every built-in kernel reduces each candidate's features on its own
+(elementwise products and a per-row ``einsum`` reduction, never a BLAS
+product whose summation order depends on the matrix shape), so a
+candidate's similarity is bit-identical whether it is computed alone, in
+its row's candidate set, in the whole stacked matrix, or in any row block
+of ``pairwise``. The sequential, batch and partitioned paths rely on this
+to order near-ties identically.
 """
 
 from __future__ import annotations
@@ -35,6 +41,17 @@ __all__ = [
 ]
 
 
+def _c_matrix(array: np.ndarray, name: str, n_cols: int | None = None) -> np.ndarray:
+    """A validated, C-ordered matrix: ``einsum`` picks its reduction loop by
+    memory layout, so one layout keeps every similarity bit-identical."""
+    return np.ascontiguousarray(check_matrix(array, name, n_cols=n_cols))
+
+
+def _row_dots(candidates: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``candidates @ t`` reduced row by row, independent of the matrix shape."""
+    return np.einsum("ij,j->i", candidates, np.ascontiguousarray(t))
+
+
 class Kernel(ABC):
     """A similarity function; larger values mean "more similar"."""
 
@@ -46,8 +63,8 @@ class Kernel(ABC):
         """Similarity matrix of shape ``(T, m)`` for a whole test set at once.
 
         Entry ``[i, j]`` equals ``similarities(candidates, test_X[i])[j]``.
-        The default loops over test points; concrete kernels override it
-        with a single broadcast computation.
+        The default loops over test points; the Euclidean and RBF kernels
+        override it with a single broadcast computation.
         """
         candidates = check_matrix(candidates, "candidates")
         test_X = check_matrix(test_X, "test_X", n_cols=candidates.shape[1])
@@ -64,14 +81,14 @@ class NegativeEuclideanKernel(Kernel):
     """``kappa(x, t) = -||x - t||_2`` — the paper's evaluation kernel."""
 
     def similarities(self, candidates: np.ndarray, t: np.ndarray) -> np.ndarray:
-        candidates = check_matrix(candidates, "candidates")
+        candidates = _c_matrix(candidates, "candidates")
         t = check_vector(t, "t", length=candidates.shape[1])
         diff = candidates - t[None, :]
         return -np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def pairwise(self, candidates: np.ndarray, test_X: np.ndarray) -> np.ndarray:
-        candidates = check_matrix(candidates, "candidates")
-        test_X = check_matrix(test_X, "test_X", n_cols=candidates.shape[1])
+        candidates = _c_matrix(candidates, "candidates")
+        test_X = _c_matrix(test_X, "test_X", n_cols=candidates.shape[1])
         diff = candidates[None, :, :] - test_X[:, None, :]
         return -np.sqrt(np.einsum("tij,tij->ti", diff, diff))
 
@@ -88,14 +105,14 @@ class RBFKernel(Kernel):
         self.gamma = float(gamma)
 
     def similarities(self, candidates: np.ndarray, t: np.ndarray) -> np.ndarray:
-        candidates = check_matrix(candidates, "candidates")
+        candidates = _c_matrix(candidates, "candidates")
         t = check_vector(t, "t", length=candidates.shape[1])
         diff = candidates - t[None, :]
         return np.exp(-self.gamma * np.einsum("ij,ij->i", diff, diff))
 
     def pairwise(self, candidates: np.ndarray, test_X: np.ndarray) -> np.ndarray:
-        candidates = check_matrix(candidates, "candidates")
-        test_X = check_matrix(test_X, "test_X", n_cols=candidates.shape[1])
+        candidates = _c_matrix(candidates, "candidates")
+        test_X = _c_matrix(test_X, "test_X", n_cols=candidates.shape[1])
         diff = candidates[None, :, :] - test_X[:, None, :]
         return np.exp(-self.gamma * np.einsum("tij,tij->ti", diff, diff))
 
@@ -107,13 +124,9 @@ class LinearKernel(Kernel):
     """``kappa(x, t) = <x, t>`` (dot product)."""
 
     def similarities(self, candidates: np.ndarray, t: np.ndarray) -> np.ndarray:
-        candidates = check_matrix(candidates, "candidates")
+        candidates = _c_matrix(candidates, "candidates")
         t = check_vector(t, "t", length=candidates.shape[1])
-        return candidates @ t
-
-    # pairwise: the default per-point loop is kept deliberately — a fused
-    # matrix-matrix product may use a different BLAS reduction order than the
-    # per-point matvec, and scan orders must stay bit-identical.
+        return _row_dots(candidates, t)
 
     def __repr__(self) -> str:
         return "LinearKernel()"
@@ -123,14 +136,14 @@ class CosineKernel(Kernel):
     """``kappa(x, t) = <x, t> / (||x|| * ||t||)`` with zero-vector guard."""
 
     def similarities(self, candidates: np.ndarray, t: np.ndarray) -> np.ndarray:
-        candidates = check_matrix(candidates, "candidates")
+        candidates = _c_matrix(candidates, "candidates")
         t = check_vector(t, "t", length=candidates.shape[1])
         t_norm = np.linalg.norm(t)
         cand_norms = np.linalg.norm(candidates, axis=1)
         denom = cand_norms * t_norm
         # A zero vector is equally dissimilar to everything.
         safe = np.where(denom > 0.0, denom, 1.0)
-        sims = (candidates @ t) / safe
+        sims = _row_dots(candidates, t) / safe
         return np.where(denom > 0.0, sims, 0.0)
 
     def __repr__(self) -> str:

@@ -17,6 +17,13 @@ the top-K when a non-``l`` row is pushed down); by default this module
 refuses multi-class datasets. ``allow_multiclass=True`` exposes the
 construction anyway for experimentation (it is then only a *necessary*
 condition, not sufficient), mirroring the discussion in Appendix B.
+
+The per-row extremes are also the whole of MinMax's *tally* contract:
+:func:`merge_minmax_block` folds similarity blocks into running per-row
+min/max tallies and :func:`binary_minmax_label` decides Q1 from the merged
+extremes. The partitioned service gateway (:mod:`repro.service.gateway`)
+merges tallies produced in *different processes*; the associativity of
+min and max is what makes that merge lossless.
 """
 
 from __future__ import annotations
@@ -29,7 +36,19 @@ from repro.core.knn import majority_label, top_k_rows
 from repro.core.scan import candidate_similarities
 from repro.utils.validation import check_positive_int
 
-__all__ = ["minmax_check", "minmax_checks_all", "extreme_world_similarities", "predictable_labels"]
+__all__ = [
+    "minmax_check",
+    "minmax_checks_all",
+    "extreme_world_similarities",
+    "predictable_labels",
+    "MINMAX_BLOCK_CANDIDATES",
+    "merge_minmax_block",
+    "binary_minmax_label",
+]
+
+#: Stacked candidates per kernel block when MinMax tallies are folded
+#: block by block (the partitioned executors' bound on resident similarities).
+MINMAX_BLOCK_CANDIDATES = 4096
 
 
 def extreme_world_similarities(
@@ -112,3 +131,59 @@ def minmax_checks_all(
     if len(winners) == 1:
         result[winners[0]] = True
     return result
+
+
+def merge_minmax_block(
+    mins: np.ndarray,
+    maxs: np.ndarray,
+    block: np.ndarray,
+    rows: np.ndarray,
+    offsets: np.ndarray,
+    c0: int,
+    c1: int,
+) -> None:
+    """Fold one candidate-block of similarities into running min/max tallies.
+
+    ``block`` holds similarities for stacked-candidate positions
+    ``[c0, c1)`` (shape ``(n_points, c1 - c0)``); ``rows`` maps each
+    stacked position to its dataset row and ``offsets`` is the row →
+    first-stacked-position table. ``mins`` / ``maxs`` (shape
+    ``(n_points, n_rows)``) are updated in place for the rows the block
+    touches. The merge is exact for any block boundaries: min and max are
+    associative and commutative, so min-of-mins / max-of-maxes over a row's
+    segments equals the min/max over the whole row — no floating-point
+    reordering is introduced.
+    """
+    first = int(rows[c0])
+    last = int(rows[c1 - 1])
+    starts = (np.maximum(offsets[first : last + 1], c0) - c0).astype(np.intp)
+    np.minimum(
+        mins[:, first : last + 1],
+        np.minimum.reduceat(block, starts, axis=1),
+        out=mins[:, first : last + 1],
+    )
+    np.maximum(
+        maxs[:, first : last + 1],
+        np.maximum.reduceat(block, starts, axis=1),
+        out=maxs[:, first : last + 1],
+    )
+
+
+def binary_minmax_label(
+    lo: np.ndarray, hi: np.ndarray, labels: np.ndarray, k: int
+) -> int | None:
+    """The Q1 verdict for one point from merged per-row extreme tallies.
+
+    ``lo`` / ``hi`` are the per-row min/max similarities (pins already
+    applied as ``lo == hi == pinned similarity``). Binary label spaces
+    only; uses the very same :func:`~repro.core.knn.top_k_rows` /
+    :func:`~repro.core.knn.majority_label` calls as
+    :func:`predictable_labels`, so the verdict is bit-identical to it.
+    """
+    winners = []
+    for target in range(2):
+        extremes = np.where(labels == target, hi, lo)
+        top = top_k_rows(extremes, k)
+        if majority_label(labels[top], tally_size=2) == target:
+            winners.append(target)
+    return winners[0] if len(winners) == 1 else None

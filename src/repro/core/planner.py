@@ -30,9 +30,7 @@ through one engine layer:
   overrides nothing else serves). :func:`execute_query` executes the plan
   and returns a :class:`QueryResult`.
 
-Four backends ship by default (the first three here; the fourth —
-``sharded``, the tile-streaming out-of-core executor — lives in
-:mod:`repro.core.shards` and registers itself on import):
+Three backends ship by default:
 
 ``sequential``
     The reference path: one :class:`~repro.core.prepared.PreparedQuery`
@@ -42,24 +40,21 @@ Four backends ship by default (the first three here; the fourth —
     Declared a reference backend, so ``"auto"`` plans onto it only for
     those overrides.
 ``batch``
-    Wraps the PR-1 batch layer (:class:`~repro.core.batch_engine.PreparedBatch`
+    Wraps the batch layer (:class:`~repro.core.batch_engine.PreparedBatch`
     + :class:`~repro.core.batch_engine.BatchQueryExecutor` +
-    :class:`~repro.core.batch_engine.QueryResultCache`): one vectorised
-    distance pass for the whole test matrix, a tuned counting kernel, a
-    ``fork`` worker-pool fan-out, and fingerprint-keyed result caching —
-    now for **all five flavors**, not just binary counting.
+    :class:`~repro.core.batch_engine.QueryResultCache`): vectorised
+    distance passes over the whole test matrix, a tuned counting kernel, a
+    ``fork`` worker-pool fan-out, and fingerprint-keyed result caching, for
+    **all five flavors**. Its memory is bounded without a knob: a query
+    whose dense similarity matrix would exceed :data:`DENSE_BLOCK_BYTES`
+    runs in consecutive row blocks, and each block's kernel temporaries
+    are bounded by :data:`~repro.core.batch_engine.PAIRWISE_BLOCK_BYTES`.
 ``incremental``
     Promotes :class:`~repro.core.incremental.IncrementalCPState` to a
     first-class backend: per query family it keeps the maintained Q2
     counts alive across calls, so a cleaning session that re-queries the
     same validation points with a growing pin set pays one exact pruning
     update per step instead of a full re-preparation.
-``sharded``
-    The out-of-core tile executor (:class:`repro.core.shards.ShardedBackend`):
-    the test-point × candidate space is split into bounded shared-memory
-    tiles streamed through a persistent worker pool, so the full distance
-    matrix never has to fit in memory at once. The cost model prefers it
-    when the dense matrix would exceed the backend's memory budget.
 
 All backends return bit-identical values for any query they both support
 (``tests/core/test_planner.py`` holds the full equivalence matrix);
@@ -80,7 +75,7 @@ import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Any
@@ -129,6 +124,7 @@ from repro.core.weighted import (
 from repro.utils.validation import check_in_options, check_positive_int
 
 __all__ = [
+    "DENSE_BLOCK_BYTES",
     "FLAVORS",
     "KINDS",
     "PRUNE_MODES",
@@ -159,6 +155,10 @@ FLAVORS = ("binary", "multiclass", "weighted", "topk", "label_uncertainty")
 #: Query kinds: exact per-label counts (Q2), the CP'ed label or ``None``,
 #: and the boolean check "is this label certainly predicted?" (Q1).
 KINDS = ("counts", "certain_label", "check")
+
+#: Dense ``(T, P)`` float64 similarity-matrix size above which the
+#: ``batch`` backend executes a query in consecutive row blocks.
+DENSE_BLOCK_BYTES = 64 * 1024 * 1024
 
 #: Candidate-pruning modes. ``"auto"`` prunes whenever the execution path
 #: can consume a certificate (SortScan-family engines with ``k < n_rows``),
@@ -374,7 +374,7 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """Execution knobs that change wall-clock (and memory), never results.
+    """Execution knobs that change wall-clock, never results.
 
     ``n_jobs`` fans per-point work out over forked worker processes where
     the backend supports it; ``cache`` selects result caching (``True`` =
@@ -382,9 +382,6 @@ class ExecutionOptions:
     = off); ``prepared`` hands an existing
     :class:`~repro.core.batch_engine.PreparedBatch` to the batch backend so
     a session's vectorised distance state is shared instead of rebuilt.
-    ``tile_rows`` / ``tile_candidates`` bound the resident tile of the
-    ``sharded`` backend (:mod:`repro.core.shards`); ``None`` keeps the
-    backend's configured defaults. Other backends ignore them.
 
     ``prune`` selects exactness-preserving candidate pruning
     (:mod:`repro.core.pruning`): ``"auto"`` (default) engages it whenever
@@ -397,15 +394,12 @@ class ExecutionOptions:
 
     All knobs are validated at construction, with the same rules the CLI
     flags enforce: ``n_jobs`` must be a positive integer, ``-1`` (all
-    CPUs) or ``None``; the tile bounds must be positive when given;
-    ``prune`` / ``scan_kernel`` must name a known mode.
+    CPUs) or ``None``; ``prune`` / ``scan_kernel`` must name a known mode.
     """
 
     n_jobs: int | None = 1
     cache: QueryResultCache | bool | None = True
     prepared: PreparedBatch | None = None
-    tile_rows: int | None = None
-    tile_candidates: int | None = None
     prune: str = "auto"
     scan_kernel: str = "auto"
 
@@ -425,10 +419,6 @@ class ExecutionOptions:
                     f"got {self.n_jobs}"
                 )
             resolve_n_jobs(self.n_jobs)  # keep the normalisation path exercised
-        if self.tile_rows is not None:
-            check_positive_int(self.tile_rows, "tile_rows")
-        if self.tile_candidates is not None:
-            check_positive_int(self.tile_candidates, "tile_candidates")
 
 
 @dataclass(frozen=True)
@@ -709,6 +699,20 @@ def _prune_enabled(query: CPQuery, options: ExecutionOptions) -> bool:
     return query.k < query.dataset.n_rows
 
 
+def _minmax_decides(query: CPQuery) -> bool:
+    """Whether the binary MinMax check (Algorithm 2) answers ``query``.
+
+    That path builds no scan, so it runs no pruning pass either; backends
+    report ``prune: False`` for it rather than empty pruning counters.
+    """
+    return (
+        query.flavor in ("binary", "multiclass")
+        and query.kind != "counts"
+        and query.n_labels == 2
+        and query.algorithm in ("auto", "engine")
+    )
+
+
 def _scan_kernel_arg(options: ExecutionOptions) -> str | None:
     """``ExecutionOptions.scan_kernel`` as the kernels' ``implementation=``."""
     return None if options.scan_kernel == "auto" else options.scan_kernel
@@ -774,7 +778,7 @@ class SequentialBackend(Backend):
 
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
-        prune = _prune_enabled(query, options)
+        prune = _prune_enabled(query, options) and not _minmax_decides(query)
         totals = empty_prune_stats() if prune else None
         flavor = query.flavor
         if flavor in ("binary", "multiclass"):
@@ -797,11 +801,7 @@ class SequentialBackend(Backend):
         totals: dict | None,
     ) -> list:
         fixed = query.pins_dict()
-        if (
-            query.kind in ("certain_label", "check")
-            and query.dataset.n_labels == 2
-            and query.algorithm in ("auto", "engine")
-        ):
+        if _minmax_decides(query):
             # The MM shortcut (Algorithm 2): no counting at all. Exact, and
             # it matches the counts-based answer bit for bit (tested).
             # Already the maximally early-terminating path — pruning would
@@ -1035,14 +1035,20 @@ def _pruned_label_uncertain_worker(index: int) -> tuple[int, list[int], dict]:
 class BatchParallelBackend(Backend):
     """The batch execution layer behind one registry name.
 
-    Counting queries run through :class:`BatchQueryExecutor` exactly as in
-    PR 1; the weighted, top-k and label-uncertain flavors get the same
-    treatment — one shared :class:`PreparedBatch` per
-    ``(dataset, test matrix, k, kernel)`` family (kept in a small LRU, or
-    handed in via :attr:`ExecutionOptions.prepared`), per-point scans
-    derived from the shared similarity matrix, ``fork`` fan-out across
-    ``n_jobs`` workers, and a fingerprint-keyed result cache shared across
-    calls.
+    Counting queries run through :class:`BatchQueryExecutor`; the
+    weighted, top-k and label-uncertain flavors get the same treatment —
+    one shared :class:`PreparedBatch` per ``(dataset, test matrix, k,
+    kernel)`` family (kept in a small LRU, or handed in via
+    :attr:`ExecutionOptions.prepared`), per-point scans derived from the
+    shared similarity matrix, ``fork`` fan-out across ``n_jobs`` workers,
+    and a fingerprint-keyed result cache shared across calls.
+
+    A query whose dense similarity matrix (``T·P·8`` bytes) exceeds
+    :data:`DENSE_BLOCK_BYTES` runs as consecutive row blocks, each through
+    the same per-flavor path on its own :class:`PreparedBatch`, so resident
+    memory stays flat in ``T``. Block batches bypass the prepared LRU (it
+    would otherwise retain them all); results are cached per point, so
+    blocked and unblocked runs share cache entries.
     """
 
     name = "batch"
@@ -1077,14 +1083,15 @@ class BatchParallelBackend(Backend):
             return options.cache
         return None
 
-    def _prepared_for(
-        self,
+    @staticmethod
+    def _handed_prepared(
         dataset: IncompleteDataset,
         test_X: np.ndarray,
         k: int,
         kernel: Kernel,
         options: ExecutionOptions,
-    ) -> PreparedBatch:
+    ) -> PreparedBatch | None:
+        """:attr:`ExecutionOptions.prepared` if it covers exactly this family."""
         handed = options.prepared
         if (
             handed is not None
@@ -1094,6 +1101,22 @@ class BatchParallelBackend(Backend):
             and np.array_equal(handed.test_X, test_X)
         ):
             return handed
+        return None
+
+    def _prepared_for(
+        self,
+        dataset: IncompleteDataset,
+        test_X: np.ndarray,
+        k: int,
+        kernel: Kernel,
+        options: ExecutionOptions,
+        use_lru: bool,
+    ) -> PreparedBatch:
+        handed = self._handed_prepared(dataset, test_X, k, kernel, options)
+        if handed is not None:
+            return handed
+        if not use_lru:
+            return PreparedBatch(dataset, test_X, k=k, kernel=kernel)
         key = (
             dataset.fingerprint(),
             _point_key(test_X),
@@ -1116,19 +1139,60 @@ class BatchParallelBackend(Backend):
     # ------------------------------------------------------------------
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
-        prune = _prune_enabled(query, options)
+        # Binary decisions take the MM check, which builds no scan to prune.
+        prune = _prune_enabled(query, options) and not _minmax_decides(query)
         totals = empty_prune_stats() if prune else None
-        flavor = query.flavor
-        if flavor in ("binary", "multiclass"):
-            values = self._execute_counting(query, options, prune, totals)
-        elif flavor == "weighted":
-            values = self._execute_weighted(query, options, prune, totals)
-        elif flavor == "topk":
-            values = self._execute_topk(query, options, prune, totals)
-        else:
-            values = self._execute_label_uncertain(query, options, prune, totals)
+        blocks = self._row_blocks(query, options)
+        # Only an unsplit query may enter the prepared LRU, which would
+        # otherwise retain every block.
+        use_lru = len(blocks) == 1
+        values = []
+        for block in blocks:
+            values.extend(self._execute_flavor(block, options, prune, totals, use_lru))
         self.last_stats = _prune_summary(query, prune, totals)
         return values
+
+    def _row_blocks(self, query: CPQuery, options: ExecutionOptions) -> list[CPQuery]:
+        """``[query]``, or its row blocks when the dense matrix is over budget.
+
+        A handed-in :class:`PreparedBatch` that covers the query already
+        holds the whole matrix, so that query is never split.
+        """
+        step = max(DENSE_BLOCK_BYTES // max(query.n_candidates * 8, 1), 1)
+        if step >= query.n_points:
+            return [query]
+        if options.prepared is not None:
+            if query.flavor == "topk":
+                dataset = _restricted_dataset(query)
+            elif query.flavor == "label_uncertainty":
+                dataset = _restricted_dataset(query).feature_dataset
+            else:
+                dataset = query.dataset
+            if self._handed_prepared(
+                dataset, query.test_X, query.k, query.kernel, options
+            ):
+                return [query]
+        return [
+            replace(query, test_X=query.test_X[r0 : r0 + step])
+            for r0 in range(0, query.n_points, step)
+        ]
+
+    def _execute_flavor(
+        self,
+        query: CPQuery,
+        options: ExecutionOptions,
+        prune: bool,
+        totals: dict | None,
+        use_lru: bool,
+    ) -> list:
+        flavor = query.flavor
+        if flavor in ("binary", "multiclass"):
+            return self._execute_counting(query, options, prune, totals, use_lru)
+        if flavor == "weighted":
+            return self._execute_weighted(query, options, prune, totals, use_lru)
+        if flavor == "topk":
+            return self._execute_topk(query, options, prune, totals, use_lru)
+        return self._execute_label_uncertain(query, options, prune, totals, use_lru)
 
     def _execute_counting(
         self,
@@ -1136,9 +1200,10 @@ class BatchParallelBackend(Backend):
         options: ExecutionOptions,
         prune: bool,
         totals: dict | None,
+        use_lru: bool,
     ) -> list:
         prepared = self._prepared_for(
-            query.dataset, query.test_X, query.k, query.kernel, options
+            query.dataset, query.test_X, query.k, query.kernel, options, use_lru
         )
         cache = self._resolve_cache(options)
         executor = BatchQueryExecutor(
@@ -1226,10 +1291,11 @@ class BatchParallelBackend(Backend):
         options: ExecutionOptions,
         prune: bool,
         totals: dict | None,
+        use_lru: bool,
     ) -> list:
         weights = _conditioned_weights(query)
         prepared = self._prepared_for(
-            query.dataset, query.test_X, query.k, query.kernel, options
+            query.dataset, query.test_X, query.k, query.kernel, options, use_lru
         )
         probs = self._fanout_cached(
             query,
@@ -1250,10 +1316,11 @@ class BatchParallelBackend(Backend):
         options: ExecutionOptions,
         prune: bool,
         totals: dict | None,
+        use_lru: bool,
     ) -> list:
         dataset = _restricted_dataset(query)
         prepared = self._prepared_for(
-            dataset, query.test_X, query.k, query.kernel, options
+            dataset, query.test_X, query.k, query.kernel, options, use_lru
         )
         return self._fanout_cached(
             query,
@@ -1273,10 +1340,16 @@ class BatchParallelBackend(Backend):
         options: ExecutionOptions,
         prune: bool,
         totals: dict | None,
+        use_lru: bool,
     ) -> list:
         dataset = _restricted_dataset(query)
         prepared = self._prepared_for(
-            dataset.feature_dataset, query.test_X, query.k, query.kernel, options
+            dataset.feature_dataset,
+            query.test_X,
+            query.k,
+            query.kernel,
+            options,
+            use_lru,
         )
         counts = self._fanout_cached(
             query,

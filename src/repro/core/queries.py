@@ -5,7 +5,7 @@ refactor it is a thin shim over :mod:`repro.core.planner`: every call
 builds a :class:`~repro.core.planner.CPQuery` descriptor and routes it
 through :func:`~repro.core.planner.plan_query` /
 :func:`~repro.core.planner.execute_query`, so single-point queries inherit
-the same backend registry (sequential / batch / incremental / sharded) as batch and
+the same backend registry (sequential / batch / incremental) as batch and
 cleaning workloads. The per-point algorithms it can force are summarised
 in the paper's Figure 4:
 
@@ -24,8 +24,7 @@ Q2             ``bruteforce``             ``O(M^N)`` oracle
 All Q2 backends return identical exact counts; ``algorithm="auto"`` picks
 the fast engine for Q2 and MinMax for binary Q1. ``backend="auto"``
 (default) lets the planner choose the execution backend; pass
-``"sequential"``, ``"batch"``, ``"incremental"`` or ``"sharded"`` to
-force one.
+``"sequential"``, ``"batch"`` or ``"incremental"`` to force one.
 """
 
 from __future__ import annotations

@@ -109,8 +109,6 @@ def screen_dataset(
     n_jobs: int | None = 1,
     cache: QueryResultCache | bool | None = None,
     backend: str = "auto",
-    tile_rows: int | None = None,
-    tile_candidates: int | None = None,
 ) -> ScreeningResult:
     """Run the counting query against every row of ``test_X``.
 
@@ -119,17 +117,12 @@ def screen_dataset(
     count. ``n_jobs`` fans the scans out over worker processes; pass a
     :class:`~repro.core.batch_engine.QueryResultCache` (or ``True``) to
     serve repeated screenings of the same data from cache; ``backend``
-    forces a planner backend, and ``tile_rows`` / ``tile_candidates``
-    bound the resident tile when the ``sharded`` backend runs (screening
-    a test set larger than memory is its home workload). None of these
-    knobs changes the result.
+    forces a planner backend. None of these knobs changes the result.
     """
     query = make_query(dataset, test_X, kind="counts", k=k, kernel=kernel)
     options = ExecutionOptions(
         n_jobs=n_jobs,
         cache=False if cache is None else cache,
-        tile_rows=tile_rows,
-        tile_candidates=tile_candidates,
     )
     result = ScreeningResult(k=k, n_worlds=dataset.n_worlds())
     for counts in execute_query(query, backend=backend, options=options).values:

@@ -10,8 +10,10 @@ baby      3042        7          real      mixed-type products, brand missing
 ========  ==========  =========  ========  =====================================
 
 The originals are not redistributable / not available offline; these
-recipes regenerate tables of the same shape and headline difficulty (see
-DESIGN.md §3 for the substitution argument). Every recipe accepts a
+recipes regenerate tables of the same shape and headline difficulty: what
+CP queries and CPClean are sensitive to is the row/feature count, the
+missingness pattern and how well the classes separate, not the original
+values. Every recipe accepts a
 ``scale`` factor so experiments run at laptop scale by default while the
 full Table-1 row counts remain reachable (``scale=1.0``).
 """

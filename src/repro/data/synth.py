@@ -113,7 +113,7 @@ def generate_table(spec: SyntheticSpec, seed: int | np.random.Generator | None =
         # ``l * separation``. Extreme attribute values are the hallmark of
         # the outer classes, which is what makes value-dependent
         # missingness plus mean imputation (a pull toward the origin)
-        # genuinely label-confusing — see DESIGN.md §3.
+        # genuinely label-confusing.
         latent = np.zeros((spec.n_rows, latent_dim))
         directions = rng.normal(size=(spec.n_rows, n_informative))
         norms = np.linalg.norm(directions, axis=1, keepdims=True)

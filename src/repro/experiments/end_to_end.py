@@ -71,8 +71,6 @@ def run_end_to_end(
     task: CleaningTask | None = None,
     n_jobs: int | None = 1,
     backend: str = "auto",
-    tile_rows: int | None = None,
-    tile_candidates: int | None = None,
 ) -> EndToEndResult:
     """Run the full Table-2 comparison for one dataset and seed."""
     if task is None:
@@ -92,7 +90,6 @@ def run_end_to_end(
     oracle = GroundTruthOracle(task.gt_choice)
     report = run_cp_clean(
         task.incomplete, task.val_X, oracle, k=task.k, n_jobs=n_jobs, backend=backend,
-        tile_rows=tile_rows, tile_candidates=tile_candidates,
     )
     cp_acc = _world_accuracy(task, report.final_fixed)
 
@@ -133,8 +130,6 @@ def average_end_to_end(
     budget_fraction: float = 0.2,
     n_jobs: int | None = 1,
     backend: str = "auto",
-    tile_rows: int | None = None,
-    tile_candidates: int | None = None,
 ) -> EndToEndResult:
     """Average :func:`run_end_to_end` over seeds (reduces small-scale noise)."""
     results = [
@@ -147,8 +142,6 @@ def average_end_to_end(
             budget_fraction=budget_fraction,
             n_jobs=n_jobs,
             backend=backend,
-            tile_rows=tile_rows,
-            tile_candidates=tile_candidates,
         )
         for seed in seeds
     ]

@@ -274,9 +274,6 @@ class QueryBroker:
         ``True`` (default) builds a :class:`TTLResultCache` with
         ``ttl_s``/``cache_size``; an instance shares one; ``False`` /
         ``None`` disables result caching.
-    tile_rows, tile_candidates:
-        Tile bounds forwarded to the ``sharded`` backend when a query
-        runs there (other backends ignore them).
     gateway:
         An optional :class:`~repro.service.gateway.Gateway`. When present,
         CP queries whose backend is ``"auto"`` or ``"gateway"`` execute
@@ -305,8 +302,6 @@ class QueryBroker:
         cache: TTLResultCache | bool | None = True,
         ttl_s: float = 30.0,
         cache_size: int = 4096,
-        tile_rows: int | None = None,
-        tile_candidates: int | None = None,
         gateway=None,
         obs: Observability | None = None,
     ) -> None:
@@ -318,8 +313,6 @@ class QueryBroker:
         self.max_pending = check_positive_int(max_pending, "max_pending")
         self.backend = backend
         self.n_jobs = n_jobs
-        self.tile_rows = tile_rows
-        self.tile_candidates = tile_candidates
         self.gateway = gateway
         if cache is True:
             self.cache: TTLResultCache | None = TTLResultCache(
@@ -871,8 +864,6 @@ class QueryBroker:
             # planner-level LRU is bypassed so expiry is in one place.
             cache=False,
             prepared=snap.prepared,
-            tile_rows=self.tile_rows,
-            tile_candidates=self.tile_candidates,
             prune=prune,
         )
 

@@ -14,7 +14,7 @@ Two query operations exist, matching the gateway's two merge modes:
 
 * ``minmax`` — per-row min/max similarity tallies over the partition's
   rows, folded candidate-block by candidate-block with
-  :func:`repro.core.shards.merge_minmax_block` (the exact associative
+  :func:`repro.core.minmax.merge_minmax_block` (the exact associative
   algebra), pins applied locally as ``lo == hi == pinned similarity``.
   Only ``(n_points, n_rows_local)`` floats ride back.
 * ``sims`` — the raw kernel similarity block over the partition's stacked
@@ -40,7 +40,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.shards import DEFAULT_TILE_CANDIDATES, merge_minmax_block
+from repro.core.minmax import MINMAX_BLOCK_CANDIDATES, merge_minmax_block
 
 __all__ = ["ExecutorPartition", "serve_executor", "executor_main"]
 
@@ -102,19 +102,15 @@ class ExecutorPartition:
         return local
 
     def minmax_tallies(
-        self,
-        test_X: np.ndarray,
-        kernel: Kernel,
-        pins: dict[int, int],
-        tile_candidates: int = DEFAULT_TILE_CANDIDATES,
+        self, test_X: np.ndarray, kernel: Kernel, pins: dict[int, int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row min/max similarity tallies for this partition's rows.
 
-        Exactly the fold :meth:`repro.core.shards.ShardedExecutor.minmax_labels`
-        performs, restricted to this partition: bounded kernel blocks, the
-        associative merge, pins applied as ``lo == hi``. The returned
-        ``(n_points, n_rows)`` pair is ready for the gateway's
-        concatenation merge.
+        Kernel blocks of :data:`~repro.core.minmax.MINMAX_BLOCK_CANDIDATES`
+        stacked candidates are folded with the associative
+        :func:`~repro.core.minmax.merge_minmax_block`, then pins are
+        applied as ``lo == hi``. The returned ``(n_points, n_rows)`` pair
+        is ready for the gateway's concatenation merge.
         """
         n_points = test_X.shape[0]
         total = int(self.offsets[-1])
@@ -125,9 +121,8 @@ class ExecutorPartition:
             int(self.offsets[offset]) + cand for offset, cand in pin_items
         ]
         pinned_sims = np.empty((n_points, len(pin_items)))
-        step = max(int(tile_candidates), 1)
-        for c0 in range(0, total, step):
-            c1 = min(c0 + step, total)
+        for c0 in range(0, total, MINMAX_BLOCK_CANDIDATES):
+            c1 = min(c0 + MINMAX_BLOCK_CANDIDATES, total)
             block = kernel.pairwise(self.stacked[c0:c1], test_X)
             merge_minmax_block(mins, maxs, block, self.rows, self.offsets, c0, c1)
             for slot, position in enumerate(pin_positions):

@@ -14,9 +14,9 @@ merges the per-partition results into the full answer:
 
 * binary ``certain_label`` / ``check`` gather per-row **min/max tallies**
   (folded executor-side with the associative algebra of
-  :func:`repro.core.shards.merge_minmax_block`), concatenate them across
+  :func:`repro.core.minmax.merge_minmax_block`), concatenate them across
   the disjoint row spans, and decide with the reference
-  :func:`~repro.core.shards.binary_minmax_label` — bit-identical to the
+  :func:`~repro.core.minmax.binary_minmax_label` — bit-identical to the
   single-process MinMax path.
 * every other flavor × kind gathers raw **similarity blocks** over each
   partition's stacked candidates; concatenation in partition order
@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.batch_engine import _counts_from_scan
 from repro.core.label_uncertainty import label_uncertain_counts
+from repro.core.minmax import binary_minmax_label
 from repro.core.planner import (
     CPQuery,
     QueryPlan,
@@ -56,7 +57,6 @@ from repro.core.planner import (
     _weighted_to_kind,
 )
 from repro.core.scan import _scan_from_sims
-from repro.core.shards import binary_minmax_label
 from repro.core.topk_prob import topk_inclusion_counts
 from repro.core.weighted import weighted_prediction_probabilities
 from repro.obs import Observability
@@ -659,10 +659,10 @@ class Gateway:
     def _execute_scan(self, dist: _DistributedDataset, query: CPQuery) -> list:
         """Every other flavor × kind: gather similarity blocks, merge, scan.
 
-        Mirrors :class:`~repro.core.shards.ShardedBackend`'s flavor
-        dispatch: same scan construction, same per-point evaluators, same
-        kind conversions — only the similarity matrix arrives partition by
-        partition instead of being computed here.
+        Runs the unpruned per-point evaluators of the in-process backends:
+        same scan construction, same evaluators, same kind conversions —
+        only the similarity matrix arrives partition by partition instead
+        of being computed here.
         """
         flavor = query.flavor
         pins = query.pins_dict()

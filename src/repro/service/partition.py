@@ -9,8 +9,8 @@ processes. This module is the layout layer underneath it:
   gateway exact: concatenating per-partition results in partition order
   restores the global stacked-candidate order bit for bit (the kernels
   compute every candidate's similarity from that candidate's features
-  alone, so slicing rows never changes a value — the same argument
-  ``core.shards`` makes for candidate tiles).
+  alone, so slicing rows never changes a value — the same argument the
+  batch backend's row blocks rely on).
 * :class:`HashRing` is a consistent-hash ring (hashlib-backed — Python's
   ``hash()`` is salted per process and useless for stable placement) with
   virtual nodes, plus a *bounded-load* assignment: each partition goes to
@@ -23,7 +23,7 @@ processes. This module is the layout layer underneath it:
   gather-side merges, both thin and both lossless: tallies concatenate
   per-row extremes of disjoint row spans (the per-span extremes were
   folded with the associative min/max algebra of
-  :func:`repro.core.shards.merge_minmax_block`); similarity blocks
+  :func:`repro.core.minmax.merge_minmax_block`); similarity blocks
   concatenate disjoint stacked-candidate spans.
 """
 

@@ -80,6 +80,35 @@ class TestPreparedBatch:
         with pytest.raises(ValueError, match="exceeds the number of training rows"):
             PreparedBatch(dataset, test_X, k=10)
 
+    def test_accepts_precomputed_sims(self):
+        dataset, test_X = _workload(seed=9)
+        dense = PreparedBatch(dataset, test_X, k=2)
+        handed = PreparedBatch(dataset, test_X, k=2, sims_matrix=dense.sims_matrix)
+        assert handed.sims_matrix is dense.sims_matrix  # no copy
+        for index in range(test_X.shape[0]):
+            assert np.array_equal(handed.scan(index).rows, dense.scan(index).rows)
+            assert np.array_equal(handed.scan(index).sims, dense.scan(index).sims)
+            assert handed.query(index).counts({}) == dense.query(index).counts({})
+
+    def test_rejects_misshaped_sims(self):
+        dataset, _ = _workload(seed=10)
+        test_X = np.zeros((2, dataset.n_features))
+        with pytest.raises(ValueError, match="sims_matrix"):
+            PreparedBatch(dataset, test_X, k=1, sims_matrix=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_row_blocked_fill_matches_one_pairwise_call(self, rows, monkeypatch):
+        from repro.core import batch_engine
+
+        dataset, test_X = _workload(seed=12)
+        dense = PreparedBatch(dataset, test_X, k=2)
+        stacked = dataset.candidate_layout().stacked
+        monkeypatch.setattr(
+            batch_engine, "PAIRWISE_BLOCK_BYTES", rows * stacked.size * 8
+        )
+        blocked = PreparedBatch(dataset, test_X, k=2)
+        assert np.array_equal(blocked.sims_matrix, dense.sims_matrix)
+
 
 class TestBatchCountsEquivalence:
     @pytest.mark.parametrize("n_labels", [2, 3])

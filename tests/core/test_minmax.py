@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.batch_engine import BatchQueryExecutor, PreparedBatch
 from repro.core.bruteforce import brute_force_counts
 from repro.core.dataset import IncompleteDataset
 from repro.core.minmax import (
+    binary_minmax_label,
     extreme_world_similarities,
+    merge_minmax_block,
     minmax_check,
     minmax_checks_all,
     predictable_labels,
 )
+from repro.core.planner import execute_query, make_query
 from tests.conftest import random_incomplete_dataset
 
 
@@ -108,3 +112,85 @@ class TestMulticlassGuard:
         t = rng.normal(size=dataset.n_features)
         with pytest.raises(ValueError, match="label"):
             minmax_check(dataset, t, 5, k=1)
+
+
+def _ragged_dataset(seed: int, n_rows: int = 8, n_labels: int = 2) -> IncompleteDataset:
+    rng = np.random.default_rng(seed)
+    sets = [rng.normal(size=(int(rng.integers(1, 4)), 2)) for _ in range(n_rows)]
+    labels = [int(label) for label in rng.integers(0, n_labels, size=n_rows)]
+    labels[0] = 0
+    labels[1] = n_labels - 1
+    return IncompleteDataset(sets, labels)
+
+
+def _blocked_labels(dataset, test_X, k, pins, block):
+    """MinMax labels from tallies folded ``block`` stacked candidates at a time."""
+    layout = dataset.candidate_layout()
+    sims = PreparedBatch(dataset, test_X, k=k).sims_matrix
+    n_points, total = sims.shape
+    mins = np.full((n_points, dataset.n_rows), np.inf)
+    maxs = np.full((n_points, dataset.n_rows), -np.inf)
+    for c0 in range(0, total, block):
+        c1 = min(c0 + block, total)
+        merge_minmax_block(
+            mins, maxs, sims[:, c0:c1], layout.rows, layout.offsets, c0, c1
+        )
+    for row, cand in pins.items():
+        pinned = sims[:, int(layout.offsets[row]) + cand]
+        mins[:, row] = maxs[:, row] = pinned
+    return [
+        binary_minmax_label(mins[i], maxs[i], dataset.labels, k)
+        for i in range(n_points)
+    ]
+
+
+class TestMinMaxMerge:
+    """The tally algebra: exact merging over any candidate-block boundaries."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 10_000])
+    def test_merged_extremes_match_dense(self, block):
+        dataset = _ragged_dataset(5)
+        test_X = np.random.default_rng(5).normal(size=(4, 2))
+        layout = dataset.candidate_layout()
+        sims = PreparedBatch(dataset, test_X, k=2).sims_matrix
+        mins = np.full((4, dataset.n_rows), np.inf)
+        maxs = np.full((4, dataset.n_rows), -np.inf)
+        total = sims.shape[1]
+        for c0 in range(0, total, block):
+            c1 = min(c0 + block, total)
+            merge_minmax_block(
+                mins, maxs, sims[:, c0:c1], layout.rows, layout.offsets, c0, c1
+            )
+        starts = layout.offsets[:-1]
+        assert np.array_equal(mins, np.minimum.reduceat(sims, starts, axis=1))
+        assert np.array_equal(maxs, np.maximum.reduceat(sims, starts, axis=1))
+
+    @pytest.mark.parametrize("block", [1, 3, 10_000])
+    def test_labels_match_sequential(self, block):
+        dataset = _ragged_dataset(5)
+        test_X = np.random.default_rng(5).normal(size=(4, 2))
+        reference = execute_query(
+            make_query(dataset, test_X, kind="certain_label", k=2),
+            backend="sequential",
+        ).values
+        assert _blocked_labels(dataset, test_X, 2, {}, block) == reference
+
+    def test_pinned_rows_override_extremes(self):
+        dataset = _ragged_dataset(6)
+        test_X = np.random.default_rng(6).normal(size=(3, 2))
+        pins = {row: 0 for row in dataset.uncertain_rows()[:2]}
+        assert pins
+        reference = execute_query(
+            make_query(dataset, test_X, kind="certain_label", k=2, pins=pins),
+            backend="sequential",
+        ).values
+        assert _blocked_labels(dataset, test_X, 2, pins, 1) == reference
+
+    def test_batch_rejects_out_of_range_pins(self):
+        dataset = _ragged_dataset(8)
+        executor = BatchQueryExecutor(dataset, np.zeros((1, 2)), k=1, cache=False)
+        with pytest.raises(IndexError, match="out of range"):
+            executor.certain_labels({0: 99})
+        # numpy's negative indexing must not let row=-1 pin the last row.
+        with pytest.raises(IndexError, match="fixed row -1"):
+            executor.certain_labels({-1: 0})

@@ -8,6 +8,7 @@ the counting flavors must match the brute-force world enumeration.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.label_uncertainty import LabelUncertainDataset
 from repro.core.planner import (
     Backend,
     BackendCapabilities,
+    BatchParallelBackend,
     ExecutionOptions,
     IncrementalBackend,
     PlanError,
@@ -61,7 +63,7 @@ def capable_names(query) -> list[str]:
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert backend_names() == ["sequential", "batch", "incremental", "sharded"]
+        assert backend_names() == ["sequential", "batch", "incremental"]
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(PlanError, match="unknown backend"):
@@ -74,7 +76,6 @@ class TestRegistry:
     def test_declared_capabilities(self):
         assert get_backend("incremental").capabilities.incremental
         assert get_backend("batch").capabilities.batchable
-        assert get_backend("sharded").capabilities.batchable
         assert not get_backend("sequential").capabilities.batchable
         for name in backend_names():
             assert get_backend(name).capabilities.exact
@@ -112,7 +113,7 @@ class TestRegistryErrorPaths:
         with pytest.raises(PlanError) as excinfo:
             get_backend("gpu")
         message = str(excinfo.value)
-        for name in ("sequential", "batch", "incremental", "sharded"):
+        for name in ("sequential", "batch", "incremental"):
             assert name in message
 
     def test_unknown_backend_raises_through_plan_and_execute(self):
@@ -129,7 +130,7 @@ class TestRegistryErrorPaths:
         with pytest.raises(PlanError, match="cannot serve"):
             plan_query(query, backend="incremental")
 
-    @pytest.mark.parametrize("backend", ["batch", "incremental", "sharded"])
+    @pytest.mark.parametrize("backend", ["batch", "incremental"])
     def test_capability_mismatch_algorithm(self, backend):
         # Only the sequential backend honours the published algorithm
         # overrides; every other explicit request must fail loudly.
@@ -147,20 +148,19 @@ class TestRegistryErrorPaths:
     def test_double_registration_rejected_and_registry_intact(self):
         before = backend_names()
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(get_backend("sharded"))
+            register_backend(get_backend("batch"))
         assert backend_names() == before
 
     def test_replace_reregisters_under_same_name(self):
-        original = get_backend("sharded")
+        original = get_backend("batch")
         try:
-            from repro.core.shards import ShardedBackend
-
-            replacement = ShardedBackend(tile_rows=2)
+            replacement = BatchParallelBackend(prepared_cache_size=2)
             assert register_backend(replacement, replace=True) is replacement
-            assert get_backend("sharded") is replacement
+            assert get_backend("batch") is replacement
+            assert backend_names() == ["sequential", "batch", "incremental"]
         finally:
             register_backend(original, replace=True)
-        assert get_backend("sharded") is original
+        assert get_backend("batch") is original
 
 
 class TestPlanning:
@@ -445,7 +445,7 @@ class TestExecutionOptionsValidation:
         ExecutionOptions()
         ExecutionOptions(n_jobs=None)
         ExecutionOptions(n_jobs=-1)  # the all-CPUs sentinel
-        ExecutionOptions(n_jobs=4, tile_rows=8, tile_candidates=128)
+        ExecutionOptions(n_jobs=4, cache=False, prune="off", scan_kernel="numpy")
         ExecutionOptions(n_jobs=np.int64(2))  # numpy integers are integers
 
     def test_zero_n_jobs_rejected(self):
@@ -464,14 +464,11 @@ class TestExecutionOptionsValidation:
         with pytest.raises(TypeError, match="n_jobs"):
             ExecutionOptions(n_jobs=True)
 
-    @pytest.mark.parametrize("knob", ["tile_rows", "tile_candidates"])
-    def test_tile_bounds_must_be_positive(self, knob):
-        with pytest.raises(ValueError, match=knob):
-            ExecutionOptions(**{knob: 0})
-        with pytest.raises(ValueError, match=knob):
-            ExecutionOptions(**{knob: -3})
-        with pytest.raises(TypeError, match=knob):
-            ExecutionOptions(**{knob: 2.0})
+    def test_only_the_five_knobs(self):
+        names = [f.name for f in dataclasses.fields(ExecutionOptions)]
+        assert names == ["n_jobs", "cache", "prepared", "prune", "scan_kernel"]
+        with pytest.raises(TypeError):
+            ExecutionOptions(tile_rows=8)
 
 
 class TestFrontDoorGuards:
@@ -509,7 +506,7 @@ class TestSessionBackends:
             name: run_cp_clean(
                 task.incomplete, task.val_X, oracle, k=task.k, backend=name
             )
-            for name in ("auto", "sequential", "batch", "incremental", "sharded")
+            for name in ("auto", "sequential", "batch", "incremental")
         }
         reference = reports["auto"]
         for name, report in reports.items():

@@ -23,6 +23,7 @@ from repro.core.planner import (
     ExecutionOptions,
     PlanError,
     _restricted_dataset,
+    execute_query,
     make_query,
     plan_query,
 )
@@ -374,6 +375,26 @@ def test_execution_options_accept_all_modes():
     for prune in ("auto", "on", "off"):
         for scan_kernel in ("auto", "numpy", "python"):
             ExecutionOptions(prune=prune, scan_kernel=scan_kernel)
+
+
+@pytest.mark.parametrize("backend", ["sequential", "batch"])
+@pytest.mark.parametrize("kind", ["certain_label", "check"])
+@pytest.mark.parametrize("prune", ["auto", "on"])
+def test_binary_minmax_path_reports_no_pruning(backend, kind, prune):
+    """The binary MinMax decision runs no pruning pass and must not claim one."""
+    rng = np.random.default_rng(7)
+    dataset, _, _, pins = random_problem(7, n_labels=2, clustered=True)
+    test_X = rng.normal(size=(16, 2))
+    label = 0 if kind == "check" else None
+    query = make_query(dataset, test_X, kind=kind, k=2, pins=pins, label=label)
+    options = ExecutionOptions(prune=prune, cache=False)
+    result = execute_query(query, backend=backend, options=options)
+    assert result.stats == {"flavor": "binary", "kind": kind, "prune": False}
+    # Counting the same points does run the pass, and says so.
+    counts = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
+    stats = execute_query(counts, backend=backend, options=options).stats
+    assert stats["prune"] is True
+    assert stats["n_points"] == 16
 
 
 def test_plan_rejects_prune_on_with_naive_algorithm():

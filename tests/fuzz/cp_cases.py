@@ -18,25 +18,32 @@ from repro.core.label_uncertainty import (
     LabelUncertainDataset,
     label_uncertain_counts_bruteforce,
 )
+from repro.core import batch_engine, planner
 from repro.core.planner import make_query
 
 __all__ = [
     "BACKENDS",
-    "TILE_CONFIGS",
+    "BLOCK_CONFIGS",
+    "KERNELS",
     "SEEDS",
     "FLAVOR_CYCLE",
     "random_dataset",
     "random_pins",
     "random_weights",
     "random_case",
+    "set_block_rows",
 ]
 
 #: The backends the harness differentiates (a capability-filtered subset
 #: runs per query). Order matters only for error messages.
-BACKENDS = ("sequential", "batch", "incremental", "sharded")
+BACKENDS = ("sequential", "batch", "incremental")
 
-#: Small tiles (split candidate segments) and oversized tiles (single tile).
-TILE_CONFIGS = ((1, 3), (10_000, 10_000))
+#: Test points per ``batch`` row block: one point, three points, or the
+#: whole matrix in one block (see :func:`set_block_rows`).
+BLOCK_CONFIGS = (1, 3, None)
+
+#: Every built-in kernel, by its registry name.
+KERNELS = ("euclidean", "rbf", "linear", "cosine")
 
 SEEDS = list(range(20))
 
@@ -73,20 +80,60 @@ def random_weights(
     return weights
 
 
-def random_case(seed: int):
-    """One seeded random query: ``(query, oracle_or_None, description)``."""
+def set_block_rows(monkeypatch, query, rows: int | None) -> None:
+    """Size the ``batch`` backend's two row blocks to ``rows`` test points.
+
+    Monkeypatches :data:`repro.core.planner.DENSE_BLOCK_BYTES` (the dense
+    matrix per executed block) and
+    :data:`repro.core.batch_engine.PAIRWISE_BLOCK_BYTES` (the kernel
+    temporary per ``pairwise`` call); ``None`` makes both hold the whole
+    query in one block.
+    """
+    n_candidates = int(np.sum(query.dataset.candidate_counts()))
+    n_features = query.dataset.n_features
+    if rows is None:
+        rows = max(query.n_points, 1)
+    monkeypatch.setattr(planner, "DENSE_BLOCK_BYTES", rows * n_candidates * 8)
+    monkeypatch.setattr(
+        batch_engine, "PAIRWISE_BLOCK_BYTES", rows * n_candidates * n_features * 8
+    )
+
+
+def random_case(
+    seed: int,
+    kernel: str = "euclidean",
+    flavor: str | None = None,
+    kind: str | None = None,
+    pinned: bool | None = None,
+    n_points: int | None = None,
+):
+    """One seeded random query: ``(query, oracle_or_None, description)``.
+
+    The keyword overrides fix one dimension of the case (the flavor, the
+    kind, whether it carries pins, how many test points) while the seed
+    still draws everything else; ``pinned=True`` pins at least one row.
+    """
     rng = np.random.default_rng(seed)
-    flavor = FLAVOR_CYCLE[seed % len(FLAVOR_CYCLE)]
+    flavor = flavor or FLAVOR_CYCLE[seed % len(FLAVOR_CYCLE)]
     n_labels = 2 if flavor in ("binary", "weighted") else int(rng.integers(2, 4))
     dataset = random_dataset(rng, n_labels)
     k = int(rng.integers(1, min(4, dataset.n_rows) + 1))
-    test_X = rng.normal(size=(int(rng.integers(1, 4)), 2))
+    drawn_points = int(rng.integers(1, 4))
+    test_X = rng.normal(size=(n_points or drawn_points, 2))
     pins = random_pins(rng, dataset)
-    kind = "counts" if flavor == "topk" else str(
+    if pinned is False:
+        pins = {}
+    elif pinned and not pins:
+        dirty = dataset.uncertain_rows()
+        if not dirty:
+            raise ValueError(f"seed={seed} draws no dirty row to pin")
+        pins = {int(dirty[0]): 0}
+    drawn_kind = "counts" if flavor == "topk" else str(
         rng.choice(["counts", "certain_label", "check"])
     )
+    kind = kind or drawn_kind
     label = int(rng.integers(0, n_labels)) if kind == "check" else None
-    kwargs = dict(kind=kind, flavor=flavor, k=k, pins=pins, label=label)
+    kwargs = dict(kind=kind, flavor=flavor, k=k, pins=pins, label=label, kernel=kernel)
 
     oracle = None
     if flavor in ("binary", "multiclass"):
@@ -95,12 +142,16 @@ def random_case(seed: int):
             restricted = dataset
             for row, cand in pins.items():
                 restricted = restricted.restrict_row(row, cand)
-            oracle = [brute_force_counts(restricted, t, k=k) for t in test_X]
+            oracle = [
+                brute_force_counts(restricted, t, k=k, kernel=kernel) for t in test_X
+            ]
     elif flavor == "weighted":
         kwargs["weights"] = random_weights(rng, dataset)
         query = make_query(dataset, test_X, **kwargs)
     elif flavor == "topk":
-        query = make_query(dataset, test_X, kind="counts", flavor="topk", k=k, pins=pins)
+        query = make_query(
+            dataset, test_X, kind="counts", flavor="topk", k=k, pins=pins, kernel=kernel
+        )
     else:
         flip_rows = [
             int(row)
@@ -113,7 +164,10 @@ def random_case(seed: int):
             for row, cand in pins.items():
                 restricted = restricted.restrict_row(row, cand)
             oracle = [
-                label_uncertain_counts_bruteforce(restricted, t, k=k) for t in test_X
+                label_uncertain_counts_bruteforce(restricted, t, k=k, kernel=kernel)
+                for t in test_X
             ]
-    description = f"seed={seed} flavor={flavor} kind={kind} k={k} pins={pins}"
+    description = (
+        f"seed={seed} flavor={flavor} kind={kind} k={k} pins={pins} kernel={kernel}"
+    )
     return query, oracle, description

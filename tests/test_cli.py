@@ -46,7 +46,7 @@ class TestParser:
         assert args.n_jobs == -1
 
     def test_backend_flag_parses(self):
-        for backend in ("auto", "sequential", "batch", "incremental", "sharded"):
+        for backend in ("auto", "sequential", "batch", "incremental"):
             args = build_parser().parse_args(["screen", "--backend", backend])
             assert args.backend == backend
 
@@ -54,15 +54,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["screen", "--backend", "gpu"])
 
-    def test_tile_flags_parse(self):
-        args = build_parser().parse_args(
-            ["screen", "--tile-rows", "16", "--tile-candidates", "1024"]
-        )
-        assert args.tile_rows == 16
-        assert args.tile_candidates == 1024
-        defaults = build_parser().parse_args(["screen"])
-        assert defaults.tile_rows is None
-        assert defaults.tile_candidates is None
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--backend", "sharded"],
+            ["--tile-rows", "16"],
+            ["--tile-candidates", "1024"],
+        ],
+    )
+    def test_retired_sharded_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["screen", *argv])
 
 
 class TestServeParser:
@@ -258,18 +260,6 @@ class TestFlagValidation:
             build_parser().parse_args(["screen", "--n-jobs", "two"])
         assert "--n-jobs must be an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tile-rows", "--tile-candidates"])
-    @pytest.mark.parametrize("value", ["0", "-1", "-64"])
-    def test_tile_flags_reject_non_positive(self, flag, value, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["screen", flag, value])
-        assert f"{flag} must be a positive integer" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--tile-rows", "--tile-candidates"])
-    def test_tile_flags_reject_non_integers(self, flag, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["screen", flag, "many"])
-        assert f"{flag} must be an integer" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -322,7 +312,7 @@ class TestCommands:
         base_args = ["--n-train", "40", "--n-val", "8", "--n-test", "20", "--seed", "1"]
         assert main(["screen", *base_args]) == 0
         reference = capsys.readouterr().out
-        for backend in ("sequential", "batch", "incremental", "sharded"):
+        for backend in ("sequential", "batch", "incremental"):
             assert main(["screen", *base_args, "--backend", backend]) == 0
             assert capsys.readouterr().out == reference, backend
 
@@ -336,14 +326,17 @@ class TestCommands:
         assert main(["clean", *base_args, "--backend", "incremental"]) == 0
         assert capsys.readouterr().out == reference
 
-    def test_sharded_tiling_does_not_change_results(self, capsys):
+    def test_batch_row_blocks_do_not_change_results(self, capsys, monkeypatch):
+        from repro.core import batch_engine, planner
+
         base_args = ["--n-train", "40", "--n-val", "8", "--n-test", "20", "--seed", "1"]
         assert main(["screen", *base_args]) == 0
         reference = capsys.readouterr().out
-        sharded = [
-            "--backend", "sharded", "--tile-rows", "3", "--tile-candidates", "17",
-        ]
-        assert main(["screen", *base_args, *sharded]) == 0
+        # One test point per executed block and per kernel call.
+        monkeypatch.setattr(planner, "DENSE_BLOCK_BYTES", 1)
+        monkeypatch.setattr(batch_engine, "PAIRWISE_BLOCK_BYTES", 1)
+        blocked = [*base_args, "--backend", "batch", "--no-cache"]
+        assert main(["screen", *blocked]) == 0
         assert capsys.readouterr().out == reference
-        assert main(["screen", *base_args, *sharded, "--n-jobs", "2"]) == 0
+        assert main(["screen", *blocked, "--n-jobs", "2"]) == 0
         assert capsys.readouterr().out == reference
