@@ -40,7 +40,6 @@ from repro.core.batch_engine import (
     PreparedBatch,
     QueryResultCache,
     fanout_map,
-    get_fanout_state,
 )
 from repro.core.dataset import IncompleteDataset
 from repro.core.deltas import (
@@ -66,14 +65,14 @@ class CleaningStrategy(ABC):
         """Return ``(row, expected_entropy_or_None)`` for the next cleaning step."""
 
 
-def _expected_entropy_worker(row: int) -> tuple[int, float]:
-    """Pool worker: expected post-cleaning entropy of one candidate row.
+def _expected_entropy_worker(state: tuple, row: int) -> float:
+    """Fan-out worker: expected post-cleaning entropy of one candidate row.
 
-    Reads ``(session, fixed)`` from the fork-inherited fan-out state; the
-    session's prepared queries are shared read-only across workers.
+    ``state`` is ``(session, fixed)``; forked workers inherit it, so the
+    session's prepared queries are shared read-only across them.
     """
-    session, fixed = get_fanout_state()
-    return row, session._expected_entropy_of(row, fixed)
+    session, fixed = state
+    return session._expected_entropy_of(row, fixed)
 
 
 class CleaningSession:
@@ -221,13 +220,14 @@ class CleaningSession:
         are scored in parallel worker processes; scores are bit-identical
         to the in-process loop because each row's computation is untouched.
         """
-        pairs = fanout_map(
+        rows = list(rows)
+        scores = fanout_map(
             _expected_entropy_worker,
             rows,
             n_jobs=self.n_jobs,
             state=(self, dict(self.fixed)),
         )
-        return dict(pairs)
+        return dict(zip(rows, scores))
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict:

@@ -96,18 +96,19 @@ PAIRWISE_BLOCK_BYTES = 16 * 1024 * 1024
 # Worker-pool plumbing
 # ---------------------------------------------------------------------------
 
-#: State handed to forked workers. Set by :func:`fanout_map` in the parent
-#: immediately before the fork so children inherit it through copy-on-write
-#: memory; never pickled, never mutated by workers. Guarded by
-#: ``_FANOUT_LOCK`` so concurrent fan-outs (e.g. two executors on different
-#: threads) cannot read each other's state.
+#: ``(worker, state)`` of the current forked :func:`fanout_map` call. Set in
+#: the parent immediately before the fork so children inherit it through
+#: copy-on-write memory; never pickled, never mutated by workers. Guarded
+#: by ``_FANOUT_LOCK`` so concurrent pooled fan-outs (e.g. two executors on
+#: different threads) cannot read each other's state.
 _FANOUT_STATE: Any = None
 _FANOUT_LOCK = threading.Lock()
 
 
-def get_fanout_state() -> Any:
-    """The shared read-only state of the current :func:`fanout_map` call."""
-    return _FANOUT_STATE
+def _forked_call(item: Any) -> Any:
+    """The one pool entry point: apply the inherited worker to one item."""
+    worker, state = _FANOUT_STATE
+    return worker(state, item)
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -120,22 +121,20 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
 
 
 def fanout_map(
-    worker: Callable[[Any], Any],
+    worker: Callable[[Any, Any], Any],
     items: Iterable[Any],
     n_jobs: int | None = 1,
     state: Any = None,
     chunksize: int | None = None,
 ) -> list[Any]:
-    """Apply ``worker`` to every item, optionally across forked processes.
+    """``[worker(state, item) for item in items]``, optionally across forked processes.
 
-    ``worker`` must be a module-level function; it reads the shared
-    ``state`` through :func:`get_fanout_state` (workers inherit it via
-    fork, so large arrays are shared read-only rather than pickled). Items
-    are distributed in chunks through ``imap_unordered`` — idle workers
-    steal the next chunk off the shared queue, so an unlucky chunk of slow
-    queries cannot stall the whole batch. Results are returned in
-    completion order; workers should tag results with their item when the
-    caller needs to reassemble.
+    Forked workers inherit ``worker`` and ``state`` through fork, so
+    neither is pickled — large arrays are shared read-only — and only the
+    items and the results cross the pipe. Items are distributed in chunks
+    over the pool's shared task queue, so idle workers take the next chunk
+    and an unlucky chunk of slow queries cannot stall the whole batch.
+    Results come back in item order.
 
     Falls back to an in-process loop when ``n_jobs == 1``, when there is
     nothing to parallelise over, or when the platform cannot fork safely.
@@ -145,9 +144,9 @@ def fanout_map(
     runtimes can abort — the reason CPython made ``spawn`` the default
     there), so the pool is gated to Linux with ``fork`` available.
 
-    Concurrent :func:`fanout_map` calls from different threads are
-    serialised on an internal lock — the state hand-off is a process-wide
-    slot, and two interleaved fan-outs must not see each other's state.
+    Pooled calls from different threads are serialised on an internal
+    lock — the hand-off to the children is a process-wide slot. In-process
+    calls pass ``state`` directly and never take it.
     """
     items = list(items)
     n_jobs = resolve_n_jobs(n_jobs)
@@ -157,12 +156,12 @@ def fanout_map(
         and sys.platform.startswith("linux")
         and "fork" in multiprocessing.get_all_start_methods()
     )
+    if not use_pool:
+        return [worker(state, item) for item in items]
     global _FANOUT_STATE
     with _FANOUT_LOCK:
-        _FANOUT_STATE = state
+        _FANOUT_STATE = (worker, state)
         try:
-            if not use_pool:
-                return [worker(item) for item in items]
             context = multiprocessing.get_context("fork")
             n_workers = min(n_jobs, len(items))
             if chunksize is None:
@@ -171,7 +170,7 @@ def fanout_map(
                 # are uneven.
                 chunksize = max(1, -(-len(items) // (n_workers * 4)))
             with context.Pool(processes=n_workers) as pool:
-                return list(pool.imap_unordered(worker, items, chunksize=chunksize))
+                return list(pool.imap(_forked_call, items, chunksize=chunksize))
         finally:
             _FANOUT_STATE = None
 
@@ -320,51 +319,58 @@ def _counts_from_scan(
     return result
 
 
-def _counts_worker(index: int) -> tuple[int, list[int]]:
-    """Pool worker: count one test point from fork-inherited prepared state."""
-    prepared, k, n_labels, fixed = get_fanout_state()
-    return index, _counts_from_scan(prepared.scan(index), k, n_labels, fixed)
+# ---------------------------------------------------------------------------
+# Per-point evaluators of the counting flavors
+# ---------------------------------------------------------------------------
+#
+# Every per-point evaluator has the signature ``point(state, index)`` with
+# ``state = (prepared, argument, prune)`` and returns ``(value, stats)``;
+# ``stats`` is the point's pruning telemetry, or ``None`` when unpruned.
+# :meth:`BatchQueryExecutor.evaluate` runs them.
 
 
-def _pruned_counts_worker(index: int) -> tuple[int, list[int], dict]:
-    """Pool worker: prune-then-count one point straight from the sims row.
+def count_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
+    """Q2 counts of one point; ``argument`` is the pin mapping.
 
-    Never touches ``prepared.scan(index)`` — pruning happens *before* the
-    sort, which is where the clustered-candidate speedup comes from.
+    Pruned, it counts straight from the point's similarity row and never
+    touches ``prepared.scan(index)`` — pruning happens *before* the sort,
+    which is where the clustered-candidate speedup comes from.
     """
+    prepared, fixed, prune = state
+    n_labels = prepared.dataset.n_labels
+    if not prune:
+        counts = _counts_from_scan(prepared.scan(index), prepared.k, n_labels, fixed)
+        return counts, None
     from repro.core.pruning import pruned_counts_from_sims
 
-    prepared, k, n_labels, fixed = get_fanout_state()
-    counts, stats = pruned_counts_from_sims(
+    return pruned_counts_from_sims(
         prepared.sims_matrix[index],
         prepared._rows,
         prepared._cands,
         prepared._labels,
         prepared._counts,
-        k,
+        prepared.k,
         n_labels,
         fixed,
     )
-    return index, counts, stats
 
 
-def _pruned_decision_worker(index: int) -> tuple[int, int | None, dict]:
-    """Pool worker: prune + vectorised decision scan for one point."""
+def decision_point(state: tuple, index: int) -> tuple[int | None, dict]:
+    """The certain label of one point via prune + vectorised decision scan."""
     from repro.core.pruning import pruned_decision_from_sims
 
-    prepared, k, n_labels, fixed, implementation = get_fanout_state()
+    prepared, fixed, _ = state
     decision, stats = pruned_decision_from_sims(
         prepared.sims_matrix[index],
         prepared._rows,
         prepared._cands,
         prepared._labels,
         prepared._counts,
-        k,
-        n_labels,
+        prepared.k,
+        prepared.dataset.n_labels,
         fixed,
-        implementation=implementation,
     )
-    return index, decision.certain_label, stats
+    return decision.certain_label, stats
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +637,6 @@ def kernel_cache_key(kernel: Kernel) -> str:
     return f"{identity}:{kernel!r}"
 
 
-#: Backwards-compatible alias (the helper predates the planner making it public).
-_kernel_cache_key = kernel_cache_key
-
-
 class BatchQueryExecutor:
     """Executes CP queries for a whole test set: vectorised, parallel, cached.
 
@@ -683,10 +685,14 @@ class BatchQueryExecutor:
         else:
             self.cache = None
         self._kernel_key = kernel_cache_key(self.kernel)
-        self._point_keys = [
-            hashlib.sha1(np.ascontiguousarray(t).tobytes()).hexdigest()
-            for t in self.prepared.test_X
-        ]
+        self._point_keys = (
+            [
+                hashlib.sha1(np.ascontiguousarray(t).tobytes()).hexdigest()
+                for t in self.prepared.test_X
+            ]
+            if self.cache is not None
+            else []
+        )
 
     @property
     def n_points(self) -> int:
@@ -704,6 +710,61 @@ class BatchQueryExecutor:
         )
 
     # ------------------------------------------------------------------
+    def evaluate(
+        self,
+        tag: str,
+        point: Callable[[tuple, int], tuple[Any, dict | None]],
+        argument: Any,
+        argument_key: tuple,
+        prune: bool = False,
+        prune_stats: dict | None = None,
+    ) -> list:
+        """``point`` over every test point: served from the cache, else fanned out.
+
+        The one cache-then-fan-out loop behind every flavor. ``point(state,
+        index)`` gets ``state = (prepared, argument, prune)`` and returns
+        ``(value, stats)``; results are cached under ``(tag, fingerprint,
+        point hash, k, kernel, argument_key)``. Pruned and unpruned
+        evaluators are bit-identical, so they share entries; ``prune_stats``
+        (a dict) accumulates the telemetry of the points computed this call.
+        """
+        n = self.n_points
+        keys = (
+            [self._key(tag, index, argument_key) for index in range(n)]
+            if self.cache is not None
+            else None
+        )
+        results: list = [None] * n
+        missing: list[int] = []
+        for index in range(n):
+            if keys is not None:
+                hit = self.cache.get(keys[index], _MISS)
+                if hit is not _MISS:
+                    results[index] = _copied(hit)
+                    continue
+            missing.append(index)
+        if not missing:
+            return results
+        if not prune:
+            # Every unpruned evaluator reads the sorted scans: build them
+            # before the fork so workers share them copy-on-write. (Pruned
+            # counts and decisions sort only the surviving positions.)
+            self.prepared.materialize_scans(missing)
+        outputs = fanout_map(
+            point, missing, n_jobs=self.n_jobs, state=(self.prepared, argument, prune)
+        )
+        if prune_stats is not None:
+            from repro.core.pruning import accumulate_prune_stats
+
+            for _, stats in outputs:
+                if stats is not None:
+                    accumulate_prune_stats(prune_stats, stats)
+        for index, (value, _) in zip(missing, outputs):
+            results[index] = value
+            if keys is not None:
+                self.cache.put(keys[index], _copied(value))
+        return results
+
     def counts(
         self,
         fixed: Mapping[int, int] | None = None,
@@ -718,65 +779,12 @@ class BatchQueryExecutor:
         pool when ``n_jobs > 1``.
 
         With ``prune=True`` the irrelevant-candidate pruning pass runs per
-        point *before* the scan sort (see :mod:`repro.core.pruning`); the
-        counts are bit-identical, so pruned and unpruned runs share the
-        same cache entries. ``prune_stats`` (a dict) accumulates per-point
-        pruning telemetry for the points actually computed this call.
+        point *before* the scan sort (see :mod:`repro.core.pruning`).
         """
         fixed = dict(fixed or {})
-        fixed_key = tuple(sorted(fixed.items()))
-        results: list[list[int] | None] = [None] * self.n_points
-        missing: list[int] = []
-        for index in range(self.n_points):
-            if self.cache is not None:
-                hit = self.cache.get(self._key("q2", index, fixed_key), _MISS)
-                if hit is not _MISS:
-                    results[index] = list(hit)
-                    continue
-            missing.append(index)
-
-        if missing:
-            n_labels = self.dataset.n_labels
-            if prune:
-                # The pruned worker reads raw similarity rows; building the
-                # sorted scans up front would defeat the point.
-                triples = fanout_map(
-                    _pruned_counts_worker,
-                    missing,
-                    n_jobs=self.n_jobs,
-                    state=(self.prepared, self.k, n_labels, fixed),
-                )
-                pairs = self._fold_stats(triples, prune_stats)
-            else:
-                # Scans must exist before the fork so workers share them
-                # copy-on-write instead of rebuilding per process.
-                self.prepared.materialize_scans(missing)
-                pairs = fanout_map(
-                    _counts_worker,
-                    missing,
-                    n_jobs=self.n_jobs,
-                    state=(self.prepared, self.k, n_labels, fixed),
-                )
-            for index, counts in pairs:
-                results[index] = counts
-                if self.cache is not None:
-                    self.cache.put(self._key("q2", index, fixed_key), list(counts))
-        return [list(counts) for counts in results]  # type: ignore[arg-type]
-
-    @staticmethod
-    def _fold_stats(
-        triples: Iterable[tuple[int, object, dict]],
-        prune_stats: dict | None,
-    ) -> list[tuple[int, object]]:
-        """Strip per-point stats off worker triples, folding them into one dict."""
-        from repro.core.pruning import accumulate_prune_stats
-
-        pairs = []
-        for index, value, stats in triples:
-            if prune_stats is not None:
-                accumulate_prune_stats(prune_stats, stats)
-            pairs.append((index, value))
-        return pairs
+        return self.evaluate(
+            "q2", count_point, fixed, _pins_key(fixed), prune, prune_stats
+        )
 
     # ------------------------------------------------------------------
     def _minmax_label(self, index: int, fixed: Mapping[int, int]) -> int | None:
@@ -812,7 +820,6 @@ class BatchQueryExecutor:
         self,
         fixed: Mapping[int, int] | None = None,
         prune: bool = False,
-        scan_kernel: str | None = None,
         prune_stats: dict | None = None,
     ) -> list[int | None]:
         """The CP'ed label (or ``None``) of every test point.
@@ -823,22 +830,23 @@ class BatchQueryExecutor:
         point bit for bit. ``prune=True`` engages candidate pruning on the
         multiclass path (binary stays on the MM check, which is already a
         maximally early-terminating scan); multiclass decisions then use
-        the vectorised decision kernel (``scan_kernel`` selects the
-        implementation) under the ``"q2d"`` cache tag, stopping the scan
-        as soon as two winners are seen.
+        the vectorised decision kernel, stopping the scan as soon as two
+        winners are seen. A decision carries less information than the
+        full counts, so it is cached under its own ``"q2d"`` tag rather
+        than shadowing ``"q2"`` entries.
         """
         fixed = dict(fixed or {})
         if self.dataset.n_labels != 2:
-            if not prune:
-                return [
-                    certain_label_from_counts(counts) for counts in self.counts(fixed)
-                ]
-            return self._pruned_decisions(fixed, scan_kernel, prune_stats)
-        fixed_key = tuple(sorted(fixed.items()))
+            if prune:
+                return self.evaluate(
+                    "q2d", decision_point, fixed, _pins_key(fixed), True, prune_stats
+                )
+            return [certain_label_from_counts(counts) for counts in self.counts(fixed)]
+        fixed_key = _pins_key(fixed)
         labels: list[int | None] = []
         for index in range(self.n_points):
-            key = self._key("mm", index, fixed_key)
             if self.cache is not None:
+                key = self._key("mm", index, fixed_key)
                 hit = self.cache.get(key, _MISS)
                 if hit is not _MISS:
                     labels.append(hit)
@@ -849,46 +857,15 @@ class BatchQueryExecutor:
             labels.append(label)
         return labels
 
-    def _pruned_decisions(
-        self,
-        fixed: dict[int, int],
-        scan_kernel: str | None,
-        prune_stats: dict | None,
-    ) -> list[int | None]:
-        """Multiclass decisions via prune + early-terminating decision scan.
 
-        Cached under its own ``"q2d"`` tag: the decision result carries
-        less information than the full counts, so it must not shadow
-        ``"q2"`` entries.
-        """
-        fixed_key = tuple(sorted(fixed.items()))
-        results: list[int | None] = [None] * self.n_points
-        computed = [False] * self.n_points
-        missing: list[int] = []
-        for index in range(self.n_points):
-            if self.cache is not None:
-                hit = self.cache.get(self._key("q2d", index, fixed_key), _MISS)
-                if hit is not _MISS:
-                    results[index] = hit
-                    computed[index] = True
-                    continue
-            missing.append(index)
+def _pins_key(fixed: Mapping[int, int]) -> tuple:
+    """A pin mapping as a cache-key part."""
+    return tuple(sorted(fixed.items()))
 
-        if missing:
-            triples = fanout_map(
-                _pruned_decision_worker,
-                missing,
-                n_jobs=self.n_jobs,
-                state=(self.prepared, self.k, self.dataset.n_labels, fixed, scan_kernel),
-            )
-            for index, label in self._fold_stats(triples, prune_stats):
-                results[index] = label
-                computed[index] = True
-                if self.cache is not None:
-                    self.cache.put(self._key("q2d", index, fixed_key), label)
-        if not all(computed):
-            raise AssertionError("internal error: unexecuted points in batch")
-        return results
+
+def _copied(value: Any) -> Any:
+    """A fresh copy of a list value, so cache entries are never aliased."""
+    return list(value) if isinstance(value, list) else value
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,6 @@ def label_uncertain_counts(
     k: int = 1,
     kernel: Kernel | str | None = None,
     scan: ScanOrder | None = None,
-    until_mixed: bool = False,
-    scan_stats: dict | None = None,
 ) -> list[int]:
     """Exact Q2 counts over all (feature, label) worlds in polynomial time.
 
@@ -238,13 +236,6 @@ def label_uncertain_counts(
     not needed at the extension's scale). ``scan`` optionally hands over a
     precomputed order for ``dataset.feature_dataset`` (the planner's batch
     backend shares one vectorised similarity pass this way).
-
-    ``until_mixed`` is the Fig-9 early-termination hook for the decision
-    kinds: counts only ever grow, so the moment two labels have support no
-    certain label can exist and the scan stops. The returned counts are
-    then *partial* — only their nonzero-set is meaningful. ``scan_stats``,
-    when a dict is passed, receives ``positions_scanned`` and
-    ``early_terminated``.
     """
     k = check_positive_int(k, "k")
     n = dataset.n_rows
@@ -258,10 +249,8 @@ def label_uncertain_counts(
 
     alpha = np.zeros(n, dtype=np.int64)
     result = [0] * n_labels
-    positions_scanned = 0
 
     for position in range(scan.n_candidates):
-        positions_scanned = position + 1
         i = int(scan.rows[position])
         alpha[i] += 1
         # dp maps a partial tally (counts per label among the *other* rows'
@@ -295,14 +284,6 @@ def label_uncertain_counts(
                 final = list(tally)
                 final[boundary_label] += 1
                 result[predicted_label(tuple(final))] += ways
-        if until_mixed and sum(1 for count in result if count) >= 2:
-            if scan_stats is not None:
-                scan_stats["positions_scanned"] = positions_scanned
-                scan_stats["early_terminated"] = True
-            return result
-    if scan_stats is not None:
-        scan_stats["positions_scanned"] = positions_scanned
-        scan_stats["early_terminated"] = False
     return result
 
 

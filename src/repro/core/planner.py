@@ -33,22 +33,27 @@ through one engine layer:
 Three backends ship by default:
 
 ``sequential``
-    The reference path: one :class:`~repro.core.prepared.PreparedQuery`
+    The unpruned reference: one :class:`~repro.core.prepared.PreparedQuery`
     scan per test point (or the flavor's per-point kernel), with per-row
     similarities. Supports every flavor and every published algorithm
-    override — the semantics anchor the others are tested against.
-    Declared a reference backend, so ``"auto"`` plans onto it only for
-    those overrides.
+    override, and never prunes — the semantics anchor every other
+    backend, and every pruned path, is tested against. Declared a
+    reference backend, so ``"auto"`` plans onto it only for those
+    overrides and an explicit request with ``prune="on"`` is refused.
 ``batch``
     Wraps the batch layer (:class:`~repro.core.batch_engine.PreparedBatch`
     + :class:`~repro.core.batch_engine.BatchQueryExecutor` +
     :class:`~repro.core.batch_engine.QueryResultCache`): vectorised
-    distance passes over the whole test matrix, a tuned counting kernel, a
-    ``fork`` worker-pool fan-out, and fingerprint-keyed result caching, for
-    **all five flavors**. Its memory is bounded without a knob: a query
-    whose dense similarity matrix would exceed :data:`DENSE_BLOCK_BYTES`
-    runs in consecutive row blocks, and each block's kernel temporaries
-    are bounded by :data:`~repro.core.batch_engine.PAIRWISE_BLOCK_BYTES`.
+    distance passes over the whole test matrix, the per-point evaluators
+    of :data:`FLAVOR_POINTS` (pruned or not), a ``fork`` worker-pool
+    fan-out, and fingerprint-keyed result caching, for **all five
+    flavors**. It is the one serving evaluator: the partitioned gateway
+    (:mod:`repro.service.gateway`) hands it a gathered similarity matrix
+    instead of evaluating flavors itself. Its memory is bounded without a
+    knob: a query whose dense similarity matrix would exceed
+    :data:`DENSE_BLOCK_BYTES` runs in consecutive row blocks, and each
+    block's kernel temporaries are bounded by
+    :data:`~repro.core.batch_engine.PAIRWISE_BLOCK_BYTES`.
 ``incremental``
     Promotes :class:`~repro.core.incremental.IncrementalCPState` to a
     first-class backend: per query family it keeps the maintained Q2
@@ -86,8 +91,8 @@ from repro.core.batch_engine import (
     BatchQueryExecutor,
     PreparedBatch,
     QueryResultCache,
-    fanout_map,
-    get_fanout_state,
+    _pins_key,
+    count_point,
     kernel_cache_key,
     resolve_n_jobs,
 )
@@ -102,17 +107,11 @@ from repro.core.multiclass import sortscan_counts_multiclass
 from repro.core.prepared import PreparedQuery
 from repro.obs.tracing import trace_span
 from repro.core.pruning import (
-    accumulate_prune_stats,
     empty_prune_stats,
-    pruned_counts_from_scan,
-    pruned_decision_from_scan,
     pruned_label_uncertain_counts,
-    pruned_label_uncertain_decision,
     pruned_topk_counts_from_scan,
-    pruned_weighted_decision,
     pruned_weighted_probabilities,
 )
-from repro.core.scan import compute_scan_order
 from repro.core.sortscan import sortscan_counts_naive
 from repro.core.sortscan_tree import sortscan_counts_tree
 from repro.core.topk_prob import topk_inclusion_counts
@@ -126,9 +125,9 @@ from repro.utils.validation import check_in_options, check_positive_int
 __all__ = [
     "DENSE_BLOCK_BYTES",
     "FLAVORS",
+    "FLAVOR_POINTS",
     "KINDS",
     "PRUNE_MODES",
-    "SCAN_KERNEL_MODES",
     "Q2_ALGORITHMS",
     "CPQuery",
     "make_query",
@@ -144,6 +143,7 @@ __all__ = [
     "capable_backends",
     "plan_query",
     "execute_query",
+    "scan_dataset",
     "SequentialBackend",
     "BatchParallelBackend",
     "IncrementalBackend",
@@ -165,11 +165,6 @@ DENSE_BLOCK_BYTES = 64 * 1024 * 1024
 #: ``"on"`` demands pruning (a :class:`PlanError` if the query's algorithm
 #: cannot honour it), ``"off"`` disables it. Results never change.
 PRUNE_MODES = ("auto", "on", "off")
-
-#: Tally/decision kernel implementations accepted by
-#: :attr:`ExecutionOptions.scan_kernel` (``"auto"`` picks the import-time
-#: default of :mod:`repro.core.scan_kernels`).
-SCAN_KERNEL_MODES = ("auto", "numpy", "python")
 
 #: The per-point Q2 engines, by algorithm name. ``"auto"`` / ``"engine"``
 #: is the division-based SortScan; the others are the published
@@ -386,26 +381,22 @@ class ExecutionOptions:
     ``prune`` selects exactness-preserving candidate pruning
     (:mod:`repro.core.pruning`): ``"auto"`` (default) engages it whenever
     the execution path can consume a prune certificate, ``"on"`` requires
-    it (planning fails on incompatible algorithm overrides), ``"off"``
-    disables it. ``scan_kernel`` picks the tally/decision kernel
-    implementation of :mod:`repro.core.scan_kernels` (``"auto"``,
-    ``"numpy"`` or ``"python"``). Both are wall-clock knobs only — every
-    backend returns bit-identical values in every mode.
+    it (planning fails on incompatible algorithm overrides and on the
+    unpruned ``sequential`` reference), ``"off"`` disables it. It is a
+    wall-clock knob only — values are bit-identical in every mode.
 
     All knobs are validated at construction, with the same rules the CLI
     flags enforce: ``n_jobs`` must be a positive integer, ``-1`` (all
-    CPUs) or ``None``; ``prune`` / ``scan_kernel`` must name a known mode.
+    CPUs) or ``None``; ``prune`` must name a known mode.
     """
 
     n_jobs: int | None = 1
     cache: QueryResultCache | bool | None = True
     prepared: PreparedBatch | None = None
     prune: str = "auto"
-    scan_kernel: str = "auto"
 
     def __post_init__(self) -> None:
         check_in_options(self.prune, "prune", PRUNE_MODES)
-        check_in_options(self.scan_kernel, "scan_kernel", SCAN_KERNEL_MODES)
         if self.n_jobs is not None:
             if isinstance(self.n_jobs, bool) or not isinstance(
                 self.n_jobs, (int, np.integer)
@@ -441,7 +432,7 @@ class QueryResult:
     :class:`~fractions.Fraction` distributions (``weighted`` counts) or
     per-row inclusion counts (``topk``).
 
-    ``stats`` is the executing backend's observability snapshot for this
+    ``stats`` is the executing backend's observability report for this
     call (pruning counters, early-termination tallies, …). Purely
     informational: empty when the backend reports nothing, and never part
     of equality or caching.
@@ -472,9 +463,10 @@ class BackendCapabilities:
     incremental: bool = False
     exact: bool = True
     algorithms: frozenset[str] = frozenset({"auto"})
-    #: A per-row reference oracle: ``"auto"`` plans onto it only when no
-    #: other capable backend can serve the query (the published algorithm
-    #: overrides). Explicit requests are unaffected.
+    #: A per-row, unpruned reference oracle: ``"auto"`` plans onto it only
+    #: when no other capable backend can serve the query (the published
+    #: algorithm overrides), and an explicit request with ``prune="on"``
+    #: is a :class:`PlanError`.
     reference: bool = False
 
 
@@ -483,11 +475,6 @@ class Backend(ABC):
 
     name: str = "abstract"
     capabilities: BackendCapabilities
-    #: Observability snapshot of the most recent :meth:`execute` call
-    #: (always reassigned whole, never mutated in place, so readers get a
-    #: consistent dict). :func:`execute_query` copies it into
-    #: :attr:`QueryResult.stats`.
-    last_stats: dict = {}
 
     def supports(self, query: CPQuery) -> bool:
         """True iff the declared capabilities cover this query."""
@@ -507,8 +494,12 @@ class Backend(ABC):
     @abstractmethod
     def execute(
         self, query: CPQuery, options: ExecutionOptions | None = None
-    ) -> list:
-        """Run the query, returning one value per test point (row order)."""
+    ) -> tuple[list, dict]:
+        """Run the query: ``(values, stats)``.
+
+        ``values`` holds one value per test point (row order); ``stats`` is
+        this call's observability report (:attr:`QueryResult.stats`).
+        """
 
 
 _REGISTRY: OrderedDict[str, Backend] = OrderedDict()
@@ -564,19 +555,18 @@ def plan_query(
     path. Raises :class:`PlanError` when nothing can serve the query.
     """
     options = options or ExecutionOptions()
-    if options.prune == "on" and query.algorithm not in ("auto", "engine"):
-        raise PlanError(
-            f"prune='on' cannot be honoured with algorithm {query.algorithm!r}: "
-            "the naive / tree / brute-force engines take a whole dataset and "
-            "cannot consume a pruned scan (use prune='auto' to skip pruning "
-            "silently, or the default engine)"
-        )
+    _check_prune_mode(query, options)
     if backend != "auto":
         chosen = get_backend(backend)
         if not chosen.supports(query):
             raise PlanError(
                 f"backend {backend!r} cannot serve {query!r} "
                 f"(capabilities: {chosen.capabilities})"
+            )
+        if options.prune == "on" and chosen.capabilities.reference:
+            raise PlanError(
+                f"backend {backend!r} is the unpruned reference and cannot "
+                "honour prune='on' (use prune='auto', or another backend)"
             )
         cost, _ = chosen.estimate_cost(query, options)
         return QueryPlan(
@@ -600,6 +590,21 @@ def plan_query(
     )
 
 
+def _check_prune_mode(query: CPQuery, options: ExecutionOptions) -> None:
+    """:class:`PlanError` when ``prune="on"`` meets an algorithm override.
+
+    The naive / tree / brute-force engines take a whole dataset and cannot
+    consume a pruned scan.
+    """
+    if options.prune == "on" and query.algorithm not in ("auto", "engine"):
+        raise PlanError(
+            f"prune='on' cannot be honoured with algorithm {query.algorithm!r}: "
+            "the naive / tree / brute-force engines take a whole dataset and "
+            "cannot consume a pruned scan (use prune='auto' to skip pruning "
+            "silently, or the default engine)"
+        )
+
+
 def execute_query(
     query: CPQuery,
     backend: str = "auto",
@@ -618,13 +623,7 @@ def execute_query(
         )
         if query.n_points == 0:
             return QueryResult(query=query, plan=plan, values=[])
-        chosen = get_backend(plan.backend)
-        values = chosen.execute(query, options)
-        # Snapshot, not reference: last_stats is per-backend mutable state and
-        # the next execute() on the same backend will overwrite it. (Under
-        # concurrent callers the snapshot may mix calls — acceptable for an
-        # observability-only field.)
-        stats = dict(getattr(chosen, "last_stats", {}) or {})
+        values, stats = get_backend(plan.backend).execute(query, options)
         span.set(
             **{
                 key: value
@@ -649,6 +648,20 @@ def _restricted_dataset(query: CPQuery) -> Any:
     return dataset
 
 
+def scan_dataset(query: CPQuery) -> IncompleteDataset:
+    """The dataset whose candidates the query's per-point scans run over.
+
+    Counting and weighted flavors pin inside the scan, so they scan the
+    query's dataset; ``topk`` scans the pin-restricted dataset, and
+    ``label_uncertainty`` the restricted dataset's feature side.
+    """
+    if query.flavor == "topk":
+        return _restricted_dataset(query)
+    if query.flavor == "label_uncertainty":
+        return _restricted_dataset(query).feature_dataset
+    return query.dataset
+
+
 def _conditioned_weights(query: CPQuery) -> list[list[Fraction]]:
     """The weighted flavor's prior with pins conditioned in as point masses."""
     base = (
@@ -659,14 +672,20 @@ def _conditioned_weights(query: CPQuery) -> list[list[Fraction]]:
     return condition_weights(base, query.pins_dict())
 
 
+def _labels_to_kind(query: CPQuery, labels: list) -> list:
+    """``certain_label`` values as they are, or the ``check`` booleans."""
+    if query.kind == "check":
+        return [lbl == query.label for lbl in labels]
+    return labels
+
+
 def _counts_to_kind(query: CPQuery, counts_per_point: list[list[int]]) -> list:
     """Derive ``certain_label`` / ``check`` values from exact count vectors."""
     if query.kind == "counts":
         return counts_per_point
-    labels = [certain_label_from_counts(counts) for counts in counts_per_point]
-    if query.kind == "certain_label":
-        return labels
-    return [lbl == query.label for lbl in labels]
+    return _labels_to_kind(
+        query, [certain_label_from_counts(counts) for counts in counts_per_point]
+    )
 
 
 def _weighted_to_kind(query: CPQuery, probs_per_point: list[list[Fraction]]) -> list:
@@ -676,9 +695,7 @@ def _weighted_to_kind(query: CPQuery, probs_per_point: list[list[Fraction]]) -> 
         next((y for y, p in enumerate(probs) if p == 1), None)
         for probs in probs_per_point
     ]
-    if query.kind == "certain_label":
-        return certain
-    return [lbl == query.label for lbl in certain]
+    return _labels_to_kind(query, certain)
 
 
 def _prune_enabled(query: CPQuery, options: ExecutionOptions) -> bool:
@@ -713,13 +730,8 @@ def _minmax_decides(query: CPQuery) -> bool:
     )
 
 
-def _scan_kernel_arg(options: ExecutionOptions) -> str | None:
-    """``ExecutionOptions.scan_kernel`` as the kernels' ``implementation=``."""
-    return None if options.scan_kernel == "auto" else options.scan_kernel
-
-
 def _prune_summary(query: CPQuery, prune: bool, totals: dict | None) -> dict:
-    """The ``last_stats`` payload: context keys plus accumulated counters."""
+    """A backend's stats report: context keys plus accumulated counters."""
     summary = {"flavor": query.flavor, "kind": query.kind, "prune": prune}
     if totals:
         summary.update(totals)
@@ -747,7 +759,7 @@ def _weights_key(weights: list[list[Fraction]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SequentialBackend — the reference per-point path
+# SequentialBackend — the unpruned per-row reference
 # ---------------------------------------------------------------------------
 
 
@@ -755,11 +767,12 @@ class SequentialBackend(Backend):
     """One prepared scan (or flavor kernel) per test point, in process.
 
     Supports every flavor, every kind, and every published algorithm
-    override — the reference semantics the other backends are held to.
-    Counting pins go through :meth:`PreparedQuery.counts`, which keeps the
-    paper's tie-break on the original candidate indices; an explicit
-    non-default algorithm with pins falls back to dataset restriction
-    (those engines take no ``fixed`` argument).
+    override, and never prunes — the unpruned reference semantics every
+    other backend (and every pruned path) is held to. Counting pins go
+    through :meth:`PreparedQuery.counts`, which keeps the paper's
+    tie-break on the original candidate indices; an explicit non-default
+    algorithm with pins falls back to dataset restriction (those engines
+    take no ``fixed`` argument).
     """
 
     name = "sequential"
@@ -777,75 +790,46 @@ class SequentialBackend(Backend):
         return float(query.workload_size()), "one prepared scan per test point"
 
     def execute(self, query, options=None):
-        options = options or ExecutionOptions()
-        prune = _prune_enabled(query, options) and not _minmax_decides(query)
-        totals = empty_prune_stats() if prune else None
         flavor = query.flavor
         if flavor in ("binary", "multiclass"):
-            values = self._execute_counting(query, options, prune, totals)
+            values = self._execute_counting(query)
         elif flavor == "weighted":
-            values = self._execute_weighted(query, options, prune, totals)
+            weights = _conditioned_weights(query)
+            probs = [
+                weighted_prediction_probabilities(
+                    query.dataset, t, k=query.k, weights=weights, kernel=query.kernel
+                )
+                for t in query.test_X
+            ]
+            values = _weighted_to_kind(query, probs)
         elif flavor == "topk":
-            values = self._execute_topk(query, prune, totals)
+            dataset = _restricted_dataset(query)
+            values = [
+                topk_inclusion_counts(dataset, t, k=query.k, kernel=query.kernel)
+                for t in query.test_X
+            ]
         else:
-            values = self._execute_label_uncertain(query, prune, totals)
-        self.last_stats = _prune_summary(query, prune, totals)
-        return values
+            dataset = _restricted_dataset(query)
+            counts = [
+                label_uncertain_counts(dataset, t, k=query.k, kernel=query.kernel)
+                for t in query.test_X
+            ]
+            values = _counts_to_kind(query, counts)
+        return values, _prune_summary(query, False, None)
 
-    # ------------------------------------------------------------------
-    def _execute_counting(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
+    @staticmethod
+    def _execute_counting(query: CPQuery) -> list:
         fixed = query.pins_dict()
         if _minmax_decides(query):
             # The MM shortcut (Algorithm 2): no counting at all. Exact, and
             # it matches the counts-based answer bit for bit (tested).
-            # Already the maximally early-terminating path — pruning would
-            # only add work, so the certificate pass is skipped here.
             labels = [
                 PreparedQuery(
                     query.dataset, t, k=query.k, kernel=query.kernel
                 ).certain_label_minmax(fixed)
                 for t in query.test_X
             ]
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
-
-        if prune:
-            # Binary decisions took the MM branch above, so a decision kind
-            # here is multiclass: the early-terminating decision kernel
-            # answers it without building full counts.
-            if query.kind == "counts":
-                counts = []
-                for t in query.test_X:
-                    scan = compute_scan_order(query.dataset, t, query.kernel)
-                    point_counts, stats = pruned_counts_from_scan(
-                        scan, query.k, query.n_labels, fixed
-                    )
-                    accumulate_prune_stats(totals, stats)
-                    counts.append(point_counts)
-                return counts
-            labels = []
-            for t in query.test_X:
-                scan = compute_scan_order(query.dataset, t, query.kernel)
-                decision, stats = pruned_decision_from_scan(
-                    scan,
-                    query.k,
-                    query.n_labels,
-                    fixed,
-                    implementation=_scan_kernel_arg(options),
-                )
-                accumulate_prune_stats(totals, stats)
-                labels.append(decision.certain_label)
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
-
+            return _labels_to_kind(query, labels)
         if query.algorithm in ("auto", "engine"):
             counts = [
                 PreparedQuery(query.dataset, t, k=query.k, kernel=query.kernel).counts(
@@ -862,91 +846,94 @@ class SequentialBackend(Backend):
             ]
         return _counts_to_kind(query, counts)
 
-    def _execute_weighted(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
+
+# ---------------------------------------------------------------------------
+# The per-point flavor table
+# ---------------------------------------------------------------------------
+#
+# Each evaluator follows the protocol of
+# :meth:`~repro.core.batch_engine.BatchQueryExecutor.evaluate`:
+# ``point(state, index)`` with ``state = (prepared, argument, prune)``
+# returns ``(value, stats)``, ``stats`` being ``None`` when unpruned. The
+# ``prepared`` batch is built over :func:`scan_dataset`.
+
+
+def _weighted_point(state: tuple, index: int) -> tuple[list[Fraction], dict | None]:
+    """Weighted label probabilities of one point; ``argument`` is the prior."""
+    prepared, weights, prune = state
+    t, scan = prepared.test_X[index], prepared.scan(index)
+    if prune:
+        return pruned_weighted_probabilities(
+            prepared.dataset, t, weights, prepared.k, kernel=prepared.kernel, scan=scan
+        )
+    probs = weighted_prediction_probabilities(
+        prepared.dataset,
+        t,
+        k=prepared.k,
+        weights=weights,
+        kernel=prepared.kernel,
+        scan=scan,
+    )
+    return probs, None
+
+
+def _topk_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
+    """Top-K inclusion counts of one point over the restricted dataset."""
+    prepared, _, prune = state
+    scan = prepared.scan(index)
+    if prune:
+        return pruned_topk_counts_from_scan(scan, prepared.k)
+    counts = topk_inclusion_counts(
+        prepared.dataset,
+        prepared.test_X[index],
+        k=prepared.k,
+        kernel=prepared.kernel,
+        scan=scan,
+    )
+    return counts, None
+
+
+def _label_uncertain_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
+    """Label-uncertain counts of one point; ``argument`` is the restricted
+    :class:`LabelUncertainDataset` whose feature side ``prepared`` holds."""
+    prepared, dataset, prune = state
+    t, scan = prepared.test_X[index], prepared.scan(index)
+    if prune:
+        return pruned_label_uncertain_counts(
+            dataset, t, k=prepared.k, kernel=prepared.kernel, scan=scan
+        )
+    counts = label_uncertain_counts(
+        dataset, t, k=prepared.k, kernel=prepared.kernel, scan=scan
+    )
+    return counts, None
+
+
+#: The per-point evaluator of every flavor with its result-cache tag: the
+#: one flavor table the ``batch`` backend (and through it the gateway)
+#: serves. Binary and multiclass *decisions* take
+#: :meth:`~repro.core.batch_engine.BatchQueryExecutor.certain_labels`
+#: instead — the MinMax check, or the pruned decision scan.
+FLAVOR_POINTS = {
+    "binary": ("q2", count_point),
+    "multiclass": ("q2", count_point),
+    "weighted": ("wt", _weighted_point),
+    "topk": ("topk", _topk_point),
+    "label_uncertainty": ("lu", _label_uncertain_point),
+}
+
+
+def _point_argument(query: CPQuery) -> tuple[Any, tuple]:
+    """The flavor evaluator's ``argument`` and its cache-key part."""
+    if query.flavor == "weighted":
         weights = _conditioned_weights(query)
-        if prune:
-            if query.kind == "counts":
-                probs = []
-                for t in query.test_X:
-                    point_probs, stats = pruned_weighted_probabilities(
-                        query.dataset, t, weights, query.k, kernel=query.kernel
-                    )
-                    accumulate_prune_stats(totals, stats)
-                    probs.append(point_probs)
-                return probs
-            labels = []
-            for t in query.test_X:
-                decision, stats = pruned_weighted_decision(
-                    query.dataset,
-                    t,
-                    weights,
-                    query.k,
-                    kernel=query.kernel,
-                    implementation=_scan_kernel_arg(options),
-                )
-                accumulate_prune_stats(totals, stats)
-                labels.append(decision.certain_label)
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
-        probs = [
-            weighted_prediction_probabilities(
-                query.dataset, t, k=query.k, weights=weights, kernel=query.kernel
-            )
-            for t in query.test_X
-        ]
-        return _weighted_to_kind(query, probs)
-
-    def _execute_topk(self, query: CPQuery, prune: bool, totals: dict | None) -> list:
+        return weights, (_weights_key(weights),)
+    if query.flavor == "topk":
+        return None, ()  # pins live in the restricted dataset's fingerprint
+    if query.flavor == "label_uncertainty":
         dataset = _restricted_dataset(query)
-        if prune:
-            values = []
-            for t in query.test_X:
-                scan = compute_scan_order(dataset, t, query.kernel)
-                counts, stats = pruned_topk_counts_from_scan(scan, query.k)
-                accumulate_prune_stats(totals, stats)
-                values.append(counts)
-            return values
-        return [
-            topk_inclusion_counts(dataset, t, k=query.k, kernel=query.kernel)
-            for t in query.test_X
-        ]
-
-    def _execute_label_uncertain(
-        self, query: CPQuery, prune: bool, totals: dict | None
-    ) -> list:
-        dataset = _restricted_dataset(query)
-        if prune:
-            if query.kind == "counts":
-                counts = []
-                for t in query.test_X:
-                    point_counts, stats = pruned_label_uncertain_counts(
-                        dataset, t, k=query.k, kernel=query.kernel
-                    )
-                    accumulate_prune_stats(totals, stats)
-                    counts.append(point_counts)
-                return counts
-            labels = []
-            for t in query.test_X:
-                label, stats = pruned_label_uncertain_decision(
-                    dataset, t, k=query.k, kernel=query.kernel
-                )
-                accumulate_prune_stats(totals, stats)
-                labels.append(label)
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
-        counts = [
-            label_uncertain_counts(dataset, t, k=query.k, kernel=query.kernel)
-            for t in query.test_X
-        ]
-        return _counts_to_kind(query, counts)
+        return dataset, (dataset.fingerprint(),)
+    fixed = query.pins_dict()
+    return fixed, _pins_key(fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -954,94 +941,16 @@ class SequentialBackend(Backend):
 # ---------------------------------------------------------------------------
 
 
-def _weighted_worker(index: int) -> tuple[int, list[Fraction]]:
-    """Pool worker: weighted probabilities of one point from shared state."""
-    prepared, dataset, k, weights, kernel = get_fanout_state()
-    probs = weighted_prediction_probabilities(
-        dataset,
-        prepared.test_X[index],
-        k=k,
-        weights=weights,
-        kernel=kernel,
-        scan=prepared.scan(index),
-    )
-    return index, probs
-
-
-def _topk_worker(index: int) -> tuple[int, list[int]]:
-    """Pool worker: top-K inclusion counts of one point from shared state."""
-    prepared, k = get_fanout_state()
-    counts = topk_inclusion_counts(
-        prepared.dataset,
-        prepared.test_X[index],
-        k=k,
-        kernel=prepared.kernel,
-        scan=prepared.scan(index),
-    )
-    return index, counts
-
-
-def _label_uncertain_worker(index: int) -> tuple[int, list[int]]:
-    """Pool worker: label-uncertain counts of one point from shared state."""
-    prepared, dataset, k = get_fanout_state()
-    counts = label_uncertain_counts(
-        dataset,
-        prepared.test_X[index],
-        k=k,
-        kernel=prepared.kernel,
-        scan=prepared.scan(index),
-    )
-    return index, counts
-
-
-def _pruned_weighted_worker(index: int) -> tuple[int, list[Fraction], dict]:
-    """Pool worker: pruned weighted probabilities (bit-identical, cheaper DP)."""
-    prepared, dataset, k, weights, kernel = get_fanout_state()
-    probs, stats = pruned_weighted_probabilities(
-        dataset,
-        prepared.test_X[index],
-        weights,
-        k,
-        kernel=kernel,
-        scan=prepared.scan(index),
-    )
-    return index, probs, stats
-
-
-def _pruned_topk_worker(index: int) -> tuple[int, list[int], dict]:
-    """Pool worker: pruned top-K inclusion counts of one point."""
-    prepared, k = get_fanout_state()
-    counts, stats = pruned_topk_counts_from_scan(prepared.scan(index), k)
-    return index, counts, stats
-
-
-def _pruned_label_uncertain_worker(index: int) -> tuple[int, list[int], dict]:
-    """Pool worker: pruned label-uncertain counts of one point.
-
-    ``until_mixed`` stays off: the cached value must be the full count
-    vector so pruned and unpruned calls can share cache entries.
-    """
-    prepared, dataset, k = get_fanout_state()
-    counts, stats = pruned_label_uncertain_counts(
-        dataset,
-        prepared.test_X[index],
-        k=k,
-        kernel=prepared.kernel,
-        scan=prepared.scan(index),
-    )
-    return index, counts, stats
-
-
 class BatchParallelBackend(Backend):
     """The batch execution layer behind one registry name.
 
-    Counting queries run through :class:`BatchQueryExecutor`; the
-    weighted, top-k and label-uncertain flavors get the same treatment —
-    one shared :class:`PreparedBatch` per ``(dataset, test matrix, k,
-    kernel)`` family (kept in a small LRU, or handed in via
-    :attr:`ExecutionOptions.prepared`), per-point scans derived from the
-    shared similarity matrix, ``fork`` fan-out across ``n_jobs`` workers,
-    and a fingerprint-keyed result cache shared across calls.
+    Every flavor runs through :class:`BatchQueryExecutor` over one shared
+    :class:`PreparedBatch` per ``(dataset, test matrix, k, kernel)``
+    family (kept in a small LRU, or handed in via
+    :attr:`ExecutionOptions.prepared`): per-point scans derived from the
+    shared similarity matrix, the :data:`FLAVOR_POINTS` evaluators, ``fork``
+    fan-out across ``n_jobs`` workers, and a fingerprint-keyed result cache
+    shared across calls.
 
     A query whose dense similarity matrix (``T·P·8`` bytes) exceeds
     :data:`DENSE_BLOCK_BYTES` runs as consecutive row blocks, each through
@@ -1104,14 +1013,10 @@ class BatchParallelBackend(Backend):
         return None
 
     def _prepared_for(
-        self,
-        dataset: IncompleteDataset,
-        test_X: np.ndarray,
-        k: int,
-        kernel: Kernel,
-        options: ExecutionOptions,
-        use_lru: bool,
+        self, query: CPQuery, options: ExecutionOptions, use_lru: bool
     ) -> PreparedBatch:
+        dataset = scan_dataset(query)
+        test_X, k, kernel = query.test_X, query.k, query.kernel
         handed = self._handed_prepared(dataset, test_X, k, kernel, options)
         if handed is not None:
             return handed
@@ -1148,9 +1053,8 @@ class BatchParallelBackend(Backend):
         use_lru = len(blocks) == 1
         values = []
         for block in blocks:
-            values.extend(self._execute_flavor(block, options, prune, totals, use_lru))
-        self.last_stats = _prune_summary(query, prune, totals)
-        return values
+            values.extend(self._execute_block(block, options, prune, totals, use_lru))
+        return values, _prune_summary(query, prune, totals)
 
     def _row_blocks(self, query: CPQuery, options: ExecutionOptions) -> list[CPQuery]:
         """``[query]``, or its row blocks when the dense matrix is over budget.
@@ -1161,23 +1065,16 @@ class BatchParallelBackend(Backend):
         step = max(DENSE_BLOCK_BYTES // max(query.n_candidates * 8, 1), 1)
         if step >= query.n_points:
             return [query]
-        if options.prepared is not None:
-            if query.flavor == "topk":
-                dataset = _restricted_dataset(query)
-            elif query.flavor == "label_uncertainty":
-                dataset = _restricted_dataset(query).feature_dataset
-            else:
-                dataset = query.dataset
-            if self._handed_prepared(
-                dataset, query.test_X, query.k, query.kernel, options
-            ):
-                return [query]
+        if options.prepared is not None and self._handed_prepared(
+            scan_dataset(query), query.test_X, query.k, query.kernel, options
+        ):
+            return [query]
         return [
             replace(query, test_X=query.test_X[r0 : r0 + step])
             for r0 in range(0, query.n_points, step)
         ]
 
-    def _execute_flavor(
+    def _execute_block(
         self,
         query: CPQuery,
         options: ExecutionOptions,
@@ -1185,184 +1082,28 @@ class BatchParallelBackend(Backend):
         totals: dict | None,
         use_lru: bool,
     ) -> list:
-        flavor = query.flavor
-        if flavor in ("binary", "multiclass"):
-            return self._execute_counting(query, options, prune, totals, use_lru)
-        if flavor == "weighted":
-            return self._execute_weighted(query, options, prune, totals, use_lru)
-        if flavor == "topk":
-            return self._execute_topk(query, options, prune, totals, use_lru)
-        return self._execute_label_uncertain(query, options, prune, totals, use_lru)
-
-    def _execute_counting(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-        use_lru: bool,
-    ) -> list:
-        prepared = self._prepared_for(
-            query.dataset, query.test_X, query.k, query.kernel, options, use_lru
-        )
         cache = self._resolve_cache(options)
         executor = BatchQueryExecutor(
-            prepared=prepared,
+            prepared=self._prepared_for(query, options, use_lru),
             n_jobs=options.n_jobs,
             # An empty QueryResultCache is falsy (it has __len__), so the
             # None check must be explicit or a fresh shared cache would be
             # silently dropped.
             cache=cache if cache is not None else False,
         )
-        fixed = query.pins_dict()
-        if query.kind == "counts":
-            return executor.counts(fixed, prune=prune, prune_stats=totals)
-        # Decision kinds: binary takes the MM scan regardless of prune;
-        # multiclass takes the pruned early-terminating decision kernel
-        # when pruning is on and full counts otherwise.
-        labels = executor.certain_labels(
-            fixed,
-            prune=prune,
-            scan_kernel=_scan_kernel_arg(options),
-            prune_stats=totals,
-        )
-        if query.kind == "certain_label":
-            return labels
-        return [lbl == query.label for lbl in labels]
-
-    # ------------------------------------------------------------------
-    def _fanout_cached(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prepared: PreparedBatch,
-        tag: str,
-        extra_key: tuple,
-        worker,
-        state: tuple,
-        totals: dict | None = None,
-        has_stats: bool = False,
-    ) -> list:
-        """Cache-then-fan-out skeleton shared by the non-counting flavors.
-
-        With ``has_stats`` the worker returns ``(index, value, stats)``
-        triples; the stats are folded into ``totals`` and only the value
-        is cached — pruned and unpruned workers are bit-identical, so they
-        share the same cache entries.
-        """
-        cache = self._resolve_cache(options)
-        n = prepared.n_points
-        results: list = [None] * n
-        missing: list[int] = []
-        keys: list[tuple | None] = [None] * n
-        for index in range(n):
-            if cache is not None:
-                keys[index] = (
-                    tag,
-                    prepared.fingerprint(),
-                    _point_key(prepared.test_X[index]),
-                    query.k,
-                    kernel_cache_key(query.kernel),
-                    extra_key,
-                )
-                hit = cache.get(keys[index], None)
-                if hit is not None:
-                    results[index] = list(hit)
-                    continue
-            missing.append(index)
-        if missing:
-            prepared.materialize_scans(missing)
-            items = fanout_map(worker, missing, n_jobs=options.n_jobs, state=state)
-            for item in items:
-                if has_stats:
-                    index, value, stats = item
-                    if totals is not None:
-                        accumulate_prune_stats(totals, stats)
-                else:
-                    index, value = item
-                results[index] = value
-                if cache is not None:
-                    cache.put(keys[index], list(value))
-        return results
-
-    def _execute_weighted(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-        use_lru: bool,
-    ) -> list:
-        weights = _conditioned_weights(query)
-        prepared = self._prepared_for(
-            query.dataset, query.test_X, query.k, query.kernel, options, use_lru
-        )
-        probs = self._fanout_cached(
-            query,
-            options,
-            prepared,
-            tag="wt",
-            extra_key=_weights_key(weights),
-            worker=_pruned_weighted_worker if prune else _weighted_worker,
-            state=(prepared, query.dataset, query.k, weights, query.kernel),
-            totals=totals,
-            has_stats=prune,
-        )
-        return _weighted_to_kind(query, probs)
-
-    def _execute_topk(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-        use_lru: bool,
-    ) -> list:
-        dataset = _restricted_dataset(query)
-        prepared = self._prepared_for(
-            dataset, query.test_X, query.k, query.kernel, options, use_lru
-        )
-        return self._fanout_cached(
-            query,
-            options,
-            prepared,
-            tag="topk",
-            extra_key=(),
-            worker=_pruned_topk_worker if prune else _topk_worker,
-            state=(prepared, query.k),
-            totals=totals,
-            has_stats=prune,
-        )
-
-    def _execute_label_uncertain(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-        use_lru: bool,
-    ) -> list:
-        dataset = _restricted_dataset(query)
-        prepared = self._prepared_for(
-            dataset.feature_dataset,
-            query.test_X,
-            query.k,
-            query.kernel,
-            options,
-            use_lru,
-        )
-        counts = self._fanout_cached(
-            query,
-            options,
-            prepared,
-            tag="lu",
-            extra_key=(dataset.fingerprint(),),
-            worker=_pruned_label_uncertain_worker if prune else _label_uncertain_worker,
-            state=(prepared, dataset, query.k),
-            totals=totals,
-            has_stats=prune,
-        )
-        return _counts_to_kind(query, counts)
+        if query.flavor in ("binary", "multiclass") and query.kind != "counts":
+            # Binary takes the MM check regardless of prune; multiclass the
+            # pruned early-terminating decision scan, or full counts.
+            labels = executor.certain_labels(
+                query.pins_dict(), prune=prune, prune_stats=totals
+            )
+            return _labels_to_kind(query, labels)
+        tag, point = FLAVOR_POINTS[query.flavor]
+        argument, argument_key = _point_argument(query)
+        values = executor.evaluate(tag, point, argument, argument_key, prune, totals)
+        if query.flavor == "weighted":
+            return _weighted_to_kind(query, values)
+        return _counts_to_kind(query, values)
 
 
 # ---------------------------------------------------------------------------
@@ -1471,8 +1212,7 @@ class IncrementalBackend(Backend):
             )
             summary["n_rows_skipped"] = state.n_pruned
             summary["n_recomputed"] = state.n_recomputed
-            self.last_stats = summary
-        return _counts_to_kind(query, counts)
+        return _counts_to_kind(query, counts), summary
 
 
 # ---------------------------------------------------------------------------

@@ -62,16 +62,13 @@ __all__ = [
     "restrict_scan",
     "positive_support_scan",
     "pruned_counts_from_scan",
-    "pruned_decision_from_scan",
     "pruned_counts_from_sims",
     "pruned_decision_from_sims",
     "empty_prune_stats",
     "accumulate_prune_stats",
     "pruned_topk_counts_from_scan",
     "pruned_weighted_probabilities",
-    "pruned_weighted_decision",
     "pruned_label_uncertain_counts",
-    "pruned_label_uncertain_decision",
 ]
 
 
@@ -396,25 +393,6 @@ def pruned_counts_from_scan(
     return counts, _stats(effective, cert, reduced.n_candidates, False)
 
 
-def pruned_decision_from_scan(
-    scan: ScanOrder,
-    k: int,
-    n_labels: int,
-    fixed: Mapping[int, int] | None = None,
-    implementation: str | None = None,
-) -> tuple[DecisionScan, dict]:
-    """The certain-label verdict via prune + vectorised decision scan.
-
-    ``DecisionScan.certain_label`` equals
-    ``certain_label_from_counts(_counts_from_scan(scan, ...))`` exactly;
-    the scan stops as soon as the verdict is locked.
-    """
-    effective, reduced, cert = _reduced_problem(scan, k, fixed)
-    decision = decision_winners(reduced, k, n_labels, implementation=implementation)
-    stats = _stats(effective, cert, decision.positions_scanned, decision.early_terminated)
-    return decision, stats
-
-
 def _reduced_from_sims(
     sims_row: np.ndarray,
     rows: np.ndarray,
@@ -612,38 +590,6 @@ def pruned_weighted_probabilities(
     return result, _stats(effective, cert, reduced_scan.n_candidates, False)
 
 
-def pruned_weighted_decision(
-    dataset: IncompleteDataset,
-    t: np.ndarray,
-    weights: Sequence[Sequence[Fraction]],
-    k: int,
-    kernel=None,
-    scan: ScanOrder | None = None,
-    implementation: str | None = None,
-) -> tuple[DecisionScan, dict]:
-    """``p_label == 1`` verdict via the decision kernel, no Fractions at all.
-
-    Over the positive-support problem every world has positive weight, so
-    a label's probability is 1 iff it is the only label with nonzero world
-    count — the decision kernel's question exactly.
-    """
-    from repro.core.scan import compute_scan_order
-    from repro.core.weighted import _validate_weights
-
-    weights = _validate_weights(dataset, list(weights))
-    if scan is None:
-        scan = compute_scan_order(dataset, t, kernel)
-    effective, _ = positive_support_scan(scan, weights)
-    mins, maxs = interval_arrays(effective)
-    cert = certificate_from_intervals(mins, maxs, k, effective.row_counts)
-    reduced = restrict_scan(effective, cert.keep_rows) if cert.n_pruned else effective
-    decision = decision_winners(
-        reduced, k, dataset.n_labels, implementation=implementation
-    )
-    stats = _stats(effective, cert, decision.positions_scanned, decision.early_terminated)
-    return decision, stats
-
-
 def pruned_label_uncertain_counts(
     dataset,
     t: np.ndarray,
@@ -651,17 +597,13 @@ def pruned_label_uncertain_counts(
     kernel=None,
     scan: ScanOrder | None = None,
     fixed: Mapping[int, int] | None = None,
-    until_mixed: bool = False,
 ) -> tuple[list[int], dict]:
     """Label-uncertain Q2 counts over the pruned (feature, label) worlds.
 
     The irrelevance rule is label-agnostic — a pruned row is outside every
     world's top-K whatever its label — so each pruned row contributes
     ``m_r * |L_r|`` free choices to the scale. The reduced problem shrinks
-    the O(N^2)-ish DP on both axes. With ``until_mixed`` the DP stops once
-    two labels have support (the certain-label verdict is then locked);
-    the returned counts are partial in that case and only the nonzero-set
-    is meaningful.
+    the O(N^2)-ish DP on both axes.
     """
     from repro.core.label_uncertainty import (
         LabelUncertainDataset,
@@ -695,40 +637,12 @@ def pruned_label_uncertain_counts(
             ],
             [dataset.label_sets[row] for row in keep],
         )
-    scan_stats: dict = {}
     counts = label_uncertain_counts(
-        reduced_dataset,
-        t,
-        k=k,
-        kernel=kernel,
-        scan=reduced_scan,
-        until_mixed=until_mixed,
-        scan_stats=scan_stats,
+        reduced_dataset, t, k=k, kernel=kernel, scan=reduced_scan
     )
     # The reduced label space may be smaller when pruned rows carried the
     # largest label ids; pad back to the full space.
     result = [0] * n_labels
     for label, count in enumerate(counts):
         result[label] = count * cert.scale
-    return result, _stats(
-        effective,
-        cert,
-        scan_stats.get("positions_scanned", reduced_scan.n_candidates),
-        scan_stats.get("early_terminated", False),
-    )
-
-
-def pruned_label_uncertain_decision(
-    dataset,
-    t: np.ndarray,
-    k: int,
-    kernel=None,
-    scan: ScanOrder | None = None,
-    fixed: Mapping[int, int] | None = None,
-) -> tuple[int | None, dict]:
-    """The certain label over (feature, label) worlds, with early stop."""
-    counts, stats = pruned_label_uncertain_counts(
-        dataset, t, k=k, kernel=kernel, scan=scan, fixed=fixed, until_mixed=True
-    )
-    winners = [label for label, count in enumerate(counts) if count > 0]
-    return (winners[0] if len(winners) == 1 else None), stats
+    return result, _stats(effective, cert, reduced_scan.n_candidates, False)

@@ -899,11 +899,12 @@ class QueryBroker:
             weights=params["weights"],
         )
         backend = params["backend"]
+        options = self._options(snap, params["prune"])
         with trace_span(
             "planner.route", requested_backend=backend, dataset=entry.name
         ) as span:
             if self.gateway is not None and backend in ("auto", "gateway"):
-                result = self._execute_gateway(entry, snap, query)
+                result = self._execute_gateway(entry, snap, query, options)
                 if result is not None:
                     span.set(served_by="gateway")
                     return result
@@ -912,13 +913,9 @@ class QueryBroker:
                 # the local planner serves the same bit-identical answer.
                 backend = "auto"
             span.set(served_by="local")
-            return execute_query(
-                query,
-                backend=backend,
-                options=self._options(snap, params["prune"]),
-            )
+            return execute_query(query, backend=backend, options=options)
 
-    def _execute_gateway(self, entry, snap, query):
+    def _execute_gateway(self, entry, snap, query, options):
         """Partition-parallel execution, or ``None`` to fall back locally.
 
         The gateway raises
@@ -933,7 +930,7 @@ class QueryBroker:
 
         try:
             result = self.gateway.execute_query(
-                entry.name, query, fingerprint=snap.fingerprint
+                entry.name, query, fingerprint=snap.fingerprint, options=options
             )
         except GatewayUnavailable as exc:
             self._c_gateway_fallbacks.inc()

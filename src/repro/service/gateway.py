@@ -21,8 +21,9 @@ merges the per-partition results into the full answer:
 * every other flavor × kind gathers raw **similarity blocks** over each
   partition's stacked candidates; concatenation in partition order
   restores the exact global similarity matrix (each similarity depends
-  only on its own candidate's features), and the gateway runs the very
-  same scan decisions the in-process backends run.
+  only on its own candidate's features), and the gateway hands that
+  matrix to the in-process ``batch`` backend — the same per-flavor
+  evaluators, pruning included, that serve local queries.
 
 Robustness is part of the contract, not an afterthought: every executor
 request carries a timeout and a bounded retry budget; a dead or wedged
@@ -40,25 +41,24 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from repro.core.batch_engine import _counts_from_scan
-from repro.core.label_uncertainty import label_uncertain_counts
+from repro.core.batch_engine import PreparedBatch
 from repro.core.minmax import binary_minmax_label
 from repro.core.planner import (
     CPQuery,
+    ExecutionOptions,
     QueryPlan,
     QueryResult,
-    _conditioned_weights,
-    _counts_to_kind,
-    _restricted_dataset,
-    _weighted_to_kind,
+    _check_prune_mode,
+    _labels_to_kind,
+    _prune_summary,
+    get_backend,
+    scan_dataset,
 )
-from repro.core.scan import _scan_from_sims
-from repro.core.topk_prob import topk_inclusion_counts
-from repro.core.weighted import weighted_prediction_probabilities
 from repro.obs import Observability
 from repro.obs.tracing import trace_span
 from repro.service.executor import executor_main
@@ -584,17 +584,26 @@ class Gateway:
     # Query execution
     # ------------------------------------------------------------------
     def execute_query(
-        self, name: str, query: CPQuery, fingerprint: str | None = None
+        self,
+        name: str,
+        query: CPQuery,
+        fingerprint: str | None = None,
+        options: ExecutionOptions | None = None,
     ) -> QueryResult:
         """Execute ``query`` partition-parallel; bit-identical to local.
 
         ``query.dataset`` is the authoritative content; it is distributed
-        (or re-distributed, if its fingerprint moved) on first use. Raises
+        (or re-distributed, if its fingerprint moved) on first use.
+        ``options`` are the request's execution knobs: ``prune`` and
+        ``n_jobs`` apply to the gathered scan, which runs on the ``batch``
+        backend; ``cache`` and ``prepared`` are the gateway's own. Raises
         :class:`GatewayUnavailable` when partitioned execution cannot
         proceed — the caller's cue to execute locally instead.
         """
         if self._closed:
             raise GatewayUnavailable("gateway is closed")
+        options = options or ExecutionOptions()
+        _check_prune_mode(query, options)
         dist = self.ensure_distributed(name, query.dataset, fingerprint)
         self._c_queries.inc()
         with trace_span(
@@ -607,9 +616,11 @@ class Gateway:
         ) as span:
             if query.flavor == "binary" and query.kind in ("certain_label", "check"):
                 values, mode = self._execute_minmax(dist, query), "minmax"
+                run_stats = _prune_summary(query, False, None)
             else:
-                values, mode = self._execute_scan(dist, query), "scan"
-            span.set(merge_mode=mode)
+                values, run_stats = self._execute_scan(dist, query, options)
+                mode = "scan"
+            span.set(merge_mode=mode, prune=run_stats["prune"])
         n_owning = len({dist.assignment[p.index] for p in dist.partitions})
         plan = QueryPlan(
             backend="gateway",
@@ -620,6 +631,7 @@ class Gateway:
             cost=0.0,
         )
         stats = {
+            **run_stats,
             "gateway": True,
             "merge_mode": mode,
             "n_partitions": len(dist.partitions),
@@ -652,32 +664,23 @@ class Gateway:
             binary_minmax_label(lo[index], hi[index], labels, query.k)
             for index in range(query.n_points)
         ]
-        if query.kind == "certain_label":
-            return decisions
-        return [label == query.label for label in decisions]
+        return _labels_to_kind(query, decisions)
 
-    def _execute_scan(self, dist: _DistributedDataset, query: CPQuery) -> list:
-        """Every other flavor × kind: gather similarity blocks, merge, scan.
+    def _execute_scan(
+        self, dist: _DistributedDataset, query: CPQuery, options: ExecutionOptions
+    ) -> tuple[list, dict]:
+        """Every other flavor × kind: gather similarity blocks, merge, evaluate.
 
-        Runs the unpruned per-point evaluators of the in-process backends:
-        same scan construction, same evaluators, same kind conversions —
-        only the similarity matrix arrives partition by partition instead
-        of being computed here.
+        The merged matrix becomes the :class:`PreparedBatch` of the
+        ``batch`` backend, which then runs exactly as it does locally —
+        same evaluators, same pruning, same kind conversions — only the
+        similarities arrive partition by partition instead of being
+        computed here. Returns the backend's ``(values, stats)``.
         """
-        flavor = query.flavor
-        pins = query.pins_dict()
-        restricted = None
-        if flavor in ("binary", "multiclass", "weighted"):
-            scan_dataset = query.dataset
-            restrict = None
-        elif flavor == "topk":
-            restricted = _restricted_dataset(query)
-            scan_dataset = restricted
-            restrict = pins or None
-        else:  # label_uncertainty
-            restricted = _restricted_dataset(query)
-            scan_dataset = restricted.feature_dataset
-            restrict = pins or None
+        dataset = scan_dataset(query)
+        # A flavor that scans a dataset other than the query's has its pins
+        # applied by restriction; the executors restrict their rows alike.
+        restrict = None if dataset is query.dataset else query.pins_dict() or None
         sims = merge_sim_blocks(
             self._scatter(
                 dist,
@@ -685,60 +688,18 @@ class Gateway:
                 {"test_X": query.test_X, "kernel": query.kernel, "restrict": restrict},
             )
         )
-        layout = scan_dataset.candidate_layout()
-        rows, cands, counts = layout.rows, layout.cands, layout.counts
-        if sims.shape[1] != rows.shape[0]:
+        n_candidates = int(dataset.candidate_layout().rows.shape[0])
+        if sims.shape[1] != n_candidates:
             raise GatewayError(
                 f"merged similarity blocks cover {sims.shape[1]} candidates, "
-                f"the scan layout expects {rows.shape[0]}"
+                f"the scan layout expects {n_candidates}"
             )
-        labels = scan_dataset.labels
-        scans = (
-            _scan_from_sims(sims[index], rows, cands, labels, counts)
-            for index in range(query.n_points)
+        prepared = PreparedBatch(
+            dataset, query.test_X, query.k, query.kernel, sims_matrix=sims
         )
-        if flavor in ("binary", "multiclass"):
-            n_labels = query.dataset.n_labels
-            per_point = [
-                _counts_from_scan(scan, query.k, n_labels, pins) for scan in scans
-            ]
-            return _counts_to_kind(query, per_point)
-        if flavor == "weighted":
-            weights = _conditioned_weights(query)
-            probs = [
-                weighted_prediction_probabilities(
-                    query.dataset,
-                    query.test_X[index],
-                    k=query.k,
-                    weights=weights,
-                    kernel=query.kernel,
-                    scan=scan,
-                )
-                for index, scan in enumerate(scans)
-            ]
-            return _weighted_to_kind(query, probs)
-        if flavor == "topk":
-            return [
-                topk_inclusion_counts(
-                    restricted,
-                    query.test_X[index],
-                    k=query.k,
-                    kernel=query.kernel,
-                    scan=scan,
-                )
-                for index, scan in enumerate(scans)
-            ]
-        per_point = [
-            label_uncertain_counts(
-                restricted,
-                query.test_X[index],
-                k=query.k,
-                kernel=query.kernel,
-                scan=scan,
-            )
-            for index, scan in enumerate(scans)
-        ]
-        return _counts_to_kind(query, per_point)
+        return get_backend("batch").execute(
+            query, replace(options, prepared=prepared, cache=False)
+        )
 
     # ------------------------------------------------------------------
     # Observability

@@ -4,7 +4,10 @@ Seeded random :class:`~repro.core.planner.CPQuery` generation — random
 datasets, kind × flavor × pins × weights × k, under every built-in kernel
 — cross-checked across the ``sequential``, ``batch`` and ``incremental``
 backends (whichever declare themselves capable) and, for the counting
-flavors, against the brute-force world-enumeration oracle. Any divergence
+flavors, against the brute-force world-enumeration oracle. The reference
+is ``sequential``, which never prunes, so every pruned path (``batch`` and
+``incremental`` under the default ``prune="auto"``) is checked against an
+unpruned one. Any divergence
 between two backends on any generated query is a bug in a certification
 system, so the harness asserts **bit-identical** values, not approximate
 ones.
@@ -51,6 +54,8 @@ FLAVOR_KINDS = [
 
 
 def _reference(query):
+    """The unpruned ``sequential`` values: every other backend, pruned or
+    not, is held to them."""
     return execute_query(
         query, backend="sequential", options=ExecutionOptions(cache=False)
     ).values
@@ -145,7 +150,7 @@ class TestRowBlocks:
 
         query, _, _ = random_case(1, flavor="binary", kind="counts", n_points=5)
         set_block_rows(monkeypatch, query, 2)
-        values = backend.execute(query, ExecutionOptions(cache=False))
+        values, _ = backend.execute(query, ExecutionOptions(cache=False))
         assert values == _reference(query)
         assert list(backend._prepared) == before
 
@@ -159,7 +164,7 @@ class TestRowBlocks:
         options = ExecutionOptions(cache=False, prepared=prepared)
         assert backend._row_blocks(query, options) == [query]
         assert len(backend._row_blocks(query, ExecutionOptions(cache=False))) == 6
-        assert backend.execute(query, options) == _reference(query)
+        assert backend.execute(query, options)[0] == _reference(query)
 
     def test_pairwise_blocks_are_bit_identical(self, monkeypatch):
         query, _, _ = random_case(4, flavor="binary", kind="counts", n_points=7)

@@ -48,8 +48,8 @@ def _sequential_counts(dataset, test_X, k, fixed=None):
     return [PreparedQuery(dataset, t, k=k).counts(fixed) for t in test_X]
 
 
-def _square(x):
-    return x * x
+def _scaled(factor, x):
+    return factor * x
 
 
 class TestPreparedBatch:
@@ -207,7 +207,7 @@ class TestResultCache:
         assert clone.fingerprint() == dataset.fingerprint()
 
     def test_default_repr_kernels_never_alias_cache_entries(self):
-        from repro.core.batch_engine import _kernel_cache_key
+        from repro.core.batch_engine import kernel_cache_key
         from repro.core.kernels import Kernel, RBFKernel
 
         class OpaqueKernel(Kernel):  # keeps object.__repr__
@@ -215,10 +215,10 @@ class TestResultCache:
                 raise NotImplementedError
 
         a, b = OpaqueKernel(), OpaqueKernel()
-        assert _kernel_cache_key(a) != _kernel_cache_key(b)
+        assert kernel_cache_key(a) != kernel_cache_key(b)
         # Value-based reprs intentionally share keys across equal instances.
-        assert _kernel_cache_key(RBFKernel(2.0)) == _kernel_cache_key(RBFKernel(2.0))
-        assert _kernel_cache_key(RBFKernel(2.0)) != _kernel_cache_key(RBFKernel(3.0))
+        assert kernel_cache_key(RBFKernel(2.0)) == kernel_cache_key(RBFKernel(2.0))
+        assert kernel_cache_key(RBFKernel(2.0)) != kernel_cache_key(RBFKernel(3.0))
 
         class TweakedRBF(RBFKernel):  # inherits the parent's __repr__
             def similarities(self, candidates, t):  # pragma: no cover
@@ -226,7 +226,7 @@ class TestResultCache:
 
         # A subclass may compute different similarities, so an inherited
         # parameterised repr must not alias the parent's cache entries.
-        assert _kernel_cache_key(TweakedRBF(2.0)) != _kernel_cache_key(RBFKernel(2.0))
+        assert kernel_cache_key(TweakedRBF(2.0)) != kernel_cache_key(RBFKernel(2.0))
 
     def test_lru_eviction_bounds_size(self):
         cache = QueryResultCache(maxsize=2)
@@ -320,9 +320,9 @@ class TestFanout:
 
     def test_fanout_map_covers_all_items(self):
         items = list(range(17))
-        expected = sorted(x * x for x in items)
-        assert sorted(fanout_map(_square, items, n_jobs=1)) == expected
-        assert sorted(fanout_map(_square, items, n_jobs=3)) == expected
+        expected = [3 * x for x in items]  # the state reaches every call, in item order
+        assert fanout_map(_scaled, items, n_jobs=1, state=3) == expected
+        assert fanout_map(_scaled, items, n_jobs=3, state=3) == expected
 
 
 class TestCleaningIntegration:

@@ -9,6 +9,7 @@ the counting flavors must match the brute-force world enumeration.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestRegistry:
                 return float("inf"), "never picked automatically"
 
             def execute(self, query, options=None):
-                return [None] * query.n_points
+                return [None] * query.n_points, {}
 
         try:
             register_backend(NullBackend())
@@ -394,7 +395,7 @@ class TestEquivalenceMatrix:
         for row in dataset.uncertain_rows():
             pins[row] = 0
             query = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
-            incremental = backend.execute(query)
+            incremental, _ = backend.execute(query)
             sequential = execute_query(query, backend="sequential").values
             assert incremental == sequential
         assert backend.n_rebuilds == 1
@@ -409,9 +410,9 @@ class TestCachingAndOptions:
         dataset = random_dataset(31)
         test_X = np.random.default_rng(31).normal(size=(4, 2))
         query = make_query(dataset, test_X, kind="counts", k=2)
-        first = backend.execute(query, ExecutionOptions(cache=True))
+        first, _ = backend.execute(query, ExecutionOptions(cache=True))
         hits_before = backend.cache.hits
-        second = backend.execute(query, ExecutionOptions(cache=True))
+        second, _ = backend.execute(query, ExecutionOptions(cache=True))
         assert second == first
         assert backend.cache.hits >= hits_before + len(test_X)
 
@@ -425,7 +426,7 @@ class TestCachingAndOptions:
         prepared = PreparedBatch(dataset, test_X, k=2)
         options = ExecutionOptions(cache=False, prepared=prepared)
         query = make_query(dataset, test_X, kind="counts", k=2)
-        values = backend.execute(query, options)
+        values, _ = backend.execute(query, options)
         assert values == execute_query(query, backend="sequential").values
         assert not backend._prepared  # the handed-in batch was used, not rebuilt
 
@@ -438,6 +439,49 @@ class TestCachingAndOptions:
         assert single == multi
 
 
+class TestPerCallStats:
+    """``Backend.execute`` returns each call's stats; nothing is shared."""
+
+    def test_concurrent_calls_report_their_own_stats(self, monkeypatch):
+        from repro.core import planner
+        from repro.core.batch_engine import count_point
+
+        barrier = threading.Barrier(2, timeout=30)
+        gated_threads: set[int] = set()
+
+        def gated(state, index):
+            # Each call's first point waits for the other call's first
+            # point, so the two executions provably overlap.
+            if threading.get_ident() not in gated_threads:
+                gated_threads.add(threading.get_ident())
+                barrier.wait()
+            return count_point(state, index)
+
+        monkeypatch.setitem(planner.FLAVOR_POINTS, "binary", ("q2", gated))
+        dataset = random_dataset(41, n_rows=8)
+        rng = np.random.default_rng(41)
+        queries = [
+            make_query(dataset, rng.normal(size=(n_points, 2)), kind="counts", k=2)
+            for n_points in (2, 5)
+        ]
+        options = ExecutionOptions(cache=False, prune="on")
+        results: list = [None, None]
+
+        def run(slot: int) -> None:
+            results[slot] = execute_query(queries[slot], backend="batch", options=options)
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(gated_threads) == 2
+        for query, result in zip(queries, results):
+            assert result.stats["n_points"] == query.n_points
+            assert result.values == execute_query(query, backend="sequential").values
+
+
 class TestExecutionOptionsValidation:
     """Library callers get the same knob validation the CLI flags enforce."""
 
@@ -445,7 +489,7 @@ class TestExecutionOptionsValidation:
         ExecutionOptions()
         ExecutionOptions(n_jobs=None)
         ExecutionOptions(n_jobs=-1)  # the all-CPUs sentinel
-        ExecutionOptions(n_jobs=4, cache=False, prune="off", scan_kernel="numpy")
+        ExecutionOptions(n_jobs=4, cache=False, prune="off")
         ExecutionOptions(n_jobs=np.int64(2))  # numpy integers are integers
 
     def test_zero_n_jobs_rejected(self):
@@ -464,11 +508,13 @@ class TestExecutionOptionsValidation:
         with pytest.raises(TypeError, match="n_jobs"):
             ExecutionOptions(n_jobs=True)
 
-    def test_only_the_five_knobs(self):
+    def test_only_the_four_knobs(self):
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]
-        assert names == ["n_jobs", "cache", "prepared", "prune", "scan_kernel"]
+        assert names == ["n_jobs", "cache", "prepared", "prune"]
         with pytest.raises(TypeError):
             ExecutionOptions(tile_rows=8)
+        with pytest.raises(TypeError):
+            ExecutionOptions(scan_kernel="numpy")
 
 
 class TestFrontDoorGuards:

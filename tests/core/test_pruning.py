@@ -38,11 +38,9 @@ from repro.core.pruning import (
     prune_mask,
     pruned_counts_from_scan,
     pruned_counts_from_sims,
-    pruned_decision_from_scan,
+    pruned_decision_from_sims,
     pruned_label_uncertain_counts,
-    pruned_label_uncertain_decision,
     pruned_topk_counts_from_scan,
-    pruned_weighted_decision,
     pruned_weighted_probabilities,
     restrict_scan,
     world_product,
@@ -251,22 +249,26 @@ def test_pruned_counts_bit_identical(seed, clustered):
     assert stats["n_scanned"] + stats["n_pruned"] == stats["n_candidates"]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_pruned_counts_from_sims_bit_identical(seed):
-    dataset, t, k, pins = random_problem(seed, clustered=True)
-    reference = PreparedQuery(dataset, t, k=k).counts(pins or None)
+def _candidate_order(dataset, t):
+    """A point's candidate-order arrays (what the batch backend holds):
+    ``(sims, rows, cands, labels, counts)``."""
     scan = compute_scan_order(dataset, t, None)
-    # Rebuild candidate-order arrays (what the batch backend holds).
     order = np.argsort(scan.rows * 10_000 + scan.cands, kind="stable")
-    counts, _ = pruned_counts_from_sims(
+    return (
         scan.sims[order],
         scan.rows[order],
         scan.cands[order],
         scan.row_labels,
         scan.row_counts,
-        k,
-        dataset.n_labels,
-        pins or None,
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pruned_counts_from_sims_bit_identical(seed):
+    dataset, t, k, pins = random_problem(seed, clustered=True)
+    reference = PreparedQuery(dataset, t, k=k).counts(pins or None)
+    counts, _ = pruned_counts_from_sims(
+        *_candidate_order(dataset, t), k, dataset.n_labels, pins or None
     )
     assert counts == reference
 
@@ -276,9 +278,12 @@ def test_pruned_counts_from_sims_bit_identical(seed):
 def test_pruned_decision_matches_counts_verdict(seed, implementation):
     dataset, t, k, pins = random_problem(seed, clustered=True)
     reference = certain_label_from_counts(PreparedQuery(dataset, t, k=k).counts(pins or None))
-    scan = compute_scan_order(dataset, t, None)
-    decision, stats = pruned_decision_from_scan(
-        scan, k, dataset.n_labels, pins or None, implementation=implementation
+    decision, stats = pruned_decision_from_sims(
+        *_candidate_order(dataset, t),
+        k,
+        dataset.n_labels,
+        pins or None,
+        implementation=implementation,
     )
     assert decision.certain_label == reference
     assert stats["n_scanned"] <= stats["n_candidates"] - stats["n_pruned"]
@@ -308,9 +313,11 @@ def test_pruned_weighted_probabilities_bit_identical(seed):
     reference = weighted_prediction_probabilities(dataset, t, k=k, weights=conditioned)
     probabilities, _ = pruned_weighted_probabilities(dataset, t, conditioned, k)
     assert probabilities == reference
-    decision, _ = pruned_weighted_decision(dataset, t, conditioned, k)
+    query = make_query(
+        dataset, t, kind="certain_label", flavor="weighted", k=k, pins=pins, weights=weights
+    )
     certain = [label for label, p in enumerate(reference) if p == 1]
-    assert decision.certain_label == (certain[0] if certain else None)
+    assert _pruned_batch(query) == [certain[0] if certain else None]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -324,8 +331,17 @@ def test_pruned_label_uncertain_counts_bit_identical(seed):
     reference = label_uncertain_counts(lu, t, k=k)
     counts, _ = pruned_label_uncertain_counts(lu, t, k)
     assert counts == reference
-    verdict, _ = pruned_label_uncertain_decision(lu, t, k)
-    assert verdict == certain_label_from_counts(reference)
+    query = make_query(lu, t, kind="certain_label", k=k)
+    assert _pruned_batch(query) == [certain_label_from_counts(reference)]
+
+
+def _pruned_batch(query):
+    """``query``'s values on the ``batch`` backend with pruning forced on."""
+    result = execute_query(
+        query, backend="batch", options=ExecutionOptions(prune="on", cache=False)
+    )
+    assert result.stats["prune"] is True
+    return result.values
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +382,15 @@ def test_execution_options_reject_unknown_prune_mode():
         ExecutionOptions(prune="sometimes")
 
 
-def test_execution_options_reject_unknown_scan_kernel():
-    with pytest.raises(ValueError, match="scan_kernel must be one of"):
-        ExecutionOptions(scan_kernel="fortran")
-
-
 def test_execution_options_accept_all_modes():
     for prune in ("auto", "on", "off"):
-        for scan_kernel in ("auto", "numpy", "python"):
-            ExecutionOptions(prune=prune, scan_kernel=scan_kernel)
+        ExecutionOptions(prune=prune)
 
 
-@pytest.mark.parametrize("backend", ["sequential", "batch"])
+@pytest.mark.parametrize(
+    "backend,prune", [("sequential", "auto"), ("batch", "auto"), ("batch", "on")]
+)
 @pytest.mark.parametrize("kind", ["certain_label", "check"])
-@pytest.mark.parametrize("prune", ["auto", "on"])
 def test_binary_minmax_path_reports_no_pruning(backend, kind, prune):
     """The binary MinMax decision runs no pruning pass and must not claim one."""
     rng = np.random.default_rng(7)
@@ -390,11 +401,12 @@ def test_binary_minmax_path_reports_no_pruning(backend, kind, prune):
     options = ExecutionOptions(prune=prune, cache=False)
     result = execute_query(query, backend=backend, options=options)
     assert result.stats == {"flavor": "binary", "kind": kind, "prune": False}
-    # Counting the same points does run the pass, and says so.
-    counts = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
-    stats = execute_query(counts, backend=backend, options=options).stats
-    assert stats["prune"] is True
-    assert stats["n_points"] == 16
+    if backend == "batch":
+        # Counting the same points does run the pass, and says so.
+        counts = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
+        stats = execute_query(counts, backend=backend, options=options).stats
+        assert stats["prune"] is True
+        assert stats["n_points"] == 16
 
 
 def test_plan_rejects_prune_on_with_naive_algorithm():
@@ -404,3 +416,21 @@ def test_plan_rejects_prune_on_with_naive_algorithm():
         plan_query(query, options=ExecutionOptions(prune="on"))
     # auto degrades gracefully: the naive path simply runs unpruned.
     plan_query(query, options=ExecutionOptions(prune="auto"))
+
+
+def test_sequential_rejects_prune_on():
+    """``sequential`` is the unpruned reference: it never prunes, and an
+    explicit request to prune on it is refused rather than ignored."""
+    dataset, t, k, pins = random_problem(3, clustered=True)
+    query = make_query(dataset, t, kind="counts", k=k, pins=pins)
+    with pytest.raises(PlanError, match="unpruned reference"):
+        plan_query(query, backend="sequential", options=ExecutionOptions(prune="on"))
+    with pytest.raises(PlanError, match="unpruned reference"):
+        execute_query(query, backend="sequential", options=ExecutionOptions(prune="on"))
+    for prune in ("auto", "off"):
+        result = execute_query(
+            query, backend="sequential", options=ExecutionOptions(prune=prune)
+        )
+        assert result.stats == {"flavor": query.flavor, "kind": "counts", "prune": False}
+    # The pruned batch path agrees with the unpruned reference.
+    assert _pruned_batch(query) == result.values

@@ -7,7 +7,9 @@ random queries of :mod:`tests.fuzz.cp_cases` — all five flavors, every
 kind, pins, exact-``Fraction`` weights — and for random delta sequences
 that force redistribution, :meth:`Gateway.execute_query` must return
 values equal (with ``==``, exact types) to a direct
-:func:`~repro.core.planner.execute_query` call.
+:func:`~repro.core.planner.execute_query` call — under every ``prune``
+mode, with the gateway's ``stats["prune"]`` reporting exactly whether a
+pruning pass ran (as the local ``batch`` backend it counts through does).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.core.deltas import CellRepair, RowAppend, RowDelete, apply_delta_to_d
 from repro.core.planner import ExecutionOptions, execute_query, make_query
 from repro.service.gateway import Gateway
 from tests.fuzz.cp_cases import FLAVOR_CYCLE, SEEDS, random_case
+
+PRUNE_MODES = ("off", "on", "auto")
 
 
 @pytest.fixture(scope="module")
@@ -38,13 +42,24 @@ def _assert_same_values(gathered, local, where: str) -> None:
 
 
 class TestGatewayDifferential:
+    @pytest.mark.parametrize("prune", PRUNE_MODES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_partitioned_values_match_local(self, gateway, seed):
+    def test_partitioned_values_match_local(self, gateway, seed, prune):
         query, _oracle, description = random_case(seed)
-        local = execute_query(query, options=ExecutionOptions(cache=False))
-        gathered = gateway.execute_query(f"fuzz-{seed}", query)
+        options = ExecutionOptions(cache=False, prune=prune)
+        local = execute_query(query, backend="batch", options=options)
+        gathered = gateway.execute_query(f"fuzz-{seed}", query, options=options)
+        where = f"{description} prune={prune}"
         assert gathered.plan.backend == "gateway"
-        _assert_same_values(gathered.values, local.values, description)
+        _assert_same_values(gathered.values, local.values, where)
+        # Pruning is reported exactly when a pass ran: never when off, never
+        # on the MinMax merge, and otherwise as the local batch run reports.
+        assert gathered.stats["prune"] is local.stats["prune"], where
+        if prune == "off" or gathered.stats["merge_mode"] == "minmax":
+            assert gathered.stats["prune"] is False, where
+        if gathered.stats["prune"]:
+            assert gathered.stats["n_rows"] == local.stats["n_rows"], where
+            assert gathered.stats["n_rows_pruned"] == local.stats["n_rows_pruned"], where
 
     def test_seeds_cover_every_flavor(self):
         assert {random_case(seed)[0].flavor for seed in SEEDS} == set(FLAVOR_CYCLE)

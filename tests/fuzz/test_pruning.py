@@ -9,10 +9,12 @@ Two properties over 30 seeded random cases:
    top-K": whatever convention breaks similarity ties, a row with ``k``
    strictly-greater rows above it cannot be a k-nearest neighbour.
 2. **Bit-identity** — every backend that can plan the query returns
-   exactly the same values with ``prune`` off, on and auto (and, for the
-   decision kinds, under both scan-kernel implementations). The cases
-   come from :mod:`tests.fuzz.cp_cases`, so flavors, pins and weights
-   all cycle through.
+   exactly the same values with ``prune`` off, on and auto (``on`` where
+   the backend prunes at all: ``sequential`` is the unpruned reference
+   and refuses it), and for the decision kinds ``batch`` with ``prune``
+   on agrees under both scan-kernel implementations. The cases come from
+   :mod:`tests.fuzz.cp_cases`, so flavors, pins and weights all cycle
+   through.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import scan_kernels
 from repro.core.planner import ExecutionOptions, PlanError, execute_query
 from repro.core.pruning import (
     certificate_from_intervals,
@@ -119,12 +122,12 @@ def test_soundness_seeds_actually_prune():
 # ---------------------------------------------------------------------------
 
 
-def _options(prune: str, scan_kernel: str = "auto") -> ExecutionOptions:
-    return ExecutionOptions(cache=False, prune=prune, scan_kernel=scan_kernel)
+def _options(prune: str) -> ExecutionOptions:
+    return ExecutionOptions(cache=False, prune=prune)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_prune_modes_bit_identical_across_backends(seed):
+def test_prune_modes_bit_identical_across_backends(seed, monkeypatch):
     query, oracle, description = random_case(seed)
     reference = None
     n_served = 0
@@ -134,7 +137,10 @@ def test_prune_modes_bit_identical_across_backends(seed):
         except PlanError:
             continue  # backend cannot serve this flavor/kind; fine
         n_served += 1
-        for prune in ("on", "auto"):
+        if backend == "sequential":
+            with pytest.raises(PlanError, match="unpruned reference"):
+                execute_query(query, backend=backend, options=_options("on"))
+        for prune in ("auto",) if backend == "sequential" else ("on", "auto"):
             result = execute_query(query, backend=backend, options=_options(prune))
             assert result.values == off.values, (
                 f"{description}: backend={backend} prune={prune} diverged"
@@ -151,14 +157,11 @@ def test_prune_modes_bit_identical_across_backends(seed):
         assert reference == oracle, f"{description}: diverged from brute force"
 
     # Decision kinds additionally cross-check both scan-kernel
-    # implementations through the pruned sequential path.
+    # implementations through the pruned batch path.
     if query.kind in ("certain_label", "check"):
         for implementation in ("numpy", "python"):
-            result = execute_query(
-                query,
-                backend="sequential",
-                options=_options("on", scan_kernel=implementation),
-            )
+            monkeypatch.setattr(scan_kernels, "DEFAULT_IMPLEMENTATION", implementation)
+            result = execute_query(query, backend="batch", options=_options("on"))
             assert result.values == reference, (
-                f"{description}: scan_kernel={implementation} diverged"
+                f"{description}: scan kernel {implementation} diverged"
             )

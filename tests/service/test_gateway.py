@@ -194,6 +194,29 @@ class TestBrokerIntegration:
             broker.close()
         assert not broker.gateway.metrics()["executors"]["0"]["alive"]
 
+    def test_gateway_served_counts_query_is_pruned(self):
+        """The gateway counts through the pruned ``batch`` path, honours the
+        request's ``prune`` mode, and the broker's counters say so."""
+        registry = DatasetRegistry()
+        registry.register("d", small_dataset(), k=2)
+        broker = QueryBroker(
+            registry, window_s=0.005, cache=False, gateway=Gateway(2)
+        )
+        try:
+            before = broker.metrics()["prune"]
+            response = broker.query("d", np.zeros((2, 2)), kind="counts")
+            assert response["backend"] == "gateway"
+            after = broker.metrics()["prune"]
+            assert after["pruned_executions"] == before["pruned_executions"] + 1
+            assert after["n_points"] == before["n_points"] + 2
+            off = broker.query("d", np.ones((2, 2)), kind="counts", prune="off")
+            assert off["backend"] == "gateway"
+            final = broker.metrics()["prune"]
+            assert final["pruned_executions"] == after["pruned_executions"]
+            assert final["executions"] == after["executions"] + 1
+        finally:
+            broker.close()
+
     def test_broker_falls_back_locally_when_the_gateway_is_gone(self):
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
