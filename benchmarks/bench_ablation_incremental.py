@@ -1,7 +1,8 @@
 """Ablation A5: incremental CP maintenance vs. per-step recomputation.
 
 CPClean's inner loop re-evaluates Q2 for every validation point after every
-cleaning step. :class:`~repro.core.incremental.IncrementalCPState` prunes
+cleaning step. :class:`~repro.core.deltas.DeltaMaintainedState` applies
+each cleaning step as a :class:`~repro.core.deltas.CellRepair` and prunes
 (test point, cleaned row) pairs where the row provably never enters the
 top-K, replacing a full scan with an exact big-integer division. This bench
 cleans every dirty row of a synthetic workload twice — once recomputing
@@ -13,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.core.incremental import IncrementalCPState
+from repro.core.deltas import CellRepair, DeltaMaintainedState
 from repro.core.prepared import PreparedQuery
 from repro.experiments.complexity import random_instance
 from repro.utils.tables import format_table
@@ -33,9 +34,8 @@ def test_ablation_incremental_vs_recompute(benchmark, emit):
     dataset, points, pins = _workload()
 
     def incremental():
-        state = IncrementalCPState(dataset, points, k=K)
-        for row, cand in pins:
-            state.pin(row, cand)
+        state = DeltaMaintainedState(dataset, points, k=K)
+        state.apply_many([CellRepair(row, cand) for row, cand in pins])
         return state
 
     state = benchmark.pedantic(incremental, rounds=1, iterations=1)

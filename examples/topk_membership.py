@@ -15,7 +15,7 @@ Run with::
 import numpy as np
 
 from repro.core import IncompleteDataset
-from repro.core.incremental import IncrementalCPState
+from repro.core.deltas import CellRepair, DeltaMaintainedState
 from repro.core.topk_prob import (
     expected_topk_label_histogram,
     most_uncertain_rows,
@@ -66,13 +66,10 @@ print(f"\nexpected top-{K} label histogram: " + ", ".join(
 ranked = most_uncertain_rows(dataset, t, k=K)
 print(f"\ndirty rows by membership uncertainty (most undecided first): {ranked}")
 
-state = IncrementalCPState(dataset, t, k=K)
+state = DeltaMaintainedState(dataset, t, k=K)
 for row in ranked:
-    state.pin(row, 0)  # pretend the first candidate is the truth
-    pinned = dataset
-    for r, c in state.fixed.items():
-        pinned = pinned.restrict_row(r, c)
-    sharpened = topk_inclusion_probabilities(pinned, t, k=K)
+    state.apply(CellRepair(row, 0))  # pretend the first candidate is the truth
+    sharpened = topk_inclusion_probabilities(state.dataset, t, k=K)
     undecided = sum(1 for p in sharpened if 0 < p < 1)
     print(
         f"  cleaned row {row} -> {undecided} rows still undecided, "

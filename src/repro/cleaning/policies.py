@@ -56,8 +56,8 @@ class ReachCountStrategy(CleaningStrategy):
 
     A row *reaches* a validation point when its best candidate similarity
     is not dominated by ``K`` other rows' guaranteed similarities — the
-    same criterion :class:`~repro.core.incremental.IncrementalCPState`
-    uses for pruning, inverted into a selection score.
+    same criterion :func:`~repro.core.deltas.row_is_irrelevant` applies
+    for delta pruning, inverted into a selection score.
     """
 
     name = "reach-count"

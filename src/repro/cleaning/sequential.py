@@ -17,9 +17,10 @@ candidate-distance state for the whole validation set) and shared
 backend the planner runs. The ``backend`` parameter picks the execution
 strategy: ``"auto"`` uses the vectorised-MinMax batch path for binary
 labels and the ``incremental`` backend otherwise — the latter keeps exact
-Q2 counts maintained across cleaning steps
-(:class:`~repro.core.incremental.IncrementalCPState`) instead of
-re-preparing every validation point after every pin. The expected-entropy
+Q2 counts maintained across cleaning steps (one
+:class:`~repro.core.deltas.DeltaMaintainedState`, each pin a
+:class:`~repro.core.deltas.CellRepair`) instead of re-preparing every
+validation point after every pin. The expected-entropy
 scoring of candidate rows can fan out across ``n_jobs`` worker processes.
 Strategies only implement :meth:`CleaningStrategy.select`; the per-point
 :class:`~repro.core.prepared.PreparedQuery` objects remain available as

@@ -26,6 +26,13 @@ from repro.utils.validation import check_matrix
 __all__ = ["CandidateLayout", "IncompleteDataset"]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array``."""
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 class CandidateLayout(NamedTuple):
     """Every candidate of a dataset stacked into one matrix, in candidate order.
 
@@ -82,16 +89,28 @@ class IncompleteDataset:
             matrix = check_matrix(cand, f"candidate_sets[{i}]", n_cols=dim)
             if matrix.shape[0] < 1:
                 raise ValueError(f"candidate_sets[{i}] must contain at least one candidate")
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
-            sets.append(matrix)
+            sets.append(_frozen(matrix))
+        self._init_validated(sets, _frozen(labels_arr), dim)
 
+    def _init_validated(self, sets: list[np.ndarray], labels: np.ndarray, dim: int) -> None:
         self._candidate_sets = sets
-        self._labels = labels_arr.copy()
-        self._labels.setflags(write=False)
+        self._labels = labels
         self._dim = dim
         self._fingerprint: str | None = None
         self._layout: CandidateLayout | None = None
+
+    @staticmethod
+    def _derived(sets: list[np.ndarray], labels: np.ndarray, dim: int) -> "IncompleteDataset":
+        """A new version over rows that are already validated and read-only.
+
+        The derivations below change one row or one label; re-running the
+        public constructor would re-check, copy and freeze all ``N`` rows.
+        ``labels`` must be a read-only int64 vector the caller no longer
+        writes to.
+        """
+        dataset = IncompleteDataset.__new__(IncompleteDataset)
+        dataset._init_validated(sets, labels, dim)
+        return dataset
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -241,11 +260,13 @@ class IncompleteDataset:
                 f"candidates of row {row} (the dataset would become invalid)"
             )
         sets = list(self._candidate_sets)
-        sets[row] = value.reshape(1, -1)
-        return IncompleteDataset(sets, self._labels)
+        sets[row] = _frozen(value.reshape(1, -1))
+        return self._derived(sets, self._labels, self._dim)
 
     def restrict_row(self, row: int, candidate_index: int) -> "IncompleteDataset":
         """A copy with row ``row`` restricted to its ``candidate_index``-th candidate."""
+        if not 0 <= row < self.n_rows:
+            raise IndexError(f"row {row} out of range for {self.n_rows} rows")
         cands = self._candidate_sets[row]
         if not 0 <= candidate_index < cands.shape[0]:
             raise IndexError(
@@ -254,7 +275,7 @@ class IncompleteDataset:
             )
         sets = list(self._candidate_sets)
         sets[row] = cands[candidate_index : candidate_index + 1]
-        return IncompleteDataset(sets, self._labels)
+        return self._derived(sets, self._labels, self._dim)
 
     def append_row(self, candidates: np.ndarray, label: int) -> "IncompleteDataset":
         """A copy with a new row appended (candidate set + certain label).
@@ -268,9 +289,8 @@ class IncompleteDataset:
         label = int(label)
         if label < 0:
             raise ValueError(f"labels must be non-negative integers, got {label}")
-        sets = list(self._candidate_sets) + [matrix]
-        labels = np.append(self._labels, np.int64(label))
-        return IncompleteDataset(sets, labels)
+        sets = list(self._candidate_sets) + [_frozen(matrix)]
+        return self._derived(sets, _frozen(np.append(self._labels, np.int64(label))), self._dim)
 
     def delete_row(self, row: int) -> "IncompleteDataset":
         """A copy with row ``row`` removed (later rows shift down by one).
@@ -281,9 +301,8 @@ class IncompleteDataset:
             raise IndexError(f"row {row} out of range for {self.n_rows} rows")
         if self.n_rows == 1:
             raise ValueError("cannot delete the last row of a dataset")
-        sets = [c for i, c in enumerate(self._candidate_sets) if i != row]
-        labels = np.delete(self._labels, row)
-        return IncompleteDataset(sets, labels)
+        sets = self._candidate_sets[:row] + self._candidate_sets[row + 1 :]
+        return self._derived(sets, _frozen(np.delete(self._labels, row)), self._dim)
 
     def world(self, choice: Sequence[int]) -> np.ndarray:
         """Materialise the possible world selecting ``choice[i]`` from ``C_i``.

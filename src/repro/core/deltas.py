@@ -11,14 +11,13 @@ the kernel or re-counting every validation point:
 * :class:`RowAppend` — add a new (candidate set, label) training row;
 * :class:`RowDelete` — remove a training row.
 
-The maintenance rule generalises :class:`repro.core.incremental.
-IncrementalCPState`'s exact pruning (which handles pins only) to all three
-delta kinds via a *provenance* annotation. For every test point the state
-knows its **support set**: the rows whose candidate choice can possibly
-change the point's prediction (a row is outside the support set iff at
-least ``k`` other rows have a guaranteed minimum similarity strictly above
-the row's best possible similarity — then the top-K is filled without it
-in every world). Each maintained Q2 count vector is thereby annotated with
+One maintenance rule covers all three delta kinds via a *provenance*
+annotation. For every test point the state knows its **support set**: the
+rows whose candidate choice can possibly change the point's prediction (a
+row is outside the support set iff at least ``k`` other rows have a
+guaranteed minimum similarity strictly above the row's best possible
+similarity — then the top-K is filled without it in every world). Each
+maintained Q2 count vector is thereby annotated with
 the rows it truly depends on, and a delta touching row ``r`` splits the
 points into:
 
@@ -45,7 +44,10 @@ over random delta interleavings).
 :class:`repro.service.registry.DatasetEntry` keeps warm prepared state
 across ``PATCH`` traffic and how
 :meth:`repro.cleaning.sequential.CleaningSession.apply_repair` turns a
-hypothetical pin into a physical repair without re-preparing.
+hypothetical pin into a physical repair without re-preparing. The
+planner's ``incremental`` backend
+(:class:`repro.core.planner.IncrementalBackend`) keeps one state per
+query family and applies each new pin as a :class:`CellRepair`.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def row_is_irrelevant(mins: np.ndarray, row: int, best: float, k: int) -> bool:
     and ``best`` the target row's maximum. When at least ``k`` *other*
     rows beat ``best`` with their worst candidate, the top-K is filled
     without the row in every world, so its candidate choice never affects
-    the prediction — the rule :class:`~repro.core.incremental.
-    IncrementalCPState` applies to pins, shared here for all delta kinds.
+    the prediction. This is the scalar form of the rule;
+    :class:`DeltaMaintainedState` applies it vectorised over points.
     """
     n_dominating = dominating_rows(mins, best) - (1 if mins[row] > best else 0)
     return n_dominating >= k

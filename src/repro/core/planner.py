@@ -3,8 +3,8 @@
 The repo grew four disconnected dispatch paths for what is really one
 family of counting queries over possible worlds: the string-dispatch of
 :mod:`repro.core.queries`, the parallel batch engine of
-:mod:`repro.core.batch_engine`, the exact incremental maintenance of
-:mod:`repro.core.incremental`, and standalone entry points for the
+:mod:`repro.core.batch_engine`, the exact delta maintenance of
+:mod:`repro.core.deltas`, and standalone entry points for the
 weighted / top-k / label-uncertain task variants. This module replaces the
 ad-hoc wiring with a planner-plus-backend architecture, the same move
 provenance systems make when they route every probability computation
@@ -55,11 +55,12 @@ Three backends ship by default:
     block's kernel temporaries are bounded by
     :data:`~repro.core.batch_engine.PAIRWISE_BLOCK_BYTES`.
 ``incremental``
-    Promotes :class:`~repro.core.incremental.IncrementalCPState` to a
-    first-class backend: per query family it keeps the maintained Q2
-    counts alive across calls, so a cleaning session that re-queries the
-    same validation points with a growing pin set pays one exact pruning
-    update per step instead of a full re-preparation.
+    Serves counting queries from a
+    :class:`~repro.core.deltas.DeltaMaintainedState` kept per query
+    family across calls: a cleaning session that re-queries the same
+    validation points with a growing pin set applies each new pin as one
+    :class:`~repro.core.deltas.CellRepair` instead of recounting every
+    point.
 
 All backends return bit-identical values for any query they both support
 (``tests/core/test_planner.py`` holds the full equivalence matrix);
@@ -98,9 +99,9 @@ from repro.core.batch_engine import (
 )
 from repro.core.bruteforce import brute_force_counts
 from repro.core.dataset import IncompleteDataset
+from repro.core.deltas import CellRepair, DeltaMaintainedState
 from repro.core.engine import sortscan_counts
 from repro.core.entropy import certain_label_from_counts
-from repro.core.incremental import IncrementalCPState
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.label_uncertainty import LabelUncertainDataset, label_uncertain_counts
 from repro.core.multiclass import sortscan_counts_multiclass
@@ -1112,14 +1113,16 @@ class BatchParallelBackend(Backend):
 
 
 class IncrementalBackend(Backend):
-    """Serves repeated pinned queries from maintained incremental state.
+    """Serves repeated pinned queries from maintained counts.
 
     Per query family ``(dataset fingerprint, test matrix, k, kernel)`` the
-    backend keeps one :class:`IncrementalCPState` in a small LRU. A query
-    whose pins extend the state's pins pays only the delta — the exact
-    pruning rule divides most points' counts in O(1) and recounts the few
-    contested ones — instead of a full per-point re-preparation. Pins that
-    contradict or shrink the maintained set rebuild the state (correct for
+    backend keeps, in a small LRU, one
+    :class:`~repro.core.deltas.DeltaMaintainedState` and the pins it has
+    absorbed. A query whose pins extend those pins applies only the new
+    ones, as :class:`~repro.core.deltas.CellRepair` deltas in row order:
+    points outside the repaired row's support set get an exact scalar
+    update, and only the contested points are recounted. Pins that
+    contradict or shrink the absorbed set rebuild the state (correct for
     any pin pattern; fast for the monotone pin growth of a cleaning
     session, which is the workload this backend exists for).
     """
@@ -1135,7 +1138,8 @@ class IncrementalBackend(Backend):
     )
 
     def __init__(self, max_states: int = 8) -> None:
-        self._states: OrderedDict[tuple, IncrementalCPState] = OrderedDict()
+        # family key -> (maintained state, the pins it has absorbed)
+        self._states: OrderedDict[tuple, tuple[DeltaMaintainedState, dict]] = OrderedDict()
         self.max_states = check_positive_int(max_states, "max_states")
         # The backend-wide lock only guards the registry bookkeeping; the
         # expensive per-family work (state builds, pin maintenance) runs
@@ -1154,15 +1158,17 @@ class IncrementalBackend(Backend):
             kernel_cache_key(query.kernel),
         )
 
-    def _warm_state(self, query: CPQuery) -> IncrementalCPState | None:
-        """The maintained state if it exists and its pins extend to the query's."""
+    def _warm_state(
+        self, query: CPQuery
+    ) -> tuple[DeltaMaintainedState, dict[int, int]] | None:
+        """The family's state and absorbed pins, if those extend to the query's."""
         with self._lock:
-            state = self._states.get(self._family_key(query))
-        if state is None:
+            entry = self._states.get(self._family_key(query))
+        if entry is None:
             return None
         pins = query.pins_dict()
-        if all(pins.get(row) == cand for row, cand in state.fixed.items()):
-            return state
+        if all(pins.get(row) == cand for row, cand in entry[1].items()):
+            return entry
         return None
 
     def estimate_cost(self, query, options):
@@ -1172,46 +1178,71 @@ class IncrementalBackend(Backend):
 
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
-        pins = query.pins_dict()
         key = self._family_key(query)
+        while True:
+            with self._lock:
+                family_lock = self._family_locks.setdefault(key, threading.Lock())
+            with family_lock:
+                with self._lock:
+                    current = self._family_locks.get(key) is family_lock
+                if current:
+                    return self._execute_locked(query, options, key)
+            # An eviction dropped the lock this call waited on; a caller
+            # holding the family's new lock may be using its state.
+
+    def _execute_locked(self, query, options, key):
+        """Absorb the query's new pins into the family's state and count.
+
+        Runs under the family's current lock, so no other caller is
+        applying deltas to the same state.
+        """
+        entry = self._warm_state(query)
+        if entry is None:  # no state yet, or pins shrank or contradict
+            state = DeltaMaintainedState(
+                query.dataset,
+                query.test_X,
+                k=query.k,
+                kernel=query.kernel,
+                prune=_prune_enabled(query, options),
+            )
+            absorbed: dict[int, int] = {}
+            # The build's recounts are this call's work too.
+            skipped_before, recomputed_before = 0, 0
+            prune_before = empty_prune_stats()
+        else:
+            state, absorbed = entry
+            skipped_before, recomputed_before = state.n_pruned, state.n_recomputed
+            prune_before = dict(state.prune_stats)
+        new_pins = sorted(
+            (row, cand) for row, cand in query.pins if row not in absorbed
+        )
+        try:
+            state.apply_many([CellRepair(row, cand) for row, cand in new_pins])
+        except BaseException:
+            # A half-applied pin list would desync state and pins.
+            with self._lock:
+                self._states.pop(key, None)
+            raise
+        counts = state.counts_all()
+        prune_stats = {
+            name: value - prune_before[name] for name, value in state.prune_stats.items()
+        }
+        summary = _prune_summary(query, state.prune, prune_stats if state.prune else None)
+        summary["n_rows_skipped"] = state.n_pruned - skipped_before
+        summary["n_recomputed"] = state.n_recomputed - recomputed_before
+        # Stored only after the last read: once an eviction has dropped
+        # this family's lock, a caller holding a fresh lock may take the
+        # state up the moment it is stored.
         with self._lock:
-            family_lock = self._family_locks.setdefault(key, threading.Lock())
-        with family_lock:
-            with self._lock:
-                state = self._states.get(key)
-            if state is not None and not all(
-                pins.get(row) == cand for row, cand in state.fixed.items()
-            ):
-                state = None  # pins shrank or contradict: rebuild
-            if state is None:
-                state = IncrementalCPState(
-                    query.dataset,
-                    query.test_X,
-                    k=query.k,
-                    kernel=query.kernel,
-                    prune=_prune_enabled(query, options),
-                )
-                with self._lock:
-                    self._states[key] = state
-                    self.n_rebuilds += 1
+            self._states[key] = (state, {**absorbed, **dict(new_pins)})
+            if entry is None:
+                self.n_rebuilds += 1
             else:
-                with self._lock:
-                    self.n_reuses += 1
-            with self._lock:
-                self._states.move_to_end(key)
-                while len(self._states) > self.max_states:
-                    evicted, _ = self._states.popitem(last=False)
-                    self._family_locks.pop(evicted, None)
-            delta = sorted(
-                (row, cand) for row, cand in pins.items() if row not in state.fixed
-            )
-            state.pin_many(delta)
-            counts = state.counts_all()
-            summary = _prune_summary(
-                query, state.prune, dict(state.prune_stats) if state.prune else None
-            )
-            summary["n_rows_skipped"] = state.n_pruned
-            summary["n_recomputed"] = state.n_recomputed
+                self.n_reuses += 1
+            self._states.move_to_end(key)
+            while len(self._states) > self.max_states:
+                evicted, _ = self._states.popitem(last=False)
+                self._family_locks.pop(evicted, None)
         return _counts_to_kind(query, counts), summary
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "apply_pins_to_scan",
     "restrict_scan",
     "positive_support_scan",
-    "pruned_counts_from_scan",
     "pruned_counts_from_sims",
     "pruned_decision_from_sims",
     "empty_prune_stats",
@@ -372,25 +371,6 @@ def _reduced_problem(
     cert = certificate_from_intervals(mins, maxs, k, effective.row_counts)
     reduced = restrict_scan(effective, cert.keep_rows) if cert.n_pruned else effective
     return effective, reduced, cert
-
-
-def pruned_counts_from_scan(
-    scan: ScanOrder,
-    k: int,
-    n_labels: int,
-    fixed: Mapping[int, int] | None = None,
-) -> tuple[list[int], dict]:
-    """Q2 counts with irrelevant rows pruned — bit-identical, scaled back.
-
-    Returns ``(counts, stats)`` where ``counts`` equals
-    ``_counts_from_scan(scan, k, n_labels, fixed)`` exactly: the reduced
-    problem's counts times the certificate's world-multiplicity scale.
-    """
-    effective, reduced, cert = _reduced_problem(scan, k, fixed)
-    counts = _counts_from_scan(reduced, k, n_labels)
-    if cert.scale != 1:
-        counts = [count * cert.scale for count in counts]
-    return counts, _stats(effective, cert, reduced.n_candidates, False)
 
 
 def _reduced_from_sims(

@@ -16,7 +16,7 @@ perfectly reusable part of a CP query, which is why the ROADMAP's
   pinned via a lazily-built
   :class:`~repro.cleaning.sequential.CleaningSession` — that session
   holds the ``PreparedBatch`` and, through the ``incremental`` backend,
-  keeps :class:`~repro.core.incremental.IncrementalCPState` maintained
+  keeps a :class:`~repro.core.deltas.DeltaMaintainedState` maintained
   across ``/clean/step`` calls instead of re-preparing per request;
 * per-entry counters the ``/metrics`` endpoint reports.
 

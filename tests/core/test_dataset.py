@@ -108,6 +108,60 @@ class TestDerivation:
         with pytest.raises(IndexError):
             ds.restrict_row(1, 5)
 
+    @pytest.mark.parametrize(
+        "derive, sets, labels",
+        [
+            (lambda d: d.restrict_row(1, 1), [[[0.0, 0.0]], [[2.0, 2.0]]], [0, 1]),
+            (
+                lambda d: d.with_row_fixed(1, np.array([1.0, 1.0])),
+                [[[0.0, 0.0]], [[1.0, 1.0]]],
+                [0, 1],
+            ),
+            (
+                lambda d: d.append_row(np.array([[3.0, 3.0], [4.0, 4.0]]), 2),
+                [[[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]], [[3.0, 3.0], [4.0, 4.0]]],
+                [0, 1, 2],
+            ),
+            (lambda d: d.delete_row(0), [[[1.0, 1.0], [2.0, 2.0]]], [1]),
+        ],
+        ids=["restrict_row", "with_row_fixed", "append_row", "delete_row"],
+    )
+    def test_derived_dataset_equals_public_construction(self, derive, sets, labels):
+        derived = derive(simple_dataset())
+        built = IncompleteDataset([np.array(s) for s in sets], labels)
+        assert derived.n_rows == built.n_rows
+        assert derived.n_features == built.n_features
+        for row in range(built.n_rows):
+            assert np.array_equal(derived.candidates(row), built.candidates(row))
+            assert not derived.candidates(row).flags.writeable
+        assert np.array_equal(derived.labels, built.labels)
+        assert derived.labels.dtype == np.int64
+        assert not derived.labels.flags.writeable
+        assert derived.fingerprint() == built.fingerprint()
+
+    def test_appended_row_is_copied(self):
+        row = np.array([[3.0, 3.0]])
+        appended = simple_dataset().append_row(row, 0)
+        row[0, 0] = 99.0
+        assert appended.candidates(2).tolist() == [[3.0, 3.0]]
+
+    def test_derivations_still_check_their_arguments(self):
+        ds = simple_dataset()
+        with pytest.raises(IndexError, match="row 2 out of range"):
+            ds.restrict_row(2, 0)
+        with pytest.raises(IndexError, match="row -1 out of range"):
+            ds.restrict_row(-1, 0)
+        with pytest.raises(IndexError, match="row 5 out of range"):
+            ds.delete_row(5)
+        with pytest.raises(ValueError, match="columns"):
+            ds.append_row(np.zeros((1, 3)), 0)
+        with pytest.raises(ValueError, match="finite"):
+            ds.append_row(np.array([[np.nan, 0.0]]), 0)
+        with pytest.raises(ValueError, match="at least one candidate"):
+            ds.append_row(np.zeros((0, 2)), 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            ds.append_row(np.zeros((1, 2)), -1)
+
     def test_world_materialisation(self):
         ds = simple_dataset()
         world = ds.world([0, 1])

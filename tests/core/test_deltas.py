@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataset import IncompleteDataset
 from repro.core.deltas import (
@@ -21,7 +23,10 @@ from repro.core.deltas import (
     dominating_rows,
     row_is_irrelevant,
 )
+from repro.core.entropy import prediction_entropy
+from repro.core.prepared import PreparedQuery
 from repro.core.queries import q2_counts
+from tests.conftest import random_incomplete_dataset
 
 
 def small_dataset() -> IncompleteDataset:
@@ -155,6 +160,155 @@ class TestDeltaApplication:
         assert state.version == 1
         state.apply(RowDelete(0))
         assert state.version == 2
+
+
+class TestCleaningPins:
+    """The cleaning workload: only repairs, one dirty row at a time."""
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_initial_counts_match_prepared_query(self, rng, prune):
+        dataset = random_incomplete_dataset(rng, n_rows=8)
+        points = rng.normal(size=(4, dataset.n_features))
+        state = DeltaMaintainedState(dataset, points, k=3, prune=prune)
+        for i in range(points.shape[0]):
+            assert state.counts(i) == PreparedQuery(dataset, points[i], k=3).counts()
+
+    def test_single_point_vector_accepted(self, rng):
+        dataset = random_incomplete_dataset(rng)
+        state = DeltaMaintainedState(dataset, np.zeros(dataset.n_features), k=1)
+        assert state.n_points == 1
+
+    def test_single_point_vector_of_wrong_width_rejected(self, rng):
+        dataset = random_incomplete_dataset(rng, n_features=2)
+        with pytest.raises(ValueError, match="test_points must have shape"):
+            DeltaMaintainedState(dataset, np.zeros(5), k=1)
+
+    def test_counts_returns_copy(self):
+        state = DeltaMaintainedState(small_dataset(), probe_points(), k=2)
+        state.counts(0).append(999)
+        state.counts_all()[0].append(999)
+        assert len(state.counts(0)) == state.dataset.n_labels
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_pin_sequence_matches_fresh_recount_after_every_step(self, rng, prune):
+        dataset = random_incomplete_dataset(rng, n_rows=8, n_labels=3)
+        points = rng.normal(size=(5, dataset.n_features))
+        state = DeltaMaintainedState(dataset, points, k=3, prune=prune)
+        for row in dataset.uncertain_rows():
+            cand = int(rng.integers(dataset.candidate_counts()[row]))
+            state.apply(CellRepair(row, cand))
+            state.verify()  # raises on divergence
+
+    def test_pin_out_of_range_candidate_rejected(self, rng):
+        dataset = random_incomplete_dataset(rng, n_rows=8)
+        state = DeltaMaintainedState(dataset, rng.normal(size=(4, 2)), k=3)
+        row = dataset.uncertain_rows()[0]
+        before = state.counts_all()
+        with pytest.raises(IndexError, match="candidate 99 out of range"):
+            state.apply(CellRepair(row, 99))
+        assert state.counts_all() == before
+        assert state.version == 0
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_pinning_certain_row_is_noop_for_counts(self, rng, prune):
+        dataset = random_incomplete_dataset(rng, n_rows=8)
+        certain = dataset.certain_rows()
+        assert certain, "the seeded draw has certain rows"
+        state = DeltaMaintainedState(dataset, rng.normal(size=(4, 2)), k=3, prune=prune)
+        before = state.counts_all()
+        state.apply(CellRepair(certain[0], 0))
+        assert state.counts_all() == before
+        state.verify()
+
+    def test_pin_many_applies_in_order(self, rng):
+        dataset = random_incomplete_dataset(rng, n_rows=8)
+        points = rng.normal(size=(4, 2))
+        pins = [CellRepair(row, 0) for row in dataset.uncertain_rows()]
+        batched = DeltaMaintainedState(dataset, points, k=3)
+        stepped = DeltaMaintainedState(dataset, points, k=3)
+        reports = batched.apply_many(pins)
+        for pin in pins:
+            stepped.apply(pin)
+        assert [r["version"] for r in reports] == list(range(1, len(pins) + 1))
+        assert batched.counts_all() == stepped.counts_all()
+        assert batched.dataset.fingerprint() == stepped.dataset.fingerprint()
+        batched.verify()
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_all_rows_pinned_gives_single_world(self, rng, prune):
+        dataset = random_incomplete_dataset(rng, n_rows=8)
+        state = DeltaMaintainedState(dataset, rng.normal(size=(3, 2)), k=1, prune=prune)
+        state.apply_many([CellRepair(row, 0) for row in range(dataset.n_rows)])
+        for i in range(state.n_points):
+            assert sum(state.counts(i)) == 1
+            assert state.certain_label(i) is not None
+            assert prediction_entropy(state.counts(i)) == 0.0
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_pinning_every_uncertain_row_leaves_zero_entropy(self, rng, prune):
+        # Entropy can rise along a pin sequence, but once every dirty row
+        # is pinned only one world is left, so every point is certain.
+        dataset = random_incomplete_dataset(rng, n_rows=8)
+        state = DeltaMaintainedState(dataset, rng.normal(size=(3, 2)), k=3, prune=prune)
+        state.apply_many([CellRepair(row, 0) for row in dataset.uncertain_rows()])
+        assert [prediction_entropy(c) for c in state.counts_all()] == [0.0] * 3
+        assert None not in state.certain_labels()
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_certain_labels_consistent_with_counts(self, rng, prune):
+        dataset = random_incomplete_dataset(rng, n_rows=8)
+        state = DeltaMaintainedState(dataset, rng.normal(size=(6, 2)), k=3, prune=prune)
+        for i, label in enumerate(state.certain_labels()):
+            counts = state.counts(i)
+            if label is None:
+                assert sum(1 for c in counts if c > 0) > 1
+            else:
+                assert counts[label] == sum(counts)
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_far_away_dirty_row_is_pruned(self, prune):
+        # Nine tight rows around the test point, one dirty row far away:
+        # repairing the far row takes the scalar rule for k=3.
+        near = [np.array([[0.1 * i, 0.0]]) for i in range(9)]
+        far = np.array([[50.0, 50.0], [60.0, 60.0], [70.0, 70.0]])
+        dataset = IncompleteDataset(near + [far], labels=[0, 1] * 5)
+        state = DeltaMaintainedState(dataset, np.zeros(2), k=3, prune=prune)
+        before = state.counts(0)
+        state.apply(CellRepair(9, 1))
+        assert (state.n_pruned, state.n_recomputed) == (1, 0)
+        assert state.counts(0) == [c // 3 for c in before]
+        state.verify()
+
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_nearby_dirty_row_is_recomputed(self, prune):
+        near_dirty = np.array([[0.0, 0.0], [0.2, 0.0]])
+        others = [np.array([[1.0 * (i + 1), 0.0]]) for i in range(5)]
+        dataset = IncompleteDataset([near_dirty] + others, labels=[0, 1, 0, 1, 0, 1])
+        state = DeltaMaintainedState(dataset, np.zeros(2), k=3, prune=prune)
+        state.apply(CellRepair(0, 0))
+        assert (state.n_pruned, state.n_recomputed) == (0, 1)
+        state.verify()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        k=st.integers(min_value=1, max_value=3),
+        n_labels=st.integers(min_value=2, max_value=3),
+    )
+    def test_random_pin_sequences_stay_exact(self, seed, k, n_labels):
+        rng = np.random.default_rng(seed)
+        dataset = random_incomplete_dataset(rng, n_rows=6, n_labels=n_labels)
+        points = rng.normal(size=(3, dataset.n_features))
+        state = DeltaMaintainedState(dataset, points, k=k)
+        rows = dataset.uncertain_rows()
+        rng.shuffle(rows)
+        pinned = dataset
+        for row in rows:
+            cand = int(rng.integers(dataset.candidate_counts()[row]))
+            state.apply(CellRepair(row, cand))
+            pinned = pinned.restrict_row(row, cand)
+        for i in range(3):
+            assert state.counts(i) == PreparedQuery(pinned, points[i], k=k).counts()
 
 
 class TestValidation:

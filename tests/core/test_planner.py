@@ -401,6 +401,44 @@ class TestEquivalenceMatrix:
         assert backend.n_rebuilds == 1
         assert backend.n_reuses == len(pins) - 1
 
+    @pytest.mark.parametrize("prune", ("off", "on"))
+    def test_incremental_rebuilds_on_contradicting_or_shrinking_pins(self, prune):
+        dataset = random_dataset(22, n_rows=8, n_labels=3)
+        test_X = np.random.default_rng(22).normal(size=(5, 2))
+        options = ExecutionOptions(prune=prune)
+        backend = IncrementalBackend()
+        first, second = dataset.uncertain_rows()[:2]
+        sequence = [
+            {first: 0, second: 0},
+            {first: 1, second: 0},  # contradicts an absorbed pin
+            {second: 0},  # shrinks the absorbed set
+            {second: 0, first: 0},  # extends it again
+        ]
+        for pins in sequence:
+            query = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
+            values, _ = backend.execute(query, options)
+            assert values == execute_query(query, backend="sequential").values
+        assert (backend.n_rebuilds, backend.n_reuses) == (3, 1)
+
+    @pytest.mark.parametrize("prune", ("off", "on"))
+    def test_incremental_stats_report_this_calls_work_only(self, prune):
+        dataset = random_dataset(23, n_rows=8)
+        test_X = np.random.default_rng(23).normal(size=(6, 2))
+        options = ExecutionOptions(prune=prune)
+        backend = IncrementalBackend()
+        pins: dict[int, int] = {}
+        for row in dataset.uncertain_rows():
+            pins[row] = 0
+            query = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
+            _, stats = backend.execute(query, options)
+            assert stats["n_rows_skipped"] + stats["n_recomputed"] == len(test_X)
+            if prune == "on" and len(pins) > 1:
+                # Pruned recounts are only the contested points of this pin.
+                assert stats["n_points"] == stats["n_recomputed"]
+        _, stats = backend.execute(query, options)  # nothing new to absorb
+        assert stats["n_rows_skipped"] == stats["n_recomputed"] == 0
+        assert stats.get("n_points", 0) == 0
+
 
 class TestCachingAndOptions:
     def test_batch_cache_serves_repeats(self):
@@ -480,6 +518,57 @@ class TestPerCallStats:
         for query, result in zip(queries, results):
             assert result.stats["n_points"] == query.n_points
             assert result.values == execute_query(query, backend="sequential").values
+
+
+    def test_incremental_threads_stay_exact_under_evictions(self):
+        # More threads than cores over two families on a one-state LRU, so
+        # every call can evict the other family and rebuild its own: a
+        # state shared by two callers at once would return wrong counts.
+        import sys
+
+        dataset = random_dataset(42, n_rows=8, n_labels=3)
+        rng = np.random.default_rng(42)
+        families = [rng.normal(size=(3, 2)) for _ in range(2)]
+        rows = dataset.uncertain_rows()
+        pin_sets = [dict.fromkeys(rows[:n], 0) for n in range(len(rows) + 1)]
+        pin_sets.append({rows[0]: 1})  # contradicts the grown set
+        expected = {
+            (f, i): execute_query(
+                make_query(dataset, test_X, kind="counts", k=2, pins=pins),
+                backend="sequential",
+            ).values
+            for f, test_X in enumerate(families)
+            for i, pins in enumerate(pin_sets)
+        }
+        backend = IncrementalBackend(max_states=1)
+        mismatches: list = []
+
+        def run(f: int) -> None:
+            try:
+                for _ in range(5):
+                    for i, pins in enumerate(pin_sets):
+                        query = make_query(
+                            dataset, families[f], kind="counts", k=2, pins=pins
+                        )
+                        values, _ = backend.execute(query)
+                        if values != expected[(f, i)]:
+                            mismatches.append((f, i))
+            except AssertionError as error:  # a raced state fails its own checks
+                mismatches.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(n % 2,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+        assert len(backend._states) == 1
 
 
 class TestExecutionOptionsValidation:

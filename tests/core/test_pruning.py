@@ -36,7 +36,6 @@ from repro.core.pruning import (
     interval_arrays,
     positive_support_scan,
     prune_mask,
-    pruned_counts_from_scan,
     pruned_counts_from_sims,
     pruned_decision_from_sims,
     pruned_label_uncertain_counts,
@@ -237,18 +236,6 @@ def test_apply_pins_to_scan_rejects_bad_candidate():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("clustered", (False, True))
-def test_pruned_counts_bit_identical(seed, clustered):
-    dataset, t, k, pins = random_problem(seed, clustered=clustered)
-    reference = PreparedQuery(dataset, t, k=k).counts(pins or None)
-    scan = compute_scan_order(dataset, t, None)
-    counts, stats = pruned_counts_from_scan(scan, k, dataset.n_labels, pins or None)
-    assert counts == reference
-    assert stats["n_rows"] == dataset.n_rows
-    assert stats["n_scanned"] + stats["n_pruned"] == stats["n_candidates"]
-
-
 def _candidate_order(dataset, t):
     """A point's candidate-order arrays (what the batch backend holds):
     ``(sims, rows, cands, labels, counts)``."""
@@ -264,13 +251,16 @@ def _candidate_order(dataset, t):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_pruned_counts_from_sims_bit_identical(seed):
-    dataset, t, k, pins = random_problem(seed, clustered=True)
+@pytest.mark.parametrize("clustered", (False, True))
+def test_pruned_counts_from_sims_bit_identical(seed, clustered):
+    dataset, t, k, pins = random_problem(seed, clustered=clustered)
     reference = PreparedQuery(dataset, t, k=k).counts(pins or None)
-    counts, _ = pruned_counts_from_sims(
+    counts, stats = pruned_counts_from_sims(
         *_candidate_order(dataset, t), k, dataset.n_labels, pins or None
     )
     assert counts == reference
+    assert stats["n_rows"] == dataset.n_rows
+    assert stats["n_scanned"] + stats["n_pruned"] == stats["n_candidates"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

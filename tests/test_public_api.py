@@ -85,3 +85,12 @@ def test_quickstart_docstring_example_is_true() -> None:
     t = np.array([0.0])
     assert q2_counts(dataset, t, k=1) == [6, 2]
     assert certain_label(dataset, t, k=1) is None
+
+
+def test_one_maintained_count_engine() -> None:
+    # Counts maintained across pins, appends and deletes live in
+    # repro.core.deltas; the pins-only module is gone.
+    import importlib.util
+
+    assert importlib.util.find_spec("repro.core.incremental") is None
+    assert "DeltaMaintainedState" in repro.__all__
