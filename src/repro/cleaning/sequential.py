@@ -15,11 +15,11 @@ infrastructure: certainty checks route through the unified planner
 candidate-distance state for the whole validation set) and shared
 :class:`~repro.core.batch_engine.QueryResultCache` handed to whichever
 backend the planner runs. The ``backend`` parameter picks the execution
-strategy: ``"auto"`` uses the vectorised-MinMax batch path for binary
-labels and the ``incremental`` backend otherwise — the latter keeps exact
-Q2 counts maintained across cleaning steps (one
-:class:`~repro.core.deltas.DeltaMaintainedState`, each pin a
-:class:`~repro.core.deltas.CellRepair`) instead of re-preparing every
+strategy: ``"auto"`` runs the checks on the ``incremental`` backend for
+every label space. It keeps exact Q2 counts maintained across cleaning
+steps — one :class:`~repro.core.deltas.DeltaMaintainedState`, seeded from
+the session's prepared batch with no kernel call, each pin a
+:class:`~repro.core.deltas.CellRepair` — instead of recounting every
 validation point after every pin. The expected-entropy
 scoring of candidate rows can fan out across ``n_jobs`` worker processes.
 Strategies only implement :meth:`CleaningStrategy.select`; the per-point
@@ -84,11 +84,11 @@ class CleaningSession:
     dataset, val_X, k, kernel:
         The cleaning problem, as in the paper.
     n_jobs:
-        Worker processes for the expected-entropy scoring fan-out (and the
-        batch Q2 counts behind certainty checks on datasets with more than
-        two labels; binary MinMax checks are vectorised in-process and
-        never fork). ``1`` = in-process; ``None``/``-1`` = all CPUs.
-        Results are identical for every value (tested).
+        Worker processes for the expected-entropy scoring fan-out (and for
+        certainty checks on an explicit ``"batch"`` backend; the
+        ``incremental`` checks run in process). ``1`` = in-process;
+        ``None``/``-1`` = all CPUs. Results are identical for every value
+        (tested).
     use_cache:
         Whether repeated CP queries (same dataset, pins, and point) are
         served from the session's LRU result cache. On by default; results
@@ -96,10 +96,11 @@ class CleaningSession:
     backend:
         Planner backend for the per-step certainty checks:
         ``"sequential"``, ``"batch"``, ``"incremental"``,
-        or ``"auto"`` (default) which picks ``"batch"`` for binary labels
-        (the vectorised MinMax check) and ``"incremental"`` otherwise
-        (exact Q2 counts maintained across cleaning steps). Every choice
-        returns bit-identical labels (tested); only wall-clock changes.
+        or ``"auto"`` (default), which picks ``"incremental"`` for every
+        label space: exact Q2 counts maintained across cleaning steps, so a
+        check after one more pin recounts only the validation points whose
+        support set holds the pinned row. Every choice returns
+        bit-identical labels (tested); only wall-clock changes.
     """
 
     def __init__(
@@ -125,14 +126,9 @@ class CleaningSession:
         self.backend = backend
         if backend != "auto":
             get_backend(backend)  # fail fast on unknown backend names
-        if backend == "auto":
-            # Cost-model-lite at the session level: binary certainty checks
-            # are cheapest through the vectorised MinMax batch path; larger
-            # label spaces need real counts, where maintaining them
-            # incrementally beats a full recount per step.
-            self._check_backend = "batch" if dataset.n_labels == 2 else "incremental"
-        else:
-            self._check_backend = backend
+        # Checks re-ask one query family with a growing pin set, which the
+        # incremental backend's maintained counts absorb one pin at a time.
+        self._check_backend = "incremental" if backend == "auto" else backend
 
     # ------------------------------------------------------------------
     @property
@@ -279,8 +275,10 @@ class CleaningSession:
 
         The session keeps a :class:`~repro.core.deltas.DeltaMaintainedState`
         seeded from the prepared batch's similarity matrix (no kernel
-        recompute), absorbs the delta there, and swaps in the state's
-        reassembled :class:`~repro.core.batch_engine.PreparedBatch` — so
+        recompute) whose recounts scan only the rows a prune certificate
+        keeps (bit-identical counts), absorbs the delta there, and swaps in
+        the state's reassembled
+        :class:`~repro.core.batch_engine.PreparedBatch` — so
         the certainty checks and entropy scoring that follow see the new
         dataset version without a full re-preparation.
 
@@ -304,6 +302,7 @@ class CleaningSession:
                 k=self.k,
                 kernel=self.kernel,
                 sims_matrix=self.batch.sims_matrix,
+                prune=True,
             )
         report = self._delta_state.apply(delta)
         self.dataset = self._delta_state.dataset

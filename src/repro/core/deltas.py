@@ -181,7 +181,8 @@ class DeltaMaintainedState:
         matrix (e.g. from an existing
         :class:`~repro.core.batch_engine.PreparedBatch`) to skip the
         initial kernel call. Must describe exactly ``(dataset,
-        test_points, kernel)``.
+        test_points, kernel)``. The state keeps read-only views of it,
+        so seeding copies nothing and never writes the caller's matrix.
     prune:
         With ``True`` every recount builds its scan from the *kept* rows
         only: the maintained per-point min/max envelopes already are the
@@ -218,23 +219,24 @@ class DeltaMaintainedState:
             )
         self._points = points
         layout = dataset.candidate_layout()
-        counts = layout.counts
         if sims_matrix is None:
             sims_matrix = self.kernel.pairwise(layout.stacked, points)
         else:
             sims_matrix = np.asarray(sims_matrix, dtype=np.float64)
-            expected = (points.shape[0], int(counts.sum()))
+            expected = (points.shape[0], int(layout.offsets[-1]))
             if sims_matrix.shape != expected:
                 raise ValueError(
                     f"sims_matrix must have shape {expected}, got {sims_matrix.shape}"
                 )
-        offsets = np.cumsum(counts)[:-1]
+        starts = layout.offsets[:-1]
         # Per-row (n_points, m_row) similarity blocks — the maintained form.
-        self._row_sims: list[np.ndarray] = [
-            block.copy() for block in np.split(sims_matrix, offsets, axis=1)
-        ]
-        self._mins = np.stack([b.min(axis=1) for b in self._row_sims], axis=1)
-        self._maxs = np.stack([b.max(axis=1) for b in self._row_sims], axis=1)
+        # They are read-only views: a handed matrix (a PreparedBatch's) is
+        # shared, never copied or written; a delta replaces a row's block.
+        shared = sims_matrix.view()
+        shared.flags.writeable = False
+        self._row_sims: list[np.ndarray] = np.split(shared, starts[1:], axis=1)
+        self._mins = np.minimum.reduceat(sims_matrix, starts, axis=1)
+        self._maxs = np.maximum.reduceat(sims_matrix, starts, axis=1)
         self.prune = bool(prune)
         self.prune_stats = empty_prune_stats()
         self._counts: list[list[int]] = [

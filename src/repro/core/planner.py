@@ -60,7 +60,8 @@ Three backends ship by default:
     family across calls: a cleaning session that re-queries the same
     validation points with a growing pin set applies each new pin as one
     :class:`~repro.core.deltas.CellRepair` instead of recounting every
-    point.
+    point. A cold state is seeded from a handed
+    :class:`~repro.core.batch_engine.PreparedBatch`, with no kernel call.
 
 All backends return bit-identical values for any query they both support
 (``tests/core/test_planner.py`` holds the full equivalence matrix);
@@ -78,6 +79,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
@@ -376,8 +378,9 @@ class ExecutionOptions:
     the backend supports it; ``cache`` selects result caching (``True`` =
     the backend's shared cache, an instance = that cache, ``False``/``None``
     = off); ``prepared`` hands an existing
-    :class:`~repro.core.batch_engine.PreparedBatch` to the batch backend so
-    a session's vectorised distance state is shared instead of rebuilt.
+    :class:`~repro.core.batch_engine.PreparedBatch` to the ``batch`` and
+    ``incremental`` backends so a session's vectorised distance state is
+    shared instead of rebuilt.
 
     ``prune`` selects exactness-preserving candidate pruning
     (:mod:`repro.core.pruning`): ``"auto"`` (default) engages it whenever
@@ -739,6 +742,26 @@ def _prune_summary(query: CPQuery, prune: bool, totals: dict | None) -> dict:
     return summary
 
 
+def _handed_prepared(
+    dataset: IncompleteDataset,
+    test_X: np.ndarray,
+    k: int,
+    kernel: Kernel,
+    options: ExecutionOptions,
+) -> PreparedBatch | None:
+    """:attr:`ExecutionOptions.prepared` if it covers exactly this family."""
+    handed = options.prepared
+    if (
+        handed is not None
+        and handed.k == k
+        and kernel_cache_key(handed.kernel) == kernel_cache_key(kernel)
+        and handed.fingerprint() == dataset.fingerprint()
+        and np.array_equal(handed.test_X, test_X)
+    ):
+        return handed
+    return None
+
+
 def _point_key(t: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(t).tobytes()).hexdigest()
 
@@ -993,32 +1016,12 @@ class BatchParallelBackend(Backend):
             return options.cache
         return None
 
-    @staticmethod
-    def _handed_prepared(
-        dataset: IncompleteDataset,
-        test_X: np.ndarray,
-        k: int,
-        kernel: Kernel,
-        options: ExecutionOptions,
-    ) -> PreparedBatch | None:
-        """:attr:`ExecutionOptions.prepared` if it covers exactly this family."""
-        handed = options.prepared
-        if (
-            handed is not None
-            and handed.k == k
-            and kernel_cache_key(handed.kernel) == kernel_cache_key(kernel)
-            and handed.fingerprint() == dataset.fingerprint()
-            and np.array_equal(handed.test_X, test_X)
-        ):
-            return handed
-        return None
-
     def _prepared_for(
         self, query: CPQuery, options: ExecutionOptions, use_lru: bool
     ) -> PreparedBatch:
         dataset = scan_dataset(query)
         test_X, k, kernel = query.test_X, query.k, query.kernel
-        handed = self._handed_prepared(dataset, test_X, k, kernel, options)
+        handed = _handed_prepared(dataset, test_X, k, kernel, options)
         if handed is not None:
             return handed
         if not use_lru:
@@ -1066,7 +1069,7 @@ class BatchParallelBackend(Backend):
         step = max(DENSE_BLOCK_BYTES // max(query.n_candidates * 8, 1), 1)
         if step >= query.n_points:
             return [query]
-        if options.prepared is not None and self._handed_prepared(
+        if _handed_prepared(
             scan_dataset(query), query.test_X, query.k, query.kernel, options
         ):
             return [query]
@@ -1115,8 +1118,8 @@ class BatchParallelBackend(Backend):
 class IncrementalBackend(Backend):
     """Serves repeated pinned queries from maintained counts.
 
-    Per query family ``(dataset fingerprint, test matrix, k, kernel)`` the
-    backend keeps, in a small LRU, one
+    Per query family ``(dataset fingerprint, test matrix, k, kernel, prune)``
+    the backend keeps, in a small LRU, one
     :class:`~repro.core.deltas.DeltaMaintainedState` and the pins it has
     absorbed. A query whose pins extend those pins applies only the new
     ones, as :class:`~repro.core.deltas.CellRepair` deltas in row order:
@@ -1125,6 +1128,12 @@ class IncrementalBackend(Backend):
     contradict or shrink the absorbed set rebuild the state (correct for
     any pin pattern; fast for the monotone pin growth of a cleaning
     session, which is the workload this backend exists for).
+
+    A cold state is seeded from :attr:`ExecutionOptions.prepared` when that
+    batch covers the family, so the build makes no kernel call: the state
+    shares the batch's similarity matrix read-only. Such a state lives no
+    longer than the batch — once the batch is collected (its session or
+    registry dropped it), the family's state is dropped too.
     """
 
     name = "incremental"
@@ -1138,32 +1147,36 @@ class IncrementalBackend(Backend):
     )
 
     def __init__(self, max_states: int = 8) -> None:
-        # family key -> (maintained state, the pins it has absorbed)
-        self._states: OrderedDict[tuple, tuple[DeltaMaintainedState, dict]] = OrderedDict()
+        # family key -> (maintained state, the pins it has absorbed, a weak
+        # reference to the batch it was seeded from or None)
+        self._states: OrderedDict[
+            tuple, tuple[DeltaMaintainedState, dict, weakref.ref | None]
+        ] = OrderedDict()
         self.max_states = check_positive_int(max_states, "max_states")
         # The backend-wide lock only guards the registry bookkeeping; the
         # expensive per-family work (state builds, pin maintenance) runs
         # under a per-family lock so concurrent sessions on different
-        # query families never serialise each other.
-        self._lock = threading.Lock()
+        # query families never serialise each other. It is reentrant
+        # because a seeding batch's collection can run :meth:`_forget` on a
+        # thread that already holds it.
+        self._lock = threading.RLock()
         self._family_locks: dict[tuple, threading.Lock] = {}
         self.n_reuses = 0
         self.n_rebuilds = 0
 
-    def _family_key(self, query: CPQuery) -> tuple:
+    def _family_key(self, query: CPQuery, options: ExecutionOptions) -> tuple:
         return (
             query.fingerprint(),
             _point_key(query.test_X),
             query.k,
             kernel_cache_key(query.kernel),
+            _prune_enabled(query, options),
         )
 
-    def _warm_state(
-        self, query: CPQuery
-    ) -> tuple[DeltaMaintainedState, dict[int, int]] | None:
-        """The family's state and absorbed pins, if those extend to the query's."""
+    def _warm_state(self, query: CPQuery, key: tuple) -> tuple | None:
+        """The family's entry, if its absorbed pins extend to the query's."""
         with self._lock:
-            entry = self._states.get(self._family_key(query))
+            entry = self._states.get(key)
         if entry is None:
             return None
         pins = query.pins_dict()
@@ -1171,14 +1184,22 @@ class IncrementalBackend(Backend):
             return entry
         return None
 
+    def _forget(self, key: tuple, owner: weakref.ref) -> None:
+        """Drop ``key``'s state: the batch it was seeded from is gone."""
+        with self._lock:
+            entry = self._states.get(key)
+            if entry is not None and entry[2] is owner:
+                del self._states[key]
+                self._family_locks.pop(key, None)
+
     def estimate_cost(self, query, options):
-        if self._warm_state(query) is not None:
+        if self._warm_state(query, self._family_key(query, options)) is not None:
             return 0.1 * query.workload_size(), "maintained counts, delta pins only"
         return 1.5 * query.workload_size(), "cold start: full preparation + counts"
 
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
-        key = self._family_key(query)
+        key = self._family_key(query, options)
         while True:
             with self._lock:
                 family_lock = self._family_locks.setdefault(key, threading.Lock())
@@ -1196,21 +1217,28 @@ class IncrementalBackend(Backend):
         Runs under the family's current lock, so no other caller is
         applying deltas to the same state.
         """
-        entry = self._warm_state(query)
+        entry = self._warm_state(query, key)
         if entry is None:  # no state yet, or pins shrank or contradict
+            handed = _handed_prepared(
+                query.dataset, query.test_X, query.k, query.kernel, options
+            )
             state = DeltaMaintainedState(
                 query.dataset,
                 query.test_X,
                 k=query.k,
                 kernel=query.kernel,
+                sims_matrix=None if handed is None else handed.sims_matrix,
                 prune=_prune_enabled(query, options),
             )
             absorbed: dict[int, int] = {}
+            owner = None if handed is None else weakref.ref(
+                handed, lambda ref: self._forget(key, ref)
+            )
             # The build's recounts are this call's work too.
             skipped_before, recomputed_before = 0, 0
             prune_before = empty_prune_stats()
         else:
-            state, absorbed = entry
+            state, absorbed, owner = entry
             skipped_before, recomputed_before = state.n_pruned, state.n_recomputed
             prune_before = dict(state.prune_stats)
         new_pins = sorted(
@@ -1234,12 +1262,16 @@ class IncrementalBackend(Backend):
         # this family's lock, a caller holding a fresh lock may take the
         # state up the moment it is stored.
         with self._lock:
-            self._states[key] = (state, {**absorbed, **dict(new_pins)})
+            self._states[key] = (state, {**absorbed, **dict(new_pins)}, owner)
+            self._states.move_to_end(key)
+            if owner is not None and owner() is None:
+                # An earlier caller's seeding batch was collected while this
+                # call ran, so its _forget may have found nothing to drop.
+                self._states.pop(key, None)
             if entry is None:
                 self.n_rebuilds += 1
             else:
                 self.n_reuses += 1
-            self._states.move_to_end(key)
             while len(self._states) > self.max_states:
                 evicted, _ = self._states.popitem(last=False)
                 self._family_locks.pop(evicted, None)

@@ -183,9 +183,12 @@ class DatasetEntry:
         """The entry's cleaning session (lazily built, then pinned warm).
 
         Owns the validation set's ``PreparedBatch`` and the shared result
-        cache; ``backend="auto"`` routes binary certainty checks through
-        the vectorised MinMax batch path and larger label spaces through
-        the ``incremental`` backend's maintained counts.
+        cache; ``backend="auto"`` routes every certainty check through the
+        ``incremental`` backend, whose maintained counts are seeded from
+        that batch and absorb one pin per ``/clean/step``. A
+        ``with_cleaned`` validation read carries the same pins, so the
+        planner serves it from the same warm state. The state is dropped
+        when the session's batch is.
         """
         if not self.supports_cleaning:
             raise RegistryError(

@@ -390,6 +390,36 @@ class TestWarmStateHandoff:
         )
         assert warm.counts_all() == cold.counts_all()
 
+    @pytest.mark.parametrize("prune", (False, True))
+    def test_seeding_from_a_prepared_batch_shares_without_writing(self, prune):
+        from repro.core.batch_engine import PreparedBatch
+
+        dataset = random_incomplete_dataset(np.random.default_rng(5), n_rows=9)
+        points = np.random.default_rng(6).normal(size=(4, dataset.n_features))
+        batch = PreparedBatch(dataset, points, k=3)
+        before = batch.sims_matrix.copy()
+        seeded = DeltaMaintainedState(
+            dataset, points, k=3, sims_matrix=batch.sims_matrix, prune=prune
+        )
+        unseeded = DeltaMaintainedState(dataset, points, k=3, prune=prune)
+        assert np.shares_memory(seeded._row_sims[0], batch.sims_matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            seeded._row_sims[0][0, 0] = 0.0
+        assert np.array_equal(seeded._mins, unseeded._mins)
+        assert np.array_equal(seeded._maxs, unseeded._maxs)
+        dirty = dataset.uncertain_rows()
+        deltas = [
+            CellRepair(dirty[0], 1),
+            RowAppend(np.zeros((2, dataset.n_features)), 0),
+            RowDelete(dirty[1]),
+        ]
+        for delta in deltas:
+            assert seeded.apply(delta) == unseeded.apply(delta)
+            assert seeded.counts_all() == unseeded.counts_all()
+        seeded.verify()
+        assert np.array_equal(batch.sims_matrix, before)
+        assert batch.sims_matrix.flags.writeable  # the batch's own flag is untouched
+
     def test_verify_detects_corruption(self):
         state = DeltaMaintainedState(small_dataset(), probe_points(), k=3)
         state.verify()  # clean state passes

@@ -439,6 +439,64 @@ class TestEquivalenceMatrix:
         assert stats["n_rows_skipped"] == stats["n_recomputed"] == 0
         assert stats.get("n_points", 0) == 0
 
+    def test_incremental_state_is_kept_per_prune_mode(self):
+        # A prune="off" query after a prune="on" one must not be served
+        # from the pruning state (whose stats would report prune: True).
+        dataset = random_dataset(24, n_rows=8, n_labels=3)
+        test_X = np.random.default_rng(24).normal(size=(4, 2))
+        query = make_query(dataset, test_X, kind="counts", k=2)
+        backend = IncrementalBackend()
+        _, on = backend.execute(query, ExecutionOptions(prune="on"))
+        values, off = backend.execute(query, ExecutionOptions(prune="off"))
+        assert on["prune"] is True and off["prune"] is False
+        assert "n_points" not in off  # no pruning counters from the other state
+        assert values == execute_query(query, backend="sequential").values
+        assert (backend.n_rebuilds, backend.n_reuses) == (2, 0)
+        assert len(backend._states) == 2
+
+    @pytest.mark.parametrize("n_labels", (2, 3))
+    def test_incremental_cold_state_is_seeded_from_a_handed_batch(self, n_labels):
+        from repro.core.batch_engine import PreparedBatch
+
+        dataset = random_dataset(25, n_rows=8, n_labels=n_labels)
+        test_X = np.random.default_rng(25).normal(size=(5, 2))
+        prepared = PreparedBatch(dataset, test_X, k=2)
+        before = prepared.sims_matrix.copy()
+        seeded, unseeded = IncrementalBackend(), IncrementalBackend()
+        pins: dict[int, int] = {}
+        for row in dataset.uncertain_rows():
+            pins[row] = 1
+            query = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
+            values, _ = seeded.execute(query, ExecutionOptions(prepared=prepared))
+            assert values == unseeded.execute(query)[0]
+        (state, _, owner), = seeded._states.values()
+        assert owner() is prepared
+        clean = next(r for r in range(dataset.n_rows) if r not in pins)
+        assert np.shares_memory(state._row_sims[clean], prepared.sims_matrix)
+        assert np.array_equal(prepared.sims_matrix, before)
+        (_, _, no_owner), = unseeded._states.values()
+        assert no_owner is None
+
+    def test_incremental_state_seeded_from_a_batch_dies_with_it(self):
+        import gc
+
+        from repro.core.batch_engine import PreparedBatch
+
+        dataset = random_dataset(26, n_rows=8)
+        test_X = np.random.default_rng(26).normal(size=(3, 2))
+        backend = IncrementalBackend()
+        query = make_query(dataset, test_X, kind="certain_label", k=2)
+        prepared = PreparedBatch(dataset, test_X, k=2)
+        backend.execute(query, ExecutionOptions(prepared=prepared))
+        backend.execute(query)  # reuses the seeded state
+        assert len(backend._states) == 1
+        del prepared
+        gc.collect()
+        assert not backend._states and not backend._family_locks
+        backend.execute(query)  # an unseeded state stays in the LRU
+        gc.collect()
+        assert len(backend._states) == 1
+
 
 class TestCachingAndOptions:
     def test_batch_cache_serves_repeats(self):
@@ -570,6 +628,63 @@ class TestPerCallStats:
         assert mismatches == []
         assert len(backend._states) == 1
 
+    def test_incremental_threads_stay_exact_while_seeding_batches_die(self):
+        # Every call hands a fresh PreparedBatch that dies as the call
+        # returns, so states are dropped (_forget) while other threads take
+        # them up, rebuild them or store them back.
+        import gc
+        import sys
+
+        from repro.core.batch_engine import PreparedBatch
+
+        dataset = random_dataset(44, n_rows=8, n_labels=3)
+        rng = np.random.default_rng(44)
+        families = [rng.normal(size=(3, 2)) for _ in range(2)]
+        rows = dataset.uncertain_rows()
+        pin_sets = [dict.fromkeys(rows[:n], 0) for n in range(len(rows) + 1)]
+        expected = {
+            (f, i): execute_query(
+                make_query(dataset, test_X, kind="counts", k=2, pins=pins),
+                backend="sequential",
+            ).values
+            for f, test_X in enumerate(families)
+            for i, pins in enumerate(pin_sets)
+        }
+        backend = IncrementalBackend(max_states=1)
+        mismatches: list = []
+
+        def run(f: int) -> None:
+            try:
+                for _ in range(3):
+                    for i, pins in enumerate(pin_sets):
+                        query = make_query(
+                            dataset, families[f], kind="counts", k=2, pins=pins
+                        )
+                        prepared = PreparedBatch(dataset, families[f], k=2)
+                        values, _ = backend.execute(
+                            query, ExecutionOptions(prepared=prepared)
+                        )
+                        del prepared
+                        if values != expected[(f, i)]:
+                            mismatches.append((f, i))
+            except AssertionError as error:  # a raced state fails its own checks
+                mismatches.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(n % 2,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+        gc.collect()
+        assert not backend._states  # every seeding batch is gone
+
 
 class TestExecutionOptionsValidation:
     """Library callers get the same knob validation the CLI flags enforce."""
@@ -648,6 +763,38 @@ class TestSessionBackends:
             assert report.final_fixed == reference.final_fixed, name
             assert report.cp_fraction_final == reference.cp_fraction_final, name
             assert [s.row for s in report.steps] == [s.row for s in reference.steps], name
+
+    @pytest.mark.parametrize("n_labels", (2, 3))
+    def test_auto_session_checks_on_warm_maintained_state(self, n_labels):
+        import gc
+
+        from repro.cleaning.sequential import CleaningSession
+
+        dataset = random_dataset(43, n_rows=8, n_labels=n_labels)
+        val_X = np.random.default_rng(43).normal(size=(4, 2))
+        session = CleaningSession(dataset, val_X, k=2)
+        assert session._check_backend == "incremental"
+        backend = get_backend("incremental")
+        rebuilds = backend.n_rebuilds
+        for row in dataset.uncertain_rows():
+            session.clean_row(row, 0)
+            query = make_query(
+                dataset, val_X, kind="certain_label", k=2, pins=session.fixed
+            )
+            expected = execute_query(
+                query, backend="batch", options=ExecutionOptions(cache=False)
+            ).values
+            assert session.checkpoint()["certain_labels"] == expected
+        assert backend.n_rebuilds == rebuilds + 1  # one seeded build, then deltas
+        fingerprint = dataset.fingerprint()
+        assert any(key[0] == fingerprint for key in backend._states)
+        batch = session.batch
+        del session
+        gc.collect()
+        assert any(key[0] == fingerprint for key in backend._states)  # batch lives
+        del batch
+        gc.collect()
+        assert all(key[0] != fingerprint for key in backend._states)
 
     def test_session_rejects_unknown_backend(self):
         from repro.cleaning.sequential import CleaningSession
