@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sql.add_argument(
         "--engine",
-        choices=("auto", "vectorized", "rowwise", "naive"),
+        choices=("auto", "vectorized", "naive"),
         default="auto",
         help=(
             "certain-answer engine backend (default auto: the cost model "
@@ -759,7 +759,7 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _command_sql(args: argparse.Namespace) -> int:
-    from repro.codd.engine import answer_query
+    from repro.codd.engine import CoddPlanError, answer_query
     from repro.codd.from_table import codd_table_from_dirty_table
     from repro.codd.sql import SqlError, parse_sql, referenced_tables
     from repro.data.io import read_csv
@@ -814,13 +814,17 @@ def _command_sql(args: argparse.Namespace) -> int:
                 response["explain"].get("rewrites") or (),
             )
     else:
-        certain_result = answer_query(
-            query, database, mode="certain", backend=args.engine
-        )
+        try:
+            certain_result = answer_query(
+                query, database, mode="certain", backend=args.engine
+            )
+            maybe = answer_query(
+                query, database, mode="possible", backend=args.engine
+            ).relation
+        except CoddPlanError as exc:
+            print(f"plan error: {exc}", file=sys.stderr)
+            return 2
         sure = certain_result.relation
-        maybe = answer_query(
-            query, database, mode="possible", backend=args.engine
-        ).relation
         print(f"engine: {certain_result.plan.backend} ({certain_result.plan.reason})")
         if args.explain:
             _print_sql_explain(

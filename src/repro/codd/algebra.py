@@ -374,7 +374,7 @@ def aggregate_column(func: str, values: Sequence[Any]) -> Any:
     arithmetic, and any float in the group routes the whole sum through
     ``math.fsum`` over ``float()``-converted values (correctly rounded, so
     order-insensitive).  This pins down the exact bits every evaluation
-    path — naive world enumeration, rowwise, vectorized — must reproduce.
+    path — naive world enumeration, the aggregation DP — must reproduce.
     """
     present = [v for v in values if v is not None]
     if func == "count":

@@ -13,12 +13,15 @@ three ways:
   for select-project queries over a single Codd table: because every NULL
   variable appears in exactly one cell, rows are independent, and a constant
   tuple is certain iff **some row yields it under every valuation of that
-  row's own variables**. Since PR 5 the per-row check runs on the columnar
-  engine of :mod:`repro.codd.vectorized` (stacked completion arrays, one
-  vectorised predicate pass, per-row ``reduceat`` reductions); the original
-  streaming per-row generators survive as :func:`certain_select_project_rowwise`
-  — the memory-bounded fallback the ``rowwise`` backend serves when a grid
-  would exceed :data:`repro.codd.vectorized.MAX_STACKED_CELLS`.
+  row's own variables**. :func:`select_project_answers` runs the per-row
+  check on the columnar engine of :mod:`repro.codd.vectorized` (stacked
+  completion arrays, one vectorised predicate pass, per-row ``reduceat``
+  reductions) — in row blocks when the grid would exceed
+  :data:`repro.codd.vectorized.MAX_STACKED_CELLS`. The original streaming
+  per-row generators survive as :func:`certain_select_project_rowwise` /
+  :func:`possible_select_project_rowwise`: the reference the engine
+  replays mixed-type comparisons on, and the evaluator of a lone row whose
+  grid is above the block cap.
 * :func:`certain_answers_database` / :func:`possible_answers_database` —
   multi-table databases (worlds are products of per-table worlds). Before
   enumerating, :func:`prune_database` shrinks the product: tables the query
@@ -28,8 +31,8 @@ three ways:
   enumerable product and a blown cap.
 
 :func:`certain_answers` / :func:`possible_answers` dispatch through the
-backend registry of :mod:`repro.codd.engine` (vectorized → rowwise → naive
-by cost). Both validate the ``name=`` binding against the query's
+backend registry of :mod:`repro.codd.engine` (vectorized → naive by
+cost). Both validate the ``name=`` binding against the query's
 :class:`~repro.codd.algebra.Scan` — a query over ``person`` no longer
 silently evaluates against a table bound as ``T``.
 """
@@ -55,9 +58,11 @@ from repro.codd.algebra import (
 from repro.codd.codd_table import CoddTable, Null
 from repro.codd.relation import Relation
 from repro.codd.vectorized import (
+    StackedTable,
     certain_answers_vectorized,
     possible_answers_vectorized,
     resolve_select_project_shape,
+    row_blocks,
 )
 
 __all__ = [
@@ -72,6 +77,7 @@ __all__ = [
     "possible_answers_select_project",
     "possible_select_project_rowwise",
     "prune_database",
+    "select_project_answers",
 ]
 
 #: Refuse naive enumeration beyond this many worlds.
@@ -365,32 +371,64 @@ def possible_select_project_rowwise(
     return Relation(out_schema, possible_rows)
 
 
+def select_project_answers(
+    query: Query,
+    table: CoddTable,
+    name: str = "T",
+    mode: str = "certain",
+    stacked: StackedTable | None = None,
+) -> Relation:
+    """Certain or possible answers of a select-project(-rename) query over
+    one Codd table — the one evaluator every engine path goes through.
+
+    ``stacked`` is the table's prepared grid, evaluated in one vectorised
+    pass. Without one, the table runs in :func:`~repro.codd.vectorized.row_blocks`:
+    one fresh grid when it fits the stacking cap, else transient per-block
+    grids whose answers are unioned (sound because answers are row-local),
+    with a lone row above the cap streamed through the reference.
+
+    The grid evaluates every completion at once, so a mixed-type ordering
+    comparison can raise a ``TypeError`` the streaming reference never
+    reaches (it short-circuits per row, like the naive oracle's per-world
+    evaluation). A ``TypeError`` anywhere replays the whole query on the
+    reference, whose answer-or-error is the semantics of record.
+    """
+    evaluate, reference = (
+        (certain_answers_vectorized, certain_select_project_rowwise)
+        if mode == "certain"
+        else (possible_answers_vectorized, possible_select_project_rowwise)
+    )
+    try:
+        if stacked is not None:
+            return evaluate(query, table, name=name, stacked=stacked)
+        blocks = row_blocks(table)
+        if len(blocks) == 1 and blocks[0][2]:
+            return evaluate(query, table, name=name)
+        rows: set[tuple[Any, ...]] = set()
+        for start, stop, fits in blocks:
+            block = CoddTable(table.schema, table.rows[start:stop])
+            part = (evaluate if fits else reference)(query, block, name=name)
+            rows |= part.rows
+        return Relation(part.schema, rows)
+    except TypeError:
+        return reference(query, table, name=name)
+
+
 def certain_answers_select_project(
     query: Query, table: CoddTable, name: str = "T"
 ) -> Relation:
     """Certain answers for a select-project(-rename) query over one Codd
-    table, served by the vectorised columnar engine.
-
-    Mixed-type ordering comparisons the stacked grid cannot evaluate all
-    at once are replayed on the streaming row-wise path, whose
-    short-circuit order matches the naive oracle's per-world evaluation —
-    so this front door answers (or errors) exactly like the reference.
-    """
-    try:
-        return certain_answers_vectorized(query, table, name=name)
-    except TypeError:
-        return certain_select_project_rowwise(query, table, name=name)
+    table, served by the vectorised columnar engine
+    (:func:`select_project_answers`), answering or erroring exactly like
+    the streaming reference."""
+    return select_project_answers(query, table, name=name, mode="certain")
 
 
 def possible_answers_select_project(
     query: Query, table: CoddTable, name: str = "T"
 ) -> Relation:
-    """Possible answers for the same query fragment, vectorised (with the
-    same row-wise replay on mixed-type ordering comparisons)."""
-    try:
-        return possible_answers_vectorized(query, table, name=name)
-    except TypeError:
-        return possible_select_project_rowwise(query, table, name=name)
+    """Possible answers for the same query fragment, the same way."""
+    return select_project_answers(query, table, name=name, mode="possible")
 
 
 # ----------------------------------------------------------------------
@@ -399,9 +437,9 @@ def possible_answers_select_project(
 def certain_answers(
     query: Query, table: CoddTable, name: str = "T", backend: str = "auto"
 ) -> Relation:
-    """``sure(Q, T)``: the cheapest capable engine backend (vectorised grid
-    when the shape and size allow, streaming row-wise, else naive
-    enumeration with the world-count guard). ``backend`` forces one."""
+    """``sure(Q, T)``: the cheapest capable engine backend (the vectorised
+    grid when the shape and size allow, else naive enumeration with the
+    world-count guard). ``backend`` forces one."""
     from repro.codd.engine import answer_query
 
     return answer_query(query, {name: table}, mode="certain", backend=backend).relation

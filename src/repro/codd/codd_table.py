@@ -83,6 +83,7 @@ class CoddTable:
         self._rows = tuple(table)
         self._variables = tuple(variables)
         self._fingerprint: str | None = None
+        self._row_completions: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -110,6 +111,16 @@ class CoddTable:
     def n_worlds(self) -> int:
         """Exact number of possible worlds (big int)."""
         return math.prod(len(null.domain) for _, _, null in self._variables)
+
+    def row_completions(self) -> tuple[int, ...]:
+        """Per row, its number of row-local completions: the product of
+        its NULL domain sizes (1 for a complete row). Computed once."""
+        if self._row_completions is None:
+            counts = [1] * len(self._rows)
+            for r, _, null in self._variables:
+                counts[r] *= len(null.domain)
+            self._row_completions = tuple(counts)
+        return self._row_completions
 
     def is_complete(self) -> bool:
         """True iff the table holds no NULLs."""

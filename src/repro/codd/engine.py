@@ -17,23 +17,21 @@ the serving stack (``/sql``, ``repro sql``) and the library front doors
   :func:`answer_query` executes the plan, returning a
   :class:`CoddAnswerResult` (the relation plus the plan that produced it).
 
-Three backends ship by default:
+Two backends ship by default:
 
 ``vectorized``
     :mod:`repro.codd.vectorized`: the stacked-completion-grid engine for
-    select-project(-rename) queries whose grid fits the stacking cap.
-    Prepared :class:`~repro.codd.vectorized.StackedTable` grids are kept
-    in a small fingerprint-keyed LRU (and the service registry can hand
-    its pinned grid in directly). Joins, unions, differences and GROUP BY
-    aggregation route through the composite analysis in
+    select-project(-rename) queries up to
+    :data:`~repro.codd.vectorized.MAX_QUERY_CELLS` completion cells. A
+    grid that fits :data:`~repro.codd.vectorized.MAX_STACKED_CELLS` is
+    kept in a small fingerprint-keyed LRU (and the service registry can
+    hand its pinned grid in directly); a larger table runs in transient
+    row blocks that never enter the LRU. Joins, unions, differences and
+    GROUP BY aggregation route through the composite analysis in
     :mod:`repro.codd.joins` / :mod:`repro.codd.aggregate` — pair-table
     hash joins, set-operator combinators and the exact per-group state
     DP — with grid-backed leaf evaluation, whenever the exactness
     conditions hold.
-``rowwise``
-    The streaming per-row generators (one completion resident at a time)
-    — the same query classes (composite analysis included), unbounded
-    table size, pure-Python speed.
 ``naive``
     World enumeration with the enumeration cap, for every query shape,
     multi-table databases included (after
@@ -74,31 +72,24 @@ from repro.codd.algebra import (
 from repro.codd.certain import (
     MAX_NAIVE_WORLDS,
     certain_answers_database,
-    certain_select_project_rowwise,
     possible_answers_database,
-    possible_select_project_rowwise,
+    select_project_answers,
 )
 from repro.codd.codd_table import CoddTable
-from repro.codd.joins import (
-    Composite,
-    FlatQuery,
-    composite_analysis,
-    composite_answer,
-)
+from repro.codd.joins import composite_analysis, composite_answer
 from repro.codd.plan import LogicalPlan
 from repro.codd.relation import Relation
 from repro.codd.vectorized import (
-    MAX_STACKED_CELLS,
+    MAX_QUERY_CELLS,
     StackedTable,
-    certain_answers_vectorized,
     estimate_stacked_cells,
-    possible_answers_vectorized,
+    stackable,
     unwrap_select_project,
 )
 
 __all__ = [
     "MODES",
-    "MAX_ROWWISE_CELLS",
+    "MAX_PREPARED_GRIDS",
     "CoddPlanError",
     "CoddAnswerPlan",
     "CoddAnswerResult",
@@ -111,19 +102,14 @@ __all__ = [
     "answer_query",
     "scan_relations",
     "VectorizedCoddBackend",
-    "RowwiseCoddBackend",
     "NaiveCoddBackend",
 ]
 
 #: The two answer modes every backend serves.
 MODES = ("certain", "possible")
 
-#: The streaming row-wise path refuses queries whose completion scan would
-#: exceed this many cells — ~10x the stacking cap, the point past which a
-#: pure-Python scan stops being "slow" and becomes a wedged server thread.
-#: Queries above every backend's bound fail fast at the naive world cap
-#: instead of hanging.
-MAX_ROWWISE_CELLS = 10 * MAX_STACKED_CELLS
+#: Whole-table grids the vectorized backend keeps in its fingerprint LRU.
+MAX_PREPARED_GRIDS = 8
 
 
 class CoddPlanError(ValueError):
@@ -176,10 +162,15 @@ def scan_relations(query: Query) -> list[str]:
     return sorted(names)
 
 
-def _database_worlds(database: Mapping[str, CoddTable]) -> int:
+def _database_worlds(database: Mapping[str, CoddTable], cap: int) -> int:
+    """``min(world count, cap)``, without building the exact product (a
+    huge integer on a large table) once it passes ``cap``."""
     total = 1
     for table in database.values():
-        total *= table.n_worlds()
+        for _, _, null in table.variables:
+            total *= len(null.domain)
+            if total >= cap:
+                return cap
     return total
 
 
@@ -396,26 +387,26 @@ def _single_scan_table(
 class VectorizedCoddBackend(CoddAnswerBackend):
     """The stacked-completion-grid engine (:mod:`repro.codd.vectorized`).
 
-    Serves select-project(-rename) queries whose grid fits
-    :data:`~repro.codd.vectorized.MAX_STACKED_CELLS`. Prepared grids are
-    reused: a handed ``prepared`` mapping wins (the service registry pins
-    one per Codd table), then a small fingerprint-keyed LRU.
+    Serves select-project(-rename) queries, and the composite trees
+    :func:`~repro.codd.joins.composite_analysis` flattens, up to
+    :data:`~repro.codd.vectorized.MAX_QUERY_CELLS` completion cells.
+    Whole-table grids are reused: a handed ``prepared`` mapping wins (the
+    service registry pins one per Codd table), then a fingerprint-keyed
+    LRU of :data:`MAX_PREPARED_GRIDS` grids. A table above the stacking
+    cap has no whole grid; it runs in transient row blocks instead.
     """
 
     name = "vectorized"
 
-    def __init__(self, max_prepared: int = 8) -> None:
-        if max_prepared < 1:
-            raise ValueError(f"max_prepared must be positive, got {max_prepared}")
+    def __init__(self) -> None:
         self._prepared: OrderedDict[str, StackedTable] = OrderedDict()
-        self._max_prepared = max_prepared
         self._lock = threading.Lock()
 
     def supports(self, query, database):
         bound = _single_scan_table(query, database)
         if bound is not None:
-            return estimate_stacked_cells(bound[1]) <= MAX_STACKED_CELLS
-        return composite_analysis(query, database, MAX_STACKED_CELLS) is not None
+            return estimate_stacked_cells(bound[1]) <= MAX_QUERY_CELLS
+        return composite_analysis(query, database) is not None
 
     def estimate_cost(self, query, database):
         bound = _single_scan_table(query, database)
@@ -424,7 +415,7 @@ class VectorizedCoddBackend(CoddAnswerBackend):
                 float(estimate_stacked_cells(bound[1])),
                 "one vectorised pass over the stacked completion grid",
             )
-        composite = composite_analysis(query, database, MAX_STACKED_CELLS)
+        composite = composite_analysis(query, database)
         assert composite is not None
         return (
             composite.estimated_cells(),
@@ -436,7 +427,9 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         name: str,
         table: CoddTable,
         prepared: Mapping[str, StackedTable] | None,
-    ) -> StackedTable:
+    ) -> StackedTable | None:
+        """The table's whole grid — handed, cached or freshly cached — or
+        ``None`` when it is above the stacking cap."""
         if prepared is not None:
             handed = prepared.get(name)
             if handed is not None and (
@@ -444,6 +437,8 @@ class VectorizedCoddBackend(CoddAnswerBackend):
                 or handed.fingerprint() == table.fingerprint()
             ):
                 return handed
+        if not stackable(table):
+            return None
         key = table.fingerprint()
         with self._lock:
             stacked = self._prepared.get(key)
@@ -454,33 +449,15 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         with self._lock:
             self._prepared[key] = stacked
             self._prepared.move_to_end(key)
-            while len(self._prepared) > self._max_prepared:
+            while len(self._prepared) > MAX_PREPARED_GRIDS:
                 self._prepared.popitem(last=False)
         return stacked
 
-    def _evaluate_flat(
-        self,
-        flat: FlatQuery,
-        mode: str,
-        prepared: Mapping[str, StackedTable] | None,
-    ) -> Relation:
-        query = flat.to_query()
-        stacked = self._stacked_for(flat.name, flat.table, prepared)
-        evaluator, fallback = (
-            (certain_answers_vectorized, certain_select_project_rowwise)
-            if mode == "certain"
-            else (possible_answers_vectorized, possible_select_project_rowwise)
+    def _answer(self, query, name, table, mode, prepared) -> Relation:
+        stacked = self._stacked_for(name, table, prepared)
+        return select_project_answers(
+            query, table, name=name, mode=mode, stacked=stacked
         )
-        try:
-            return evaluator(query, flat.table, name=flat.name, stacked=stacked)
-        except TypeError:
-            # Mixed-type ordering comparisons: the grid evaluates every
-            # stacked completion at once, so it can hit a non-comparable
-            # pair the streaming path never reaches (it short-circuits per
-            # row exactly like the naive oracle's per-world evaluation).
-            # The reference path's answer-or-error is the semantics of
-            # record, so replay the query there.
-            return fallback(query, flat.table, name=flat.name)
 
     def _run(self, query, database, prepared, mode) -> Relation:
         bound = _single_scan_table(query, database)
@@ -488,17 +465,8 @@ class VectorizedCoddBackend(CoddAnswerBackend):
             # Run the original query directly so the pinned single-table
             # fast path stays byte-for-byte what it was.
             name, table = bound
-            stacked = self._stacked_for(name, table, prepared)
-            evaluator, fallback = (
-                (certain_answers_vectorized, certain_select_project_rowwise)
-                if mode == "certain"
-                else (possible_answers_vectorized, possible_select_project_rowwise)
-            )
-            try:
-                return evaluator(query, table, name=name, stacked=stacked)
-            except TypeError:
-                return fallback(query, table, name=name)
-        composite = composite_analysis(query, database, MAX_STACKED_CELLS)
+            return self._answer(query, name, table, mode, prepared)
+        composite = composite_analysis(query, database)
         if composite is None:
             raise CoddPlanError(
                 "vectorized backend needs a select-project(-rename) query "
@@ -506,7 +474,11 @@ class VectorizedCoddBackend(CoddAnswerBackend):
                 "can flatten exactly"
             )
         return composite_answer(
-            composite, mode, lambda flat, m: self._evaluate_flat(flat, m, prepared)
+            composite,
+            mode,
+            lambda flat, m: self._answer(
+                flat.to_query(), flat.name, flat.table, m, prepared
+            ),
         )
 
     def certain(self, query, database, prepared=None):
@@ -514,66 +486,6 @@ class VectorizedCoddBackend(CoddAnswerBackend):
 
     def possible(self, query, database, prepared=None):
         return self._run(query, database, prepared, "possible")
-
-
-class RowwiseCoddBackend(CoddAnswerBackend):
-    """The streaming per-row tractable path: same select-project class as
-    ``vectorized``, one completion resident at a time, memory-free but
-    pure-Python — bounded by :data:`MAX_ROWWISE_CELLS` so a single
-    pathological request cannot pin a server thread for hours."""
-
-    name = "rowwise"
-
-    def supports(self, query, database):
-        bound = _single_scan_table(query, database)
-        if bound is not None:
-            return estimate_stacked_cells(bound[1]) <= MAX_ROWWISE_CELLS
-        return composite_analysis(query, database, MAX_ROWWISE_CELLS) is not None
-
-    def estimate_cost(self, query, database):
-        bound = _single_scan_table(query, database)
-        if bound is not None:
-            # The same completions as the vectorized grid, each paying a
-            # Python-level loop iteration instead of a vector-op share.
-            return (
-                8.0 * float(estimate_stacked_cells(bound[1])),
-                "streaming per-row completion scan",
-            )
-        composite = composite_analysis(query, database, MAX_ROWWISE_CELLS)
-        assert composite is not None
-        return (
-            8.0 * composite.estimated_cells(),
-            "hash-joined pair tables / set combinators, streamed row-wise",
-        )
-
-    @staticmethod
-    def _evaluate_flat(flat: FlatQuery, mode: str) -> Relation:
-        query = flat.to_query()
-        if mode == "certain":
-            return certain_select_project_rowwise(query, flat.table, name=flat.name)
-        return possible_select_project_rowwise(query, flat.table, name=flat.name)
-
-    def _run(self, query, database, mode) -> Relation:
-        bound = _single_scan_table(query, database)
-        if bound is not None:
-            name, table = bound
-            if mode == "certain":
-                return certain_select_project_rowwise(query, table, name=name)
-            return possible_select_project_rowwise(query, table, name=name)
-        composite = composite_analysis(query, database, MAX_ROWWISE_CELLS)
-        if composite is None:
-            raise CoddPlanError(
-                "rowwise backend needs a select-project(-rename) query over "
-                "a single bound Scan, or a join/set/aggregate tree it can "
-                "flatten exactly"
-            )
-        return composite_answer(composite, mode, self._evaluate_flat)
-
-    def certain(self, query, database, prepared=None):
-        return self._run(query, database, "certain")
-
-    def possible(self, query, database, prepared=None):
-        return self._run(query, database, "possible")
 
 
 class NaiveCoddBackend(CoddAnswerBackend):
@@ -592,12 +504,12 @@ class NaiveCoddBackend(CoddAnswerBackend):
         return True
 
     def estimate_cost(self, query, database):
-        worlds = _database_worlds(database)
+        worlds = _database_worlds(database, 10 * MAX_NAIVE_WORLDS)
         rows = sum(len(table) for table in database.values())
         # Each world materialises whole Relation objects and re-runs the
-        # evaluator — far heavier per unit than a grid cell or a streamed
-        # completion, hence the large constant factor.
-        cost = float(min(worlds, 10 * MAX_NAIVE_WORLDS)) * max(rows, 1) * 32.0
+        # evaluator — far heavier per unit than a grid cell, hence the
+        # large constant factor.
+        cost = float(worlds) * max(rows, 1) * 32.0
         return cost, "pruned enumeration of the possible-world product"
 
     def certain(self, query, database, prepared=None):
@@ -612,5 +524,4 @@ class NaiveCoddBackend(CoddAnswerBackend):
 # ---------------------------------------------------------------------------
 
 register_codd_backend(VectorizedCoddBackend())
-register_codd_backend(RowwiseCoddBackend())
 register_codd_backend(NaiveCoddBackend())

@@ -37,8 +37,8 @@ combinators::
 
 :func:`composite_analysis` performs the whole analysis (cached — planning
 calls ``supports``/``estimate_cost``/``answer`` back to back) and
-:func:`composite_answer` evaluates, parameterised by the leaf evaluators
-so the vectorized and rowwise backends share every decision above.
+:func:`composite_answer` evaluates it, parameterised by the leaf evaluator
+(the vectorized backend's, which keeps its grid LRU out of this module).
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from repro.codd.plan import (
     lower,
 )
 from repro.codd.relation import Relation
+from repro.codd.vectorized import MAX_QUERY_CELLS, estimate_stacked_cells
 
 __all__ = [
     "MAX_JOIN_PRUNE_COMPLETIONS",
@@ -116,14 +117,7 @@ class FlatQuery:
 
     def completion_cells(self) -> int:
         """Cells a stacked completion grid of ``table`` would hold."""
-        total = 0
-        for row in self.table.rows:
-            n = 1
-            for cell in row:
-                if isinstance(cell, Null):
-                    n *= len(cell.domain)
-            total += n
-        return total * max(len(self.table.schema), 1)
+        return estimate_stacked_cells(self.table)
 
     def to_query(self) -> Query:
         """The canonical ``π(σ(ρ(Scan)))`` the single-table engines accept."""
@@ -207,7 +201,7 @@ def _fresh_names(taken: set[str], n: int, prefix: str) -> list[str]:
 # ----------------------------------------------------------------------
 # Flattening
 # ----------------------------------------------------------------------
-def _flatten(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) -> FlatQuery:
+def _flatten(node: PlanNode, database: Mapping[str, CoddTable]) -> FlatQuery:
     if isinstance(node, ScanNode):
         table = database.get(node.relation)
         if table is None:
@@ -226,9 +220,9 @@ def _flatten(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) 
             # σ directly over a join carries the ON condition of a
             # qualified (disjoint-schema) SQL join; hand it to the pair
             # synthesis so its equality conjuncts drive the hash probe.
-            flat = _flatten_join(node.child, node.predicate, database, max_cells)
+            flat = _flatten_join(node.child, node.predicate, database)
         else:
-            flat = _flatten(node.child, database, max_cells)
+            flat = _flatten(node.child, database)
         if not predicate_attributes(node.predicate) <= set(flat.output):
             # Referencing a projected-away attribute must raise the naive
             # path's KeyError, not silently read a hidden working column.
@@ -238,10 +232,10 @@ def _flatten(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) 
         # working names too, so it composes without rewriting.
         return replace(flat, predicate=_conjoin(parts + [node.predicate]))
     if isinstance(node, ProjectNode):
-        flat = _flatten(node.child, database, max_cells)
+        flat = _flatten(node.child, database)
         return replace(flat, output=node.attributes)
     if isinstance(node, RenameNode):
-        flat = _flatten(node.child, database, max_cells)
+        flat = _flatten(node.child, database)
         mapping = dict(node.mapping)
         visible = set(flat.output)
         rename: dict[str, str] = {
@@ -274,7 +268,7 @@ def _flatten(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) 
             predicate=predicate,
         )
     if isinstance(node, JoinNode):
-        return _flatten_join(node, None, database, max_cells)
+        return _flatten_join(node, None, database)
     raise _Decline(f"cannot flatten a {type(node).__name__}")
 
 
@@ -282,13 +276,12 @@ def _flatten_join(
     node: JoinNode,
     on_predicate: Predicate | None,
     database: Mapping[str, CoddTable],
-    max_cells: int,
 ) -> FlatQuery:
     """Flatten a join; ``on_predicate`` (the σ directly above, if any) is
     mined for equality conjuncts to use as hash-probe keys but NOT applied
     here — the caller conjoins it onto the result."""
-    left = _flatten(node.left, database, max_cells)
-    right = _flatten(node.right, database, max_cells)
+    left = _flatten(node.left, database)
+    right = _flatten(node.right, database)
     if left.sources & right.sources:
         raise _Decline(
             "an incomplete table is scanned on both sides of the join; "
@@ -296,15 +289,7 @@ def _flatten_join(
         )
     key_pairs = [(a, a) for a in left.output if a in right.output]
     key_pairs.extend(_equi_pairs(on_predicate, left, right))
-    return _synthesize_pair(left, right, key_pairs, max_cells)
-
-
-def _row_completions(row: tuple[Any, ...]) -> int:
-    n = 1
-    for cell in row:
-        if isinstance(cell, Null):
-            n *= len(cell.domain)
-    return n
+    return _synthesize_pair(left, right, key_pairs)
 
 
 def _prune_rows(flat: FlatQuery) -> list[tuple[Any, ...]]:
@@ -317,8 +302,8 @@ def _prune_rows(flat: FlatQuery) -> list[tuple[Any, ...]]:
     from repro.codd.certain import _row_local_valuations
 
     kept = []
-    for row in flat.table.rows:
-        if _row_completions(row) > MAX_JOIN_PRUNE_COMPLETIONS:
+    for row, completions in zip(flat.table.rows, flat.table.row_completions()):
+        if completions > MAX_JOIN_PRUNE_COMPLETIONS:
             kept.append(row)
             continue
         try:
@@ -340,7 +325,6 @@ def _synthesize_pair(
     left: FlatQuery,
     right: FlatQuery,
     key_pairs: list[tuple[str, str]],
-    max_cells: int,
 ) -> FlatQuery:
     """Build the candidate-pair table for ``left ⋈ right``.
 
@@ -424,21 +408,16 @@ def _synthesize_pair(
                 raise _Decline("a NULL-bearing right row matches several left rows")
             used_right.add(j)
 
-    arity = len(left.working) + len(right_working)
-    total_completions = sum(
-        _row_completions(left_rows[i]) * _row_completions(right_rows[j])
-        for i, j in pairs
-    )
-    if total_completions * arity > max_cells:
-        raise _Decline(
-            f"pair table needs {total_completions * arity} completion cells, "
-            f"above the cap {max_cells}"
-        )
-
     working = left.working + right_working
     table = CoddTable(
         working, [left_rows[i] + right_rows[j] for i, j in pairs]
     )
+    cells = estimate_stacked_cells(table)
+    if cells > MAX_QUERY_CELLS:
+        raise _Decline(
+            f"pair table needs {cells} completion cells, "
+            f"above the cap {MAX_QUERY_CELLS}"
+        )
     parts: list[Predicate] = []
     if left.predicate is not None:
         parts.append(left.predicate)
@@ -487,10 +466,10 @@ class Composite:
         return self.left.estimated_cells() + self.right.estimated_cells()
 
 
-def _analyze(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) -> Composite:
+def _analyze(node: PlanNode, database: Mapping[str, CoddTable]) -> Composite:
     if isinstance(node, UnionNode) or isinstance(node, DifferenceNode):
-        left = _analyze(node.left, database, max_cells)
-        right = _analyze(node.right, database, max_cells)
+        left = _analyze(node.left, database)
+        right = _analyze(node.right, database)
         if left.sources & right.sources:
             raise _Decline(
                 "an incomplete table is scanned on both sides of the set "
@@ -499,8 +478,8 @@ def _analyze(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) 
         kind = "union" if isinstance(node, UnionNode) else "difference"
         return Composite(kind=kind, left=left, right=right)
     if isinstance(node, AggregateNode):
-        flat = _flatten(node.child, database, max_cells)
-        if flat.completion_cells() > max_cells:
+        flat = _flatten(node.child, database)
+        if flat.completion_cells() > MAX_QUERY_CELLS:
             raise _Decline("aggregate child above the completion-cell cap")
         from repro.codd.aggregate import prepare_aggregation
 
@@ -513,29 +492,29 @@ def _analyze(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) 
             group_by=node.group_by,
             aggregates=node.aggregates,
         )
-    flat = _flatten(node, database, max_cells)
-    if flat.completion_cells() > max_cells:
+    flat = _flatten(node, database)
+    if flat.completion_cells() > MAX_QUERY_CELLS:
         raise _Decline("flattened table above the completion-cell cap")
     return Composite(kind="flat", flat=flat)
 
 
 # Planning calls supports/estimate_cost/answer back to back on the same
-# query, and two backends each do so; cache the (potentially expensive)
-# analysis keyed by query + table fingerprints.
+# query; cache the (potentially expensive) analysis keyed by query + table
+# fingerprints.
 _ANALYSIS_CACHE: OrderedDict[Any, Composite | None] = OrderedDict()
 _ANALYSIS_LOCK = threading.Lock()
 _ANALYSIS_CACHE_SIZE = 32
 
 
 def composite_analysis(
-    query: Query, database: Mapping[str, CoddTable], max_cells: int
+    query: Query, database: Mapping[str, CoddTable]
 ) -> Composite | None:
     """Analyze ``query`` for fast evaluation; ``None`` when it must fall
-    back to naive enumeration (shape, size, or exactness decline)."""
+    back to naive enumeration (shape, exactness, or a flattened table
+    above :data:`~repro.codd.vectorized.MAX_QUERY_CELLS`)."""
     try:
         key = (
             query,
-            max_cells,
             tuple(sorted((n, t.fingerprint()) for n, t in database.items())),
         )
     except TypeError:  # unhashable literal somewhere in the query
@@ -547,7 +526,7 @@ def composite_analysis(
                 return _ANALYSIS_CACHE[key]
     try:
         plan = LogicalPlan.from_query(query, LogicalPlan.catalog_of(database))
-        result: Composite | None = _analyze(plan.root, database, max_cells)
+        result: Composite | None = _analyze(plan.root, database)
     except _Decline:
         result = None
     except (KeyError, ValueError):
@@ -566,7 +545,7 @@ def composite_analysis(
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
-#: ``(flat, mode, grid) -> Relation`` — how a backend answers one leaf.
+#: ``(flat, mode) -> Relation`` — how the engine answers one leaf.
 LeafEvaluator = Callable[[FlatQuery, str], Relation]
 
 
@@ -578,8 +557,9 @@ def composite_answer(
     """Evaluate an analyzed composite in ``mode`` (``certain``/``possible``).
 
     ``leaf`` evaluates one :class:`FlatQuery` in a given mode — the
-    vectorized and rowwise backends differ only there.  Set operators use
-    the exact mode-flipping combinators; aggregation runs the shared DP.
+    vectorized backend's grid-backed evaluator, which runs a leaf above
+    the stacking cap in row blocks.  Set operators use the exact
+    mode-flipping combinators; aggregation runs the DP.
     """
     if composite.kind == "flat":
         return leaf(composite.flat, mode)

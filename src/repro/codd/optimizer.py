@@ -160,7 +160,7 @@ def _push_select_below_rename(node: PlanNode) -> PlanNode | None:
         inner = node.child
         if isinstance(inner.child, ScanNode):
             # σ(ρ(Scan)) is already the canonical tractable shape the
-            # vectorized/rowwise single-scan paths recognise; flipping it
+            # vectorized single-scan path recognises; flipping it
             # to ρ(σ(Scan)) would push those queries off the fast path.
             return None
         inverse = {new: old for old, new in inner.mapping}

@@ -23,6 +23,13 @@ domains in pure Python; this module replaces that with a columnar engine:
   *all* of a row's completions and the projected tuple is constant) or a
   boolean mask (possible: *some* completion satisfies).
 
+Because answers are row-local, a table whose grid would exceed
+:data:`MAX_STACKED_CELLS` is evaluated in runs of whole rows
+(:func:`row_blocks`), each run's grid within the cap, and the per-run
+answers are unioned — a memory-bounded variant of the same evaluation,
+not a second algorithm (:func:`repro.codd.certain.select_project_answers`
+drives it).
+
 Emitted cell values are always the original Python objects (the grid's
 object columns), so results are bit-identical to the naive world-
 enumeration oracle — ``tests/codd/test_codd_differential.py`` holds the
@@ -57,9 +64,12 @@ from repro.codd.codd_table import CoddTable, Null
 from repro.codd.relation import Relation
 
 __all__ = [
+    "MAX_QUERY_CELLS",
     "MAX_STACKED_CELLS",
     "StackedTable",
     "estimate_stacked_cells",
+    "row_blocks",
+    "stackable",
     "unwrap_select_project",
     "resolve_select_project_shape",
     "certain_answers_vectorized",
@@ -67,9 +77,14 @@ __all__ = [
 ]
 
 #: Refuse to materialise a completion grid with more cells than this —
-#: above it the engine's dispatcher falls back to the streaming row-wise
-#: path, which never holds more than one completion in memory.
+#: larger tables are evaluated in row blocks whose grids each fit it.
 MAX_STACKED_CELLS = 20_000_000
+
+#: The engine refuses queries whose completion scan would exceed this many
+#: cells in total — the point past which even block-wise evaluation stops
+#: being "slow" and becomes a wedged server thread. Queries above it fail
+#: fast at the naive world cap instead of hanging.
+MAX_QUERY_CELLS = 10 * MAX_STACKED_CELLS
 
 #: Integers beyond this magnitude are not exactly representable as
 #: float64, so columns containing them stay on the exact object path.
@@ -87,19 +102,35 @@ def _is_float_exact(value: Any) -> bool:
     return False
 
 
-def _row_completion_count(row: Sequence[Any]) -> int:
-    n = 1
-    for cell in row:
-        if isinstance(cell, Null):
-            n *= len(cell.domain)
-    return n
-
-
 def estimate_stacked_cells(table: CoddTable) -> int:
     """Cells the stacked completion grid of ``table`` would hold (exact)."""
-    return len(table.schema) * sum(
-        _row_completion_count(row) for row in table.rows
-    )
+    return len(table.schema) * sum(table.row_completions())
+
+
+def stackable(table: CoddTable) -> bool:
+    """True iff the whole grid of ``table`` fits :data:`MAX_STACKED_CELLS`."""
+    return estimate_stacked_cells(table) <= MAX_STACKED_CELLS
+
+
+def row_blocks(table: CoddTable) -> list[tuple[int, int, bool]]:
+    """Split ``table`` into runs ``(start, stop, stackable)`` of whole rows.
+
+    Runs are greedy and in row order; each stackable run's grid fits
+    :data:`MAX_STACKED_CELLS`, so a table whose grid fits is one run. A
+    row whose grid alone is above the cap forms a run of its own, flagged
+    not stackable. An empty table is one empty run.
+    """
+    arity = len(table.schema)
+    blocks: list[tuple[int, int, bool]] = []
+    start = cells = 0
+    for r, completions in enumerate(table.row_completions()):
+        n = completions * arity
+        if r > start and cells + n > MAX_STACKED_CELLS:
+            blocks.append((start, r, cells <= MAX_STACKED_CELLS))
+            start, cells = r, 0
+        cells += n
+    blocks.append((start, len(table), cells <= MAX_STACKED_CELLS))
+    return blocks
 
 
 class StackedTable:
@@ -111,19 +142,19 @@ class StackedTable:
     order within a segment matches
     :func:`repro.codd.certain._row_local_valuations` (the first NULL
     column varies slowest), so "the segment's first completion" is the
-    same reference completion the row-wise path uses.
+    same reference completion the streaming reference path uses.
     """
 
     def __init__(self, table: CoddTable) -> None:
         self.table = table
         arity = len(table.schema)
-        counts_list = [_row_completion_count(row) for row in table.rows]
+        counts_list = table.row_completions()
         total = sum(counts_list)  # plain ints: a single row can overflow int64
         if total * arity > MAX_STACKED_CELLS:
             raise ValueError(
                 f"completion grid of {total * arity} cells is above the "
-                f"stacking cap {MAX_STACKED_CELLS}; use the row-wise path "
-                "for this table"
+                f"stacking cap {MAX_STACKED_CELLS}; evaluate this table in "
+                "row blocks (repro.codd.vectorized.row_blocks)"
             )
         counts = np.array(counts_list, dtype=np.int64)
         offsets = np.zeros(len(counts), dtype=np.int64)
@@ -134,8 +165,7 @@ class StackedTable:
         # allocations by an order of magnitude on wide tables, and the
         # common complete row costs one append per column.
         values: list[list[Any]] = [[] for _ in range(arity)]
-        for row, n in zip(table.rows, counts):
-            n = int(n)
+        for row, n in zip(table.rows, counts_list):
             if n == 1:
                 # Complete row, or NULLs with singleton domains only.
                 for c, cell in enumerate(row):
@@ -147,7 +177,7 @@ class StackedTable:
             for c, cell in enumerate(row):
                 if isinstance(cell, Null):
                     # The j-th NULL varies with period prod(sizes after j),
-                    # matching itertools.product order in the row-wise path.
+                    # matching itertools.product order in the reference path.
                     inner //= len(cell.domain)
                     block: list[Any] = []
                     for value in cell.domain:
@@ -184,12 +214,17 @@ class StackedTable:
         holds a value that would not compare exactly as a float."""
         cached = self._numeric[index]
         if cached is False:  # not resolved yet (None is a valid answer)
-            safe = all(
-                all(_is_float_exact(v) for v in cell.domain)
-                if isinstance(cell, Null)
-                else _is_float_exact(cell)
-                for cell in (row[index] for row in self.table.rows)
-            )
+            # Check each distinct value once. Values equal under ``==``
+            # collapse, which is sound: an int equal to a non-NaN float is
+            # exactly that float.
+            values: set[Any] = set()
+            for row in self.table.rows:
+                cell = row[index]
+                if isinstance(cell, Null):
+                    values.update(cell.domain)
+                else:
+                    values.add(cell)
+            safe = all(_is_float_exact(v) for v in values)
             cached = (
                 self.columns[index].astype(np.float64) if safe else None
             )
@@ -391,7 +426,7 @@ def resolve_select_project_shape(
 ) -> tuple[Select | None, tuple[str, ...], tuple[str, ...], list[int]]:
     """``(select, schema, out_schema, out_indices)`` for a tractable query
     over ``table`` bound as ``name`` — the one shape-resolution (and
-    name-validation) step the vectorized and row-wise paths share."""
+    name-validation) step the vectorized and streaming paths share."""
     shape = unwrap_select_project(query)
     if shape is None:
         raise ValueError(
@@ -434,7 +469,7 @@ def certain_answers_vectorized(
     A row contributes its (projected) first completion iff the predicate
     holds over the row's **whole** segment and every projected column is
     constant across the segment — the same row-local rule as the
-    row-wise path, as one stacked pass plus ``reduceat`` reductions.
+    streaming reference, as one stacked pass plus ``reduceat`` reductions.
     ``stacked`` reuses a prepared grid (it must come from ``table``).
     """
     select, schema, out_schema, out_indices = resolve_select_project_shape(

@@ -44,11 +44,7 @@ import numpy as np
 
 from repro.cleaning.sequential import CleaningSession
 from repro.codd.codd_table import CoddTable
-from repro.codd.vectorized import (
-    MAX_STACKED_CELLS,
-    StackedTable,
-    estimate_stacked_cells,
-)
+from repro.codd.vectorized import StackedTable, stackable
 from repro.core.batch_engine import PreparedBatch
 from repro.core.dataset import IncompleteDataset
 from repro.core.deltas import (
@@ -388,8 +384,8 @@ class CoddTableEntry:
     entry pins the :class:`~repro.codd.vectorized.StackedTable` completion
     grid the vectorized engine evaluates on — built on first use, then
     reused by every ``/sql`` request against this table. Tables whose
-    grid would blow the stacking cap simply pin nothing (the engine's
-    row-wise fallback needs no prepared state).
+    grid would blow the stacking cap simply pin nothing (the engine
+    evaluates them in transient row blocks, which no entry keeps).
     """
 
     def __init__(self, name: str, table: CoddTable) -> None:
@@ -400,7 +396,7 @@ class CoddTableEntry:
         self.n_queries = 0
         # The O(rows) size estimate runs once here, not per access under
         # the lock (an over-cap table would otherwise pay it per query).
-        self._stackable = estimate_stacked_cells(table) <= MAX_STACKED_CELLS
+        self._stackable = stackable(table)
         self._stacked: StackedTable | None = None
         self._lock = threading.RLock()
 
@@ -473,7 +469,7 @@ class CoddTableEntry:
             # registered over the stacking cap can drop under it.
             self._stackable = (
                 self._stacked is not None
-                or estimate_stacked_cells(new_table) <= MAX_STACKED_CELLS
+                or stackable(new_table)
             )
             self.version += 1
             return {

@@ -3,15 +3,20 @@
 Seeded random Codd tables (fuzzed schemas and column types — small ints,
 floats, strings, ints beyond float64 exactness — with random NULL domains)
 and random select-project(-rename) queries, cross-checked across the
-``vectorized``, ``rowwise`` and ``naive`` backends. The naive
-world-enumeration oracle is the ground truth, exactly as
-``tests/core/test_backend_differential.py`` holds the planner backends to
+``vectorized`` and ``naive`` backends and the streaming reference
+functions. The naive world-enumeration oracle is the ground truth, exactly
+as ``tests/core/test_backend_differential.py`` holds the planner backends to
 the brute-force counting oracle: any divergence anywhere is a bug in a
 certification system, so the harness asserts **bit-identical**
 :class:`~repro.codd.relation.Relation` values.
 
 A second generator fuzzes two-table databases with join queries and
 asserts the pruned multi-table path agrees with unpruned enumeration.
+
+The row-block leg lowers the stacking cap below each case's grid, so the
+``vectorized`` backend evaluates every leaf in transient row blocks (and
+streams a lone row above the cap through the reference), and holds the
+single-table, join and aggregate generators to the same oracle.
 
 The seeded case generators live in :mod:`fuzz.codd_cases`
 (``tests/fuzz/codd_cases.py``), shared with the update-sequence harness.
@@ -22,6 +27,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.codd.certain as certain_module
+import repro.codd.engine as engine
+import repro.codd.vectorized as vectorized
 from fuzz.codd_cases import (
     SEEDS,
     TYPE_POOLS as _TYPE_POOLS,
@@ -30,42 +38,59 @@ from fuzz.codd_cases import (
     random_database_case,
     random_join_case,
 )
-from repro.codd.algebra import Project, Rename, Select
+from repro.codd.algebra import (
+    Attribute,
+    Comparison,
+    Literal,
+    Project,
+    Rename,
+    Scan,
+    Select,
+)
 from repro.codd.certain import (
     certain_answers,
     certain_answers_database,
     certain_answers_naive,
+    certain_select_project_rowwise,
     possible_answers,
     possible_answers_database,
     possible_answers_naive,
+    possible_select_project_rowwise,
 )
-from repro.codd.engine import answer_query, plan_codd_query
+from repro.codd.codd_table import CoddTable, Null
+from repro.codd.engine import VectorizedCoddBackend, answer_query, plan_codd_query
+from repro.codd.joins import composite_analysis
 
 
 class TestSingleTableDifferential:
-    """All three backends must agree bit for bit with the naive oracle."""
+    """Both backends and the streaming reference must agree bit for bit
+    with the naive oracle."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_certain_answers_match_oracle(self, seed):
         query, table, name, description = random_case(seed)
         oracle = certain_answers_naive(query, table, name=name)
-        for backend in ("vectorized", "rowwise", "naive"):
+        for backend in ("vectorized", "naive"):
             result = answer_query(
                 query, {name: table}, mode="certain", backend=backend
             ).relation
             assert result == oracle, f"{backend} diverged: {description}"
         assert certain_answers(query, table, name=name) == oracle, description
+        reference = certain_select_project_rowwise(query, table, name=name)
+        assert reference == oracle, f"streaming reference diverged: {description}"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_possible_answers_match_oracle(self, seed):
         query, table, name, description = random_case(seed)
         oracle = possible_answers_naive(query, table, name=name)
-        for backend in ("vectorized", "rowwise", "naive"):
+        for backend in ("vectorized", "naive"):
             result = answer_query(
                 query, {name: table}, mode="possible", backend=backend
             ).relation
             assert result == oracle, f"{backend} diverged: {description}"
         assert possible_answers(query, table, name=name) == oracle, description
+        reference = possible_select_project_rowwise(query, table, name=name)
+        assert reference == oracle, f"streaming reference diverged: {description}"
 
     def test_generator_actually_covers_the_space(self):
         """The seed range must exercise NULLs, every column type, renames
@@ -170,6 +195,15 @@ class TestAggregateDifferential:
         assert fast >= 8, f"only {fast} aggregate seeds took a fast path"
 
 
+def _generated(generator, seed):
+    """``(query, database, description)`` from any of the case generators."""
+    made = generator(seed)
+    if generator is random_case:
+        query, table, name, description = made
+        return query, {name: table}, description
+    return made
+
+
 class TestOptimizerDifferential:
     """Optimized and unoptimized execution must be bit-identical — every
     rewrite is a per-world equivalence, certified here over fuzzed inputs."""
@@ -180,12 +214,7 @@ class TestOptimizerDifferential:
         ids=["single", "join", "aggregate"],
     )
     def test_optimized_matches_unoptimized(self, seed, generator):
-        made = generator(seed)
-        if generator is random_case:
-            query, table, name, description = made
-            database = {name: table}
-        else:
-            query, database, description = made
+        query, database, description = _generated(generator, seed)
         for mode in ("certain", "possible"):
             plain = answer_query(query, database, mode=mode, optimize=False)
             optimized = answer_query(query, database, mode=mode, optimize=True)
@@ -193,3 +222,118 @@ class TestOptimizerDifferential:
                 f"optimizer changed the {mode} answer: {description} "
                 f"(rewrites: {optimized.rewrites})"
             )
+
+
+def _leaf_cells(query, database) -> list[int]:
+    """Grid sizes of the flat leaves the ``vectorized`` backend evaluates
+    for ``query`` (empty when it plans elsewhere or aggregates)."""
+    cells: list[int] = []
+
+    def walk(composite):
+        if composite.kind == "flat":
+            cells.append(composite.flat.completion_cells())
+        elif composite.kind in ("union", "difference"):
+            walk(composite.left)
+            walk(composite.right)
+
+    composite = composite_analysis(query, database)
+    if composite is not None:
+        walk(composite)
+    return cells
+
+
+@pytest.fixture
+def row_blocked(monkeypatch):
+    """Lower the stacking cap to ``cap`` on a fresh ``vectorized`` backend
+    (so no whole grid cached by another test is reused), counting the
+    evaluations that ran in more than one row block."""
+    monkeypatch.setitem(engine._REGISTRY, "vectorized", VectorizedCoddBackend())
+    multi_block = []
+    real_row_blocks = certain_module.row_blocks
+
+    def counting_row_blocks(table):
+        blocks = real_row_blocks(table)
+        multi_block.append(len(blocks) > 1)
+        return blocks
+
+    monkeypatch.setattr(certain_module, "row_blocks", counting_row_blocks)
+
+    def lower(cap: int) -> None:
+        monkeypatch.setattr(vectorized, "MAX_STACKED_CELLS", cap)
+
+    lower.multi_block = multi_block
+    return lower
+
+
+class TestRowBlockDifferential:
+    """Row-block evaluation must stay bit-identical to the oracle."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "generator", [random_case, random_join_case, random_aggregate_case],
+        ids=["single", "join", "aggregate"],
+    )
+    def test_row_blocks_match_oracle(self, seed, generator, row_blocked):
+        query, database, description = _generated(generator, seed)
+        # Below the smallest leaf grid: every leaf splits into blocks, and
+        # a row whose grid is above half the leaf streams on its own.
+        cap = min(_leaf_cells(query, database), default=0) // 2
+        row_blocked(cap)
+        for mode in ("certain", "possible"):
+            oracle = _oracle(query, database, mode)
+            for backend in _capable_backends(query, database):
+                result = answer_query(
+                    query, database, mode=mode, backend=backend
+                ).relation
+                assert result == oracle, f"{backend}/{mode} diverged: {description}"
+        cached = engine.get_codd_backend("vectorized")._prepared.values()
+        assert all(
+            grid.total * len(grid.columns) <= cap for grid in cached
+        ), "a grid above the stacking cap entered the LRU"
+
+    def test_row_blocks_actually_engage(self, row_blocked):
+        for seed in SEEDS:
+            query, table, name, _ = random_case(seed)
+            row_blocked(vectorized.estimate_stacked_cells(table) // 2)
+            answer_query(query, {name: table}, mode="certain", backend="vectorized")
+        assert sum(row_blocked.multi_block) >= 10, row_blocked.multi_block
+
+    def test_lone_row_above_the_block_cap_streams(self, row_blocked):
+        # Row 1 alone has 18 grid cells (9 completions x 2 columns), above
+        # a cap of 4; rows 0 and 2 (2 and 4 cells) run on grids of their own.
+        table = CoddTable(
+            ("a", "b"),
+            [(1, "x"), (Null([1, 2, 3]), Null(["x", "y", "z"])), (3, Null(["x", "y"]))],
+        )
+        row_blocked(4)
+        assert vectorized.row_blocks(table) == [(0, 1, True), (1, 2, False), (2, 3, True)]
+        query = Select(Scan("T"), Comparison(Attribute("a"), ">=", Literal(1)))
+        for mode, oracle in (
+            ("certain", certain_answers_naive(query, table)),
+            ("possible", possible_answers_naive(query, table)),
+        ):
+            result = answer_query(query, {"T": table}, mode=mode, backend="vectorized")
+            assert result.relation == oracle, mode
+        assert row_blocked.multi_block == [True, True]
+
+    def test_mixed_type_error_in_a_later_block_replays_the_reference(
+        self, row_blocked
+    ):
+        # The non-comparable completion ("a" < 2) sits in the second block;
+        # the first block evaluates cleanly. The whole query must replay on
+        # the streaming reference: an answer for `certain` (its first
+        # completion already fails, so the reference never compares "a"),
+        # the reference's TypeError for `possible`.
+        table = CoddTable(("x",), [(1,), (2,), (Null([5, "a"]),)])
+        query = Select(Scan("T"), Comparison(Attribute("x"), "<", Literal(2)))
+        row_blocked(2)
+        assert vectorized.row_blocks(table) == [(0, 2, True), (2, 3, True)]
+        reference = certain_select_project_rowwise(query, table)
+        assert reference.rows == {(1,)}
+        result = answer_query(query, {"T": table}, mode="certain", backend="vectorized")
+        assert result.relation == reference
+        with pytest.raises(TypeError) as expected:
+            possible_select_project_rowwise(query, table)
+        with pytest.raises(TypeError) as raised:
+            answer_query(query, {"T": table}, mode="possible", backend="vectorized")
+        assert str(raised.value) == str(expected.value)

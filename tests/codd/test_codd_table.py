@@ -49,6 +49,13 @@ class TestCoddTable:
         )
         assert table.n_worlds() == 12
 
+    def test_row_completions_multiply_within_a_row(self) -> None:
+        table = CoddTable(
+            ("a", "b"), [(Null([1, 2]), Null([1, 2, 3])), (7, 0), (Null([4, 5]), 0)]
+        )
+        assert table.row_completions() == (6, 1, 2)
+        assert table.row_completions() is table.row_completions()  # memoized
+
     def test_complete_table_has_one_world(self) -> None:
         table = CoddTable(("a",), [(1,), (2,)])
         assert table.is_complete()

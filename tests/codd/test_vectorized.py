@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.codd.certain as certain_module
+import repro.codd.engine as eng
+import repro.codd.vectorized as vec
 from repro.codd.algebra import (
     Attribute,
     Comparison,
@@ -77,24 +80,40 @@ class TestStackedTable:
         assert stacked.numeric_column(1) is None  # strings
         assert stacked.numeric_column(2) is None  # beyond float64 exactness
 
+    def test_numeric_column_rejects_nan_and_inexact_ints(self):
+        table = CoddTable(
+            ("x", "y", "z"),
+            [(float("nan"), 2**53 + 1, 1), (1.0, Null([1, 2]), Null([True, 2.5]))],
+        )
+        stacked = StackedTable(table)
+        assert stacked.numeric_column(0) is None  # NaN breaks reflexivity
+        assert stacked.numeric_column(1) is None  # rounds as a float64
+        assert stacked.numeric_column(2).tolist() == [1.0, 1.0, 2.5, 1.0, 2.5]
+
     def test_estimate_matches_grid(self):
         table = CoddTable(("a", "b"), [(Null([1, 2, 3]), Null([0, 1])), (5, 6)])
         assert estimate_stacked_cells(table) == StackedTable(table).total * 2
 
-    def test_stacking_cap_enforced(self):
+    def test_stacking_cap_enforced(self, monkeypatch):
         rows = [(Null([0, 1]),)] * 1  # 2 completions, far below any cap
         table = CoddTable(("a",), rows)
         StackedTable(table)  # fine
-        import repro.codd.vectorized as vec
 
         big = CoddTable(("a",), [(Null(range(2)),) for _ in range(30)])
-        old = vec.MAX_STACKED_CELLS
-        vec.MAX_STACKED_CELLS = 10
-        try:
-            with pytest.raises(ValueError, match="stacking cap"):
-                StackedTable(big)
-        finally:
-            vec.MAX_STACKED_CELLS = old
+        monkeypatch.setattr(vec, "MAX_STACKED_CELLS", 10)
+        with pytest.raises(ValueError, match="stacking cap"):
+            StackedTable(big)
+        assert not vec.stackable(big)
+
+    def test_row_blocks_split_at_the_cap(self, monkeypatch):
+        table = CoddTable(("a",), [(Null(range(2)),) for _ in range(30)])
+        assert vec.row_blocks(table) == [(0, 30, True)]
+        monkeypatch.setattr(vec, "MAX_STACKED_CELLS", 10)
+        assert vec.row_blocks(table) == [
+            (0, 5, True), (5, 10, True), (10, 15, True),
+            (15, 20, True), (20, 25, True), (25, 30, True),
+        ]
+        assert vec.row_blocks(CoddTable(("a",), [])) == [(0, 0, True)]
 
 
 class TestExactness:
@@ -209,14 +228,13 @@ class TestExactness:
 
 class TestEngineRegistry:
     def test_default_backends_registered_in_order(self):
-        names = codd_backend_names()
-        assert names[:3] == ["vectorized", "rowwise", "naive"]
+        assert codd_backend_names() == ["vectorized", "naive"]
 
     def test_auto_plans_vectorized_for_select_project(self):
         table = CoddTable(("a",), [(Null([1, 2]),)] * 4)
         plan = plan_codd_query(Scan("T"), {"T": table})
         assert plan.backend == "vectorized"
-        assert dict(plan.considered).keys() == {"vectorized", "rowwise", "naive"}
+        assert dict(plan.considered).keys() == {"vectorized", "naive"}
 
     def test_auto_falls_back_to_naive_for_union(self):
         table = CoddTable(("a",), [(Null([1, 2]),)])
@@ -247,9 +265,10 @@ class TestEngineRegistry:
         )
         results = {
             name: answer_query(query, {"T": table}, mode="certain", backend=name).relation
-            for name in ("vectorized", "rowwise", "naive")
+            for name in ("vectorized", "naive")
         }
-        assert results["vectorized"] == results["rowwise"] == results["naive"]
+        assert results["vectorized"] == results["naive"]
+        assert results["vectorized"] == certain_select_project_rowwise(query, table)
         assert results["vectorized"].rows == {("Anna",)}
 
     def test_capable_backends_filters_by_shape(self):
@@ -266,14 +285,18 @@ class TestEngineRegistry:
         with pytest.raises(ValueError, match="mode"):
             answer_query(Scan("T"), {"T": table}, mode="definite")
 
-    def test_vectorized_lru_reuses_grids_by_fingerprint(self):
-        backend = VectorizedCoddBackend(max_prepared=2)
+    def test_vectorized_lru_reuses_grids_by_fingerprint(self, monkeypatch):
+        monkeypatch.setattr(eng, "MAX_PREPARED_GRIDS", 2)
+        backend = VectorizedCoddBackend()
         table = CoddTable(("a",), [(Null([1, 2]),)])
         twin = CoddTable(("a",), [(Null([1, 2]),)])  # same content, new Nulls
         backend.certain(Scan("T"), {"T": table})
         assert len(backend._prepared) == 1
         backend.certain(Scan("T"), {"T": twin})  # fingerprint hit, no growth
         assert len(backend._prepared) == 1
+        for value in (3, 4, 5):
+            backend.certain(Scan("T"), {"T": CoddTable(("a",), [(value,)])})
+        assert len(backend._prepared) == 2  # evicted down to the constant
 
     def test_prepared_mapping_handed_in_wins(self):
         backend = VectorizedCoddBackend()
@@ -305,22 +328,51 @@ class TestEngineRegistry:
         with pytest.raises(TypeError):
             possible_answers(query, table)
 
-    def test_rowwise_refuses_unbounded_scans(self):
-        import repro.codd.engine as eng
-
+    def test_vectorized_refuses_above_the_total_bound(self):
         # One row with 10 NULLs of 10 values each: 10^10 row-local
-        # completions, far beyond both the stacking cap and the rowwise
-        # cell bound — planning must fail fast instead of pinning a
-        # thread in a years-long Python loop.
+        # completions, far beyond the stacking cap and the total cell
+        # bound — planning must fail fast instead of pinning a thread in a
+        # years-long loop over row blocks.
         table = CoddTable(
             tuple(f"v{i}" for i in range(10)), [[Null(range(10))] * 10]
         )
-        assert not get_codd_backend("rowwise").supports(Scan("T"), {"T": table})
+        assert not get_codd_backend("vectorized").supports(Scan("T"), {"T": table})
         plan = plan_codd_query(Scan("T"), {"T": table})
         assert plan.backend == "naive"  # ... whose world cap raises promptly
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="naive-enumeration cap"):
             answer_query(Scan("T"), {"T": table}, mode="certain")
-        assert eng.MAX_ROWWISE_CELLS > eng.MAX_STACKED_CELLS
+        assert vec.MAX_QUERY_CELLS == 10 * vec.MAX_STACKED_CELLS
+
+    def test_table_between_the_caps_runs_in_row_blocks(self, monkeypatch):
+        # 40 rows x 2 columns; every odd row has a NULL of 2-4 values, so
+        # the grid holds 158 cells. With the stacking cap at 50 the table
+        # sits between the two caps.
+        rows = [
+            (i % 7, Null(range(i % 3 + 2))) if i % 2 else (i % 7, i % 5)
+            for i in range(40)
+        ]
+        table = CoddTable(("a", "b"), rows)
+        monkeypatch.setattr(vec, "MAX_STACKED_CELLS", 50)
+        assert vec.MAX_STACKED_CELLS < estimate_stacked_cells(table) <= vec.MAX_QUERY_CELLS
+        backend = VectorizedCoddBackend()
+        monkeypatch.setitem(eng._REGISTRY, "vectorized", backend)
+        n_blocks = []
+        real_row_blocks = certain_module.row_blocks
+        monkeypatch.setattr(
+            certain_module,
+            "row_blocks",
+            lambda t: n_blocks.append(len(real_row_blocks(t))) or real_row_blocks(t),
+        )
+        query = Project(
+            Select(Scan("T"), Comparison(Attribute("b"), "<", Literal(3))), ("a",)
+        )
+        assert plan_codd_query(query, {"T": table}).backend == "vectorized"
+        certain = answer_query(query, {"T": table}, mode="certain").relation
+        possible = answer_query(query, {"T": table}, mode="possible").relation
+        assert n_blocks and all(n > 1 for n in n_blocks)
+        assert len(backend._prepared) == 0  # block grids are transient
+        assert certain == certain_select_project_rowwise(query, table)
+        assert possible == possible_select_project_rowwise(query, table)
 
     def test_scan_relations_walks_every_shape(self):
         query = Union(

@@ -172,7 +172,7 @@ class TestSqlRoundTrip:
 
     def test_forced_backend_is_honoured(self, service):
         server, client = service
-        for backend in ("vectorized", "rowwise", "naive"):
+        for backend in ("vectorized", "naive"):
             response = client.sql(
                 "SELECT name FROM person WHERE age < 30", backend=backend
             )
@@ -341,6 +341,14 @@ class TestSqlErrorPaths:
             client.sql("SELECT * FROM person", backend="gpu")
         assert excinfo.value.status == 400
         assert excinfo.value.code == "plan_error"
+
+    def test_retired_rowwise_backend_is_plan_error(self, service):
+        server, client = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.sql("SELECT * FROM person", backend="rowwise")
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "plan_error"
+        assert "rowwise" in excinfo.value.message
 
     def test_unknown_column_is_400(self, service):
         server, client = service
