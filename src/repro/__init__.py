@@ -42,7 +42,7 @@ name                                what it is
 ``PreparedQuery``                   cached per-test-point query state
 ``PreparedBatch``                   vectorised prepared state for a whole test set
 ``BatchQueryExecutor``              parallel, cached batch CP query execution
-``QueryResultCache``                the LRU result cache used by the batch backend
+``LRUCache``                        the instrumented LRU every cache is built on
 ``batch_q2_counts``                 Q2 counts for every row of a test matrix
 ``batch_certain_labels``            CP'ed labels for every row of a test matrix
 ``CellRepair``, ``RowAppend``, ``RowDelete``  the base-data write (delta) vocabulary
@@ -95,7 +95,6 @@ from repro.core import (
     PreparedQuery,
     QueryPlan,
     QueryResult,
-    QueryResultCache,
     backend_names,
     batch_certain_labels,
     batch_q2_counts,
@@ -115,6 +114,7 @@ from repro.core import (
     topk_inclusion_probabilities,
     weighted_prediction_probabilities,
 )
+from repro.utils.lru import LRUCache
 
 __version__ = "1.3.0"
 
@@ -124,7 +124,7 @@ __all__ = [
     "PreparedQuery",
     "PreparedBatch",
     "BatchQueryExecutor",
-    "QueryResultCache",
+    "LRUCache",
     "q1",
     "q2",
     "q2_counts",

@@ -13,7 +13,7 @@ infrastructure: certainty checks route through the unified planner
 (:mod:`repro.core.planner`), with the session's
 :class:`~repro.core.batch_engine.PreparedBatch` (the vectorised
 candidate-distance state for the whole validation set) and shared
-:class:`~repro.core.batch_engine.QueryResultCache` handed to whichever
+result cache (a :class:`~repro.utils.lru.LRUCache`) handed to whichever
 backend the planner runs. The ``backend`` parameter picks the execution
 strategy: ``"auto"`` runs the checks on the ``incremental`` backend for
 every label space. It keeps exact Q2 counts maintained across cleaning
@@ -39,7 +39,7 @@ from repro.cleaning.report import CleaningReport, CleaningStep
 from repro.core.batch_engine import (
     BatchQueryExecutor,
     PreparedBatch,
-    QueryResultCache,
+    RESULT_CACHE_SIZE,
     fanout_map,
 )
 from repro.core.dataset import IncompleteDataset
@@ -52,6 +52,7 @@ from repro.core.deltas import (
 from repro.core.entropy import prediction_entropy
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.planner import ExecutionOptions, execute_query, get_backend, make_query
+from repro.utils.lru import LRUCache
 
 __all__ = ["CleaningStrategy", "CleaningSession"]
 
@@ -117,7 +118,7 @@ class CleaningSession:
         self.k = k
         self.kernel = resolve_kernel(kernel)
         self.n_jobs = n_jobs
-        self.cache = QueryResultCache() if use_cache else None
+        self.cache = LRUCache(RESULT_CACHE_SIZE) if use_cache else None
         self.batch = PreparedBatch(dataset, val_X, k=k, kernel=self.kernel)
         self.val_X = self.batch.test_X
         self._executor: BatchQueryExecutor | None = None
@@ -179,7 +180,7 @@ class CleaningSession:
         )
         options = ExecutionOptions(
             n_jobs=self.n_jobs,
-            cache=self.cache if self.cache is not None else False,
+            cache=self.cache,
             prepared=self.batch,
         )
         return execute_query(query, backend=self._check_backend, options=options).values

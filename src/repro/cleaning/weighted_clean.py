@@ -126,7 +126,7 @@ class WeightedCPCleanStrategy(CleaningStrategy):
         )
         options = ExecutionOptions(
             n_jobs=session.n_jobs,
-            cache=session.cache if session.cache is not None else False,
+            cache=session.cache,
             prepared=session.batch,
         )
         return execute_query(query, backend=self.backend, options=options).values

@@ -36,8 +36,6 @@ any accumulation order.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +43,7 @@ from typing import Any
 
 from repro.codd.algebra import AggregateSpec
 from repro.codd.relation import Relation
+from repro.utils.lru import LRUCache
 
 __all__ = [
     "MAX_AGGREGATE_STATES",
@@ -129,9 +128,7 @@ class _PreparedAggregation:
     possible: Relation
 
 
-_CACHE: OrderedDict[Any, _PreparedAggregation] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-_CACHE_SIZE = 32
+_CACHE = LRUCache(32)
 
 
 def _row_options(flat) -> list[tuple[list[tuple[Any, ...]], bool]]:
@@ -189,10 +186,9 @@ def prepare_aggregation(
         group_by,
         aggregates,
     )
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            _CACHE.move_to_end(key)
-            return _CACHE[key]
+    cached = _CACHE.get(key)
+    if cached is not None:
+        return cached
 
     try:
         rows = _row_options(flat)
@@ -268,11 +264,7 @@ def prepare_aggregation(
         certain=Relation(out_schema, certain_rows),
         possible=Relation(out_schema, possible_rows),
     )
-    with _CACHE_LOCK:
-        _CACHE[key] = prepared
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > _CACHE_SIZE:
-            _CACHE.popitem(last=False)
+    _CACHE.put(key, prepared)
     return prepared
 
 

@@ -52,9 +52,7 @@ values for any query they all support
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -86,6 +84,7 @@ from repro.codd.vectorized import (
     stackable,
     unwrap_select_project,
 )
+from repro.utils.lru import LRUCache
 
 __all__ = [
     "MODES",
@@ -227,7 +226,7 @@ class CoddAnswerBackend(ABC):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-_REGISTRY: OrderedDict[str, CoddAnswerBackend] = OrderedDict()
+_REGISTRY: dict[str, CoddAnswerBackend] = {}
 
 
 def register_codd_backend(
@@ -399,8 +398,7 @@ class VectorizedCoddBackend(CoddAnswerBackend):
     name = "vectorized"
 
     def __init__(self) -> None:
-        self._prepared: OrderedDict[str, StackedTable] = OrderedDict()
-        self._lock = threading.Lock()
+        self._prepared = LRUCache(MAX_PREPARED_GRIDS)
 
     def supports(self, query, database):
         bound = _single_scan_table(query, database)
@@ -440,17 +438,10 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         if not stackable(table):
             return None
         key = table.fingerprint()
-        with self._lock:
-            stacked = self._prepared.get(key)
-            if stacked is not None:
-                self._prepared.move_to_end(key)
-                return stacked
-        stacked = StackedTable(table)
-        with self._lock:
-            self._prepared[key] = stacked
-            self._prepared.move_to_end(key)
-            while len(self._prepared) > MAX_PREPARED_GRIDS:
-                self._prepared.popitem(last=False)
+        stacked = self._prepared.get(key)
+        if stacked is None:
+            stacked = StackedTable(table)
+            self._prepared.put(key, stacked)
         return stacked
 
     def _answer(self, query, name, table, mode, prepared) -> Relation:

@@ -43,8 +43,6 @@ calls ``supports``/``estimate_cost``/``answer`` back to back) and
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from typing import Any
@@ -78,6 +76,7 @@ from repro.codd.plan import (
 )
 from repro.codd.relation import Relation
 from repro.codd.vectorized import MAX_QUERY_CELLS, estimate_stacked_cells
+from repro.utils.lru import LRUCache
 
 __all__ = [
     "MAX_JOIN_PRUNE_COMPLETIONS",
@@ -500,10 +499,9 @@ def _analyze(node: PlanNode, database: Mapping[str, CoddTable]) -> Composite:
 
 # Planning calls supports/estimate_cost/answer back to back on the same
 # query; cache the (potentially expensive) analysis keyed by query + table
-# fingerprints.
-_ANALYSIS_CACHE: OrderedDict[Any, Composite | None] = OrderedDict()
-_ANALYSIS_LOCK = threading.Lock()
-_ANALYSIS_CACHE_SIZE = 32
+# fingerprints. A declined analysis is cached too, as ``None``.
+_ANALYSIS_CACHE = LRUCache(32)
+_MISS = object()
 
 
 def composite_analysis(
@@ -517,13 +515,13 @@ def composite_analysis(
             query,
             tuple(sorted((n, t.fingerprint()) for n, t in database.items())),
         )
+        hash(key)
     except TypeError:  # unhashable literal somewhere in the query
         key = None
     if key is not None:
-        with _ANALYSIS_LOCK:
-            if key in _ANALYSIS_CACHE:
-                _ANALYSIS_CACHE.move_to_end(key)
-                return _ANALYSIS_CACHE[key]
+        cached = _ANALYSIS_CACHE.get(key, _MISS)
+        if cached is not _MISS:
+            return cached
     try:
         plan = LogicalPlan.from_query(query, LogicalPlan.catalog_of(database))
         result: Composite | None = _analyze(plan.root, database)
@@ -534,11 +532,7 @@ def composite_analysis(
         # naive path raise the canonical error.
         result = None
     if key is not None:
-        with _ANALYSIS_LOCK:
-            _ANALYSIS_CACHE[key] = result
-            _ANALYSIS_CACHE.move_to_end(key)
-            while len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_SIZE:
-                _ANALYSIS_CACHE.popitem(last=False)
+        _ANALYSIS_CACHE.put(key, result)
     return result
 
 

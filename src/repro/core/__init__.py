@@ -13,7 +13,6 @@ inventory).
 from repro.core.batch_engine import (
     BatchQueryExecutor,
     PreparedBatch,
-    QueryResultCache,
     batch_certain_labels,
     batch_q2_counts,
     kernel_cache_key,
@@ -132,7 +131,6 @@ __all__ = [
     "PreparedQuery",
     "PreparedBatch",
     "BatchQueryExecutor",
-    "QueryResultCache",
     "batch_q2_counts",
     "batch_certain_labels",
     "ScanOrder",

@@ -26,7 +26,7 @@ step. This module is the batch execution layer above the per-query kernel:
   queue (:func:`fanout_map`), inheriting the prepared arrays read-only
   through copy-on-write fork memory, so nothing is pickled per task except
   the tiny result vectors.
-* :class:`QueryResultCache` is an LRU result cache keyed by
+* Results are cached in a :class:`~repro.utils.lru.LRUCache` keyed by
   ``(dataset fingerprint, test-point hash, k, kernel, pins)``. Repeated
   queries — the common case in CPClean's sequential cleaning loop, which
   re-checks validation certainty round after round — are served without
@@ -54,7 +54,6 @@ import os
 import sys
 import threading
 import uuid
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import prod
@@ -70,11 +69,12 @@ from repro.core.polynomials import poly_one
 from repro.core.prepared import PreparedQuery
 from repro.core.scan import ScanOrder, _scan_from_sims
 from repro.core.tally import tallies_with_prediction
+from repro.utils.lru import LRUCache
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
     "PAIRWISE_BLOCK_BYTES",
-    "QueryResultCache",
+    "RESULT_CACHE_SIZE",
     "PreparedBatch",
     "BatchQueryExecutor",
     "batch_q2_counts",
@@ -90,6 +90,10 @@ __all__ = [
 #: :class:`PreparedBatch` fills its similarity matrix (at least one test
 #: point per call).
 PAIRWISE_BLOCK_BYTES = 16 * 1024 * 1024
+
+#: Entries in a result cache the engine builds itself (``cache=True``, the
+#: ``batch`` backend's shared cache, a cleaning session's cache).
+RESULT_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -373,89 +377,7 @@ def decision_point(state: tuple, index: int) -> tuple[int | None, dict]:
     return decision.certain_label, stats
 
 
-# ---------------------------------------------------------------------------
-# The LRU result cache
-# ---------------------------------------------------------------------------
-
 _MISS = object()
-
-
-class QueryResultCache:
-    """A bounded LRU cache for CP query results.
-
-    Keys are opaque tuples built by :class:`BatchQueryExecutor` from the
-    dataset :meth:`~repro.core.dataset.IncompleteDataset.fingerprint`, the
-    test-point hash, ``k``, the kernel and the pinned-row mapping — so a
-    hit is only possible for a genuinely identical query, and any change to
-    the dataset content invalidates all of its entries by construction.
-
-    One instance can safely be shared across executors (e.g. one cache for
-    a whole cleaning session), including across threads — this is the
-    contract :class:`repro.service.broker.QueryBroker` relies on. Every
-    state transition (lookup + recency bump, insert, LRU eviction, clear,
-    the hit/miss counters) happens under one internal lock, so concurrent
-    readers and writers can never observe a half-applied eviction or lose
-    a counter update; ``tests/core/test_batch_engine.py`` hammers one
-    instance from many threads to hold the class to this.
-    """
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        self.maxsize = check_positive_int(maxsize, "maxsize")
-        self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: tuple, default: Any = None) -> Any:
-        """The cached value for ``key`` (marking it recently used), or ``default``."""
-        with self._lock:
-            value = self._entries.get(key, _MISS)
-            if value is _MISS:
-                self.misses += 1
-                return default
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: tuple, value: Any) -> None:
-        """Insert/refresh an entry, evicting the least recently used on overflow."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never queried)."""
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def stats(self) -> dict[str, int | float]:
-        """A snapshot of size and hit/miss counters, for reports and tests."""
-        with self._lock:
-            size, hits, misses = len(self._entries), self.hits, self.misses
-        total = hits + misses
-        return {
-            "size": size,
-            "maxsize": self.maxsize,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / total if total else 0.0,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +574,8 @@ class BatchQueryExecutor:
         degrades to in-process execution elsewhere.
     cache:
         ``True`` (default) gives the executor a private
-        :class:`QueryResultCache`; pass an instance to share one across
+        :class:`~repro.utils.lru.LRUCache` of :data:`RESULT_CACHE_SIZE`
+        entries; pass an instance to share one across
         executors, or ``False``/``None`` to disable result caching.
     prepared:
         An existing :class:`PreparedBatch` to execute against (shares the
@@ -666,7 +589,7 @@ class BatchQueryExecutor:
         k: int = 3,
         kernel: Kernel | str | None = None,
         n_jobs: int | None = 1,
-        cache: QueryResultCache | bool | None = True,
+        cache: LRUCache | bool | None = True,
         prepared: PreparedBatch | None = None,
     ) -> None:
         if prepared is None:
@@ -679,8 +602,8 @@ class BatchQueryExecutor:
         self.kernel = prepared.kernel
         self.n_jobs = resolve_n_jobs(n_jobs)
         if cache is True:
-            self.cache: QueryResultCache | None = QueryResultCache()
-        elif isinstance(cache, QueryResultCache):
+            self.cache: LRUCache | None = LRUCache(RESULT_CACHE_SIZE)
+        elif isinstance(cache, LRUCache):
             self.cache = cache
         else:
             self.cache = None
@@ -879,7 +802,7 @@ def batch_q2_counts(
     k: int = 3,
     kernel: Kernel | str | None = None,
     n_jobs: int | None = 1,
-    cache: QueryResultCache | bool | None = False,
+    cache: LRUCache | bool | None = False,
 ) -> list[list[int]]:
     """Q2 counts for every row of ``test_X`` through the batch engine.
 
@@ -897,7 +820,7 @@ def batch_certain_labels(
     k: int = 3,
     kernel: Kernel | str | None = None,
     n_jobs: int | None = 1,
-    cache: QueryResultCache | bool | None = False,
+    cache: LRUCache | bool | None = False,
 ) -> list[int | None]:
     """The CP'ed label (or ``None``) for every row of ``test_X``.
 

@@ -177,8 +177,8 @@ class IncompleteDataset:
         fingerprint; any change to a candidate value, a candidate-set size
         or a label produces a different one. Instances are immutable, so
         the hash is computed once and cached — the batch engine uses it to
-        key its cross-query result cache
-        (:class:`repro.core.batch_engine.QueryResultCache`).
+        key its cross-query result cache (a
+        :class:`repro.utils.lru.LRUCache`).
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()

@@ -42,8 +42,8 @@ Three backends ship by default:
     overrides and an explicit request with ``prune="on"`` is refused.
 ``batch``
     Wraps the batch layer (:class:`~repro.core.batch_engine.PreparedBatch`
-    + :class:`~repro.core.batch_engine.BatchQueryExecutor` +
-    :class:`~repro.core.batch_engine.QueryResultCache`): vectorised
+    + :class:`~repro.core.batch_engine.BatchQueryExecutor` + a
+    :class:`~repro.utils.lru.LRUCache` of results): vectorised
     distance passes over the whole test matrix, the per-point evaluators
     of :data:`FLAVOR_POINTS` (pruned or not), a ``fork`` worker-pool
     fan-out, and fingerprint-keyed result caching, for **all five
@@ -81,7 +81,6 @@ import hashlib
 import threading
 import weakref
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -93,7 +92,7 @@ import numpy as np
 from repro.core.batch_engine import (
     BatchQueryExecutor,
     PreparedBatch,
-    QueryResultCache,
+    RESULT_CACHE_SIZE,
     _pins_key,
     count_point,
     kernel_cache_key,
@@ -123,10 +122,13 @@ from repro.core.weighted import (
     uniform_candidate_weights,
     weighted_prediction_probabilities,
 )
+from repro.utils.lru import LRUCache
 from repro.utils.validation import check_in_options, check_positive_int
 
 __all__ = [
     "DENSE_BLOCK_BYTES",
+    "MAX_MAINTAINED_STATES",
+    "MAX_PREPARED_BATCHES",
     "FLAVORS",
     "FLAVOR_POINTS",
     "KINDS",
@@ -162,6 +164,12 @@ KINDS = ("counts", "certain_label", "check")
 #: Dense ``(T, P)`` float64 similarity-matrix size above which the
 #: ``batch`` backend executes a query in consecutive row blocks.
 DENSE_BLOCK_BYTES = 64 * 1024 * 1024
+
+#: Prepared batches the ``batch`` backend keeps in its LRU.
+MAX_PREPARED_BATCHES = 4
+
+#: Query families whose maintained state the ``incremental`` backend keeps.
+MAX_MAINTAINED_STATES = 8
 
 #: Candidate-pruning modes. ``"auto"`` prunes whenever the execution path
 #: can consume a certificate (SortScan-family engines with ``k < n_rows``),
@@ -376,8 +384,8 @@ class ExecutionOptions:
 
     ``n_jobs`` fans per-point work out over forked worker processes where
     the backend supports it; ``cache`` selects result caching (``True`` =
-    the backend's shared cache, an instance = that cache, ``False``/``None``
-    = off); ``prepared`` hands an existing
+    the backend's shared cache, an :class:`~repro.utils.lru.LRUCache` =
+    that cache, ``False``/``None`` = off); ``prepared`` hands an existing
     :class:`~repro.core.batch_engine.PreparedBatch` to the ``batch`` and
     ``incremental`` backends so a session's vectorised distance state is
     shared instead of rebuilt.
@@ -391,16 +399,22 @@ class ExecutionOptions:
 
     All knobs are validated at construction, with the same rules the CLI
     flags enforce: ``n_jobs`` must be a positive integer, ``-1`` (all
-    CPUs) or ``None``; ``prune`` must name a known mode.
+    CPUs) or ``None``; ``cache`` must be a bool, ``None`` or an
+    :class:`~repro.utils.lru.LRUCache`; ``prune`` must name a known mode.
     """
 
     n_jobs: int | None = 1
-    cache: QueryResultCache | bool | None = True
+    cache: LRUCache | bool | None = True
     prepared: PreparedBatch | None = None
     prune: str = "auto"
 
     def __post_init__(self) -> None:
         check_in_options(self.prune, "prune", PRUNE_MODES)
+        if not (self.cache is None or isinstance(self.cache, (bool, LRUCache))):
+            raise TypeError(
+                "cache must be a bool, None or an LRUCache, "
+                f"got {type(self.cache).__name__}"
+            )
         if self.n_jobs is not None:
             if isinstance(self.n_jobs, bool) or not isinstance(
                 self.n_jobs, (int, np.integer)
@@ -506,7 +520,7 @@ class Backend(ABC):
         """
 
 
-_REGISTRY: OrderedDict[str, Backend] = OrderedDict()
+_REGISTRY: dict[str, Backend] = {}
 
 
 def register_backend(backend: Backend, replace: bool = False) -> Backend:
@@ -994,13 +1008,9 @@ class BatchParallelBackend(Backend):
         algorithms=frozenset({"auto", "engine"}),
     )
 
-    def __init__(self, cache_size: int = 4096, prepared_cache_size: int = 4) -> None:
-        self.cache = QueryResultCache(maxsize=cache_size)
-        self._prepared: OrderedDict[tuple, PreparedBatch] = OrderedDict()
-        self._prepared_cache_size = check_positive_int(
-            prepared_cache_size, "prepared_cache_size"
-        )
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        self.cache = LRUCache(RESULT_CACHE_SIZE)
+        self._prepared = LRUCache(MAX_PREPARED_BATCHES)
 
     def estimate_cost(self, query, options):
         jobs = min(resolve_n_jobs(options.n_jobs), max(query.n_points, 1))
@@ -1009,10 +1019,10 @@ class BatchParallelBackend(Backend):
         return cost, "vectorised preparation + parallel per-point scans"
 
     # ------------------------------------------------------------------
-    def _resolve_cache(self, options: ExecutionOptions) -> QueryResultCache | None:
+    def _resolve_cache(self, options: ExecutionOptions) -> LRUCache | None:
         if options.cache is True:
             return self.cache
-        if isinstance(options.cache, QueryResultCache):
+        if isinstance(options.cache, LRUCache):
             return options.cache
         return None
 
@@ -1032,17 +1042,10 @@ class BatchParallelBackend(Backend):
             k,
             kernel_cache_key(kernel),
         )
-        with self._lock:
-            prepared = self._prepared.get(key)
-            if prepared is not None:
-                self._prepared.move_to_end(key)
-                return prepared
-        prepared = PreparedBatch(dataset, test_X, k=k, kernel=kernel)
-        with self._lock:
-            self._prepared[key] = prepared
-            self._prepared.move_to_end(key)
-            while len(self._prepared) > self._prepared_cache_size:
-                self._prepared.popitem(last=False)
+        prepared = self._prepared.get(key)
+        if prepared is None:
+            prepared = PreparedBatch(dataset, test_X, k=k, kernel=kernel)
+            self._prepared.put(key, prepared)
         return prepared
 
     # ------------------------------------------------------------------
@@ -1086,14 +1089,10 @@ class BatchParallelBackend(Backend):
         totals: dict | None,
         use_lru: bool,
     ) -> list:
-        cache = self._resolve_cache(options)
         executor = BatchQueryExecutor(
             prepared=self._prepared_for(query, options, use_lru),
             n_jobs=options.n_jobs,
-            # An empty QueryResultCache is falsy (it has __len__), so the
-            # None check must be explicit or a fresh shared cache would be
-            # silently dropped.
-            cache=cache if cache is not None else False,
+            cache=self._resolve_cache(options),
         )
         if query.flavor in ("binary", "multiclass") and query.kind != "counts":
             # Binary takes the MM check regardless of prune; multiclass the
@@ -1146,14 +1145,12 @@ class IncrementalBackend(Backend):
         algorithms=frozenset({"auto", "engine"}),
     )
 
-    def __init__(self, max_states: int = 8) -> None:
+    def __init__(self) -> None:
         # family key -> (maintained state, the pins it has absorbed, a weak
         # reference to the batch it was seeded from or None)
-        self._states: OrderedDict[
-            tuple, tuple[DeltaMaintainedState, dict, weakref.ref | None]
-        ] = OrderedDict()
-        self.max_states = check_positive_int(max_states, "max_states")
-        # The backend-wide lock only guards the registry bookkeeping; the
+        self._states = LRUCache(MAX_MAINTAINED_STATES)
+        # The backend-wide lock only keeps the family locks in step with
+        # the LRU; the
         # expensive per-family work (state builds, pin maintenance) runs
         # under a per-family lock so concurrent sessions on different
         # query families never serialise each other. It is reentrant
@@ -1173,10 +1170,9 @@ class IncrementalBackend(Backend):
             _prune_enabled(query, options),
         )
 
-    def _warm_state(self, query: CPQuery, key: tuple) -> tuple | None:
-        """The family's entry, if its absorbed pins extend to the query's."""
-        with self._lock:
-            entry = self._states.get(key)
+    @staticmethod
+    def _warm_state(query: CPQuery, entry: tuple | None) -> tuple | None:
+        """The family's ``entry``, if its absorbed pins extend to the query's."""
         if entry is None:
             return None
         pins = query.pins_dict()
@@ -1187,13 +1183,15 @@ class IncrementalBackend(Backend):
     def _forget(self, key: tuple, owner: weakref.ref) -> None:
         """Drop ``key``'s state: the batch it was seeded from is gone."""
         with self._lock:
-            entry = self._states.get(key)
+            entry = self._states.peek(key)
             if entry is not None and entry[2] is owner:
-                del self._states[key]
+                self._states.pop(key)
                 self._family_locks.pop(key, None)
 
     def estimate_cost(self, query, options):
-        if self._warm_state(query, self._family_key(query, options)) is not None:
+        # A peek: planning must not count a cache hit that served nothing.
+        entry = self._states.peek(self._family_key(query, options))
+        if self._warm_state(query, entry) is not None:
             return 0.1 * query.workload_size(), "maintained counts, delta pins only"
         return 1.5 * query.workload_size(), "cold start: full preparation + counts"
 
@@ -1217,7 +1215,7 @@ class IncrementalBackend(Backend):
         Runs under the family's current lock, so no other caller is
         applying deltas to the same state.
         """
-        entry = self._warm_state(query, key)
+        entry = self._warm_state(query, self._states.get(key))
         if entry is None:  # no state yet, or pins shrank or contradict
             handed = _handed_prepared(
                 query.dataset, query.test_X, query.k, query.kernel, options
@@ -1248,8 +1246,7 @@ class IncrementalBackend(Backend):
             state.apply_many([CellRepair(row, cand) for row, cand in new_pins])
         except BaseException:
             # A half-applied pin list would desync state and pins.
-            with self._lock:
-                self._states.pop(key, None)
+            self._states.pop(key)
             raise
         counts = state.counts_all()
         prune_stats = {
@@ -1262,19 +1259,21 @@ class IncrementalBackend(Backend):
         # this family's lock, a caller holding a fresh lock may take the
         # state up the moment it is stored.
         with self._lock:
-            self._states[key] = (state, {**absorbed, **dict(new_pins)}, owner)
-            self._states.move_to_end(key)
             if owner is not None and owner() is None:
                 # An earlier caller's seeding batch was collected while this
                 # call ran, so its _forget may have found nothing to drop.
-                self._states.pop(key, None)
+                self._states.pop(key)
+                evicted = []
+            else:
+                evicted = self._states.put(
+                    key, (state, {**absorbed, **dict(new_pins)}, owner)
+                )
             if entry is None:
                 self.n_rebuilds += 1
             else:
                 self.n_reuses += 1
-            while len(self._states) > self.max_states:
-                evicted, _ = self._states.popitem(last=False)
-                self._family_locks.pop(evicted, None)
+            for family in evicted:
+                self._family_locks.pop(family, None)
         return _counts_to_kind(query, counts), summary
 
 

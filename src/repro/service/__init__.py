@@ -11,7 +11,7 @@ keeps it pinned across requests and callers:
 * :mod:`repro.service.broker` — :class:`QueryBroker`: admission
   control, micro-batching of concurrent single-point queries into
   planner batch calls, and a TTL'd fingerprint-keyed result cache
-  (:class:`TTLResultCache`);
+  (a :class:`~repro.utils.lru.LRUCache`);
 * :mod:`repro.service.http` — the threaded stdlib JSON API
   (``/datasets``, ``/query``, ``/sql``, ``/clean/step``, ``/healthz``,
   ``/metrics``), started by ``repro serve`` or :func:`make_service`;
@@ -40,7 +40,7 @@ Quickstart (in one process; see ``examples/service_quickstart.py``)::
     server.close()
 """
 
-from repro.service.broker import AdmissionError, QueryBroker, TTLResultCache
+from repro.service.broker import AdmissionError, QueryBroker
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import Gateway, GatewayError, GatewayUnavailable
 from repro.service.http import ServiceServer, make_service, serve
@@ -62,7 +62,6 @@ __all__ = [
     "DuplicateDatasetError",
     "UnknownDatasetError",
     "QueryBroker",
-    "TTLResultCache",
     "AdmissionError",
     "ServiceServer",
     "make_service",

@@ -20,9 +20,7 @@ ways over the wire and asserts exactly that).
 
 Two more serving-layer pieces live here:
 
-* :class:`TTLResultCache` — the broker's result cache. Same
-  thread-safe LRU discipline as
-  :class:`~repro.core.batch_engine.QueryResultCache`, plus a
+* The result cache — a :class:`~repro.utils.lru.LRUCache` with a
   time-to-live: a served value is keyed by dataset *content
   fingerprint* (so any dataset change invalidates by construction) and
   expires after ``ttl_s`` seconds so the cache cannot pin unbounded
@@ -39,8 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from fractions import Fraction
 from typing import Any
@@ -48,14 +44,16 @@ from typing import Any
 import numpy as np
 
 from repro.codd.codd_table import CoddTable
-from repro.codd.engine import MODES, answer_query
+from repro.codd import aggregate, joins
+from repro.codd.engine import MODES, answer_query, get_codd_backend
 from repro.codd.plan import plan_dict
 from repro.codd.sql import parse_sql, referenced_tables
 from repro.core.label_uncertainty import LabelUncertainDataset
-from repro.core.batch_engine import kernel_cache_key
+from repro.core.batch_engine import RESULT_CACHE_SIZE, kernel_cache_key
 from repro.core.planner import (
     ExecutionOptions,
     execute_query,
+    get_backend,
     make_query,
 )
 from repro.core.deltas import Delta
@@ -67,15 +65,18 @@ from repro.service.registry import (
     DatasetSnapshot,
 )
 from repro.service.wire import WireError, encode_relation
+from repro.utils.lru import LRUCache
 from repro.utils.validation import check_positive_int
 
 __all__ = [
     "AdmissionError",
-    "TTLResultCache",
     "QueryBroker",
 ]
 
 _MISS = object()
+
+#: Leads every ``/sql`` result-cache key; no dataset name (a str) equals it.
+_SQL_TAG = object()
 
 #: Pruning counters the broker aggregates from ``QueryResult.stats`` into
 #: ``/metrics`` (the integer-valued subset of the backends' stat snapshots).
@@ -96,113 +97,6 @@ class AdmissionError(RuntimeError):
     def __init__(self, message: str, retry_after: float = 0.05) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class TTLResultCache:
-    """A thread-safe LRU result cache whose entries expire after ``ttl_s``.
-
-    The serving twin of :class:`~repro.core.batch_engine.QueryResultCache`:
-    same lock-around-everything discipline and LRU eviction, with a
-    monotonic-clock TTL on top. An expired entry counts as a miss and is
-    dropped on sight. The clock is injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        maxsize: int = 4096,
-        ttl_s: float = 30.0,
-        clock=time.monotonic,
-    ) -> None:
-        self.maxsize = check_positive_int(maxsize, "maxsize")
-        if not ttl_s > 0:
-            raise ValueError(f"ttl_s must be positive, got {ttl_s}")
-        self.ttl_s = float(ttl_s)
-        self._clock = clock
-        self._entries: OrderedDict[Any, tuple[float, Any]] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.expirations = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            item = self._entries.get(key, _MISS)
-            if item is not _MISS:
-                expires, value = item
-                if self._clock() < expires:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return value
-                del self._entries[key]
-                self.expirations += 1
-            self.misses += 1
-            return default
-
-    def put(self, key: Any, value: Any) -> None:
-        with self._lock:
-            self._entries[key] = (self._clock() + self.ttl_s, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def purge(self) -> int:
-        """Drop every expired entry; returns how many were dropped."""
-        now = self._clock()
-        with self._lock:
-            stale = [k for k, (expires, _) in self._entries.items() if expires <= now]
-            for key in stale:
-                del self._entries[key]
-            self.expirations += len(stale)
-            return len(stale)
-
-    def purge_dataset(self, name: str) -> int:
-        """Drop every entry cached for dataset/table ``name``; returns how many.
-
-        Keys are content-addressed (they embed a fingerprint), so a stale
-        entry can never be *served* for new content — but without this
-        purge, re-registering or patching a name would leave the old
-        content's results resident until TTL or LRU pressure claimed
-        them. Query-family keys lead with the dataset name; SQL keys
-        carry ``(name, fingerprint)`` pairs for every scanned table.
-        """
-        with self._lock:
-            stale = []
-            for key in self._entries:
-                if not (isinstance(key, tuple) and key):
-                    continue
-                if key[0] == name:
-                    stale.append(key)
-                elif key[0] == "sql" and any(n == name for n, _ in key[1]):
-                    stale.append(key)
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.expirations = 0
-
-    def stats(self) -> dict[str, int | float]:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            size, expirations = len(self._entries), self.expirations
-        total = hits + misses
-        return {
-            "size": size,
-            "maxsize": self.maxsize,
-            "ttl_s": self.ttl_s,
-            "hits": hits,
-            "misses": misses,
-            "expirations": expirations,
-            "hit_rate": hits / total if total else 0.0,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +164,12 @@ class QueryBroker:
     backend, n_jobs:
         Defaults handed to the planner (a request may override the
         backend per query).
-    cache:
-        ``True`` (default) builds a :class:`TTLResultCache` with
-        ``ttl_s``/``cache_size``; an instance shares one; ``False`` /
-        ``None`` disables result caching.
+    cache, ttl_s:
+        ``True`` (default) caches results in a
+        :class:`~repro.utils.lru.LRUCache` of
+        :data:`~repro.core.batch_engine.RESULT_CACHE_SIZE` entries, each
+        expiring ``ttl_s`` seconds after it was stored; ``False``
+        disables result caching.
     gateway:
         An optional :class:`~repro.service.gateway.Gateway`. When present,
         CP queries whose backend is ``"auto"`` or ``"gateway"`` execute
@@ -299,9 +195,8 @@ class QueryBroker:
         max_pending: int = 256,
         backend: str = "auto",
         n_jobs: int | None = 1,
-        cache: TTLResultCache | bool | None = True,
+        cache: bool = True,
         ttl_s: float = 30.0,
-        cache_size: int = 4096,
         gateway=None,
         obs: Observability | None = None,
     ) -> None:
@@ -314,14 +209,7 @@ class QueryBroker:
         self.backend = backend
         self.n_jobs = n_jobs
         self.gateway = gateway
-        if cache is True:
-            self.cache: TTLResultCache | None = TTLResultCache(
-                maxsize=cache_size, ttl_s=ttl_s
-            )
-        elif isinstance(cache, TTLResultCache):
-            self.cache = cache
-        else:
-            self.cache = None
+        self.cache = LRUCache(RESULT_CACHE_SIZE, ttl_s=ttl_s) if cache else None
         self._lock = threading.Lock()
         self._pending: dict[tuple, _PendingBatch] = {}
         self._inflight = 0
@@ -599,7 +487,7 @@ class QueryBroker:
             self.cache.purge()
         try:
             cache_key = (
-                "sql",
+                _SQL_TAG,
                 tuple(sorted(fingerprints.items())),
                 query,
                 mode,
@@ -721,8 +609,7 @@ class QueryBroker:
                 self._inflight -= 1
             # Purge even on partial application: any applied prefix already
             # changed the content the cached results were computed for.
-            if self.cache is not None:
-                self.cache.purge_dataset(name)
+            self._purge(name)
         return result
 
     def _patch_traced(self, name, deltas, fixes) -> dict:
@@ -752,6 +639,29 @@ class QueryBroker:
             stats = self.cache.stats()
             metrics.gauge("broker_cache_size").set(stats["size"])
             metrics.gauge("broker_cache_hit_rate").set(stats["hit_rate"])
+        for name, cache in self._lru_caches().items():
+            stats = cache.stats()
+            for field in ("size", "hits", "misses", "evictions"):
+                metrics.gauge(f"lru_{field}", cache=name).set(stats[field])
+
+    def _lru_caches(self) -> dict[str, LRUCache]:
+        """Every cache a served request reads through, by gauge label.
+
+        The planner and Codd caches are process-wide, so every broker in
+        the process reports the same counts for them. A backend replaced
+        by one without the default caches just drops out.
+        """
+        batch = get_backend("batch")
+        caches = {
+            "broker.results": self.cache,
+            "batch.results": getattr(batch, "cache", None),
+            "batch.prepared": getattr(batch, "_prepared", None),
+            "incremental.states": getattr(get_backend("incremental"), "_states", None),
+            "codd.grids": getattr(get_codd_backend("vectorized"), "_prepared", None),
+            "codd.joins": joins._ANALYSIS_CACHE,
+            "codd.aggregate": aggregate._CACHE,
+        }
+        return {n: c for n, c in caches.items() if isinstance(c, LRUCache)}
 
     def metrics(self) -> dict:
         """A snapshot of the broker's serving counters (for ``/metrics``).
@@ -795,8 +705,7 @@ class QueryBroker:
 
     def _on_invalidated(self, name: str) -> None:
         """Registry hook: drop cached results for a replaced/removed name."""
-        if self.cache is not None:
-            self.cache.purge_dataset(name)
+        self._purge(name)
         if self.gateway is not None:
             self.gateway.drop(name)
 
@@ -853,6 +762,24 @@ class QueryBroker:
             # modes must not coalesce into the same planner call.
             params["prune"],
         )
+
+    def _purge(self, name: str) -> None:
+        """Drop every cached result computed from dataset/table ``name``.
+
+        Keys are content-addressed (they embed a fingerprint), so a stale
+        entry can never be *served* for new content — but without this
+        purge, re-registering or patching a name would leave the old
+        content's results resident until TTL or LRU pressure claimed
+        them. Query-family keys lead with the dataset name; ``/sql`` keys
+        lead with :data:`_SQL_TAG` and carry ``(name, fingerprint)`` pairs
+        for every scanned table.
+        """
+        if self.cache is not None:
+            self.cache.discard_where(
+                lambda key: any(n == name for n, _ in key[1])
+                if key[0] is _SQL_TAG
+                else key[0] == name
+            )
 
     def _point_cache_key(self, family: tuple, point: np.ndarray) -> tuple:
         return (*family, _point_digest(point))

@@ -1,5 +1,7 @@
-"""Shared utilities: RNG handling, argument validation, tables, timing."""
+"""Shared utilities: RNG handling, argument validation, the LRU cache, tables,
+timing."""
 
+from repro.utils.lru import LRUCache
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_fraction,
@@ -10,6 +12,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "LRUCache",
     "ensure_rng",
     "spawn_rngs",
     "check_fraction",

@@ -286,7 +286,8 @@ class TestRowBlockDifferential:
                     query, database, mode=mode, backend=backend
                 ).relation
                 assert result == oracle, f"{backend}/{mode} diverged: {description}"
-        cached = engine.get_codd_backend("vectorized")._prepared.values()
+        grids = engine.get_codd_backend("vectorized")._prepared
+        cached = map(grids.peek, grids)
         assert all(
             grid.total * len(grid.columns) <= cap for grid in cached
         ), "a grid above the stacking cap entered the LRU"

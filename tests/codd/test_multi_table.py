@@ -81,6 +81,20 @@ class TestJoinAcrossTables:
             query, database["person"], name="person"
         )
 
+    def test_unhashable_literal_is_answered_like_naive(self, database) -> None:
+        # The join-analysis cache cannot key this query: the analysis must
+        # skip the cache, not fail the request.
+        from repro.codd.engine import answer_query
+
+        query = Select(
+            Join(Scan("person"), Scan("city")),
+            Comparison(Attribute("city"), "==", Literal(["Rome"])),
+        )
+        for mode in ("certain", "possible"):
+            served = answer_query(query, database, mode=mode)
+            naive = answer_query(query, database, mode=mode, backend="naive")
+            assert served.relation == naive.relation
+
     def test_world_cap_enforced(self) -> None:
         big = CoddTable(("a",), [(Null(range(100)),)] * 4)
         database = {"x": big, "y": big}

@@ -16,7 +16,7 @@ from repro.cleaning.sequential import CleaningSession
 from repro.core.batch_engine import (
     BatchQueryExecutor,
     PreparedBatch,
-    QueryResultCache,
+    RESULT_CACHE_SIZE,
     batch_certain_labels,
     batch_q2_counts,
     fanout_map,
@@ -27,6 +27,7 @@ from repro.core.prepared import PreparedQuery
 from repro.core.queries import certain_label
 from repro.core.scan import compute_scan_order, compute_scan_orders
 from repro.core.screening import screen_dataset
+from repro.utils.lru import LRUCache
 from tests.conftest import random_incomplete_dataset
 
 
@@ -184,7 +185,7 @@ class TestResultCache:
     def test_fingerprint_change_invalidates(self):
         """A shared cache never leaks results across dataset contents."""
         dataset, test_X = _workload(seed=10)
-        shared = QueryResultCache()
+        shared = LRUCache(RESULT_CACHE_SIZE)
         before = BatchQueryExecutor(dataset, test_X, k=3, cache=shared).counts()
 
         row = dataset.uncertain_rows()[0]
@@ -228,71 +229,13 @@ class TestResultCache:
         # parameterised repr must not alias the parent's cache entries.
         assert kernel_cache_key(TweakedRBF(2.0)) != kernel_cache_key(RBFKernel(2.0))
 
-    def test_lru_eviction_bounds_size(self):
-        cache = QueryResultCache(maxsize=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        cache.get(("a",))  # refresh "a" so "b" is the LRU entry
-        cache.put(("c",), 3)
-        assert len(cache) == 2
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
-        assert cache.get(("c",)) == 3
-
-    def test_concurrent_hammer(self):
-        """Many threads of get/put/clear on one instance: the broker's
-        prerequisite. No exception, size stays bounded, and — because every
-        lookup bumps exactly one counter under the lock — the counters
-        exactly account for every get."""
-        import threading
-
-        cache = QueryResultCache(maxsize=16)
-        n_threads, n_ops = 8, 500
-        gets_done = [0] * n_threads
-        errors: list[Exception] = []
-
-        def hammer(thread_index: int) -> None:
-            rng = np.random.default_rng(thread_index)
-            try:
-                for op in range(n_ops):
-                    key = ("key", int(rng.integers(0, 48)))
-                    roll = rng.random()
-                    if roll < 0.45:
-                        cache.put(key, [thread_index, op])
-                    elif roll < 0.9:
-                        value = cache.get(key)
-                        gets_done[thread_index] += 1
-                        assert value is None or isinstance(value, list)
-                    elif roll < 0.95:
-                        _ = cache.stats(), cache.hit_rate, len(cache)
-                    else:
-                        cache.clear()
-            except Exception as exc:  # pragma: no cover - surfaces below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(index,))
-            for index in range(n_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(cache) <= 16
-        # clear() resets the counters, so only a lower bound survives — but
-        # hits + misses can never exceed the lookups actually performed.
-        stats = cache.stats()
-        assert stats["hits"] + stats["misses"] <= sum(gets_done)
-        assert 0.0 <= cache.hit_rate <= 1.0
-
     def test_shared_cache_across_threads_serves_consistent_values(self):
         """Two executors on different threads sharing one cache agree with
         the sequential reference throughout."""
         import threading
 
         dataset, test_X = _workload(seed=12)
-        shared = QueryResultCache()
+        shared = LRUCache(RESULT_CACHE_SIZE)
         expected = _sequential_counts(dataset, test_X, k=3)
         results: dict[int, list] = {}
 

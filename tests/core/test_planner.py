@@ -152,10 +152,14 @@ class TestRegistryErrorPaths:
             register_backend(get_backend("batch"))
         assert backend_names() == before
 
-    def test_replace_reregisters_under_same_name(self):
+    def test_replace_reregisters_under_same_name(self, monkeypatch):
+        from repro.core import planner
+
+        monkeypatch.setattr(planner, "MAX_PREPARED_BATCHES", 2)
         original = get_backend("batch")
         try:
-            replacement = BatchParallelBackend(prepared_cache_size=2)
+            replacement = BatchParallelBackend()
+            assert replacement._prepared.maxsize == 2
             assert register_backend(replacement, replace=True) is replacement
             assert get_backend("batch") is replacement
             assert backend_names() == ["sequential", "batch", "incremental"]
@@ -469,13 +473,27 @@ class TestEquivalenceMatrix:
             query = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
             values, _ = seeded.execute(query, ExecutionOptions(prepared=prepared))
             assert values == unseeded.execute(query)[0]
-        (state, _, owner), = seeded._states.values()
+        (state, _, owner), = map(seeded._states.peek, seeded._states)
         assert owner() is prepared
         clean = next(r for r in range(dataset.n_rows) if r not in pins)
         assert np.shares_memory(state._row_sims[clean], prepared.sims_matrix)
         assert np.array_equal(prepared.sims_matrix, before)
-        (_, _, no_owner), = unseeded._states.values()
+        (_, _, no_owner), = map(unseeded._states.peek, unseeded._states)
         assert no_owner is None
+
+    def test_planning_peeks_at_the_maintained_state_without_counting(self):
+        dataset = random_dataset(27, n_rows=8)
+        test_X = np.random.default_rng(27).normal(size=(3, 2))
+        query = make_query(dataset, test_X, kind="counts", k=2)
+        backend = IncrementalBackend()
+        backend.execute(query)  # cold: one miss, then the state is stored
+        stats = backend._states.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        _, reason = backend.estimate_cost(query, ExecutionOptions())
+        assert reason == "maintained counts, delta pins only"
+        assert backend._states.stats() == stats  # the probe served nothing
+        backend.execute(query)
+        assert backend._states.stats()["hits"] == 1
 
     def test_incremental_state_seeded_from_a_batch_dies_with_it(self):
         import gc
@@ -578,7 +596,7 @@ class TestPerCallStats:
             assert result.values == execute_query(query, backend="sequential").values
 
 
-    def test_incremental_threads_stay_exact_under_evictions(self):
+    def test_incremental_threads_stay_exact_under_evictions(self, monkeypatch):
         # More threads than cores over two families on a one-state LRU, so
         # every call can evict the other family and rebuild its own: a
         # state shared by two callers at once would return wrong counts.
@@ -598,7 +616,10 @@ class TestPerCallStats:
             for f, test_X in enumerate(families)
             for i, pins in enumerate(pin_sets)
         }
-        backend = IncrementalBackend(max_states=1)
+        from repro.core import planner
+
+        monkeypatch.setattr(planner, "MAX_MAINTAINED_STATES", 1)
+        backend = IncrementalBackend()
         mismatches: list = []
 
         def run(f: int) -> None:
@@ -628,7 +649,9 @@ class TestPerCallStats:
         assert mismatches == []
         assert len(backend._states) == 1
 
-    def test_incremental_threads_stay_exact_while_seeding_batches_die(self):
+    def test_incremental_threads_stay_exact_while_seeding_batches_die(
+        self, monkeypatch
+    ):
         # Every call hands a fresh PreparedBatch that dies as the call
         # returns, so states are dropped (_forget) while other threads take
         # them up, rebuild them or store them back.
@@ -650,7 +673,10 @@ class TestPerCallStats:
             for f, test_X in enumerate(families)
             for i, pins in enumerate(pin_sets)
         }
-        backend = IncrementalBackend(max_states=1)
+        from repro.core import planner
+
+        monkeypatch.setattr(planner, "MAX_MAINTAINED_STATES", 1)
+        backend = IncrementalBackend()
         mismatches: list = []
 
         def run(f: int) -> None:
@@ -711,6 +737,24 @@ class TestExecutionOptionsValidation:
             ExecutionOptions(n_jobs=2.5)
         with pytest.raises(TypeError, match="n_jobs"):
             ExecutionOptions(n_jobs=True)
+
+    def test_cache_must_be_a_bool_none_or_an_lru(self):
+        from repro.utils.lru import LRUCache
+
+        ExecutionOptions(cache=None)
+        ExecutionOptions(cache=LRUCache(2))
+        for bad in ("yes", 1, object()):
+            with pytest.raises(TypeError, match="cache"):
+                ExecutionOptions(cache=bad)
+
+    def test_an_empty_handed_cache_is_used(self):
+        from repro.utils.lru import LRUCache
+
+        shared = LRUCache(64)  # empty, so falsy: must not read as "off"
+        test_X = np.random.default_rng(28).normal(size=(3, 2))
+        query = make_query(random_dataset(28), test_X, k=2)
+        execute_query(query, backend="batch", options=ExecutionOptions(cache=shared))
+        assert len(shared) == 3 and shared.misses == 3
 
     def test_only_the_four_knobs(self):
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]

@@ -1,4 +1,7 @@
-"""QueryBroker: micro-batching, admission control, the TTL result cache."""
+"""QueryBroker: micro-batching, admission control, the TTL result cache.
+
+The cache class itself is tested in ``tests/utils/test_lru.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import IncompleteDataset
+from repro.core.deltas import CellRepair
 from repro.core.planner import ExecutionOptions, PlanError, execute_query, make_query
-from repro.service.broker import AdmissionError, QueryBroker, TTLResultCache
+from repro.service.broker import AdmissionError, QueryBroker
 from repro.service.registry import DatasetRegistry
 
 
@@ -25,85 +29,6 @@ def registry() -> DatasetRegistry:
     registry = DatasetRegistry()
     registry.register("d", small_dataset(), k=2)
     return registry
-
-
-# ---------------------------------------------------------------------------
-# TTLResultCache
-# ---------------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestTTLResultCache:
-    def test_entries_expire_after_ttl(self):
-        clock = FakeClock()
-        cache = TTLResultCache(maxsize=8, ttl_s=10.0, clock=clock)
-        cache.put("key", [1, 2])
-        assert cache.get("key") == [1, 2]
-        clock.now = 9.9
-        assert cache.get("key") == [1, 2]
-        clock.now = 10.1
-        assert cache.get("key") is None  # expired == miss
-        assert cache.stats()["expirations"] == 1
-        assert len(cache) == 0
-
-    def test_lru_eviction_at_maxsize(self):
-        cache = TTLResultCache(maxsize=2, ttl_s=100.0, clock=FakeClock())
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a
-        cache.put("c", 3)  # evicts b (least recently used)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_purge_drops_only_expired(self):
-        clock = FakeClock()
-        cache = TTLResultCache(maxsize=8, ttl_s=5.0, clock=clock)
-        cache.put("old", 1)
-        clock.now = 3.0
-        cache.put("new", 2)
-        clock.now = 5.5  # 'old' expired at 5.0, 'new' expires at 8.0
-        assert cache.purge() == 1
-        assert len(cache) == 1 and cache.get("new") == 2
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            TTLResultCache(maxsize=0)
-        with pytest.raises(ValueError):
-            TTLResultCache(ttl_s=0)
-
-    def test_concurrent_hammer(self):
-        cache = TTLResultCache(maxsize=32, ttl_s=100.0)
-        n_threads, n_ops = 8, 400
-        errors: list[Exception] = []
-
-        def hammer(seed: int) -> None:
-            rng = np.random.default_rng(seed)
-            try:
-                for i in range(n_ops):
-                    key = ("k", int(rng.integers(0, 64)))
-                    if rng.random() < 0.5:
-                        cache.put(key, i)
-                    else:
-                        cache.get(key)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(cache) <= 32
-        stats = cache.stats()
-        assert stats["hits"] + stats["misses"] <= n_threads * n_ops
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +173,21 @@ class TestCachingAndAdmission:
         second = broker.query("d", points, kind="counts")
         assert not first["cached"] and second["cached"]
         assert second["values"] == first["values"]
+        broker.close()
+
+    def test_a_dataset_named_sql_leaves_purges_working(self, registry):
+        # A CP query on a dataset named "sql" stores a key that leads with
+        # "sql"; purging another name must not read it as a /sql key.
+        registry.register("sql", small_dataset(), k=2)
+        broker = QueryBroker(registry, window_s=0.0, max_batch=1)
+        broker.query("sql", np.zeros(2))
+        broker.query("d", np.zeros(2))
+        assert broker.patch("d", deltas=[CellRepair(1, 0)])["version"] == 2
+        # "d"'s entries went, "sql"'s stayed
+        assert {key[0] for key in broker.cache} == {"sql"}
+        assert broker.query("sql", np.zeros(2))["cached"]
+        registry.remove("sql")
+        assert len(broker.cache) == 0
         broker.close()
 
     def test_admission_rejects_beyond_max_pending(self, registry):
@@ -397,3 +337,62 @@ class TestCloseRace:
         assert isinstance(failure.get("error"), AdmissionError)
         assert "enqueued" in str(failure["error"])
         assert not broker._pending
+
+
+# ---------------------------------------------------------------------------
+# Cache metering
+# ---------------------------------------------------------------------------
+
+LRU_CACHES = (
+    "broker.results",
+    "batch.results",
+    "batch.prepared",
+    "incremental.states",
+    "codd.grids",
+    "codd.joins",
+    "codd.aggregate",
+)
+
+
+class TestCacheMetering:
+    @staticmethod
+    def _lookups(broker) -> dict[str, float]:
+        gauges = broker.obs.metrics.snapshot()["gauges"]
+        return {
+            name: value
+            for name, value in gauges.items()
+            if name.startswith(("lru_hits{", "lru_misses{"))
+        }
+
+    def test_every_cache_is_published(self, registry):
+        from repro.obs import validate_prometheus
+
+        broker = QueryBroker(registry, window_s=0.0, max_batch=1)
+        gauges = broker.obs.metrics.snapshot()["gauges"]
+        for cache in LRU_CACHES:
+            for field in ("size", "hits", "misses", "evictions"):
+                assert f'lru_{field}{{cache="{cache}"}}' in gauges
+        exposition = broker.obs.metrics.render_prometheus()
+        assert validate_prometheus(exposition) > 0
+        assert 'lru_evictions{cache="codd.joins"}' in exposition
+        broker.close()
+
+    def test_a_cold_then_a_warm_read_move_exactly_their_counters(self, registry):
+        broker = QueryBroker(registry, window_s=0.0, max_batch=1)
+        point = np.random.default_rng(91).normal(size=2)  # never read before
+        before = self._lookups(broker)
+        broker.query("d", point)
+        cold = self._lookups(broker)
+        broker.query("d", point)
+        warm = self._lookups(broker)
+
+        def moved(old, new):
+            return {name: new[name] - old[name] for name in new if new[name] != old[name]}
+
+        # Planning probes the maintained states by peeking: no hit, no miss.
+        assert moved(before, cold) == {
+            'lru_misses{cache="broker.results"}': 1,
+            'lru_misses{cache="batch.prepared"}': 1,
+        }
+        assert moved(cold, warm) == {'lru_hits{cache="broker.results"}': 1}
+        broker.close()

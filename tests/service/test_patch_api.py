@@ -253,11 +253,17 @@ class TestPatchReadHammer:
         reads: dict[int, list[dict]] = {}
         errors: list[BaseException] = []
         done = threading.Event()
+        landed = threading.Condition()
+        latest = [0]  # the newest version any read has echoed
 
         def writer() -> None:
             try:
                 for delta in deltas:
-                    broker.patch("d", deltas=[delta])
+                    version = broker.patch("d", deltas=[delta])["version"]
+                    # A read must land on this version before the next write,
+                    # or one slow read could span every write.
+                    with landed:
+                        landed.wait_for(lambda: latest[0] >= version, timeout=10)
             except BaseException as exc:  # pragma: no cover — surfaced below
                 errors.append(exc)
             finally:
@@ -267,13 +273,16 @@ class TestPatchReadHammer:
             mine: list[dict] = []
             reads[slot] = mine
             try:
+                # Read for the writer's whole run: a reader that stopped
+                # early could finish before the first write committed.
                 while not done.is_set() or len(mine) < 4:
                     response = broker.query("d", points, kind="counts")
                     mine.append(
                         {"version": response["version"], "values": response["values"]}
                     )
-                    if len(mine) >= 64:
-                        break
+                    with landed:
+                        latest[0] = max(latest[0], response["version"])
+                        landed.notify_all()
             except BaseException as exc:  # pragma: no cover — surfaced below
                 errors.append(exc)
 
