@@ -1,10 +1,27 @@
-"""Legacy setup shim.
+"""Packaging metadata for ``repro``.
 
-The environment has no ``wheel`` package, so PEP-517 editable installs fail;
-this shim lets ``pip install -e . --no-use-pep517 --no-build-isolation`` use
-the classic ``setup.py develop`` path. All metadata lives in pyproject.toml.
+The version is read from ``src/repro/__init__.py``, its one home. Install
+with ``pip install .``; ``--no-build-isolation`` builds offline from the
+setuptools and wheel already installed. Tests, examples and benchmarks also
+run straight from the source tree with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+import pathlib
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = pathlib.Path(__file__).parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description=(
+        "Certain predictions for nearest-neighbour classifiers over incomplete data"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    python_requires=">=3.11",
+)

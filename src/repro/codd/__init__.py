@@ -1,4 +1,4 @@
-"""Codd tables, c-tables and certain answers (the database side of Figure 1).
+"""Codd tables and certain answers (the database side of Figure 1).
 
 The paper motivates *certain predictions* as the machine-learning analogue of
 *certain answers* over incomplete databases: a Codd table with ``n`` NULL
@@ -16,8 +16,6 @@ world.  This subpackage implements that database side of the bridge:
 * :mod:`repro.codd.certain` — certain and possible answers, both by naive
   world enumeration and by the tractable three-valued evaluation for
   select-project queries;
-* :mod:`repro.codd.ctable` — conditional tables (c-tables), a strong
-  representation system closed under the full algebra;
 * :mod:`repro.codd.bridge` — the Figure-1 bridge: turning a Codd table with
   a label column into an :class:`~repro.core.dataset.IncompleteDataset` so
   the CP queries can run where the SQL queries stop.
@@ -74,14 +72,6 @@ from repro.codd.vectorized import (
     certain_answers_vectorized,
     possible_answers_vectorized,
 )
-from repro.codd.ctable import (
-    CTable,
-    ConditionalRow,
-    ctable_certain_answers,
-    ctable_certain_rows,
-    ctable_possible_answers,
-    evaluate_ctable,
-)
 from repro.codd.from_table import codd_table_from_dirty_table
 from repro.codd.optimizer import optimize, optimize_query, prune_rewrite
 from repro.codd.plan import LogicalPlan, plan_dict
@@ -92,14 +82,12 @@ __all__ = [
     "Aggregate",
     "AggregateSpec",
     "Attribute",
-    "CTable",
     "CoddAnswerBackend",
     "CoddAnswerPlan",
     "CoddAnswerResult",
     "CoddPlanError",
     "CoddTable",
     "Comparison",
-    "ConditionalRow",
     "Conjunction",
     "Difference",
     "Disjunction",
@@ -126,11 +114,7 @@ __all__ = [
     "codd_backend_names",
     "codd_table_from_dirty_table",
     "codd_table_to_incomplete_dataset",
-    "ctable_certain_answers",
-    "ctable_certain_rows",
-    "ctable_possible_answers",
     "evaluate",
-    "evaluate_ctable",
     "get_codd_backend",
     "optimize",
     "optimize_query",

@@ -4,8 +4,7 @@ The AST is deliberately analysable rather than opaque: predicates are built
 from :class:`Attribute`, :class:`Literal` and :class:`Comparison` nodes
 combined with :class:`Conjunction` / :class:`Disjunction` / :class:`Negation`.
 This lets :mod:`repro.codd.certain` evaluate the same predicate under
-three-valued logic over incomplete cells, and lets :mod:`repro.codd.ctable`
-propagate predicates into row conditions.
+three-valued logic over incomplete cells.
 
 Queries are trees of :class:`Scan`, :class:`Select`, :class:`Project`,
 :class:`Join`, :class:`Union`, :class:`Difference`, :class:`Rename` and

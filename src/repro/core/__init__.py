@@ -68,13 +68,7 @@ from repro.core.kernels import (
     resolve_kernel,
 )
 from repro.core.knn import KNNClassifier, majority_label, top_k_rows
-from repro.core.linear import LogisticRegression
 from repro.core.minmax import minmax_check, minmax_checks_all, predictable_labels
-from repro.core.montecarlo import (
-    MonteCarloEstimate,
-    estimate_prediction_probabilities,
-    sample_size_for,
-)
 from repro.core.multiclass import sortscan_counts_multiclass
 from repro.core.prepared import PreparedQuery
 from repro.core.queries import certain_label, q1, q2, q2_counts
@@ -93,7 +87,6 @@ from repro.core.weighted import (
     uniform_candidate_weights,
     weighted_prediction_probabilities,
 )
-from repro.core.witness import Witness, find_witness
 
 __all__ = [
     "IncompleteDataset",
@@ -148,10 +141,6 @@ __all__ = [
     "prediction_entropy",
     "certain_label_from_counts",
     "is_certain_from_counts",
-    "LogisticRegression",
-    "MonteCarloEstimate",
-    "estimate_prediction_probabilities",
-    "sample_size_for",
     "weighted_prediction_probabilities",
     "uniform_candidate_weights",
     "condition_weights",
@@ -171,6 +160,4 @@ __all__ = [
     "most_uncertain_rows",
     "ScreeningResult",
     "screen_dataset",
-    "Witness",
-    "find_witness",
 ]

@@ -40,9 +40,6 @@ from repro.utils.validation import check_in_options, check_vector
 
 __all__ = ["q2", "q2_counts", "q1", "certain_label"]
 
-#: Backwards-compatible alias — the algorithm registry moved to the planner.
-_Q2_BACKENDS = Q2_ALGORITHMS
-
 
 def q2_counts(
     dataset: IncompleteDataset,

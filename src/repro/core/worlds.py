@@ -3,7 +3,7 @@
 The set of possible worlds ``I_D`` of an incomplete dataset ``D`` contains
 one complete dataset per way of choosing a candidate for every row. The
 brute-force oracle iterates over all of them; the samplers support
-Monte-Carlo estimation and randomised tests.
+randomised tests.
 """
 
 from __future__ import annotations

@@ -876,7 +876,13 @@ class QueryBroker:
         explain: bool = False,
     ) -> dict:
         family = self._family_key(entry, snap, params)
-        cache_key = (*family, "matrix", _point_digest(matrix))
+        # A one-row matrix lives under its point key only (the key
+        # _submit_single reads); a larger matrix also gets a matrix key.
+        single = matrix.shape[0] == 1
+        if single:
+            cache_key = self._point_cache_key(family, matrix[0])
+        else:
+            cache_key = (*family, "matrix", _point_digest(matrix))
         # Explain requests skip the cache *read*: the explain block reports
         # this execution's pruning telemetry, which a cached value lacks.
         # The computed values still populate the cache below.
@@ -884,7 +890,8 @@ class QueryBroker:
             hit = self.cache.get(cache_key, _MISS)
             if hit is not _MISS:
                 self._c_cache_served.inc()
-                return {"values": list(hit[0]), "backend": hit[1], "batch_size": matrix.shape[0], "cached": True}
+                values = [hit[0]] if single else list(hit[0])
+                return {"values": values, "backend": hit[1], "batch_size": matrix.shape[0], "cached": True}
         result = self._execute(entry, snap, matrix, params)
         self._record_stats(result.stats)
         self._c_batches.inc()
@@ -892,7 +899,8 @@ class QueryBroker:
         self._g_max_batch.set_max(matrix.shape[0])
         self._h_batch_size.observe(matrix.shape[0])
         if self.cache is not None:
-            self.cache.put(cache_key, (list(result.values), result.plan.backend))
+            if not single:
+                self.cache.put(cache_key, (list(result.values), result.plan.backend))
             for index in range(matrix.shape[0]):
                 self.cache.put(
                     self._point_cache_key(family, matrix[index]),

@@ -1,4 +1,4 @@
-"""Dirty Table → Codd table conversion, Codd → c-table lifting, sql CLI."""
+"""Dirty Table → Codd table conversion and the sql CLI."""
 
 from __future__ import annotations
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.codd.certain import certain_answers, certain_answers_naive, possible_answers
+from repro.codd.certain import certain_answers
 from repro.codd.codd_table import CoddTable, Null
-from repro.codd.ctable import CTable, ctable_certain_answers, ctable_possible_answers
 from repro.codd.from_table import codd_table_from_dirty_table
 from repro.codd.sql import parse_sql
 from repro.data.io import read_csv
@@ -75,38 +74,6 @@ class TestCoddFromTable:
         # row 0 (weight 1) and row 2 (weight 3) are certain; row 1's weight
         # is NULL but every repair candidate is <= 3, so label 1 is certain too
         assert certain_answers(query, codd).rows == {(0,), (1,)}
-
-
-class TestCTableFromCodd:
-    @pytest.fixture
-    def codd(self) -> CoddTable:
-        return CoddTable(
-            ("a", "b"),
-            [(1, "x"), (Null([1, 2]), "y"), (3, Null(["x", "z"]))],
-        )
-
-    def test_variables_are_fresh_per_cell(self, codd: CoddTable) -> None:
-        ctable = CTable.from_codd_table(codd)
-        assert set(ctable.variables) == {"v1_0", "v2_1"}
-        assert ctable.n_valuations() == codd.n_worlds() == 4
-
-    def test_certain_answers_agree(self, codd: CoddTable) -> None:
-        from repro.codd.algebra import Scan
-
-        via_codd = certain_answers_naive(Scan("T"), codd)
-        via_ctable = ctable_certain_answers(CTable.from_codd_table(codd))
-        assert via_codd == via_ctable
-
-    def test_possible_answers_agree(self, codd: CoddTable) -> None:
-        from repro.codd.algebra import Scan
-
-        via_codd = possible_answers(Scan("T"), codd)
-        via_ctable = ctable_possible_answers(CTable.from_codd_table(codd))
-        assert via_codd == via_ctable
-
-    def test_rejects_non_codd_input(self) -> None:
-        with pytest.raises(TypeError, match="CoddTable"):
-            CTable.from_codd_table("not a table")
 
 
 class TestSqlCommand:

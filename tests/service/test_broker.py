@@ -166,6 +166,16 @@ class TestCachingAndAdmission:
         assert broker.metrics()["served_from_cache"] == 1
         broker.close()
 
+    def test_a_direct_single_point_read_fills_one_cache_slot(self, registry):
+        broker = QueryBroker(registry, window_s=0.0, max_batch=1)
+        first = broker.query("d", np.zeros(2))
+        assert len(broker.cache) == 1
+        second = broker.query("d", np.zeros(2))
+        assert not first["cached"] and second["cached"]
+        assert second["values"] == first["values"]
+        assert len(broker.cache) == 1
+        broker.close()
+
     def test_matrix_results_are_ttl_cached(self, registry):
         broker = QueryBroker(registry, window_s=0.0, max_batch=1, cache=True)
         points = np.random.default_rng(5).normal(size=(3, 2))

@@ -94,3 +94,38 @@ def test_one_maintained_count_engine() -> None:
 
     assert importlib.util.find_spec("repro.core.incremental") is None
     assert "DeltaMaintainedState" in repro.__all__
+
+
+REMOVED_MODULES = [
+    "repro.codd.ctable",
+    "repro.core.montecarlo",
+    "repro.core.linear",
+    "repro.core.witness",
+]
+REMOVED_NAMES = {
+    "CTable",
+    "ConditionalRow",
+    "evaluate_ctable",
+    "ctable_certain_rows",
+    "ctable_certain_answers",
+    "ctable_possible_answers",
+    "MonteCarloEstimate",
+    "estimate_prediction_probabilities",
+    "sample_size_for",
+    "LogisticRegression",
+    "Witness",
+    "find_witness",
+}
+
+
+def test_modules_nothing_serves_stay_gone() -> None:
+    # The c-table evaluator, the Monte-Carlo estimator over logistic
+    # regression and the witness finder served no route, command or test
+    # oracle; the Codd differential harness checks against naive worlds.
+    import importlib.util
+
+    for name in REMOVED_MODULES:
+        assert importlib.util.find_spec(name) is None, name
+    for package_name in PACKAGES:
+        exported = set(importlib.import_module(package_name).__all__)
+        assert not exported & REMOVED_NAMES, (package_name, exported & REMOVED_NAMES)
