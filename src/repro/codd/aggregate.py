@@ -26,11 +26,23 @@ grouping, so if two different base rows could ever produce the same child
 tuple the per-row independence breaks; the preparation detects that (and
 any state-cap overflow, non-finite float, or overflowing int-to-float
 conversion) and *declines*, sending the planner to naive enumeration.
-Integer sums use exact integer arithmetic; once a float joins a group the
-sum is tracked as an exact :class:`fractions.Fraction` over
+Integer sums use exact integer arithmetic: while every contribution is an
+int of magnitude at most ``2**53`` (where ``float()`` is exact) the state
+is that plain int.  Once a float or a larger int joins a group the sum is
+tracked as an exact :class:`fractions.Fraction` over
 ``float()``-converted inputs, whose final ``float()`` equals the
 correctly-rounded ``math.fsum`` the oracle computes — bit-identical, in
 any accumulation order.
+
+Each group folds its certain contributions (rows that always land in it,
+with one possible tuple) before the uncertain ones.  Combining commutes,
+so the answers are the same in any order; folding the certain ones first
+keeps every intermediate state set as small as in any other order, so
+the state cap never declines a group another order would accept.
+
+The prepared answers live on the analysed
+:class:`~repro.codd.joins.Composite`, so planning and both answer modes
+pay for the DP once.
 """
 
 from __future__ import annotations
@@ -42,8 +54,9 @@ from fractions import Fraction
 from typing import Any
 
 from repro.codd.algebra import AggregateSpec
+from repro.codd.certain import _row_local_valuations
+from repro.codd.joins import _Decline
 from repro.codd.relation import Relation
-from repro.utils.lru import LRUCache
 
 __all__ = [
     "MAX_AGGREGATE_STATES",
@@ -68,13 +81,15 @@ class _Absent:
 
 _ABSENT = _Absent()
 
+#: Ints up to this magnitude convert to float exactly, so an all-int sum
+#: of them needs no separate float-converted total.
+_FLOAT_EXACT_INT = 2**53
+
 
 # ----------------------------------------------------------------------
 # Per-spec accumulators
 # ----------------------------------------------------------------------
 def _combine(func: str, acc: Any, value: Any) -> Any:
-    from repro.codd.joins import _Decline
-
     if func == "count":
         return acc + (0 if value is None else 1)
     if value is None:
@@ -84,6 +99,15 @@ def _combine(func: str, acc: Any, value: Any) -> Any:
     if func == "max":
         return value if acc is _ABSENT else max(acc, value)
     if func == "sum":
+        # A sum state is a plain int while every contribution so far was
+        # an int whose float() is exact; else (all_int, int_sum, conv),
+        # with conv the exact sum of the float()-converted contributions.
+        if (
+            isinstance(value, int)
+            and -_FLOAT_EXACT_INT <= value <= _FLOAT_EXACT_INT
+            and not isinstance(acc, tuple)
+        ):
+            return int(value) if acc is _ABSENT else acc + int(value)
         if not isinstance(value, (int, float)):
             raise _Decline(f"sum over non-numeric value {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
@@ -94,11 +118,19 @@ def _combine(func: str, acc: Any, value: Any) -> Any:
             raise _Decline("sum contribution overflows float conversion") from None
         if acc is _ABSENT:
             all_int, int_sum, conv = True, 0, Fraction(0)
+        elif isinstance(acc, int):
+            all_int, int_sum, conv = True, acc, Fraction(acc)
         else:
             all_int, int_sum, conv = acc
-        if isinstance(value, bool) or isinstance(value, int):
-            return (all_int, int_sum + int(value), conv + converted)
-        return (False, int_sum, conv + converted)
+        conv += converted
+        if not isinstance(value, int):
+            return (False, int_sum, conv)
+        int_sum += int(value)
+        # Keep the state canonical: an all-int sum whose float() terms
+        # are exact is the plain int, whichever way it was reached.
+        if all_int and conv == int_sum:
+            return int_sum
+        return (all_int, int_sum, conv)
     raise ValueError(f"unknown aggregate function {func!r}")
 
 
@@ -107,7 +139,7 @@ def _finalize(func: str, acc: Any) -> Any:
         return acc
     if acc is _ABSENT:
         return None
-    if func in ("min", "max"):
+    if func in ("min", "max") or isinstance(acc, int):
         return acc
     all_int, int_sum, conv = acc
     # Matches aggregate_column: exact integer sum while the group is all
@@ -128,15 +160,9 @@ class _PreparedAggregation:
     possible: Relation
 
 
-_CACHE = LRUCache(32)
-
-
 def _row_options(flat) -> list[tuple[list[tuple[Any, ...]], bool]]:
     """Per base row: the distinct passing child-output tuples and whether
     the row can fail the filter.  Raises on cross-row tuple collisions."""
-    from repro.codd.certain import _row_local_valuations
-    from repro.codd.joins import _Decline
-
     out_idx = [flat.working.index(a) for a in flat.output]
     owners: dict[tuple[Any, ...], int] = {}
     rows = []
@@ -169,27 +195,13 @@ def prepare_aggregation(
     group_by: tuple[str, ...],
     aggregates: tuple[AggregateSpec, ...],
 ) -> _PreparedAggregation:
-    """Run the aggregation DP for ``flat`` once; results are cached so the
-    planner's ``supports``/``estimate_cost``/``answer`` sequence (times two
-    backends, times two modes) pays for it a single time.
+    """Run the aggregation DP for ``flat``: both answer relations at once.
 
-    Raises :class:`repro.codd.joins._Decline` when the fast path would be
+    The composite analysis calls it once per analysed query and keeps the
+    result on its :class:`~repro.codd.joins.Composite`.  Raises
+    :class:`repro.codd.joins._Decline` when the fast path would be
     inexact or unaffordable — callers treat that as "not supported".
     """
-    from repro.codd.joins import _Decline
-
-    key = (
-        flat.table.fingerprint(),
-        flat.working,
-        flat.output,
-        flat.predicate,
-        group_by,
-        aggregates,
-    )
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-
     try:
         rows = _row_options(flat)
     except TypeError:
@@ -223,6 +235,9 @@ def prepare_aggregation(
     certain_rows: set[tuple[Any, ...]] = set()
     possible_rows: set[tuple[Any, ...]] = set()
     for group, members in participants.items():
+        # Certain contributions first (a stable partition): each maps a
+        # state to one state, so the state set stays as small as it can.
+        members.sort(key=lambda member: member[1] or len(member[0]) > 1)
         # states: (present, accumulator tuple) reachable over this group's
         # worlds; rows are independent so choices multiply.
         states: set[tuple[bool, tuple[Any, ...]]] = {(False, initial)}
@@ -260,22 +275,14 @@ def prepare_aggregation(
         if len(finalized) == 1 and (not group_by or certain_present.get(group)):
             certain_rows |= finalized
 
-    prepared = _PreparedAggregation(
+    return _PreparedAggregation(
         certain=Relation(out_schema, certain_rows),
         possible=Relation(out_schema, possible_rows),
     )
-    _CACHE.put(key, prepared)
-    return prepared
 
 
-def aggregate_answers(
-    flat,
-    group_by: tuple[str, ...],
-    aggregates: tuple[AggregateSpec, ...],
-    mode: str,
-) -> Relation:
-    """The certain or possible answer relation of the aggregation."""
-    prepared = prepare_aggregation(flat, group_by, aggregates)
+def aggregate_answers(prepared: _PreparedAggregation, mode: str) -> Relation:
+    """The certain or possible answer relation of a prepared aggregation."""
     return prepared.certain if mode == "certain" else prepared.possible
 
 

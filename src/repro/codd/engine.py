@@ -184,12 +184,23 @@ class CoddAnswerBackend(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def supports(self, query: Query, database: Mapping[str, CoddTable]) -> bool:
-        """True iff this backend can serve the query over this database."""
+    def supports(
+        self,
+        query: Query,
+        database: Mapping[str, CoddTable],
+        prepared: Mapping[str, StackedTable] | None = None,
+    ) -> bool:
+        """True iff this backend can serve the query over this database.
+
+        ``prepared`` is the same pinned-grid mapping :meth:`answer` takes;
+        it may speed the check up, never change it."""
 
     @abstractmethod
     def estimate_cost(
-        self, query: Query, database: Mapping[str, CoddTable]
+        self,
+        query: Query,
+        database: Mapping[str, CoddTable],
+        prepared: Mapping[str, StackedTable] | None = None,
     ) -> tuple[float, str]:
         """``(cost, reason)`` in the engine's abstract cost unit (one unit
         ≈ one evaluated row completion)."""
@@ -255,10 +266,14 @@ def codd_backend_names() -> list[str]:
 
 
 def capable_codd_backends(
-    query: Query, database: Mapping[str, CoddTable]
+    query: Query,
+    database: Mapping[str, CoddTable],
+    prepared: Mapping[str, StackedTable] | None = None,
 ) -> list[CoddAnswerBackend]:
     """Every registered backend that can serve ``query`` over ``database``."""
-    return [b for b in _REGISTRY.values() if b.supports(query, database)]
+    return [
+        b for b in _REGISTRY.values() if b.supports(query, database, prepared)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +285,33 @@ def plan_codd_query(
     query: Query,
     database: Mapping[str, CoddTable],
     backend: str = "auto",
+    prepared: Mapping[str, StackedTable] | None = None,
 ) -> CoddAnswerPlan:
     """Choose the backend: explicit names are capability-checked, ``auto``
-    takes the cheapest capable backend (registration order breaks ties)."""
+    takes the cheapest capable backend (registration order breaks ties).
+
+    ``prepared`` hands the pinned grids :func:`answer_query` will run on,
+    so the planning analysis can use them too."""
     if backend != "auto":
         chosen = get_codd_backend(backend)
-        if not chosen.supports(query, database):
+        if not chosen.supports(query, database, prepared):
             raise CoddPlanError(
                 f"codd backend {backend!r} cannot serve this query "
                 "(shape outside its class, or the table is too large for it)"
             )
-        cost, _ = chosen.estimate_cost(query, database)
+        cost, _ = chosen.estimate_cost(query, database, prepared)
         return CoddAnswerPlan(
             backend=chosen.name,
             reason="requested explicitly",
             cost=cost,
             considered=((chosen.name, cost),),
         )
-    candidates = capable_codd_backends(query, database)
+    candidates = capable_codd_backends(query, database, prepared)
     if not candidates:
         raise CoddPlanError("no registered codd backend can serve this query")
-    scored = [(*b.estimate_cost(query, database), b) for b in candidates]
+    scored = [
+        (*b.estimate_cost(query, database, prepared), b) for b in candidates
+    ]
     best_cost, best_reason, best = min(scored, key=lambda item: item[0])
     return CoddAnswerPlan(
         backend=best.name,
@@ -313,7 +334,8 @@ def answer_query(
 
     ``prepared`` optionally hands pinned
     :class:`~repro.codd.vectorized.StackedTable` grids (keyed by relation
-    name) to the vectorized backend — the service registry's warm state.
+    name) to the vectorized backend — the service registry's warm state —
+    for planning and execution alike.
 
     With ``optimize`` on (the default) the query is first lowered to a
     :class:`~repro.codd.plan.LogicalPlan` and rewritten by
@@ -342,7 +364,9 @@ def answer_query(
             logical = optimized.plan
             rewrites = optimized.rewrites
             run_query = optimized.query()
-    plan = plan_codd_query(run_query, database, backend=backend)
+    plan = plan_codd_query(
+        run_query, database, backend=backend, prepared=prepared
+    )
     if plan.backend == "naive" and optimize and logical is not None:
         from repro.codd.optimizer import prune_rewrite
 
@@ -400,20 +424,20 @@ class VectorizedCoddBackend(CoddAnswerBackend):
     def __init__(self) -> None:
         self._prepared = LRUCache(MAX_PREPARED_GRIDS)
 
-    def supports(self, query, database):
+    def supports(self, query, database, prepared=None):
         bound = _single_scan_table(query, database)
         if bound is not None:
             return estimate_stacked_cells(bound[1]) <= MAX_QUERY_CELLS
-        return composite_analysis(query, database) is not None
+        return self._analysis(query, database, prepared) is not None
 
-    def estimate_cost(self, query, database):
+    def estimate_cost(self, query, database, prepared=None):
         bound = _single_scan_table(query, database)
         if bound is not None:
             return (
                 float(estimate_stacked_cells(bound[1])),
                 "one vectorised pass over the stacked completion grid",
             )
-        composite = composite_analysis(query, database)
+        composite = self._analysis(query, database, prepared)
         assert composite is not None
         return (
             composite.estimated_cells(),
@@ -444,6 +468,15 @@ class VectorizedCoddBackend(CoddAnswerBackend):
             self._prepared.put(key, stacked)
         return stacked
 
+    def _analysis(self, query, database, prepared):
+        """The composite analysis, its join prune reading the same grids
+        the leaves run on."""
+        return composite_analysis(
+            query,
+            database,
+            lambda name, table: self._stacked_for(name, table, prepared),
+        )
+
     def _answer(self, query, name, table, mode, prepared) -> Relation:
         stacked = self._stacked_for(name, table, prepared)
         return select_project_answers(
@@ -457,7 +490,7 @@ class VectorizedCoddBackend(CoddAnswerBackend):
             # fast path stays byte-for-byte what it was.
             name, table = bound
             return self._answer(query, name, table, mode, prepared)
-        composite = composite_analysis(query, database)
+        composite = self._analysis(query, database, prepared)
         if composite is None:
             raise CoddPlanError(
                 "vectorized backend needs a select-project(-rename) query "
@@ -491,10 +524,10 @@ class NaiveCoddBackend(CoddAnswerBackend):
 
     name = "naive"
 
-    def supports(self, query, database):
+    def supports(self, query, database, prepared=None):
         return True
 
-    def estimate_cost(self, query, database):
+    def estimate_cost(self, query, database, prepared=None):
         worlds = _database_worlds(database, 10 * MAX_NAIVE_WORLDS)
         rows = sum(len(table) for table in database.values())
         # Each world materialises whole Relation objects and re-runs the

@@ -36,19 +36,24 @@ combinators::
     certain(A − B) = certain(A) − possible(B)   possible(A − B) = possible(A) − certain(B)
 
 :func:`composite_analysis` performs the whole analysis (cached — planning
-calls ``supports``/``estimate_cost``/``answer`` back to back) and
-:func:`composite_answer` evaluates it, parameterised by the leaf evaluator
-(the vectorized backend's, which keeps its grid LRU out of this module).
+calls ``supports``/``estimate_cost``/``answer`` back to back), including
+the aggregation DP, whose answers it keeps on the :class:`Composite`;
+:func:`composite_answer` evaluates it.  Both are parameterised by the
+engine's grid access — the analysis by a :data:`GridResolver` that finds
+a join side's stacked completion grid (so the pre-pairing prune is one
+vectorised pass), the answer by the leaf evaluator — which keeps the
+grid LRU and the service's pinned grids out of this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.codd.algebra import (
-    AggregateSpec,
     Attribute,
     Comparison,
     Conjunction,
@@ -60,6 +65,7 @@ from repro.codd.algebra import (
     Select,
     predicate_attributes,
 )
+from repro.codd.certain import _row_local_valuations
 from repro.codd.codd_table import CoddTable, Null
 from repro.codd.plan import (
     AggregateNode,
@@ -75,13 +81,22 @@ from repro.codd.plan import (
     lower,
 )
 from repro.codd.relation import Relation
-from repro.codd.vectorized import MAX_QUERY_CELLS, estimate_stacked_cells
+from repro.codd.vectorized import (
+    MAX_QUERY_CELLS,
+    StackedTable,
+    estimate_stacked_cells,
+    predicate_mask,
+)
 from repro.utils.lru import LRUCache
+
+if TYPE_CHECKING:
+    from repro.codd.aggregate import _PreparedAggregation
 
 __all__ = [
     "MAX_JOIN_PRUNE_COMPLETIONS",
     "FlatQuery",
     "Composite",
+    "GridResolver",
     "composite_analysis",
     "composite_answer",
 ]
@@ -90,6 +105,10 @@ __all__ = [
 #: :data:`repro.codd.certain.MAX_PRUNE_COMPLETIONS`): rows more ambiguous
 #: than this are conservatively kept.
 MAX_JOIN_PRUNE_COMPLETIONS = 4096
+
+#: ``(name, table) -> grid`` — the stacked completion grid of the table
+#: bound as ``name``, or ``None`` when it has none (above the stacking cap).
+GridResolver = Callable[[str, CoddTable], StackedTable | None]
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +219,11 @@ def _fresh_names(taken: set[str], n: int, prefix: str) -> list[str]:
 # ----------------------------------------------------------------------
 # Flattening
 # ----------------------------------------------------------------------
-def _flatten(node: PlanNode, database: Mapping[str, CoddTable]) -> FlatQuery:
+def _flatten(
+    node: PlanNode,
+    database: Mapping[str, CoddTable],
+    grids: GridResolver | None,
+) -> FlatQuery:
     if isinstance(node, ScanNode):
         table = database.get(node.relation)
         if table is None:
@@ -219,9 +242,9 @@ def _flatten(node: PlanNode, database: Mapping[str, CoddTable]) -> FlatQuery:
             # σ directly over a join carries the ON condition of a
             # qualified (disjoint-schema) SQL join; hand it to the pair
             # synthesis so its equality conjuncts drive the hash probe.
-            flat = _flatten_join(node.child, node.predicate, database)
+            flat = _flatten_join(node.child, node.predicate, database, grids)
         else:
-            flat = _flatten(node.child, database)
+            flat = _flatten(node.child, database, grids)
         if not predicate_attributes(node.predicate) <= set(flat.output):
             # Referencing a projected-away attribute must raise the naive
             # path's KeyError, not silently read a hidden working column.
@@ -231,10 +254,10 @@ def _flatten(node: PlanNode, database: Mapping[str, CoddTable]) -> FlatQuery:
         # working names too, so it composes without rewriting.
         return replace(flat, predicate=_conjoin(parts + [node.predicate]))
     if isinstance(node, ProjectNode):
-        flat = _flatten(node.child, database)
+        flat = _flatten(node.child, database, grids)
         return replace(flat, output=node.attributes)
     if isinstance(node, RenameNode):
-        flat = _flatten(node.child, database)
+        flat = _flatten(node.child, database, grids)
         mapping = dict(node.mapping)
         visible = set(flat.output)
         rename: dict[str, str] = {
@@ -267,7 +290,7 @@ def _flatten(node: PlanNode, database: Mapping[str, CoddTable]) -> FlatQuery:
             predicate=predicate,
         )
     if isinstance(node, JoinNode):
-        return _flatten_join(node, None, database)
+        return _flatten_join(node, None, database, grids)
     raise _Decline(f"cannot flatten a {type(node).__name__}")
 
 
@@ -275,12 +298,13 @@ def _flatten_join(
     node: JoinNode,
     on_predicate: Predicate | None,
     database: Mapping[str, CoddTable],
+    grids: GridResolver | None,
 ) -> FlatQuery:
     """Flatten a join; ``on_predicate`` (the σ directly above, if any) is
     mined for equality conjuncts to use as hash-probe keys but NOT applied
     here — the caller conjoins it onto the result."""
-    left = _flatten(node.left, database)
-    right = _flatten(node.right, database)
+    left = _flatten(node.left, database, grids)
+    right = _flatten(node.right, database, grids)
     if left.sources & right.sources:
         raise _Decline(
             "an incomplete table is scanned on both sides of the join; "
@@ -288,18 +312,38 @@ def _flatten_join(
         )
     key_pairs = [(a, a) for a in left.output if a in right.output]
     key_pairs.extend(_equi_pairs(on_predicate, left, right))
-    return _synthesize_pair(left, right, key_pairs)
+    return _synthesize_pair(left, right, key_pairs, grids)
 
 
-def _prune_rows(flat: FlatQuery) -> list[tuple[Any, ...]]:
+def _prune_rows(
+    flat: FlatQuery, grids: GridResolver | None
+) -> list[tuple[Any, ...]]:
     """Rows of ``flat.table`` that could pass ``flat.predicate`` in some
     world — the pre-pairing prune that makes the hash join fast.  Rows too
     ambiguous to check cheaply (or whose check raises, e.g. a mixed-type
-    ordering the oracle would also choke on) are conservatively kept."""
+    ordering the oracle would also choke on) are conservatively kept.
+
+    With a grid the predicate runs once over every completion and is
+    OR-reduced per row.  A vectorised pass evaluates branches a row's own
+    short-circuit never reaches, so when it raises a ``TypeError`` the
+    row loop decides instead, keeping exactly the rows it always kept."""
     if flat.predicate is None:
         return list(flat.table.rows)
-    from repro.codd.certain import _row_local_valuations
-
+    stacked = (
+        grids(flat.name, flat.table)
+        if grids is not None and flat.table.rows
+        else None
+    )
+    if stacked is not None:
+        try:
+            mask = predicate_mask(flat.predicate, flat.working, stacked)
+        except TypeError:
+            pass
+        else:
+            keep = np.logical_or.reduceat(mask, stacked.offsets)
+            keep |= stacked.counts > MAX_JOIN_PRUNE_COMPLETIONS
+            rows = flat.table.rows
+            return [rows[r] for r in np.flatnonzero(keep)]
     kept = []
     for row, completions in zip(flat.table.rows, flat.table.row_completions()):
         if completions > MAX_JOIN_PRUNE_COMPLETIONS:
@@ -324,6 +368,7 @@ def _synthesize_pair(
     left: FlatQuery,
     right: FlatQuery,
     key_pairs: list[tuple[str, str]],
+    grids: GridResolver | None,
 ) -> FlatQuery:
     """Build the candidate-pair table for ``left ⋈ right``.
 
@@ -348,8 +393,8 @@ def _synthesize_pair(
         else None
     )
 
-    left_rows = _prune_rows(left)
-    right_rows = _prune_rows(right)
+    left_rows = _prune_rows(left, grids)
+    right_rows = _prune_rows(right, grids)
 
     left_key_idx = [left.working.index(a) for a, _ in key_pairs]
     right_key_idx = [right.working.index(b) for _, b in key_pairs]
@@ -441,14 +486,17 @@ def _synthesize_pair(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Composite:
-    """The analyzed form of a fast-evaluable query tree."""
+    """The analyzed form of a fast-evaluable query tree.
+
+    An ``aggregate`` composite carries its prepared aggregation: both
+    answer relations, computed once by the DP during the analysis.
+    """
 
     kind: str  # "flat" | "union" | "difference" | "aggregate"
     flat: FlatQuery | None = None
     left: "Composite | None" = None
     right: "Composite | None" = None
-    group_by: tuple[str, ...] = ()
-    aggregates: tuple[AggregateSpec, ...] = ()
+    aggregation: _PreparedAggregation | None = None
 
     @property
     def sources(self) -> frozenset[str]:
@@ -465,10 +513,14 @@ class Composite:
         return self.left.estimated_cells() + self.right.estimated_cells()
 
 
-def _analyze(node: PlanNode, database: Mapping[str, CoddTable]) -> Composite:
+def _analyze(
+    node: PlanNode,
+    database: Mapping[str, CoddTable],
+    grids: GridResolver | None,
+) -> Composite:
     if isinstance(node, UnionNode) or isinstance(node, DifferenceNode):
-        left = _analyze(node.left, database)
-        right = _analyze(node.right, database)
+        left = _analyze(node.left, database, grids)
+        right = _analyze(node.right, database, grids)
         if left.sources & right.sources:
             raise _Decline(
                 "an incomplete table is scanned on both sides of the set "
@@ -477,21 +529,19 @@ def _analyze(node: PlanNode, database: Mapping[str, CoddTable]) -> Composite:
         kind = "union" if isinstance(node, UnionNode) else "difference"
         return Composite(kind=kind, left=left, right=right)
     if isinstance(node, AggregateNode):
-        flat = _flatten(node.child, database)
+        flat = _flatten(node.child, database, grids)
         if flat.completion_cells() > MAX_QUERY_CELLS:
             raise _Decline("aggregate child above the completion-cell cap")
         from repro.codd.aggregate import prepare_aggregation
 
         # Raises _Decline when cross-row tuple collisions or the DP state
         # cap make the fast path inexact/unaffordable for this input.
-        prepare_aggregation(flat, node.group_by, node.aggregates)
         return Composite(
             kind="aggregate",
             flat=flat,
-            group_by=node.group_by,
-            aggregates=node.aggregates,
+            aggregation=prepare_aggregation(flat, node.group_by, node.aggregates),
         )
-    flat = _flatten(node, database)
+    flat = _flatten(node, database, grids)
     if flat.completion_cells() > MAX_QUERY_CELLS:
         raise _Decline("flattened table above the completion-cell cap")
     return Composite(kind="flat", flat=flat)
@@ -499,17 +549,23 @@ def _analyze(node: PlanNode, database: Mapping[str, CoddTable]) -> Composite:
 
 # Planning calls supports/estimate_cost/answer back to back on the same
 # query; cache the (potentially expensive) analysis keyed by query + table
-# fingerprints. A declined analysis is cached too, as ``None``.
+# fingerprints. A declined analysis is cached too, as ``None``. Grids only
+# speed the analysis up, never change it, so they are not part of the key.
 _ANALYSIS_CACHE = LRUCache(32)
 _MISS = object()
 
 
 def composite_analysis(
-    query: Query, database: Mapping[str, CoddTable]
+    query: Query,
+    database: Mapping[str, CoddTable],
+    grids: GridResolver | None = None,
 ) -> Composite | None:
     """Analyze ``query`` for fast evaluation; ``None`` when it must fall
     back to naive enumeration (shape, exactness, or a flattened table
-    above :data:`~repro.codd.vectorized.MAX_QUERY_CELLS`)."""
+    above :data:`~repro.codd.vectorized.MAX_QUERY_CELLS`).
+
+    ``grids`` finds a table's stacked completion grid for the join
+    prune; without one every side is pruned row by row."""
     try:
         key = (
             query,
@@ -524,7 +580,7 @@ def composite_analysis(
             return cached
     try:
         plan = LogicalPlan.from_query(query, LogicalPlan.catalog_of(database))
-        result: Composite | None = _analyze(plan.root, database)
+        result: Composite | None = _analyze(plan.root, database, grids)
     except _Decline:
         result = None
     except (KeyError, ValueError):
@@ -553,16 +609,15 @@ def composite_answer(
     ``leaf`` evaluates one :class:`FlatQuery` in a given mode — the
     vectorized backend's grid-backed evaluator, which runs a leaf above
     the stacking cap in row blocks.  Set operators use the exact
-    mode-flipping combinators; aggregation runs the DP.
+    mode-flipping combinators; aggregation reads the answers the analysis
+    prepared.
     """
     if composite.kind == "flat":
         return leaf(composite.flat, mode)
     if composite.kind == "aggregate":
         from repro.codd.aggregate import aggregate_answers
 
-        return aggregate_answers(
-            composite.flat, composite.group_by, composite.aggregates, mode
-        )
+        return aggregate_answers(composite.aggregation, mode)
     other = "possible" if mode == "certain" else "certain"
     if composite.kind == "union":
         return composite_answer(composite.left, mode, leaf).union(

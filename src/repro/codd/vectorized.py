@@ -377,7 +377,13 @@ def _term_operand(
             ) from None
         return stacked.columns[index], stacked.numeric_column(index)
     value = term.value
-    return value, float(value) if _is_float_exact(value) else None
+    if _is_float_exact(value):
+        return value, float(value)
+    # Boxed as one object, so numpy compares each cell with the value
+    # itself instead of broadcasting a list or tuple literal elementwise.
+    boxed = np.empty((), dtype=object)
+    boxed[()] = value
+    return boxed, None
 
 
 def _comparison_mask(

@@ -44,7 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.codd.codd_table import CoddTable
-from repro.codd import aggregate, joins
+from repro.codd import joins
 from repro.codd.engine import MODES, answer_query, get_codd_backend
 from repro.codd.plan import plan_dict
 from repro.codd.sql import parse_sql, referenced_tables
@@ -659,7 +659,6 @@ class QueryBroker:
             "incremental.states": getattr(get_backend("incremental"), "_states", None),
             "codd.grids": getattr(get_codd_backend("vectorized"), "_prepared", None),
             "codd.joins": joins._ANALYSIS_CACHE,
-            "codd.aggregate": aggregate._CACHE,
         }
         return {n: c for n, c in caches.items() if isinstance(c, LRUCache)}
 

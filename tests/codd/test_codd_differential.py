@@ -13,6 +13,12 @@ certification system, so the harness asserts **bit-identical**
 A second generator fuzzes two-table databases with join queries and
 asserts the pruned multi-table path agrees with unpruned enumeration.
 
+A third generator fuzzes the served SQL read shape — ``GROUP BY`` with
+``COUNT``/``SUM`` over a qualified ``JOIN ... ON`` — with and without
+pinned grids, and the join prune on a grid is held to the row loop it
+replaces, kept row for kept row.  The aggregation DP's state cap is
+checked on both sides of its boundary.
+
 The row-block leg lowers the stacking cap below each case's grid, so the
 ``vectorized`` backend evaluates every leaf in transient row blocks (and
 streams a lone row above the cap through the reference), and holds the
@@ -27,8 +33,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.codd.aggregate as aggregate
 import repro.codd.certain as certain_module
 import repro.codd.engine as engine
+import repro.codd.joins as joins
 import repro.codd.vectorized as vectorized
 from fuzz.codd_cases import (
     SEEDS,
@@ -36,11 +44,16 @@ from fuzz.codd_cases import (
     random_aggregate_case,
     random_case,
     random_database_case,
+    random_join_aggregate_case,
     random_join_case,
 )
 from repro.codd.algebra import (
+    Aggregate,
+    AggregateSpec,
     Attribute,
     Comparison,
+    Disjunction,
+    Join,
     Literal,
     Project,
     Rename,
@@ -59,7 +72,10 @@ from repro.codd.certain import (
 )
 from repro.codd.codd_table import CoddTable, Null
 from repro.codd.engine import VectorizedCoddBackend, answer_query, plan_codd_query
-from repro.codd.joins import composite_analysis
+from repro.codd.joins import FlatQuery, composite_analysis
+from repro.codd.optimizer import optimize_query
+from repro.codd.vectorized import StackedTable, predicate_mask
+from repro.utils.lru import LRUCache
 
 
 class TestSingleTableDifferential:
@@ -139,11 +155,19 @@ def _oracle(query, database, mode):
     return func(query, database, prune=False)
 
 
-def _capable_backends(query, database):
+def _capable_backends(query, database, prepared=None):
     """``auto`` plus every explicit backend that can serve the query."""
     from repro.codd.engine import capable_codd_backends
 
-    return ["auto"] + [b.name for b in capable_codd_backends(query, database)]
+    capable = capable_codd_backends(query, database, prepared)
+    return ["auto"] + [b.name for b in capable]
+
+
+@pytest.fixture
+def fresh_analysis(monkeypatch):
+    """A composite-analysis cache of the test's own, so an analysis runs
+    afresh after each ``joins._ANALYSIS_CACHE.clear()``."""
+    monkeypatch.setattr(joins, "_ANALYSIS_CACHE", LRUCache(32))
 
 
 class TestJoinDifferential:
@@ -187,12 +211,207 @@ class TestAggregateDifferential:
             ).relation
             assert result == oracle, f"{backend}/{mode} diverged: {description}"
 
+    def test_large_ints_that_cancel_before_a_float_joins(self):
+        # float(2**60 + 1) is 2**60, so once 0.5 joins, the world with
+        # -(2**60) sums to 0.5 over the float-converted terms, not 1.5.
+        table = CoddTable(
+            ("g", "v"), [(0, 2**60 + 1), (0, Null([-(2**60), 5])), (0, 0.5)]
+        )
+        query = Aggregate(Scan("T"), ("g",), (AggregateSpec("sum", "v", "total"),))
+        database = {"T": table}
+        assert plan_codd_query(query, database).backend == "vectorized"
+        possible = answer_query(query, database, mode="possible").relation
+        assert possible == _oracle(query, database, "possible")
+        assert possible.rows == {(0, 0.5), (0, float(2**60))}
+
     def test_fast_path_actually_engages(self):
         fast = 0
         for seed in SEEDS:
             query, database, _ = random_aggregate_case(seed)
             fast += plan_codd_query(query, database).backend != "naive"
         assert fast >= 8, f"only {fast} aggregate seeds took a fast path"
+
+
+class TestJoinAggregateDifferential:
+    """The served SQL read shape — GROUP BY with COUNT/SUM over a
+    qualified join filtered on each side — against the oracle, planned and
+    run once on grids the engine resolves and once on handed grids."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("mode", ["certain", "possible"])
+    def test_join_aggregates_match_oracle(self, seed, mode, fresh_analysis):
+        query, database, description = random_join_aggregate_case(seed)
+        oracle = _oracle(query, database, mode)
+        pinned = {name: StackedTable(table) for name, table in database.items()}
+        for prepared in (None, pinned):
+            joins._ANALYSIS_CACHE.clear()
+            for backend in _capable_backends(query, database, prepared):
+                result = answer_query(
+                    query, database, mode=mode, backend=backend, prepared=prepared
+                ).relation
+                assert result == oracle, (
+                    f"{backend}/{mode} diverged "
+                    f"({'handed' if prepared else 'resolved'} grids): {description}"
+                )
+
+    def test_fast_path_actually_engages(self):
+        fast = slow = 0
+        for seed in SEEDS:
+            query, database, _ = random_join_aggregate_case(seed)
+            backend = plan_codd_query(query, database).backend
+            fast += backend != "naive"
+            slow += backend == "naive"
+        assert fast >= 8, f"only {fast} join-aggregate seeds took a fast path"
+        assert slow >= 3, f"only {slow} join-aggregate seeds exercised the fallback"
+
+
+def _resolve(name, table):
+    return StackedTable(table)
+
+
+def _pruned_sides(query, database, monkeypatch):
+    """``(side, kept rows)`` for every join side the analysis of ``query``
+    prunes without grids, i.e. on the row loop."""
+    seen = []
+    row_loop = joins._prune_rows
+
+    def recording(flat, grids):
+        assert grids is None
+        kept = row_loop(flat, grids)
+        seen.append((flat, kept))
+        return kept
+
+    with monkeypatch.context() as patch:
+        patch.setattr(joins, "_prune_rows", recording)
+        patch.setattr(joins, "_ANALYSIS_CACHE", LRUCache(32))
+        composite_analysis(query, database)
+    return seen
+
+
+class TestGridPrune:
+    """The join prune on a grid keeps exactly the rows the row loop keeps."""
+
+    @pytest.mark.parametrize(
+        "generator",
+        [random_join_case, random_database_case, random_join_aggregate_case],
+        ids=["join", "database", "join_aggregate"],
+    )
+    def test_grid_prune_keeps_the_row_loops_rows(self, generator, monkeypatch):
+        filtered = dropped = 0
+        for seed in SEEDS:
+            query, database, description = generator(seed)
+            # The optimizer pushes filters below the join, onto the sides.
+            optimized = optimize_query(query, database).query()
+            for run in (query, optimized):
+                for side, kept in _pruned_sides(run, database, monkeypatch):
+                    assert joins._prune_rows(side, _resolve) == kept, description
+                    filtered += side.predicate is not None
+                    dropped += len(kept) < len(side.table)
+        assert filtered >= 10 and dropped >= 5, (filtered, dropped)
+
+    def test_a_row_above_the_completion_cap_is_kept(self, monkeypatch):
+        # Row 0 has three completions and none passes x < 3.
+        table = CoddTable(("k", "x"), [(1, Null([5, 6, 7])), (2, 1)])
+        side = FlatQuery(
+            table=table,
+            name="L",
+            working=("k", "x"),
+            output=("k", "x"),
+            predicate=Comparison(Attribute("x"), "<", Literal(3)),
+            sources=frozenset({"L"}),
+        )
+        assert joins._prune_rows(side, _resolve) == [(2, 1)]
+        assert joins._prune_rows(side, None) == [(2, 1)]
+        monkeypatch.setattr(joins, "MAX_JOIN_PRUNE_COMPLETIONS", 2)
+        assert joins._prune_rows(side, _resolve) == list(table.rows)
+        assert joins._prune_rows(side, None) == list(table.rows)
+
+        monkeypatch.setattr(joins, "_ANALYSIS_CACHE", LRUCache(32))
+        database = {"L": table, "R": CoddTable(("k", "y"), [(1, "u"), (2, "v")])}
+        query = Join(Select(Scan("L"), side.predicate), Scan("R"))
+        assert plan_codd_query(query, database).backend == "vectorized"
+        for mode in ("certain", "possible"):
+            result = answer_query(query, database, mode=mode).relation
+            assert result == _oracle(query, database, mode)
+
+    MIXED = CoddTable(("k", "x"), [(1, 1), (2, "b"), (3, Null([5, "b"]))])
+    RIGHT = CoddTable(("k", "y"), [(1, "u"), (2, "v"), (3, "w")])
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            # Short-circuits past every str < int on each row: an answer.
+            Disjunction(
+                Comparison(Attribute("x"), "==", Literal("b")),
+                Comparison(Attribute("x"), "<", Literal(2)),
+            ),
+            # Compares "b" < 2 in every world: the oracle's TypeError.
+            Comparison(Attribute("x"), "<", Literal(2)),
+        ],
+        ids=["answer", "type_error"],
+    )
+    def test_a_mixed_type_ordering_takes_the_row_loop(
+        self, predicate, fresh_analysis
+    ):
+        side = FlatQuery(
+            table=self.MIXED,
+            name="L",
+            working=("k", "x"),
+            output=("k", "x"),
+            predicate=predicate,
+            sources=frozenset({"L"}),
+        )
+        with pytest.raises(TypeError):
+            predicate_mask(predicate, side.working, StackedTable(self.MIXED))
+        assert joins._prune_rows(side, _resolve) == joins._prune_rows(side, None)
+
+        database = {"L": self.MIXED, "R": self.RIGHT}
+        query = Join(Select(Scan("L"), predicate), Scan("R"))
+        pinned = {name: StackedTable(table) for name, table in database.items()}
+        for mode in ("certain", "possible"):
+            try:
+                expected = answer_query(query, database, mode=mode, backend="naive")
+            except TypeError as error:
+                with pytest.raises(TypeError) as raised:
+                    answer_query(query, database, mode=mode, prepared=pinned)
+                assert str(raised.value) == str(error)
+            else:
+                served = answer_query(query, database, mode=mode, prepared=pinned)
+                assert served.plan.backend == "vectorized"
+                assert served.relation == expected.relation
+
+
+class TestAggregateStateCap:
+    """``MAX_AGGREGATE_STATES`` bounds the DP's largest state set; past it
+    the query plans onto ``naive``, and either side answers exactly."""
+
+    #: Group 0 reaches four SUM states, {11, 12, 21, 22}, after its second row.
+    TABLE = CoddTable(("g", "v"), [(0, Null([1, 2])), (0, Null([10, 20])), (1, 4)])
+    QUERY = Aggregate(Scan("T"), ("g",), (AggregateSpec("sum", "v", "total"),))
+
+    @pytest.mark.parametrize(
+        "cap, backend", [(3, "naive"), (4, "vectorized")], ids=["above", "at"]
+    )
+    def test_both_sides_of_the_cap(self, cap, backend, monkeypatch, fresh_analysis):
+        monkeypatch.setattr(aggregate, "MAX_AGGREGATE_STATES", cap)
+        database = {"T": self.TABLE}
+        assert plan_codd_query(self.QUERY, database).backend == backend
+        for mode in ("certain", "possible"):
+            result = answer_query(self.QUERY, database, mode=mode).relation
+            assert result == _oracle(self.QUERY, database, mode)
+
+    def test_certain_rows_fold_first(self, monkeypatch, fresh_analysis):
+        # In table order the two uncertain rows hold two MAX states each;
+        # folding the certain 10 first keeps one state throughout.
+        table = CoddTable(("g", "v"), [(0, Null([1, 2])), (0, Null([3, 4])), (0, 10)])
+        query = Aggregate(Scan("T"), ("g",), (AggregateSpec("max", "v", "top"),))
+        monkeypatch.setattr(aggregate, "MAX_AGGREGATE_STATES", 1)
+        database = {"T": table}
+        assert plan_codd_query(query, database).backend == "vectorized"
+        for mode in ("certain", "possible"):
+            result = answer_query(query, database, mode=mode).relation
+            assert result == _oracle(query, database, mode)
+            assert result.rows == {(0, 10)}
 
 
 def _generated(generator, seed):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.codd.algebra import (
+    Aggregate,
+    AggregateSpec,
     Attribute,
     Comparison,
     Join,
@@ -94,6 +96,26 @@ class TestJoinAcrossTables:
             served = answer_query(query, database, mode=mode)
             naive = answer_query(query, database, mode=mode, backend="naive")
             assert served.relation == naive.relation
+
+    def test_unhashable_literal_in_an_aggregate_is_answered_like_naive(self) -> None:
+        # The aggregate's filter cannot be hashed either: the analysis must
+        # prepare the aggregation without any cache keyed on the query.
+        from repro.codd.engine import answer_query
+
+        table = CoddTable(
+            ("g", "v", "city"),
+            [(1, 2, "Rome"), (1, Null([3, 4]), "Oslo"), (2, 5, "Rome")],
+        )
+        query = Aggregate(
+            Select(Scan("T"), Comparison(Attribute("city"), "==", Literal(["Rome"]))),
+            ("g",),
+            (AggregateSpec("count", None, "n"),),
+        )
+        for mode in ("certain", "possible"):
+            served = answer_query(query, {"T": table}, mode=mode)
+            naive = answer_query(query, {"T": table}, mode=mode, backend="naive")
+            assert served.relation == naive.relation
+            assert served.relation.rows == set()
 
     def test_world_cap_enforced(self) -> None:
         big = CoddTable(("a",), [(Null(range(100)),)] * 4)

@@ -164,6 +164,21 @@ class TestExactness:
         assert possible_answers_vectorized(query, table).rows == {("x",)}
         assert certain_answers_vectorized(query, table).rows == set()
 
+    @pytest.mark.parametrize("literal", [["x"], ("x",)], ids=["list", "tuple"])
+    def test_a_sequence_literal_is_one_value_not_broadcast(self, literal):
+        # "x" == ["x"] is False cell by cell; numpy must not compare each
+        # cell with the sequence's elements instead.
+        table = CoddTable(("a",), [("x",), (Null(["x", "y"]),)])
+        for op, expected in (("==", set()), ("!=", {("x",), ("y",)})):
+            query = Select(Scan("T"), Comparison(Attribute("a"), op, Literal(literal)))
+            assert possible_answers_vectorized(query, table).rows == expected
+            assert possible_answers_vectorized(query, table) == possible_answers_naive(
+                query, table
+            )
+            assert certain_answers_vectorized(query, table) == certain_answers_naive(
+                query, table
+            )
+
     def test_rename_and_projection(self):
         table = CoddTable(("a", "b"), [(1, Null([5, 6])), (2, 9)])
         query = Project(

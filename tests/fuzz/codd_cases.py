@@ -4,7 +4,8 @@ Extracted from ``tests/codd/test_codd_differential.py`` so the
 certain-answer harness and the update-sequence harness draw from one
 generator: fuzzed schemas and column types (small ints, floats, strings,
 ints beyond float64 exactness) with random NULL domains, plus random
-select-project(-rename) queries and two-table join databases.
+select-project(-rename) queries, two-table join databases and SQL
+``GROUP BY`` aggregates over a qualified join.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.codd.algebra import (
     Select,
 )
 from repro.codd.codd_table import CoddTable, Null
+from repro.codd.sql import parse_sql
 
 __all__ = [
     "SEEDS",
@@ -38,6 +40,7 @@ __all__ = [
     "random_database_case",
     "random_join_case",
     "random_aggregate_case",
+    "random_join_aggregate_case",
 ]
 
 SEEDS = list(range(30))
@@ -251,3 +254,75 @@ def random_database_case(seed: int):
     if rng.random() < 0.3:
         database["unused"] = random_table(rng, ("z",), ["int"])
     return query, database, f"seed={seed}"
+
+
+#: Order amounts: small ints, floats, and ints beyond float64 exactness
+#: (which can cancel), so a SUM crosses from exact-int to float-converted
+#: arithmetic.
+AMOUNTS = [0, 1, 3, 7, 2.5, -1.25, 2**60 + 1, 2**60 + 3, -(2**60)]
+
+JOIN_AGGREGATE_SQL = (
+    "SELECT o.cid, COUNT(*) AS n, SUM(o.amount) AS total "
+    "FROM customers c JOIN orders o ON c.cid = o.cid "
+    "WHERE c.region = '{region}' AND {order_filter} GROUP BY o.cid"
+)
+
+
+def random_join_aggregate_case(seed: int):
+    """A ``GROUP BY`` with ``COUNT``/``SUM`` over a qualified
+    ``JOIN ... ON``, filtered on each side: the served SQL read shape.
+
+    ``customers`` has unique complete keys and sometimes a NULL region;
+    ``orders`` has NULL amounts, and NULL keys whose domain holds at most
+    one live customer on most seeds (the hash join's exactness condition)
+    and two on a few (its decline).  Amounts mix ints, floats and ints
+    above ``2**53``, so sums leave the exact-int state on some groups.
+    """
+    rng = np.random.default_rng(9000 + seed)
+    n_customers = int(rng.integers(2, 5))
+    regions = ["north", "south"]
+    customers = CoddTable(
+        ("cid", "region"),
+        [
+            (
+                cid,
+                Null(regions)
+                if rng.random() < 0.25
+                else regions[int(rng.integers(0, 2))],
+            )
+            for cid in range(n_customers)
+        ],
+    )
+
+    def amount() -> object:
+        return AMOUNTS[int(rng.integers(0, len(AMOUNTS)))]
+
+    rows = []
+    n_nulls = 0
+    for oid in range(int(rng.integers(2, 7))):
+        cid: object = int(rng.integers(0, n_customers + 1))  # may dangle
+        value: object = amount()
+        if n_nulls < 4 and rng.random() < 0.45:
+            n_nulls += 1
+            size = int(rng.integers(2, 4))
+            picks = rng.choice(len(AMOUNTS), size=size, replace=False)
+            value = Null([AMOUNTS[int(i)] for i in picks])
+        if n_nulls < 4 and rng.random() < 0.2:
+            n_nulls += 1
+            # One live candidate mostly; two force the exactness decline.
+            live = [0, 1] if rng.random() < 0.3 else [int(rng.integers(0, n_customers))]
+            cid = Null(live + [100])
+        rows.append((oid, cid, value))
+    orders = CoddTable(("oid", "cid", "amount"), rows)
+
+    if rng.random() < 0.5:
+        order_filter = f"o.oid >= {int(rng.integers(0, 3))}"
+    else:
+        op, bound = rng.choice(["<", ">="]), int(rng.choice([1, 3, 7]))
+        order_filter = f"o.amount {op} {bound}"
+    sql = JOIN_AGGREGATE_SQL.format(
+        region=regions[int(rng.integers(0, 2))], order_filter=order_filter
+    )
+    database = {"customers": customers, "orders": orders}
+    schemas = {name: table.schema for name, table in database.items()}
+    return parse_sql(sql, schemas=schemas), database, f"seed={seed} sql={sql!r}"

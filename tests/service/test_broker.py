@@ -360,7 +360,6 @@ LRU_CACHES = (
     "incremental.states",
     "codd.grids",
     "codd.joins",
-    "codd.aggregate",
 )
 
 
