@@ -13,6 +13,7 @@ paper's incomplete *dataset* bounds each candidate set ``C_i`` by ``M``.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -80,10 +81,17 @@ class CoddTable:
                 if isinstance(cell, Null):
                     variables.append((r, c, cell))
             table.append(tup)
-        self._rows = tuple(table)
-        self._variables = tuple(variables)
+        self._init_validated(tuple(table), tuple(variables))
+
+    def _init_validated(
+        self, rows: tuple[tuple[Any, ...], ...], variables: tuple[tuple[int, int, Null], ...]
+    ) -> None:
+        self._rows = rows
+        self._variables = variables
         self._fingerprint: str | None = None
+        self._row_digests: bytes | None = None
         self._row_completions: tuple[int, ...] | None = None
+        self._n_worlds: int | None = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -109,8 +117,11 @@ class CoddTable:
         return len(self._variables)
 
     def n_worlds(self) -> int:
-        """Exact number of possible worlds (big int)."""
-        return math.prod(len(null.domain) for _, _, null in self._variables)
+        """Exact number of possible worlds (big int). Computed once; a
+        fixed cell divides its parent's count by the cell's domain size."""
+        if self._n_worlds is None:
+            self._n_worlds = math.prod(len(null.domain) for _, _, null in self._variables)
+        return self._n_worlds
 
     def row_completions(self) -> tuple[int, ...]:
         """Per row, its number of row-local completions: the product of
@@ -134,20 +145,16 @@ class CoddTable:
         distinct objects — evaluation depends only on positions and
         domains, which is exactly what caches (the vectorized engine's
         prepared-grid LRU, the service's SQL result cache) need to key on.
-        Instances are immutable, so the hash is computed once.
+        It is the SHA-256 over the schema, the row count and the ordered
+        per-row SHA-256 digests; :meth:`with_cell_fixed` inherits the
+        parent's row digests and hashes only the fixed row. Instances are
+        immutable, so the hash is computed once.
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(repr(self._schema).encode("utf-8"))
-            for row in self._rows:
-                for cell in row:
-                    if isinstance(cell, Null):
-                        digest.update(b"N")
-                        digest.update(repr(cell.domain).encode("utf-8"))
-                    else:
-                        digest.update(b"C")
-                        digest.update(repr(cell).encode("utf-8"))
-                digest.update(b"|")
+            if self._row_digests is None:
+                self._row_digests = b"".join(map(_row_digest, self._rows))
+            digest = hashlib.sha256(f"{self._schema!r}|{len(self._rows)}|".encode("utf-8"))
+            digest.update(self._row_digests)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -223,11 +230,41 @@ class CoddTable:
         Mirrors :meth:`repro.core.dataset.IncompleteDataset.with_row_fixed`:
         the value must come from the variable's domain (validity assumption).
         """
+        row = range(len(self._rows))[row]
+        column = range(len(self._schema))[column]
         cell = self._rows[row][column]
         if not isinstance(cell, Null):
             raise ValueError(f"cell ({row}, {column}) is not NULL")
         if value not in cell.domain:
             raise ValueError(f"value {value!r} outside the domain of cell ({row}, {column})")
-        rows = [list(r) for r in self._rows]
-        rows[row][column] = value
-        return CoddTable(self._schema, rows)
+        # Every other row, variable and digest is unchanged: splice the one
+        # row instead of re-scanning (and re-hashing) every cell.
+        old_row = self._rows[row]
+        new_row = old_row[:column] + (value,) + old_row[column + 1 :]
+        index = bisect.bisect_left(self._variables, (row, column), key=lambda v: v[:2])
+        table = CoddTable.__new__(CoddTable)
+        table._schema = self._schema
+        table._init_validated(
+            self._rows[:row] + (new_row,) + self._rows[row + 1 :],
+            self._variables[:index] + self._variables[index + 1 :],
+        )
+        if self._row_digests is not None:
+            start = 32 * row
+            table._row_digests = (
+                self._row_digests[:start] + _row_digest(new_row) + self._row_digests[start + 32 :]
+            )
+        if self._row_completions is not None:
+            completions = self._row_completions
+            fixed = completions[row] // len(cell.domain)
+            table._row_completions = completions[:row] + (fixed,) + completions[row + 1 :]
+        if self._n_worlds is not None:
+            table._n_worlds = self._n_worlds // len(cell.domain)
+        return table
+
+
+def _row_digest(row: tuple[Any, ...]) -> bytes:
+    """The SHA-256 of one row's cells: ``N`` + domain or ``C`` + constant reprs."""
+    cells = "".join(
+        f"N{cell.domain!r}" if isinstance(cell, Null) else f"C{cell!r}" for cell in row
+    )
+    return hashlib.sha256(cells.encode("utf-8")).digest()

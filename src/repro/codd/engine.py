@@ -448,10 +448,21 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         self,
         name: str,
         table: CoddTable,
+        database: Mapping[str, CoddTable],
         prepared: Mapping[str, StackedTable] | None,
     ) -> StackedTable | None:
         """The table's whole grid — handed, cached or freshly cached — or
-        ``None`` when it is above the stacking cap."""
+        ``None`` when it is above the stacking cap.
+
+        A table the query synthesizes (a join's pair table, bound under
+        no name of ``database``) gets a grid for this call only: its
+        content is per query, and caching it would evict the base-table
+        grids the LRU keeps."""
+        base = database.get(name)
+        if base is not table and (
+            base is None or base.fingerprint() != table.fingerprint()
+        ):
+            return StackedTable(table) if stackable(table) else None
         if prepared is not None:
             handed = prepared.get(name)
             if handed is not None and (
@@ -474,11 +485,11 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         return composite_analysis(
             query,
             database,
-            lambda name, table: self._stacked_for(name, table, prepared),
+            lambda name, table: self._stacked_for(name, table, database, prepared),
         )
 
-    def _answer(self, query, name, table, mode, prepared) -> Relation:
-        stacked = self._stacked_for(name, table, prepared)
+    def _answer(self, query, name, table, database, mode, prepared) -> Relation:
+        stacked = self._stacked_for(name, table, database, prepared)
         return select_project_answers(
             query, table, name=name, mode=mode, stacked=stacked
         )
@@ -489,7 +500,7 @@ class VectorizedCoddBackend(CoddAnswerBackend):
             # Run the original query directly so the pinned single-table
             # fast path stays byte-for-byte what it was.
             name, table = bound
-            return self._answer(query, name, table, mode, prepared)
+            return self._answer(query, name, table, database, mode, prepared)
         composite = self._analysis(query, database, prepared)
         if composite is None:
             raise CoddPlanError(
@@ -501,7 +512,7 @@ class VectorizedCoddBackend(CoddAnswerBackend):
             composite,
             mode,
             lambda flat, m: self._answer(
-                flat.to_query(), flat.name, flat.table, m, prepared
+                flat.to_query(), flat.name, flat.table, database, m, prepared
             ),
         )
 

@@ -555,6 +555,24 @@ _ANALYSIS_CACHE = LRUCache(32)
 _MISS = object()
 
 
+class _ByIdentity:
+    """Keys a query that cannot be hashed (it holds an unhashable literal)
+    by identity, so the calls of one planning round still share one
+    analysis. The cache entry holds the query, so its id stays unique for
+    as long as the entry lives."""
+
+    __slots__ = ("query",)
+
+    def __init__(self, query: Query) -> None:
+        self.query = query
+
+    def __hash__(self) -> int:
+        return id(self.query)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _ByIdentity) and other.query is self.query
+
+
 def composite_analysis(
     query: Query,
     database: Mapping[str, CoddTable],
@@ -566,18 +584,15 @@ def composite_analysis(
 
     ``grids`` finds a table's stacked completion grid for the join
     prune; without one every side is pruned row by row."""
+    fingerprints = tuple(sorted((n, t.fingerprint()) for n, t in database.items()))
+    key = (query, fingerprints)
     try:
-        key = (
-            query,
-            tuple(sorted((n, t.fingerprint()) for n, t in database.items())),
-        )
         hash(key)
     except TypeError:  # unhashable literal somewhere in the query
-        key = None
-    if key is not None:
-        cached = _ANALYSIS_CACHE.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
+        key = (_ByIdentity(query), fingerprints)
+    cached = _ANALYSIS_CACHE.get(key, _MISS)
+    if cached is not _MISS:
+        return cached
     try:
         plan = LogicalPlan.from_query(query, LogicalPlan.catalog_of(database))
         result: Composite | None = _analyze(plan.root, database, grids)
@@ -587,8 +602,7 @@ def composite_analysis(
         # Unknown relations/attributes or incompatible schemas: let the
         # naive path raise the canonical error.
         result = None
-    if key is not None:
-        _ANALYSIS_CACHE.put(key, result)
+    _ANALYSIS_CACHE.put(key, result)
     return result
 
 

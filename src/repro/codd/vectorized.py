@@ -284,11 +284,11 @@ class StackedTable:
         derived.counts = counts
         derived.offsets = offsets
         derived.total = self.total - (n - n_keep)
-        arity = len(new_table.schema)
-        derived.varying = tuple(
-            any(isinstance(r[c], Null) for r in new_table.rows)
-            for c in range(arity)
-        )
+        # Only the fixed column can stop varying: it does when its last
+        # NULL is gone.
+        varying = list(self.varying)
+        varying[column] = any(c == column for _, c, _ in new_table.variables)
+        derived.varying = tuple(varying)
         derived._numeric = []
         for c, cached in enumerate(self._numeric):
             if isinstance(cached, np.ndarray):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,85 @@ class CandidateLayout(NamedTuple):
     cands: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, marked read-only."""
+    array.setflags(write=False)
+    return array
+
+
+def _row_digests(sets: Sequence[np.ndarray], labels: np.ndarray) -> np.ndarray:
+    """The ``(N, 32)`` per-row SHA-256 digests of label, ``m_i`` and candidates.
+
+    Each row hashes its int64 ``(label, m_i)`` header, then its candidate
+    bytes; the candidate sets are C-contiguous float64 matrices, which
+    hashlib reads without a copy.
+    """
+    counts = np.fromiter((c.shape[0] for c in sets), dtype=np.int64, count=len(sets))
+    headers = np.stack([labels, counts], axis=1).tobytes()
+    sha256 = hashlib.sha256
+    digests = []
+    for i, candidates in enumerate(sets):
+        digest = sha256(headers[16 * i : 16 * i + 16])
+        digest.update(candidates)
+        digests.append(digest.digest())
+    # A view of immutable bytes: read-only without a copy.
+    return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 32)
+
+
+def _splice_digests(
+    digests: np.ndarray, row: int, n_old: int, labels: np.ndarray, block: np.ndarray | None
+) -> np.ndarray:
+    """``digests`` with rows ``row .. row + n_old - 1`` replaced by the digest
+    of new row ``row`` (``labels[row]``, ``block``), or by none when
+    ``block`` is None."""
+    new = [] if block is None else [_row_digests([block], labels[row : row + 1])]
+    return _read_only(np.concatenate([digests[:row], *new, digests[row + n_old :]]))
+
+
+def _splice_layout(
+    layout: CandidateLayout, row: int, n_old: int, block: np.ndarray | None
+) -> CandidateLayout:
+    """``layout`` with rows ``row .. row + n_old - 1`` replaced by one row
+    whose candidates are ``block`` (by no row when ``block`` is None).
+
+    Equal, array for array, to the layout built from the spliced candidate
+    sets; O(P) vector copies instead of re-stacking ``N`` candidate sets.
+    """
+    start = int(layout.offsets[row])
+    stop = int(layout.offsets[row + n_old])
+    m_new = 0 if block is None else block.shape[0]
+    n_new = 0 if block is None else 1
+    new_stacked = [] if block is None else [block]
+    stacked = np.concatenate(
+        [layout.stacked[:start], *new_stacked, layout.stacked[stop:]], axis=0
+    )
+    rows = np.concatenate(
+        [
+            layout.rows[:start],
+            np.full(m_new, row, dtype=np.int64),
+            layout.rows[stop:] + (n_new - n_old),
+        ]
+    )
+    cands = np.concatenate(
+        [layout.cands[:start], np.arange(m_new, dtype=np.int64), layout.cands[stop:]]
+    )
+    counts = np.concatenate(
+        [
+            layout.counts[:row],
+            np.full(n_new, m_new, dtype=np.int64),
+            layout.counts[row + n_old :],
+        ]
+    )
+    offsets = np.concatenate(
+        [
+            layout.offsets[: row + 1],
+            np.full(n_new, start + m_new, dtype=np.int64),
+            layout.offsets[row + n_old + 1 :] + (m_new - (stop - start)),
+        ]
+    )
+    return CandidateLayout(*map(_read_only, (stacked, rows, cands, counts, offsets)))
 
 
 class IncompleteDataset:
@@ -97,19 +176,49 @@ class IncompleteDataset:
         self._labels = labels
         self._dim = dim
         self._fingerprint: str | None = None
+        self._digests: np.ndarray | None = None
+        self._n_worlds: int | None = None
         self._layout: CandidateLayout | None = None
+        # Set on a derived version: splice the parent's digests / layout.
+        self._derive_digests: Callable[[], np.ndarray] | None = None
+        self._derive_layout: Callable[[], CandidateLayout] | None = None
 
-    @staticmethod
-    def _derived(sets: list[np.ndarray], labels: np.ndarray, dim: int) -> "IncompleteDataset":
-        """A new version over rows that are already validated and read-only.
+    def _derived(
+        self,
+        sets: list[np.ndarray],
+        labels: np.ndarray,
+        row: int,
+        n_old: int,
+        block: np.ndarray | None,
+    ) -> "IncompleteDataset":
+        """A new version in which rows ``row .. row + n_old - 1`` of this
+        one are replaced by one row with candidates ``block`` (by no row
+        when ``block`` is None).
 
-        The derivations below change one row or one label; re-running the
-        public constructor would re-check, copy and freeze all ``N`` rows.
-        ``labels`` must be a read-only int64 vector the caller no longer
-        writes to.
+        ``sets``/``labels`` are the new version's, already validated and
+        read-only; re-running the public constructor would re-check, copy
+        and freeze all ``N`` rows. What this version already knows carries
+        over in O(Δ): its world count at once (one exact division and/or
+        multiplication), its per-row digests and its layout on the new
+        version's first use of them (see :meth:`fingerprint` and
+        :meth:`candidate_layout`), so a version nobody fingerprints pays
+        nothing for them. Only these artifacts are shared, never ``self``,
+        so a chain of versions does not keep its ancestors alive.
         """
         dataset = IncompleteDataset.__new__(IncompleteDataset)
-        dataset._init_validated(sets, labels, dim)
+        dataset._init_validated(sets, labels, self._dim)
+        if self._n_worlds is not None:
+            n_worlds = self._n_worlds
+            if n_old:
+                n_worlds //= self._candidate_sets[row].shape[0]
+            if block is not None:
+                n_worlds *= block.shape[0]
+            dataset._n_worlds = n_worlds
+        digests, layout = self._digests, self._layout
+        if digests is not None:
+            dataset._derive_digests = lambda: _splice_digests(digests, row, n_old, labels, block)
+        if layout is not None:
+            dataset._derive_layout = lambda: _splice_layout(layout, row, n_old, block)
         return dataset
 
     # ------------------------------------------------------------------
@@ -167,26 +276,41 @@ class IncompleteDataset:
         return len(self.uncertain_rows())
 
     def n_worlds(self) -> int:
-        """Exact number of possible worlds ``|I_D| = prod_i m_i`` (big int)."""
-        return math.prod(int(c.shape[0]) for c in self._candidate_sets)
+        """Exact number of possible worlds ``|I_D| = prod_i m_i`` (big int).
+
+        Computed once per version; a derived version divides and
+        multiplies its parent's count by the changed row's ``m_i``."""
+        if self._n_worlds is None:
+            self._n_worlds = math.prod(self.candidate_counts().tolist())
+        return self._n_worlds
 
     def fingerprint(self) -> str:
         """A content hash of the dataset (candidates + labels), hex-encoded.
 
         Two datasets with identical candidate sets and labels share a
-        fingerprint; any change to a candidate value, a candidate-set size
-        or a label produces a different one. Instances are immutable, so
-        the hash is computed once and cached — the batch engine uses it to
-        key its cross-query result cache (a
+        fingerprint; any change to a candidate value, a candidate-set size,
+        a label or the row order produces a different one. It is the
+        SHA-256 over ``N`` and the ordered per-row SHA-256 digests of
+        (label, ``m_i``, candidate bytes). A version derived from a
+        fingerprinted one (:meth:`restrict_row`, :meth:`with_row_fixed`,
+        appends, deletes) splices its parent's row digests and hashes only
+        the row it changes, so its fingerprint costs one row hash plus a
+        hash over ``32 N`` bytes.
+        Instances are immutable, so the hash is computed once and cached —
+        the batch engine uses it to key its cross-query result cache (a
         :class:`repro.utils.lru.LRUCache`).
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(np.int64(self.n_rows).tobytes())
-            digest.update(self._labels.tobytes())
-            for candidates in self._candidate_sets:
-                digest.update(np.int64(candidates.shape[0]).tobytes())
-                digest.update(np.ascontiguousarray(candidates).tobytes())
+            if self._digests is None:
+                derive = self._derive_digests
+                self._digests = (
+                    derive()
+                    if derive is not None
+                    else _row_digests(self._candidate_sets, self._labels)
+                )
+                self._derive_digests = None
+            digest = hashlib.sha256(np.int64(self.n_rows).tobytes())
+            digest.update(self._digests)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -197,31 +321,41 @@ class IncompleteDataset:
         every consumer of one dataset version — batch preparation, tiling,
         delta recounts, the gateway's scan merge — shares a single copy
         instead of re-stacking ``N`` candidate sets per query. The arrays
-        are read-only. Derived datasets (:meth:`restrict_row`,
-        :meth:`with_row_fixed`, appends, deletes) are new instances and
-        start without a layout; pickles never carry it (see
-        :meth:`__getstate__`). Two threads racing on the first call may
-        both build it; the builds are identical, so either result is fine.
+        are read-only. A version derived from one whose layout was built
+        (:meth:`restrict_row`, :meth:`with_row_fixed`, appends, deletes)
+        splices that layout on its own first call: a few O(P) vector
+        copies, no per-row work, and nothing at derivation time. Pickles
+        never carry the layout (see :meth:`__getstate__`). Two threads
+        racing on the first call may both build it; the builds are
+        identical, so either result is fine.
         """
         layout = self._layout
         if layout is None:
-            counts = self.candidate_counts()
-            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
-            cands = np.arange(rows.shape[0], dtype=np.int64)
-            offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-            cands -= np.repeat(offsets[:-1], counts)
-            stacked = np.concatenate(self._candidate_sets, axis=0)
-            for array in (stacked, rows, cands, counts, offsets):
-                array.setflags(write=False)
-            layout = self._layout = CandidateLayout(stacked, rows, cands, counts, offsets)
+            derive = self._derive_layout
+            if derive is not None:
+                layout = derive()
+            else:
+                counts = self.candidate_counts()
+                rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
+                cands = np.arange(rows.shape[0], dtype=np.int64)
+                offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+                cands -= np.repeat(offsets[:-1], counts)
+                stacked = np.concatenate(self._candidate_sets, axis=0)
+                layout = CandidateLayout(
+                    *map(_read_only, (stacked, rows, cands, counts, offsets))
+                )
+            self._layout = layout
+            # The parent's layout is no longer needed: let it go.
+            self._derive_layout = None
         return layout
 
     def __getstate__(self) -> dict:
         # The layout is a cache of the candidate sets: rebuilding it is
         # cheaper than shipping a second copy of every candidate to a
-        # gateway executor or a worker process.
+        # gateway executor or a worker process. A pending splice is a
+        # closure, which pickle cannot carry; the copy rebuilds instead.
         state = self.__dict__.copy()
-        state["_layout"] = None
+        state["_layout"] = state["_derive_digests"] = state["_derive_layout"] = None
         return state
 
     def __len__(self) -> int:
@@ -251,6 +385,7 @@ class IncompleteDataset:
         ``value`` must be one of the row's candidates (the *valid dataset*
         assumption of §2: the true value is always in the candidate set).
         """
+        row = range(self.n_rows)[row]  # a negative row counts from the end
         value = np.asarray(value, dtype=np.float64).reshape(-1)
         if value.shape[0] != self._dim:
             raise ValueError(f"value must have {self._dim} features, got {value.shape[0]}")
@@ -261,7 +396,7 @@ class IncompleteDataset:
             )
         sets = list(self._candidate_sets)
         sets[row] = _frozen(value.reshape(1, -1))
-        return self._derived(sets, self._labels, self._dim)
+        return self._derived(sets, self._labels, row, 1, sets[row])
 
     def restrict_row(self, row: int, candidate_index: int) -> "IncompleteDataset":
         """A copy with row ``row`` restricted to its ``candidate_index``-th candidate."""
@@ -275,7 +410,7 @@ class IncompleteDataset:
             )
         sets = list(self._candidate_sets)
         sets[row] = cands[candidate_index : candidate_index + 1]
-        return self._derived(sets, self._labels, self._dim)
+        return self._derived(sets, self._labels, row, 1, sets[row])
 
     def append_row(self, candidates: np.ndarray, label: int) -> "IncompleteDataset":
         """A copy with a new row appended (candidate set + certain label).
@@ -290,7 +425,8 @@ class IncompleteDataset:
         if label < 0:
             raise ValueError(f"labels must be non-negative integers, got {label}")
         sets = list(self._candidate_sets) + [_frozen(matrix)]
-        return self._derived(sets, _frozen(np.append(self._labels, np.int64(label))), self._dim)
+        labels = _frozen(np.append(self._labels, np.int64(label)))
+        return self._derived(sets, labels, self.n_rows, 0, sets[-1])
 
     def delete_row(self, row: int) -> "IncompleteDataset":
         """A copy with row ``row`` removed (later rows shift down by one).
@@ -302,7 +438,7 @@ class IncompleteDataset:
         if self.n_rows == 1:
             raise ValueError("cannot delete the last row of a dataset")
         sets = self._candidate_sets[:row] + self._candidate_sets[row + 1 :]
-        return self._derived(sets, _frozen(np.delete(self._labels, row)), self._dim)
+        return self._derived(sets, _frozen(np.delete(self._labels, row)), row, 1, None)
 
     def world(self, choice: Sequence[int]) -> np.ndarray:
         """Materialise the possible world selecting ``choice[i]`` from ``C_i``.

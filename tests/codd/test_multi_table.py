@@ -117,6 +117,34 @@ class TestJoinAcrossTables:
             assert served.relation == naive.relation
             assert served.relation.rows == set()
 
+    @pytest.mark.parametrize("city", [["Rome"], "Rome"], ids=["unhashable", "hashable"])
+    def test_one_aggregate_analysis_per_call(self, monkeypatch, city) -> None:
+        # supports, estimate_cost and answer share one analysis, also for a
+        # query the analysis cache cannot hash.
+        from repro.codd import aggregate
+        from repro.codd.engine import answer_query
+
+        calls = []
+        prepare = aggregate.prepare_aggregation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(aggregate, "prepare_aggregation", counted)
+        table = CoddTable(
+            ("g", "v", "city"),
+            [(1, 2, "Rome"), (1, Null([3, 4]), "Oslo"), (2, 5, "Rome")],
+        )
+        query = Aggregate(
+            Select(Scan("T"), Comparison(Attribute("city"), "==", Literal(city))),
+            ("g",),
+            (AggregateSpec("count", None, "n"),),
+        )
+        result = answer_query(query, {"T": table}, mode="certain")
+        assert result.plan.backend == "vectorized"
+        assert len(calls) == 1
+
     def test_world_cap_enforced(self) -> None:
         big = CoddTable(("a",), [(Null(range(100)),)] * 4)
         database = {"x": big, "y": big}

@@ -313,6 +313,51 @@ class TestEngineRegistry:
             backend.certain(Scan("T"), {"T": CoddTable(("a",), [(value,)])})
         assert len(backend._prepared) == 2  # evicted down to the constant
 
+    @staticmethod
+    def _join_database() -> dict[str, CoddTable]:
+        customers = CoddTable(
+            ("cid", "region"),
+            [(0, "north"), (1, "south"), (2, "east"), (3, "north")],
+        )
+        orders = CoddTable(
+            ("oid", "cid", "amount"),
+            [(oid, oid % 4, Null([oid, oid + 30]) if oid % 3 else oid) for oid in range(12)],
+        )
+        return {"customers": customers, "orders": orders}
+
+    @pytest.mark.parametrize("handed", [True, False], ids=["handed", "resolved"])
+    def test_join_reads_cache_only_base_table_grids(self, monkeypatch, handed):
+        from repro.codd import joins
+        from repro.codd.optimizer import optimize_query
+        from repro.codd.sql import parse_sql
+
+        # A fresh analysis cache, so every analysis resolves its grids here.
+        monkeypatch.setattr(joins, "_ANALYSIS_CACHE", joins.LRUCache(32))
+        database = self._join_database()
+        prepared = (
+            {name: StackedTable(table) for name, table in database.items()}
+            if handed
+            else None
+        )
+        backend = VectorizedCoddBackend()
+        for t in range(10):
+            query = parse_sql(
+                "SELECT o.oid, o.amount FROM customers c JOIN orders o "
+                f"ON c.cid = o.cid WHERE c.region = 'north' AND o.oid >= {t}",
+                schemas={name: table.schema for name, table in database.items()},
+            )
+            # Pushed below the join, as served: each side's filter prunes
+            # on its base table's grid.
+            query = optimize_query(query, database).query()
+            assert backend.supports(query, database, prepared)
+            served = backend.certain(query, database, prepared=prepared)
+            naive = answer_query(query, database, backend="naive").relation
+            assert served == naive
+        # A flat join's pair table is gridded per query and never cached:
+        # the LRU holds base-table grids only (none when they are handed).
+        base = {table.fingerprint() for table in database.values()}
+        assert set(backend._prepared) == (set() if handed else base)
+
     def test_prepared_mapping_handed_in_wins(self):
         backend = VectorizedCoddBackend()
         table = CoddTable(("a",), [(Null([1, 2]),)])
