@@ -3,8 +3,8 @@
 A Table 2-style workload (the ``supreme`` recipe at a few hundred training
 rows) is screened point by point through the seed's sequential path — one
 :class:`repro.core.prepared.PreparedQuery` per test point — and then through
-:class:`repro.core.batch_engine.BatchQueryExecutor` with ``n_jobs=1`` and
-``n_jobs=4``. The acceptance bar is a >=2x wall-clock speedup for the batch
+the ``batch`` backend (:class:`repro.core.planner.BatchParallelBackend`,
+pruning off) with ``n_jobs=1`` and ``n_jobs=4``. The acceptance bar is a >=2x wall-clock speedup for the batch
 engine at ``n_jobs=4`` with results verified identical to the sequential
 engine's; the LRU result cache is measured separately (repeated screening,
 the shape of CPClean's certainty re-checks) and must serve hits without
@@ -18,7 +18,12 @@ parallelism on top.
 
 import time
 
-from repro.core.batch_engine import BatchQueryExecutor
+from repro.core.planner import (
+    BatchParallelBackend,
+    ExecutionOptions,
+    execute_query,
+    make_query,
+)
 from repro.core.prepared import PreparedQuery
 from repro.data.task import build_cleaning_task
 from repro.experiments.config import get_scale
@@ -50,36 +55,39 @@ def _time(fn, repeats=3):
     return best, result
 
 
+def _batch_counts(query, n_jobs):
+    options = ExecutionOptions(n_jobs=n_jobs, cache=False, prune="off")
+    return execute_query(query, backend="batch", options=options).values
+
+
 def test_batch_engine_speedup(benchmark, emit):
     dataset, test_X, k = _build_workload()
+    query = make_query(dataset, test_X, kind="counts", k=k)
 
     t_seq, sequential = _time(
         lambda: [PreparedQuery(dataset, t, k=k).counts() for t in test_X]
     )
-    t_nj1, batch_nj1 = _time(
-        lambda: BatchQueryExecutor(dataset, test_X, k=k, n_jobs=1, cache=False).counts()
-    )
+    t_nj1, batch_nj1 = _time(lambda: _batch_counts(query, 1))
     t_nj4, batch_nj4 = benchmark.pedantic(
-        lambda: _time(
-            lambda: BatchQueryExecutor(dataset, test_X, k=k, n_jobs=4, cache=False).counts()
-        ),
+        lambda: _time(lambda: _batch_counts(query, 4)),
         rounds=1,
         iterations=1,
     )
 
-    # Cached re-screening: one executor, the same query set twice — the
-    # shape of CPClean's repeated certainty checks.
-    executor = BatchQueryExecutor(dataset, test_X, k=k, n_jobs=1, cache=True)
-    executor.counts()
+    # Cached re-screening: one backend, the same query set twice — the
+    # shape of a repeated screening of unchanged data.
+    backend = BatchParallelBackend()
+    options = ExecutionOptions(cache=True, prune="off")
+    backend.execute(query, options)
     start = time.perf_counter()
-    cached = executor.counts()
+    cached, _ = backend.execute(query, options)
     t_cached = time.perf_counter() - start
 
     # Hard guarantees: identical results everywhere, >=2x at n_jobs=4.
     assert batch_nj1 == sequential, "batch engine (n_jobs=1) diverged from sequential"
     assert batch_nj4 == sequential, "batch engine (n_jobs=4) diverged from sequential"
     assert cached == sequential, "cache-hit results diverged from sequential"
-    assert executor.cache.hits == len(test_X), "second screening should be all hits"
+    assert backend.cache.hits == len(test_X), "second screening should be all hits"
     speedup4 = t_seq / t_nj4
     assert speedup4 >= 2.0, (
         f"batch engine at n_jobs=4 is only {speedup4:.2f}x over the "

@@ -41,10 +41,7 @@ name                                what it is
 ``get_backend``, ``backend_names``  inspect the backend registry
 ``PreparedQuery``                   cached per-test-point query state
 ``PreparedBatch``                   vectorised prepared state for a whole test set
-``BatchQueryExecutor``              parallel, cached batch CP query execution
 ``LRUCache``                        the instrumented LRU every cache is built on
-``batch_q2_counts``                 Q2 counts for every row of a test matrix
-``batch_certain_labels``            CP'ed labels for every row of a test matrix
 ``CellRepair``, ``RowAppend``, ``RowDelete``  the base-data write (delta) vocabulary
 ``DeltaMaintainedState``            exact Q2 counts maintained across deltas (cleaning pins too)
 ``apply_delta_to_dataset``          the pure-dataset form of applying one delta
@@ -81,7 +78,6 @@ from repro.cleaning.cp_clean import run_cp_clean
 from repro.cleaning.sequential import CleaningSession
 from repro.cleaning.weighted_clean import run_weighted_cp_clean
 from repro.core import (
-    BatchQueryExecutor,
     CellRepair,
     CPQuery,
     DeltaMaintainedState,
@@ -96,8 +92,6 @@ from repro.core import (
     QueryPlan,
     QueryResult,
     backend_names,
-    batch_certain_labels,
-    batch_q2_counts,
     certain_label,
     execute_query,
     get_backend,
@@ -123,13 +117,10 @@ __all__ = [
     "KNNClassifier",
     "PreparedQuery",
     "PreparedBatch",
-    "BatchQueryExecutor",
     "LRUCache",
     "q1",
     "q2",
     "q2_counts",
-    "batch_q2_counts",
-    "batch_certain_labels",
     "certain_label",
     "prediction_entropy",
     "CPQuery",

@@ -58,7 +58,6 @@ def run_batch_clean(
     max_cleaned: int | None = None,
     on_step=None,
     n_jobs: int | None = 1,
-    use_cache: bool = True,
     backend: str = "auto",
 ) -> CleaningReport:
     """CPClean with ``batch_size`` human answers per selection round.
@@ -66,14 +65,13 @@ def run_batch_clean(
     ``batch_size=1`` reproduces the sequential algorithm exactly. Returns
     the usual :class:`~repro.cleaning.report.CleaningReport`; steps within
     one round share their ``cp_fraction_before`` value (the check runs once
-    per round). ``n_jobs``/``use_cache``/``backend`` configure the
-    session's planner-routed query execution (wall-clock only; the report
-    is identical).
+    per round). ``n_jobs``/``backend`` configure the session's
+    planner-routed query execution (wall-clock only; the report is
+    identical).
     """
     batch_size = check_positive_int(batch_size, "batch_size")
     session = CleaningSession(
-        dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, use_cache=use_cache,
-        backend=backend,
+        dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, backend=backend
     )
     report = CleaningReport()
     iteration = 0
@@ -106,5 +104,6 @@ def run_batch_clean(
                 on_step(step)
             iteration += 1
     report.final_fixed = dict(session.fixed)
-    report.cp_fraction_final = session.cp_fraction()
+    # Every exit follows a check at the final pins.
+    report.cp_fraction_final = cp_before
     return report

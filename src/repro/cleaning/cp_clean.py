@@ -65,7 +65,6 @@ def run_cp_clean(
     max_cleaned: int | None = None,
     on_step=None,
     n_jobs: int | None = 1,
-    use_cache: bool = True,
     backend: str = "auto",
 ) -> CleaningReport:
     """Run CPClean until all validation points are CP'ed (or budget is hit).
@@ -74,12 +73,11 @@ def run_cp_clean(
     dataset is recoverable through ``report.final_fixed`` (any world of the
     partially cleaned dataset has the same validation accuracy as the
     ground-truth world once every validation point is CP'ed — the paper's
-    termination guarantee). ``n_jobs``/``use_cache``/``backend`` configure
+    termination guarantee). ``n_jobs``/``backend`` configure
     the session's planner-routed query execution (see
     :class:`CleaningSession`); they change the wall-clock, never the report.
     """
     session = CleaningSession(
-        dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, use_cache=use_cache,
-        backend=backend,
+        dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, backend=backend
     )
     return session.run(CPCleanStrategy(), oracle, max_cleaned=max_cleaned, on_step=on_step)

@@ -12,12 +12,12 @@ Both CPClean and the RandomClean baseline run the same outer loop:
 infrastructure: certainty checks route through the unified planner
 (:mod:`repro.core.planner`), with the session's
 :class:`~repro.core.batch_engine.PreparedBatch` (the vectorised
-candidate-distance state for the whole validation set) and shared
-result cache (a :class:`~repro.utils.lru.LRUCache`) handed to whichever
-backend the planner runs. The ``backend`` parameter picks the execution
-strategy: ``"auto"`` runs the checks on the ``incremental`` backend for
-every label space. It keeps exact Q2 counts maintained across cleaning
-steps — one :class:`~repro.core.deltas.DeltaMaintainedState`, seeded from
+candidate-distance state for the whole validation set) handed to whichever
+backend the planner runs. Every check asks under a pin set no earlier
+check saw, so the checks bypass the planner's result cache. The
+``backend`` parameter picks the execution strategy: ``"auto"`` runs the
+checks on the ``incremental`` backend for every label space. It keeps
+exact Q2 counts maintained across cleaning steps — one :class:`~repro.core.deltas.DeltaMaintainedState`, seeded from
 the session's prepared batch with no kernel call, each pin a
 :class:`~repro.core.deltas.CellRepair` — instead of recounting every
 validation point after every pin. The expected-entropy
@@ -36,12 +36,7 @@ import numpy as np
 
 from repro.cleaning.oracle import CleaningOracle
 from repro.cleaning.report import CleaningReport, CleaningStep
-from repro.core.batch_engine import (
-    BatchQueryExecutor,
-    PreparedBatch,
-    RESULT_CACHE_SIZE,
-    fanout_map,
-)
+from repro.core.batch_engine import PreparedBatch, fanout_map
 from repro.core.dataset import IncompleteDataset
 from repro.core.deltas import (
     CellRepair,
@@ -52,7 +47,6 @@ from repro.core.deltas import (
 from repro.core.entropy import prediction_entropy
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.planner import ExecutionOptions, execute_query, get_backend, make_query
-from repro.utils.lru import LRUCache
 
 __all__ = ["CleaningStrategy", "CleaningSession"]
 
@@ -90,10 +84,6 @@ class CleaningSession:
         ``incremental`` checks run in process). ``1`` = in-process;
         ``None``/``-1`` = all CPUs. Results are identical for every value
         (tested).
-    use_cache:
-        Whether repeated CP queries (same dataset, pins, and point) are
-        served from the session's LRU result cache. On by default; results
-        are identical either way.
     backend:
         Planner backend for the per-step certainty checks:
         ``"sequential"``, ``"batch"``, ``"incremental"``,
@@ -111,17 +101,14 @@ class CleaningSession:
         k: int = 3,
         kernel: Kernel | str | None = None,
         n_jobs: int | None = 1,
-        use_cache: bool = True,
         backend: str = "auto",
     ) -> None:
         self.dataset = dataset
         self.k = k
         self.kernel = resolve_kernel(kernel)
         self.n_jobs = n_jobs
-        self.cache = LRUCache(RESULT_CACHE_SIZE) if use_cache else None
         self.batch = PreparedBatch(dataset, val_X, k=k, kernel=self.kernel)
         self.val_X = self.batch.test_X
-        self._executor: BatchQueryExecutor | None = None
         self._delta_state: DeltaMaintainedState | None = None
         self.fixed: dict[int, int] = {}
         self.backend = backend
@@ -132,19 +119,6 @@ class CleaningSession:
         self._check_backend = "incremental" if backend == "auto" else backend
 
     # ------------------------------------------------------------------
-    @property
-    def executor(self) -> BatchQueryExecutor:
-        """A batch executor over the session's prepared state (built lazily).
-
-        Kept for code that drives the session's query family directly;
-        the session itself routes certainty checks through the planner.
-        """
-        if self._executor is None:
-            self._executor = BatchQueryExecutor(
-                prepared=self.batch, n_jobs=self.n_jobs, cache=self.cache
-            )
-        return self._executor
-
     @property
     def queries(self) -> list:
         """Per-point :class:`~repro.core.prepared.PreparedQuery` objects.
@@ -167,8 +141,8 @@ class CleaningSession:
         """The CP'ed label (or None) of every validation point, given cleaning so far.
 
         Routed through the planner onto the session's check backend; the
-        session's prepared batch and result cache are handed along so no
-        backend re-prepares state the session already holds.
+        session's prepared batch is handed along so no backend re-prepares
+        state the session already holds.
         """
         query = make_query(
             self.dataset,
@@ -178,11 +152,7 @@ class CleaningSession:
             kernel=self.kernel,
             pins=self.fixed,
         )
-        options = ExecutionOptions(
-            n_jobs=self.n_jobs,
-            cache=self.cache,
-            prepared=self.batch,
-        )
+        options = ExecutionOptions(n_jobs=self.n_jobs, cache=False, prepared=self.batch)
         return execute_query(query, backend=self._check_backend, options=options).values
 
     def cp_fraction(self) -> float:
@@ -308,7 +278,6 @@ class CleaningSession:
         report = self._delta_state.apply(delta)
         self.dataset = self._delta_state.dataset
         self.batch = self._delta_state.prepared_batch()
-        self._executor = None  # held the previous batch
         if isinstance(delta, CellRepair):
             self.fixed.pop(delta.row, None)  # the pin is physical now
         elif isinstance(delta, RowDelete):
@@ -330,7 +299,8 @@ class CleaningSession:
 
         ``on_step(step)`` is an optional callback invoked after every
         cleaning interaction (used by the experiment harness to trace
-        accuracy curves).
+        accuracy curves). Every exit follows a certainty check at the final
+        pins, so that check's fraction is the report's final one.
         """
         report = CleaningReport()
         iteration = 0
@@ -359,5 +329,5 @@ class CleaningSession:
                 on_step(step)
             iteration += 1
         report.final_fixed = dict(self.fixed)
-        report.cp_fraction_final = self.cp_fraction()
+        report.cp_fraction_final = cp_before
         return report

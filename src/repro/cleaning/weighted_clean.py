@@ -124,10 +124,9 @@ class WeightedCPCleanStrategy(CleaningStrategy):
             kernel=session.kernel,
             weights=conditioned,
         )
+        # Each conditioned prior is asked once: nothing to cache.
         options = ExecutionOptions(
-            n_jobs=session.n_jobs,
-            cache=session.cache,
-            prepared=session.batch,
+            n_jobs=session.n_jobs, cache=False, prepared=session.batch
         )
         return execute_query(query, backend=self.backend, options=options).values
 
@@ -162,17 +161,15 @@ def run_weighted_cp_clean(
     max_cleaned: int | None = None,
     on_step=None,
     n_jobs: int | None = 1,
-    use_cache: bool = True,
     backend: str = "auto",
 ) -> CleaningReport:
     """Run CPClean with a non-uniform candidate prior.
 
-    ``n_jobs``/``use_cache``/``backend`` configure the planner-routed
+    ``n_jobs``/``backend`` configure the planner-routed
     query execution (wall-clock only; the report is identical).
     """
     session = CleaningSession(
-        dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, use_cache=use_cache,
-        backend=backend,
+        dataset, val_X, k=k, kernel=kernel, n_jobs=n_jobs, backend=backend
     )
     # The incremental backend maintains integer counts only; weighted
     # evaluations fall back to the planner's choice in that case.

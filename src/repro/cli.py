@@ -28,10 +28,9 @@ The CLI is a thin layer over the library; every command accepts ``--seed``
 and size flags so runs are reproducible and laptop-sized by default. The
 query-heavy commands (``screen``, ``clean``, ``csv-screen``) also accept
 ``--backend {auto,sequential,batch,incremental}`` (force a query-planner
-backend; ``auto`` lets the cost model choose), ``--n-jobs`` (fan per-point
-CP scans out over worker processes) and ``--no-cache`` (disable the LRU
-result cache); none of these knobs changes the printed results, only
-wall-clock time.
+backend; ``auto`` lets the cost model choose) and ``--n-jobs`` (fan
+per-point CP scans out over worker processes); neither knob changes the
+printed results, only wall-clock time.
 """
 
 from __future__ import annotations
@@ -260,6 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="recent traces kept for /debug/traces (a bounded ring)",
     )
     _add_executor_flags(serve)
+    serve.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the broker's result cache",
+    )
 
     metrics = sub.add_parser(
         "metrics",
@@ -472,11 +476,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker processes for CP query fan-out (-1 = all CPUs; default 1)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the batch engine's LRU result cache",
-    )
 
 
 def _command_demo() -> int:
@@ -518,7 +517,6 @@ def _command_screen(args: argparse.Namespace) -> int:
         task.val_X,
         k=task.k,
         n_jobs=args.n_jobs,
-        cache=not args.no_cache,
         backend=args.backend,
     )
     certain, total = result.n_certain, result.n_points
@@ -555,12 +553,12 @@ def _command_clean(args: argparse.Namespace) -> int:
         report = run_batch_clean(
             task.incomplete, task.val_X, oracle, batch_size=args.batch,
             k=task.k, max_cleaned=args.budget,
-            n_jobs=args.n_jobs, use_cache=not args.no_cache, backend=args.backend,
+            n_jobs=args.n_jobs, backend=args.backend,
         )
     else:
         report = run_cp_clean(
             task.incomplete, task.val_X, oracle, k=task.k, max_cleaned=args.budget,
-            n_jobs=args.n_jobs, use_cache=not args.no_cache, backend=args.backend,
+            n_jobs=args.n_jobs, backend=args.backend,
         )
 
     def world_accuracy(fixed):
@@ -607,7 +605,7 @@ def _command_csv_screen(args: argparse.Namespace) -> int:
 
     result = screen_dataset(
         incomplete, workload.val_X, k=args.k,
-        n_jobs=args.n_jobs, cache=not args.no_cache, backend=args.backend,
+        n_jobs=args.n_jobs, backend=args.backend,
     )
     certain, total = result.n_certain, result.n_points
     print(f"validation points certainly predicted: {certain}/{total} ({result.cp_fraction:.0%})")
@@ -617,7 +615,7 @@ def _command_csv_screen(args: argparse.Namespace) -> int:
 
     session = CleaningSession(
         incomplete, workload.val_X, k=args.k,
-        n_jobs=args.n_jobs, use_cache=not args.no_cache, backend=args.backend,
+        n_jobs=args.n_jobs, backend=args.backend,
     )
     gains = information_gains(session)
     ranked = sorted(gains.items(), key=lambda item: (-item[1], item[0]))
@@ -739,11 +737,8 @@ def _command_query(args: argparse.Namespace) -> int:
             k=k,
             label=args.label,
         )
-        options = ExecutionOptions(
-            n_jobs=args.n_jobs,
-            cache=not args.no_cache,
-            prune=args.prune,
-        )
+        # One query per process: a result cache would never be read.
+        options = ExecutionOptions(n_jobs=args.n_jobs, cache=False, prune=args.prune)
         result = execute_query(query, backend=args.backend, options=options)
     except (PlanError, ValueError) as exc:
         print(f"query error: {exc}", file=sys.stderr)

@@ -56,7 +56,6 @@ import numpy as np
 from repro.codd.algebra import (
     Attribute,
     Comparison,
-    Conjunction,
     Predicate,
     Project,
     Query,
@@ -67,6 +66,7 @@ from repro.codd.algebra import (
 )
 from repro.codd.certain import _row_local_valuations
 from repro.codd.codd_table import CoddTable, Null
+from repro.codd.optimizer import _conjoin, _conjuncts, _rename_predicate
 from repro.codd.plan import (
     AggregateNode,
     DifferenceNode,
@@ -78,7 +78,6 @@ from repro.codd.plan import (
     ScanNode,
     SelectNode,
     UnionNode,
-    lower,
 )
 from repro.codd.relation import Relation
 from repro.codd.vectorized import (
@@ -156,24 +155,6 @@ class FlatQuery:
 
 class _Decline(Exception):
     """Internal: this subtree cannot be flattened exactly — fall back."""
-
-
-def _rename_predicate(pred: Predicate, mapping: Mapping[str, str]) -> Predicate:
-    from repro.codd.optimizer import _rename_predicate as impl
-
-    return impl(pred, mapping)
-
-
-def _conjoin(parts: list[Predicate]) -> Predicate | None:
-    if not parts:
-        return None
-    return parts[0] if len(parts) == 1 else Conjunction(*parts)
-
-
-def _conjuncts(pred: Predicate) -> list[Predicate]:
-    if isinstance(pred, Conjunction):
-        return [p for part in pred.parts for p in _conjuncts(part)]
-    return [pred]
 
 
 def _equi_pairs(

@@ -116,7 +116,10 @@ def _conjuncts(pred: Predicate) -> list[Predicate]:
     return [pred]
 
 
-def _conjoin(parts: list[Predicate]) -> Predicate:
+def _conjoin(parts: list[Predicate]) -> Predicate | None:
+    """The conjunction of ``parts``: ``None`` for none, a lone part as is."""
+    if not parts:
+        return None
     return parts[0] if len(parts) == 1 else Conjunction(*parts)
 
 

@@ -11,10 +11,7 @@ inventory).
 """
 
 from repro.core.batch_engine import (
-    BatchQueryExecutor,
     PreparedBatch,
-    batch_certain_labels,
-    batch_q2_counts,
     kernel_cache_key,
 )
 from repro.core.planner import (
@@ -123,9 +120,6 @@ __all__ = [
     "kernel_cache_key",
     "PreparedQuery",
     "PreparedBatch",
-    "BatchQueryExecutor",
-    "batch_q2_counts",
-    "batch_certain_labels",
     "ScanOrder",
     "compute_scan_order",
     "brute_force_counts",

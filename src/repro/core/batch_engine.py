@@ -1,4 +1,4 @@
-"""Parallel batch CP query executor with prepared-distance caching.
+"""The batch substrate: prepared distances, the tuned kernel, the fan-out.
 
 The per-point query path (:mod:`repro.core.prepared`,
 :mod:`repro.core.engine`) answers one certain-prediction query at a time:
@@ -7,7 +7,8 @@ similarities row by row, sorts them, and runs the SortScan counting loop in
 pure Python. That is the right shape for interactive use but not for the
 batch workloads this library actually serves — screening a whole test set,
 or CPClean re-evaluating the same validation points after every cleaning
-step. This module is the batch execution layer above the per-query kernel:
+step. This module holds the pieces the ``batch`` backend
+(:class:`repro.core.planner.BatchParallelBackend`) executes with:
 
 * :class:`PreparedBatch` extends the prepared layer across an entire test
   set: the full candidate-distance matrix is computed with vectorised
@@ -17,38 +18,24 @@ step. This module is the batch execution layer above the per-query kernel:
   :data:`PAIRWISE_BLOCK_BYTES` — and per-point scan orders are derived
   from its rows on demand (bit-identical to
   :func:`repro.core.scan.compute_scan_order`).
-* :class:`BatchQueryExecutor` runs the counting query over every test point
-  through a tuned scan kernel (:func:`_counts_from_scan` — same exact
+* :func:`_counts_from_scan` is the tuned counting kernel — the same exact
   big-integer algorithm as :class:`~repro.core.engine.LabelPolynomials`,
-  restructured to avoid per-position allocations and NumPy scalar boxing)
-  and can fan the per-point scans out across a ``multiprocessing`` worker
-  pool: ``n_jobs`` forked workers pull index chunks from a shared task
-  queue (:func:`fanout_map`), inheriting the prepared arrays read-only
-  through copy-on-write fork memory, so nothing is pickled per task except
-  the tiny result vectors.
-* Results are cached in a :class:`~repro.utils.lru.LRUCache` keyed by
-  ``(dataset fingerprint, test-point hash, k, kernel, pins)``. Repeated
-  queries — the common case in CPClean's sequential cleaning loop, which
-  re-checks validation certainty round after round — are served without
-  recomputation, and any change to the dataset changes its
-  :meth:`~repro.core.dataset.IncompleteDataset.fingerprint`, so stale
-  entries can never be returned.
+  restructured to avoid per-position allocations and NumPy scalar boxing.
+* :func:`fanout_map` fans per-point work out across a ``multiprocessing``
+  worker pool: ``n_jobs`` forked workers pull index chunks from a shared
+  task queue, inheriting the prepared arrays read-only through
+  copy-on-write fork memory, so nothing is pickled per task except the
+  tiny result vectors.
+* :func:`kernel_cache_key` names a kernel by value in cache keys.
 
 All outputs are verified bit-identical to the sequential per-point path
 (``tests/core/test_batch_engine.py``); ``benchmarks/bench_batch_engine.py``
-measures the speedup on Table 2-style workloads.
-
-Since the planner refactor this module is the substrate of the ``batch``
-backend (:class:`repro.core.planner.BatchParallelBackend`), which extends
-the same shared-preparation + fan-out + caching treatment to the weighted,
-top-k and label-uncertain task flavors; new code should reach it through
-:func:`repro.core.planner.execute_query` rather than constructing
-executors directly.
+measures the speedup on Table 2-style workloads. New code reaches this
+layer through :func:`repro.core.planner.execute_query`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import sys
@@ -62,23 +49,16 @@ from typing import Any
 import numpy as np
 
 from repro.core.dataset import IncompleteDataset
-from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.minmax import binary_minmax_label
 from repro.core.polynomials import poly_one
 from repro.core.prepared import PreparedQuery
 from repro.core.scan import ScanOrder, _scan_from_sims
 from repro.core.tally import tallies_with_prediction
-from repro.utils.lru import LRUCache
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
     "PAIRWISE_BLOCK_BYTES",
-    "RESULT_CACHE_SIZE",
     "PreparedBatch",
-    "BatchQueryExecutor",
-    "batch_q2_counts",
-    "batch_certain_labels",
     "fanout_map",
     "resolve_n_jobs",
     "kernel_cache_key",
@@ -91,11 +71,6 @@ __all__ = [
 #: point per call).
 PAIRWISE_BLOCK_BYTES = 16 * 1024 * 1024
 
-#: Entries in a result cache the engine builds itself (``cache=True``, the
-#: ``batch`` backend's shared cache, a cleaning session's cache).
-RESULT_CACHE_SIZE = 4096
-
-
 # ---------------------------------------------------------------------------
 # Worker-pool plumbing
 # ---------------------------------------------------------------------------
@@ -103,7 +78,7 @@ RESULT_CACHE_SIZE = 4096
 #: ``(worker, state)`` of the current forked :func:`fanout_map` call. Set in
 #: the parent immediately before the fork so children inherit it through
 #: copy-on-write memory; never pickled, never mutated by workers. Guarded
-#: by ``_FANOUT_LOCK`` so concurrent pooled fan-outs (e.g. two executors on
+#: by ``_FANOUT_LOCK`` so concurrent pooled fan-outs (e.g. two queries on
 #: different threads) cannot read each other's state.
 _FANOUT_STATE: Any = None
 _FANOUT_LOCK = threading.Lock()
@@ -324,63 +299,6 @@ def _counts_from_scan(
 
 
 # ---------------------------------------------------------------------------
-# Per-point evaluators of the counting flavors
-# ---------------------------------------------------------------------------
-#
-# Every per-point evaluator has the signature ``point(state, index)`` with
-# ``state = (prepared, argument, prune)`` and returns ``(value, stats)``;
-# ``stats`` is the point's pruning telemetry, or ``None`` when unpruned.
-# :meth:`BatchQueryExecutor.evaluate` runs them.
-
-
-def count_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
-    """Q2 counts of one point; ``argument`` is the pin mapping.
-
-    Pruned, it counts straight from the point's similarity row and never
-    touches ``prepared.scan(index)`` — pruning happens *before* the sort,
-    which is where the clustered-candidate speedup comes from.
-    """
-    prepared, fixed, prune = state
-    n_labels = prepared.dataset.n_labels
-    if not prune:
-        counts = _counts_from_scan(prepared.scan(index), prepared.k, n_labels, fixed)
-        return counts, None
-    from repro.core.pruning import pruned_counts_from_sims
-
-    return pruned_counts_from_sims(
-        prepared.sims_matrix[index],
-        prepared._rows,
-        prepared._cands,
-        prepared._labels,
-        prepared._counts,
-        prepared.k,
-        n_labels,
-        fixed,
-    )
-
-
-def decision_point(state: tuple, index: int) -> tuple[int | None, dict]:
-    """The certain label of one point via prune + vectorised decision scan."""
-    from repro.core.pruning import pruned_decision_from_sims
-
-    prepared, fixed, _ = state
-    decision, stats = pruned_decision_from_sims(
-        prepared.sims_matrix[index],
-        prepared._rows,
-        prepared._cands,
-        prepared._labels,
-        prepared._counts,
-        prepared.k,
-        prepared.dataset.n_labels,
-        fixed,
-    )
-    return decision.certain_label, stats
-
-
-_MISS = object()
-
-
-# ---------------------------------------------------------------------------
 # PreparedBatch: the vectorised prepared layer
 # ---------------------------------------------------------------------------
 
@@ -529,7 +447,7 @@ class PreparedBatch:
 
 
 # ---------------------------------------------------------------------------
-# BatchQueryExecutor: cache + fan-out on top of PreparedBatch
+# Cache-key helpers
 # ---------------------------------------------------------------------------
 
 
@@ -545,7 +463,7 @@ def kernel_cache_key(kernel: Kernel) -> str:
     keyed by its memory address — and a recycled address could alias two
     different kernels into one cache entry — so such kernels get a
     process-unique token instead: caching still works within one
-    executor, but entries are never shared across kernel instances.
+    call, but entries are never shared across kernel instances.
 
     The contract for custom kernels that *do* define ``__repr__``: the
     repr must encode every parameter that changes the similarity values
@@ -557,276 +475,3 @@ def kernel_cache_key(kernel: Kernel) -> str:
     if cls.__repr__ is object.__repr__:
         return f"{identity}#{uuid.uuid4().hex}"
     return f"{identity}:{kernel!r}"
-
-
-class BatchQueryExecutor:
-    """Executes CP queries for a whole test set: vectorised, parallel, cached.
-
-    Parameters
-    ----------
-    dataset, test_X, k, kernel:
-        The query family, as in :class:`PreparedQuery` (ignored when
-        ``prepared`` is given).
-    n_jobs:
-        Worker processes for the per-point scan fan-out. ``1`` (default)
-        runs in-process; ``None`` or negative uses all CPUs. Parallelism
-        requires Linux with the ``fork`` start method and silently
-        degrades to in-process execution elsewhere.
-    cache:
-        ``True`` (default) gives the executor a private
-        :class:`~repro.utils.lru.LRUCache` of :data:`RESULT_CACHE_SIZE`
-        entries; pass an instance to share one across
-        executors, or ``False``/``None`` to disable result caching.
-    prepared:
-        An existing :class:`PreparedBatch` to execute against (shares the
-        distance matrix with other consumers, e.g. a cleaning session).
-    """
-
-    def __init__(
-        self,
-        dataset: IncompleteDataset | None = None,
-        test_X: np.ndarray | None = None,
-        k: int = 3,
-        kernel: Kernel | str | None = None,
-        n_jobs: int | None = 1,
-        cache: LRUCache | bool | None = True,
-        prepared: PreparedBatch | None = None,
-    ) -> None:
-        if prepared is None:
-            if dataset is None or test_X is None:
-                raise ValueError("provide either (dataset, test_X) or prepared")
-            prepared = PreparedBatch(dataset, test_X, k=k, kernel=kernel)
-        self.prepared = prepared
-        self.dataset = prepared.dataset
-        self.k = prepared.k
-        self.kernel = prepared.kernel
-        self.n_jobs = resolve_n_jobs(n_jobs)
-        if cache is True:
-            self.cache: LRUCache | None = LRUCache(RESULT_CACHE_SIZE)
-        elif isinstance(cache, LRUCache):
-            self.cache = cache
-        else:
-            self.cache = None
-        self._kernel_key = kernel_cache_key(self.kernel)
-        self._point_keys = (
-            [
-                hashlib.sha1(np.ascontiguousarray(t).tobytes()).hexdigest()
-                for t in self.prepared.test_X
-            ]
-            if self.cache is not None
-            else []
-        )
-
-    @property
-    def n_points(self) -> int:
-        """Number of test points in the batch."""
-        return self.prepared.n_points
-
-    def _key(self, tag: str, index: int, fixed_key: tuple) -> tuple:
-        return (
-            tag,
-            self.prepared.fingerprint(),
-            self._point_keys[index],
-            self.k,
-            self._kernel_key,
-            fixed_key,
-        )
-
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        tag: str,
-        point: Callable[[tuple, int], tuple[Any, dict | None]],
-        argument: Any,
-        argument_key: tuple,
-        prune: bool = False,
-        prune_stats: dict | None = None,
-    ) -> list:
-        """``point`` over every test point: served from the cache, else fanned out.
-
-        The one cache-then-fan-out loop behind every flavor. ``point(state,
-        index)`` gets ``state = (prepared, argument, prune)`` and returns
-        ``(value, stats)``; results are cached under ``(tag, fingerprint,
-        point hash, k, kernel, argument_key)``. Pruned and unpruned
-        evaluators are bit-identical, so they share entries; ``prune_stats``
-        (a dict) accumulates the telemetry of the points computed this call.
-        """
-        n = self.n_points
-        keys = (
-            [self._key(tag, index, argument_key) for index in range(n)]
-            if self.cache is not None
-            else None
-        )
-        results: list = [None] * n
-        missing: list[int] = []
-        for index in range(n):
-            if keys is not None:
-                hit = self.cache.get(keys[index], _MISS)
-                if hit is not _MISS:
-                    results[index] = _copied(hit)
-                    continue
-            missing.append(index)
-        if not missing:
-            return results
-        if not prune:
-            # Every unpruned evaluator reads the sorted scans: build them
-            # before the fork so workers share them copy-on-write. (Pruned
-            # counts and decisions sort only the surviving positions.)
-            self.prepared.materialize_scans(missing)
-        outputs = fanout_map(
-            point, missing, n_jobs=self.n_jobs, state=(self.prepared, argument, prune)
-        )
-        if prune_stats is not None:
-            from repro.core.pruning import accumulate_prune_stats
-
-            for _, stats in outputs:
-                if stats is not None:
-                    accumulate_prune_stats(prune_stats, stats)
-        for index, (value, _) in zip(missing, outputs):
-            results[index] = value
-            if keys is not None:
-                self.cache.put(keys[index], _copied(value))
-        return results
-
-    def counts(
-        self,
-        fixed: Mapping[int, int] | None = None,
-        prune: bool = False,
-        prune_stats: dict | None = None,
-    ) -> list[list[int]]:
-        """Exact Q2 counts for every test point, with ``fixed`` rows pinned.
-
-        Equivalent to ``[PreparedQuery(...).counts(fixed) for t in test_X]``
-        (bit-identical, tested) but served from the cache where possible,
-        and computed with the tuned kernel — fanned out over the worker
-        pool when ``n_jobs > 1``.
-
-        With ``prune=True`` the irrelevant-candidate pruning pass runs per
-        point *before* the scan sort (see :mod:`repro.core.pruning`).
-        """
-        fixed = dict(fixed or {})
-        return self.evaluate(
-            "q2", count_point, fixed, _pins_key(fixed), prune, prune_stats
-        )
-
-    # ------------------------------------------------------------------
-    def _minmax_label(self, index: int, fixed: Mapping[int, int]) -> int | None:
-        """Vectorised MM check for one point (binary labels only).
-
-        Mirrors :meth:`PreparedQuery.certain_label_minmax`: per-row extreme
-        similarities come straight off the shared similarity matrix via
-        ``reduceat`` instead of per-row ``min()``/``max()`` calls.
-        """
-        sims = self.prepared.sims_matrix[index]
-        starts = self.prepared._offsets[:-1]
-        row_counts = self.prepared._counts
-        mins = np.minimum.reduceat(sims, starts)
-        maxs = np.maximum.reduceat(sims, starts)
-        for row, cand in fixed.items():
-            # Checked explicitly: numpy's negative indexing would otherwise
-            # let row=-1 silently pin the last row.
-            if not 0 <= row < row_counts.shape[0]:
-                raise IndexError(
-                    f"fixed row {row} out of range for {row_counts.shape[0]} rows"
-                )
-            if not 0 <= cand < row_counts[row]:
-                raise IndexError(
-                    f"fixed candidate {cand} out of range for row {row} "
-                    f"with {row_counts[row]} candidates"
-                )
-            pinned_sim = sims[int(starts[row]) + cand]
-            mins[row] = pinned_sim
-            maxs[row] = pinned_sim
-        return binary_minmax_label(mins, maxs, self.dataset.labels, self.k)
-
-    def certain_labels(
-        self,
-        fixed: Mapping[int, int] | None = None,
-        prune: bool = False,
-        prune_stats: dict | None = None,
-    ) -> list[int | None]:
-        """The CP'ed label (or ``None``) of every test point.
-
-        Dispatches exactly like the sequential path: the MM check for
-        binary labels, Q2 counts otherwise — so results match
-        ``CleaningSession.val_certain_labels`` / ``certain_label`` per
-        point bit for bit. ``prune=True`` engages candidate pruning on the
-        multiclass path (binary stays on the MM check, which is already a
-        maximally early-terminating scan); multiclass decisions then use
-        the vectorised decision kernel, stopping the scan as soon as two
-        winners are seen. A decision carries less information than the
-        full counts, so it is cached under its own ``"q2d"`` tag rather
-        than shadowing ``"q2"`` entries.
-        """
-        fixed = dict(fixed or {})
-        if self.dataset.n_labels != 2:
-            if prune:
-                return self.evaluate(
-                    "q2d", decision_point, fixed, _pins_key(fixed), True, prune_stats
-                )
-            return [certain_label_from_counts(counts) for counts in self.counts(fixed)]
-        fixed_key = _pins_key(fixed)
-        labels: list[int | None] = []
-        for index in range(self.n_points):
-            if self.cache is not None:
-                key = self._key("mm", index, fixed_key)
-                hit = self.cache.get(key, _MISS)
-                if hit is not _MISS:
-                    labels.append(hit)
-                    continue
-            label = self._minmax_label(index, fixed)
-            if self.cache is not None:
-                self.cache.put(key, label)
-            labels.append(label)
-        return labels
-
-
-def _pins_key(fixed: Mapping[int, int]) -> tuple:
-    """A pin mapping as a cache-key part."""
-    return tuple(sorted(fixed.items()))
-
-
-def _copied(value: Any) -> Any:
-    """A fresh copy of a list value, so cache entries are never aliased."""
-    return list(value) if isinstance(value, list) else value
-
-
-# ---------------------------------------------------------------------------
-# Convenience entry points
-# ---------------------------------------------------------------------------
-
-
-def batch_q2_counts(
-    dataset: IncompleteDataset,
-    test_X: np.ndarray,
-    k: int = 3,
-    kernel: Kernel | str | None = None,
-    n_jobs: int | None = 1,
-    cache: LRUCache | bool | None = False,
-) -> list[list[int]]:
-    """Q2 counts for every row of ``test_X`` through the batch engine.
-
-    One-shot counterpart of ``[q2_counts(dataset, t, k) for t in test_X]``
-    with identical results; see :class:`BatchQueryExecutor` for the knobs.
-    """
-    return BatchQueryExecutor(
-        dataset, test_X, k=k, kernel=kernel, n_jobs=n_jobs, cache=cache
-    ).counts()
-
-
-def batch_certain_labels(
-    dataset: IncompleteDataset,
-    test_X: np.ndarray,
-    k: int = 3,
-    kernel: Kernel | str | None = None,
-    n_jobs: int | None = 1,
-    cache: LRUCache | bool | None = False,
-) -> list[int | None]:
-    """The CP'ed label (or ``None``) for every row of ``test_X``.
-
-    One-shot counterpart of ``[certain_label(dataset, t, k) for t in
-    test_X]`` with identical results.
-    """
-    return BatchQueryExecutor(
-        dataset, test_X, k=k, kernel=kernel, n_jobs=n_jobs, cache=cache
-    ).certain_labels()

@@ -65,6 +65,7 @@ from repro.core.pruning import (
     accumulate_prune_stats,
     empty_prune_stats,
     prune_mask,
+    world_product,
 )
 from repro.core.scan import _scan_from_sims
 from repro.utils.validation import check_matrix, check_positive_int
@@ -235,6 +236,9 @@ class DeltaMaintainedState:
         shared = sims_matrix.view()
         shared.flags.writeable = False
         self._row_sims: list[np.ndarray] = np.split(shared, starts[1:], axis=1)
+        # Per-row candidate counts: the blocks' widths, kept as one array so
+        # a pruned recount reads its scale and totals without a row loop.
+        self._widths = layout.counts.astype(np.int64)
         self._mins = np.minimum.reduceat(sims_matrix, starts, axis=1)
         self._maxs = np.maximum.reduceat(sims_matrix, starts, axis=1)
         self.prune = bool(prune)
@@ -336,13 +340,12 @@ class DeltaMaintainedState:
     def _recount_pruned(self, point: int) -> list[int]:
         pruned = prune_mask(self._mins[point], self._maxs[point], self.k)
         keep = np.nonzero(~pruned)[0]
-        blocks = [self._row_sims[int(row)] for row in keep]
-        widths = np.array([block.shape[1] for block in blocks], dtype=np.int64)
-        sims = np.concatenate([block[point] for block in blocks])
+        widths = self._widths[keep]
+        sims = np.concatenate([self._row_sims[row][point] for row in keep.tolist()])
         rows = np.repeat(np.arange(keep.shape[0], dtype=np.int64), widths)
-        cands = np.concatenate(
-            [np.arange(width, dtype=np.int64) for width in widths]
-        )
+        n_scanned = int(widths.sum())
+        starts = np.repeat(np.cumsum(widths) - widths, widths)
+        cands = np.arange(n_scanned, dtype=np.int64) - starts
         labels = self.dataset.labels[keep].copy()
         # The kept subset of the full scan order IS the scan order of the
         # kept problem (the sort key (sim, row, cand) restricts to a strict
@@ -350,18 +353,16 @@ class DeltaMaintainedState:
         # so counting the reduced scan and scaling back is bit-identical.
         scan = _scan_from_sims(sims, rows, cands, labels, widths)
         counts = _counts_from_scan(scan, self.k, self.dataset.n_labels)
-        scale = 1
-        for row in np.nonzero(pruned)[0]:
-            scale *= self._row_sims[int(row)].shape[1]
-        total = int(sum(block.shape[1] for block in self._row_sims))
+        scale = world_product(self._widths[pruned])
+        total = int(self._widths.sum())
         accumulate_prune_stats(
             self.prune_stats,
             {
                 "n_rows": len(self._row_sims),
                 "n_rows_pruned": int(np.count_nonzero(pruned)),
                 "n_candidates": total,
-                "n_pruned": total - int(widths.sum()),
-                "n_scanned": int(widths.sum()),
+                "n_pruned": total - n_scanned,
+                "n_scanned": n_scanned,
                 "early_terminated": False,
             },
         )
@@ -427,6 +428,7 @@ class DeltaMaintainedState:
         self.dataset = self.dataset.restrict_row(row, candidate)
         pinned = self._row_sims[row][:, candidate].copy()
         self._row_sims[row] = pinned.reshape(-1, 1)
+        self._widths[row] = 1
         self._mins[:, row] = pinned
         self._maxs[:, row] = pinned
         touched: list[int] = []
@@ -457,6 +459,7 @@ class DeltaMaintainedState:
         new_maxs = block.max(axis=1)
         irrelevant = self._append_irrelevant_mask(new_maxs)
         self._row_sims.append(block)
+        self._widths = np.append(self._widths, m_new)
         self._mins = np.concatenate(
             [self._mins, block.min(axis=1)[:, None]], axis=1
         )
@@ -494,6 +497,7 @@ class DeltaMaintainedState:
         self.dataset = self.dataset.delete_row(row)
         new_n_labels = self.dataset.n_labels
         del self._row_sims[row]
+        self._widths = np.delete(self._widths, row)
         self._mins = np.delete(self._mins, row, axis=1)
         self._maxs = np.delete(self._maxs, row, axis=1)
         touched: list[int] = []

@@ -41,9 +41,8 @@ Three backends ship by default:
     reference backend, so ``"auto"`` plans onto it only for those
     overrides and an explicit request with ``prune="on"`` is refused.
 ``batch``
-    Wraps the batch layer (:class:`~repro.core.batch_engine.PreparedBatch`
-    + :class:`~repro.core.batch_engine.BatchQueryExecutor` + a
-    :class:`~repro.utils.lru.LRUCache` of results): vectorised
+    Runs the batch layer (a :class:`~repro.core.batch_engine.PreparedBatch`
+    plus one :class:`~repro.utils.lru.LRUCache` of results): vectorised
     distance passes over the whole test matrix, the per-point evaluators
     of :data:`FLAVOR_POINTS` (pruned or not), a ``fork`` worker-pool
     fan-out, and fingerprint-keyed result caching, for **all five
@@ -90,11 +89,9 @@ from typing import Any
 import numpy as np
 
 from repro.core.batch_engine import (
-    BatchQueryExecutor,
     PreparedBatch,
-    RESULT_CACHE_SIZE,
-    _pins_key,
-    count_point,
+    _counts_from_scan,
+    fanout_map,
     kernel_cache_key,
     resolve_n_jobs,
 )
@@ -105,11 +102,15 @@ from repro.core.engine import sortscan_counts
 from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.label_uncertainty import LabelUncertainDataset, label_uncertain_counts
+from repro.core.minmax import binary_minmax_label
 from repro.core.multiclass import sortscan_counts_multiclass
 from repro.core.prepared import PreparedQuery
 from repro.obs.tracing import trace_span
 from repro.core.pruning import (
+    accumulate_prune_stats,
     empty_prune_stats,
+    pruned_counts_from_sims,
+    pruned_decision_from_sims,
     pruned_label_uncertain_counts,
     pruned_topk_counts_from_scan,
     pruned_weighted_probabilities,
@@ -128,7 +129,7 @@ from repro.utils.validation import check_in_options, check_positive_int
 __all__ = [
     "DENSE_BLOCK_BYTES",
     "MAX_MAINTAINED_STATES",
-    "MAX_PREPARED_BATCHES",
+    "RESULT_CACHE_SIZE",
     "FLAVORS",
     "FLAVOR_POINTS",
     "KINDS",
@@ -165,8 +166,9 @@ KINDS = ("counts", "certain_label", "check")
 #: ``batch`` backend executes a query in consecutive row blocks.
 DENSE_BLOCK_BYTES = 64 * 1024 * 1024
 
-#: Prepared batches the ``batch`` backend keeps in its LRU.
-MAX_PREPARED_BATCHES = 4
+#: Entries in the ``batch`` backend's shared result cache (and in the
+#: service broker's).
+RESULT_CACHE_SIZE = 4096
 
 #: Query families whose maintained state the ``incremental`` backend keeps.
 MAX_MAINTAINED_STATES = 8
@@ -383,9 +385,9 @@ class ExecutionOptions:
     """Execution knobs that change wall-clock, never results.
 
     ``n_jobs`` fans per-point work out over forked worker processes where
-    the backend supports it; ``cache`` selects result caching (``True`` =
-    the backend's shared cache, an :class:`~repro.utils.lru.LRUCache` =
-    that cache, ``False``/``None`` = off); ``prepared`` hands an existing
+    the backend supports it; ``cache`` reads and fills the ``batch``
+    backend's shared result cache (``True``, the default) or bypasses it
+    (``False``); ``prepared`` hands an existing
     :class:`~repro.core.batch_engine.PreparedBatch` to the ``batch`` and
     ``incremental`` backends so a session's vectorised distance state is
     shared instead of rebuilt.
@@ -399,22 +401,19 @@ class ExecutionOptions:
 
     All knobs are validated at construction, with the same rules the CLI
     flags enforce: ``n_jobs`` must be a positive integer, ``-1`` (all
-    CPUs) or ``None``; ``cache`` must be a bool, ``None`` or an
-    :class:`~repro.utils.lru.LRUCache`; ``prune`` must name a known mode.
+    CPUs) or ``None``; ``cache`` must be a bool; ``prune`` must name a
+    known mode.
     """
 
     n_jobs: int | None = 1
-    cache: LRUCache | bool | None = True
+    cache: bool = True
     prepared: PreparedBatch | None = None
     prune: str = "auto"
 
     def __post_init__(self) -> None:
         check_in_options(self.prune, "prune", PRUNE_MODES)
-        if not (self.cache is None or isinstance(self.cache, (bool, LRUCache))):
-            raise TypeError(
-                "cache must be a bool, None or an LRUCache, "
-                f"got {type(self.cache).__name__}"
-            )
+        if not isinstance(self.cache, bool):
+            raise TypeError(f"cache must be a bool, got {type(self.cache).__name__}")
         if self.n_jobs is not None:
             if isinstance(self.n_jobs, bool) or not isinstance(
                 self.n_jobs, (int, np.integer)
@@ -889,11 +888,69 @@ class SequentialBackend(Backend):
 # The per-point flavor table
 # ---------------------------------------------------------------------------
 #
-# Each evaluator follows the protocol of
-# :meth:`~repro.core.batch_engine.BatchQueryExecutor.evaluate`:
-# ``point(state, index)`` with ``state = (prepared, argument, prune)``
-# returns ``(value, stats)``, ``stats`` being ``None`` when unpruned. The
-# ``prepared`` batch is built over :func:`scan_dataset`.
+# Every per-point evaluator has the signature ``point(state, index)`` with
+# ``state = (prepared, argument, prune)`` and returns ``(value, stats)``,
+# ``stats`` being the point's pruning telemetry or ``None`` when unpruned.
+# :meth:`BatchParallelBackend._evaluate` runs them; the ``prepared`` batch
+# is built over :func:`scan_dataset`.
+
+
+def _count_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
+    """Q2 counts of one point; ``argument`` is the pin mapping.
+
+    Pruned, it counts straight from the point's similarity row and never
+    touches ``prepared.scan(index)`` — pruning happens *before* the sort,
+    which is where the clustered-candidate speedup comes from.
+    """
+    prepared, fixed, prune = state
+    n_labels = prepared.dataset.n_labels
+    if not prune:
+        counts = _counts_from_scan(prepared.scan(index), prepared.k, n_labels, fixed)
+        return counts, None
+    return pruned_counts_from_sims(
+        prepared.sims_matrix[index],
+        prepared._rows,
+        prepared._cands,
+        prepared._labels,
+        prepared._counts,
+        prepared.k,
+        n_labels,
+        fixed,
+    )
+
+
+def _decision_point(state: tuple, index: int) -> tuple[int | None, dict]:
+    """The certain label of one point via prune + vectorised decision scan."""
+    prepared, fixed, _ = state
+    decision, stats = pruned_decision_from_sims(
+        prepared.sims_matrix[index],
+        prepared._rows,
+        prepared._cands,
+        prepared._labels,
+        prepared._counts,
+        prepared.k,
+        prepared.dataset.n_labels,
+        fixed,
+    )
+    return decision.certain_label, stats
+
+
+def _minmax_point(state: tuple, index: int) -> tuple[int | None, None]:
+    """The binary MinMax check (Algorithm 2) of one point, vectorised.
+
+    Mirrors :meth:`PreparedQuery.certain_label_minmax`: per-row extreme
+    similarities come straight off the shared similarity matrix via
+    ``reduceat`` instead of per-row ``min()``/``max()`` calls. The pins
+    were range-checked by :func:`make_query`.
+    """
+    prepared, fixed, _ = state
+    sims = prepared.sims_matrix[index]
+    starts = prepared._offsets[:-1]
+    mins = np.minimum.reduceat(sims, starts)
+    maxs = np.maximum.reduceat(sims, starts)
+    for row, cand in fixed.items():
+        mins[row] = maxs[row] = sims[int(starts[row]) + cand]
+    return binary_minmax_label(mins, maxs, prepared.dataset.labels, prepared.k), None
 
 
 def _weighted_point(state: tuple, index: int) -> tuple[list[Fraction], dict | None]:
@@ -948,12 +1005,13 @@ def _label_uncertain_point(state: tuple, index: int) -> tuple[list[int], dict | 
 
 #: The per-point evaluator of every flavor with its result-cache tag: the
 #: one flavor table the ``batch`` backend (and through it the gateway)
-#: serves. Binary and multiclass *decisions* take
-#: :meth:`~repro.core.batch_engine.BatchQueryExecutor.certain_labels`
-#: instead — the MinMax check, or the pruned decision scan.
+#: serves. Binary and multiclass *decisions* take the MinMax check
+#: (:func:`_minmax_point`, two labels) or the pruned decision scan
+#: (:func:`_decision_point`) instead; see
+#: :meth:`BatchParallelBackend._execute_block`.
 FLAVOR_POINTS = {
-    "binary": ("q2", count_point),
-    "multiclass": ("q2", count_point),
+    "binary": ("q2", _count_point),
+    "multiclass": ("q2", _count_point),
     "weighted": ("wt", _weighted_point),
     "topk": ("topk", _topk_point),
     "label_uncertainty": ("lu", _label_uncertain_point),
@@ -970,8 +1028,15 @@ def _point_argument(query: CPQuery) -> tuple[Any, tuple]:
     if query.flavor == "label_uncertainty":
         dataset = _restricted_dataset(query)
         return dataset, (dataset.fingerprint(),)
-    fixed = query.pins_dict()
-    return fixed, _pins_key(fixed)
+    return query.pins_dict(), query.pins
+
+
+_MISS = object()
+
+
+def _copied(value: Any) -> Any:
+    """A fresh copy of a list value, so cache entries are never aliased."""
+    return list(value) if isinstance(value, list) else value
 
 
 # ---------------------------------------------------------------------------
@@ -982,20 +1047,19 @@ def _point_argument(query: CPQuery) -> tuple[Any, tuple]:
 class BatchParallelBackend(Backend):
     """The batch execution layer behind one registry name.
 
-    Every flavor runs through :class:`BatchQueryExecutor` over one shared
-    :class:`PreparedBatch` per ``(dataset, test matrix, k, kernel)``
-    family (kept in a small LRU, or handed in via
-    :attr:`ExecutionOptions.prepared`): per-point scans derived from the
-    shared similarity matrix, the :data:`FLAVOR_POINTS` evaluators, ``fork``
-    fan-out across ``n_jobs`` workers, and a fingerprint-keyed result cache
-    shared across calls.
+    Every flavor runs over one :class:`PreparedBatch` per call — the one
+    handed in via :attr:`ExecutionOptions.prepared` when it covers the
+    query, else a fresh one: per-point scans derived from the shared
+    similarity matrix, the :data:`FLAVOR_POINTS` evaluators, ``fork``
+    fan-out across ``n_jobs`` workers, and :attr:`cache`, the
+    fingerprint-keyed result cache shared across calls
+    (:attr:`ExecutionOptions.cache`).
 
     A query whose dense similarity matrix (``T·P·8`` bytes) exceeds
     :data:`DENSE_BLOCK_BYTES` runs as consecutive row blocks, each through
     the same per-flavor path on its own :class:`PreparedBatch`, so resident
-    memory stays flat in ``T``. Block batches bypass the prepared LRU (it
-    would otherwise retain them all); results are cached per point, so
-    blocked and unblocked runs share cache entries.
+    memory stays flat in ``T``. Results are cached per point, so blocked
+    and unblocked runs share cache entries.
     """
 
     name = "batch"
@@ -1010,7 +1074,6 @@ class BatchParallelBackend(Backend):
 
     def __init__(self) -> None:
         self.cache = LRUCache(RESULT_CACHE_SIZE)
-        self._prepared = LRUCache(MAX_PREPARED_BATCHES)
 
     def estimate_cost(self, query, options):
         jobs = min(resolve_n_jobs(options.n_jobs), max(query.n_points, 1))
@@ -1019,48 +1082,14 @@ class BatchParallelBackend(Backend):
         return cost, "vectorised preparation + parallel per-point scans"
 
     # ------------------------------------------------------------------
-    def _resolve_cache(self, options: ExecutionOptions) -> LRUCache | None:
-        if options.cache is True:
-            return self.cache
-        if isinstance(options.cache, LRUCache):
-            return options.cache
-        return None
-
-    def _prepared_for(
-        self, query: CPQuery, options: ExecutionOptions, use_lru: bool
-    ) -> PreparedBatch:
-        dataset = scan_dataset(query)
-        test_X, k, kernel = query.test_X, query.k, query.kernel
-        handed = _handed_prepared(dataset, test_X, k, kernel, options)
-        if handed is not None:
-            return handed
-        if not use_lru:
-            return PreparedBatch(dataset, test_X, k=k, kernel=kernel)
-        key = (
-            dataset.fingerprint(),
-            _point_key(test_X),
-            k,
-            kernel_cache_key(kernel),
-        )
-        prepared = self._prepared.get(key)
-        if prepared is None:
-            prepared = PreparedBatch(dataset, test_X, k=k, kernel=kernel)
-            self._prepared.put(key, prepared)
-        return prepared
-
-    # ------------------------------------------------------------------
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
         # Binary decisions take the MM check, which builds no scan to prune.
         prune = _prune_enabled(query, options) and not _minmax_decides(query)
         totals = empty_prune_stats() if prune else None
-        blocks = self._row_blocks(query, options)
-        # Only an unsplit query may enter the prepared LRU, which would
-        # otherwise retain every block.
-        use_lru = len(blocks) == 1
         values = []
-        for block in blocks:
-            values.extend(self._execute_block(block, options, prune, totals, use_lru))
+        for block in self._row_blocks(query, options):
+            values.extend(self._execute_block(block, options, prune, totals))
         return values, _prune_summary(query, prune, totals)
 
     def _row_blocks(self, query: CPQuery, options: ExecutionOptions) -> list[CPQuery]:
@@ -1087,26 +1116,88 @@ class BatchParallelBackend(Backend):
         options: ExecutionOptions,
         prune: bool,
         totals: dict | None,
-        use_lru: bool,
     ) -> list:
-        executor = BatchQueryExecutor(
-            prepared=self._prepared_for(query, options, use_lru),
-            n_jobs=options.n_jobs,
-            cache=self._resolve_cache(options),
-        )
-        if query.flavor in ("binary", "multiclass") and query.kind != "counts":
-            # Binary takes the MM check regardless of prune; multiclass the
-            # pruned early-terminating decision scan, or full counts.
-            labels = executor.certain_labels(
-                query.pins_dict(), prune=prune, prune_stats=totals
-            )
-            return _labels_to_kind(query, labels)
-        tag, point = FLAVOR_POINTS[query.flavor]
+        """One block's values: the one place decisions split from counts."""
+        dataset = scan_dataset(query)
+        prepared = _handed_prepared(
+            dataset, query.test_X, query.k, query.kernel, options
+        ) or PreparedBatch(dataset, query.test_X, k=query.k, kernel=query.kernel)
         argument, argument_key = _point_argument(query)
-        values = executor.evaluate(tag, point, argument, argument_key, prune, totals)
+        decision = None
+        if query.flavor in ("binary", "multiclass") and query.kind != "counts":
+            if _minmax_decides(query):
+                decision = ("mm", _minmax_point)
+            elif prune:
+                # The early-terminating decision scan. A decision carries
+                # less than the full counts, so it has its own cache tag.
+                decision = ("q2d", _decision_point)
+        tag, point = decision or FLAVOR_POINTS[query.flavor]
+        # A MinMax check is two reductions per point: cheaper than a fork.
+        n_jobs = 1 if tag == "mm" else options.n_jobs
+        cache = self.cache if options.cache else None
+        values = self._evaluate(
+            prepared, tag, point, argument, argument_key, prune, totals, n_jobs, cache
+        )
+        if decision:
+            return _labels_to_kind(query, values)
         if query.flavor == "weighted":
             return _weighted_to_kind(query, values)
         return _counts_to_kind(query, values)
+
+    @staticmethod
+    def _evaluate(
+        prepared: PreparedBatch,
+        tag: str,
+        point,
+        argument: Any,
+        argument_key: tuple,
+        prune: bool,
+        totals: dict | None,
+        n_jobs: int | None,
+        cache: LRUCache | None,
+    ) -> list:
+        """``point`` over every test point: served from ``cache``, else fanned out.
+
+        Results are cached under ``(tag, fingerprint, k, kernel,
+        argument_key, point digest)``. Pruned and unpruned evaluators are
+        bit-identical, so they share entries; ``totals`` accumulates the
+        prune telemetry of the points computed this call.
+        """
+        results: list = [None] * prepared.n_points
+        missing = list(range(prepared.n_points))
+        if cache is not None:
+            family = (
+                tag,
+                prepared.fingerprint(),
+                prepared.k,
+                kernel_cache_key(prepared.kernel),
+                argument_key,
+            )
+            keys = [(*family, _point_key(t)) for t in prepared.test_X]
+            missing = []
+            for index, key in enumerate(keys):
+                hit = cache.get(key, _MISS)
+                if hit is _MISS:
+                    missing.append(index)
+                else:
+                    results[index] = _copied(hit)
+            if not missing:
+                return results
+        if not prune and resolve_n_jobs(n_jobs) > 1:
+            # Unpruned evaluators read the sorted scans: build them before
+            # the fork so workers share them copy-on-write. (Pruned counts
+            # and decisions sort only the surviving positions.)
+            prepared.materialize_scans(missing)
+        outputs = fanout_map(
+            point, missing, n_jobs=n_jobs, state=(prepared, argument, prune)
+        )
+        for index, (value, stats) in zip(missing, outputs):
+            results[index] = value
+            if cache is not None:
+                cache.put(keys[index], _copied(value))
+            if totals is not None and stats is not None:
+                accumulate_prune_stats(totals, stats)
+        return results
 
 
 # ---------------------------------------------------------------------------

@@ -483,13 +483,12 @@ def pruned_decision_from_sims(
     k: int,
     n_labels: int,
     fixed: Mapping[int, int] | None = None,
-    implementation: str | None = None,
 ) -> tuple[DecisionScan, dict]:
     """Certain-label verdict straight from candidate-order similarities."""
     n_effective, reduced, cert = _reduced_from_sims(
         sims_row, rows, cands, labels, counts, k, fixed
     )
-    decision = decision_winners(reduced, k, n_labels, implementation=implementation)
+    decision = decision_winners(reduced, k, n_labels)
     return decision, _sims_stats(
         n_effective, reduced, cert, decision.positions_scanned, decision.early_terminated
     )

@@ -56,7 +56,7 @@ def q2_counts(
     algorithm = check_in_options(algorithm, "algorithm", ("auto", *Q2_ALGORITHMS))
     # This is the single-point front door: a matrix would silently answer
     # only its first row, so reject it here (batch callers use the planner
-    # or batch_q2_counts).
+    # or screen_dataset).
     t = check_vector(t, "t", length=dataset.n_features)
     query = make_query(
         dataset, t, kind="counts", k=k, kernel=kernel, algorithm=algorithm

@@ -14,11 +14,10 @@ NumPy cumulative sums builds, for every boundary position at once, the
 per-label "forced above" and "still open" tallies the polynomial engine
 tracks incrementally, and the decision scan then checks whole chunks of
 positions per vector operation, stopping at the first chunk that proves
-the answer mixed. A pure-Python implementation of the same arrays and the
-same scan is selected at import time when NumPy is unavailable (or forced
-via ``REPRO_PURE_PYTHON_KERNELS=1``) and remains selectable per call — the
-two implementations are checked against each other bit-for-bit in
-``tests/core/test_scan_kernels.py``.
+the answer mixed. Pure-Python per-position references of the same arrays
+and the same scan (:func:`_build_scan_arrays_python`,
+:func:`_decision_winners_python`) are kept private; the vectorised kernels
+are checked against them bit-for-bit in ``tests/core/test_scan_kernels.py``.
 
 Exactness
 ---------
@@ -52,62 +51,19 @@ reach the counting loop stay in the machine-word fast path far longer.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-try:  # pragma: no cover - numpy is a hard dependency of the package today,
-    # but the kernels keep an import-time probe so the pure-Python fallback
-    # genuinely self-selects if the array stack is absent or disabled.
-    import numpy as np
-
-    _HAVE_NUMPY = True
-except Exception:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    _HAVE_NUMPY = False
+import numpy as np
 
 from repro.core.tally import tallies_with_prediction
 
 __all__ = [
-    "KERNEL_IMPLEMENTATIONS",
-    "DEFAULT_IMPLEMENTATION",
-    "resolve_implementation",
     "ScanTallies",
     "DecisionScan",
     "build_scan_arrays",
     "decision_winners",
 ]
-
-#: The selectable implementations, in preference order.
-KERNEL_IMPLEMENTATIONS = ("numpy", "python")
-
-_ENV_FLAG = "REPRO_PURE_PYTHON_KERNELS"
-
-
-def _select_default() -> str:
-    if os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}:
-        return "python"
-    return "numpy" if _HAVE_NUMPY else "python"
-
-
-#: Chosen once at import: ``numpy`` when available and not disabled via the
-#: ``REPRO_PURE_PYTHON_KERNELS`` environment variable, else ``python``.
-DEFAULT_IMPLEMENTATION = _select_default()
-
-
-def resolve_implementation(name: str | None = None) -> str:
-    """Map ``None``/``"auto"`` to the import-time default; validate others."""
-    if name is None or name == "auto":
-        return DEFAULT_IMPLEMENTATION
-    if name not in KERNEL_IMPLEMENTATIONS:
-        raise ValueError(
-            f"unknown scan-kernel implementation {name!r}; "
-            f"expected one of {('auto',) + KERNEL_IMPLEMENTATIONS}"
-        )
-    if name == "numpy" and not _HAVE_NUMPY:  # pragma: no cover
-        raise ValueError("the numpy scan-kernel implementation is unavailable")
-    return name
-
 
 @lru_cache(maxsize=None)
 def decision_plans(
@@ -156,9 +112,9 @@ class ScanTallies:
     ``forced[p, l] <= want_l <= cap[p, l]`` for every label.
     """
 
-    boundary_labels: "np.ndarray"
-    forced: "np.ndarray"
-    cap: "np.ndarray"
+    boundary_labels: np.ndarray
+    forced: np.ndarray
+    cap: np.ndarray
 
     @property
     def n_positions(self) -> int:
@@ -198,21 +154,15 @@ def _check_effective_scan(scan) -> None:
         )
 
 
-def build_scan_arrays(scan, n_labels: int, implementation: str | None = None) -> ScanTallies:
+def build_scan_arrays(scan, n_labels: int) -> ScanTallies:
     """Batched boundary snapshots for every position of ``scan``.
 
     ``scan`` must be *effective*: pins already folded, so every position is
     active and ``row_counts`` are the per-row numbers of scanned
-    candidates. Both implementations return identical arrays.
+    candidates. Identical to the per-position reference
+    :func:`_build_scan_arrays_python`.
     """
-    implementation = resolve_implementation(implementation)
     _check_effective_scan(scan)
-    if implementation == "numpy":
-        return _build_scan_arrays_numpy(scan, n_labels)
-    return _build_scan_arrays_python(scan, n_labels)
-
-
-def _build_scan_arrays_numpy(scan, n_labels: int) -> ScanTallies:
     rows = np.asarray(scan.rows, dtype=np.int64)
     labels = np.asarray(scan.row_labels, dtype=np.int64)
     counts = np.asarray(scan.row_counts, dtype=np.int64)
@@ -255,6 +205,8 @@ def _build_scan_arrays_numpy(scan, n_labels: int) -> ScanTallies:
 
 
 def _build_scan_arrays_python(scan, n_labels: int) -> ScanTallies:
+    """The per-position reference for :func:`build_scan_arrays`."""
+    _check_effective_scan(scan)
     rows = [int(r) for r in scan.rows]
     labels = [int(label) for label in scan.row_labels]
     counts = [int(m) for m in scan.row_counts]
@@ -284,13 +236,11 @@ def _build_scan_arrays_python(scan, n_labels: int) -> ScanTallies:
         if a < counts[row]:
             cap_out[pos][label] -= 1
 
-    if _HAVE_NUMPY:
-        return ScanTallies(
-            np.asarray(boundary_labels, dtype=np.int64),
-            np.asarray(forced_out, dtype=np.int64).reshape(n_positions, n_labels),
-            np.asarray(cap_out, dtype=np.int64).reshape(n_positions, n_labels),
-        )
-    return ScanTallies(boundary_labels, forced_out, cap_out)  # pragma: no cover
+    return ScanTallies(
+        np.asarray(boundary_labels, dtype=np.int64),
+        np.asarray(forced_out, dtype=np.int64).reshape(n_positions, n_labels),
+        np.asarray(cap_out, dtype=np.int64).reshape(n_positions, n_labels),
+    )
 
 
 #: Positions examined per vector step of the chunked decision scan. Small
@@ -303,7 +253,6 @@ def decision_winners(
     scan,
     k: int,
     n_labels: int,
-    implementation: str | None = None,
     chunk: int = DECISION_CHUNK,
 ) -> DecisionScan:
     """The set of labels with nonzero Q2 count, with early termination.
@@ -313,10 +262,7 @@ def decision_winners(
     the scan stops. Equivalent to
     ``{y: counts[y] > 0}`` for the exact counting kernel on the same scan.
     """
-    implementation = resolve_implementation(implementation)
-    if implementation == "python":
-        return _decision_winners_python(scan, k, n_labels)
-    tallies = build_scan_arrays(scan, n_labels, implementation)
+    tallies = build_scan_arrays(scan, n_labels)
     plans = decision_plans(k, n_labels)
     n_positions = tallies.n_positions
     winners: set[int] = set()
@@ -349,7 +295,8 @@ def decision_winners(
 
 
 def _decision_winners_python(scan, k: int, n_labels: int) -> DecisionScan:
-    """The same decision scan with running counters and per-position stop."""
+    """The per-position reference for :func:`decision_winners`: running
+    counters and a stop at the first position that proves the answer mixed."""
     _check_effective_scan(scan)
     rows = [int(r) for r in scan.rows]
     labels = [int(label) for label in scan.row_labels]

@@ -26,7 +26,6 @@ from repro.core.dataset import IncompleteDataset
 from repro.core.entropy import certain_label_from_counts, prediction_entropy
 from repro.core.kernels import Kernel
 from repro.core.planner import ExecutionOptions, execute_query, make_query
-from repro.utils.lru import LRUCache
 
 __all__ = ["ScreeningResult", "screen_dataset"]
 
@@ -107,21 +106,17 @@ def screen_dataset(
     k: int = 3,
     kernel: Kernel | str | None = None,
     n_jobs: int | None = 1,
-    cache: LRUCache | bool | None = None,
     backend: str = "auto",
 ) -> ScreeningResult:
     """Run the counting query against every row of ``test_X``.
 
     Returns a :class:`ScreeningResult`; cost is one sort-scan per test
     point (`O(NM log NM)` each), independent of the exponential world
-    count. ``n_jobs`` fans the scans out over worker processes; pass an
-    :class:`~repro.utils.lru.LRUCache` (or ``True``, the ``batch``
-    backend's shared cache) to serve repeated screenings of the same data
-    from cache; ``backend``
-    forces a planner backend. None of these knobs changes the result.
+    count. ``n_jobs`` fans the scans out over worker processes and
+    ``backend`` forces a planner backend; neither changes the result.
     """
     query = make_query(dataset, test_X, kind="counts", k=k, kernel=kernel)
-    options = ExecutionOptions(n_jobs=n_jobs, cache=cache)
+    options = ExecutionOptions(n_jobs=n_jobs, cache=False)
     result = ScreeningResult(k=k, n_worlds=dataset.n_worlds())
     for counts in execute_query(query, backend=backend, options=options).values:
         result.counts.append(counts)

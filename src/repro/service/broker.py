@@ -35,7 +35,6 @@ Two more serving-layer pieces live here:
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from concurrent.futures import Future
 from fractions import Fraction
@@ -49,9 +48,12 @@ from repro.codd.engine import MODES, answer_query, get_codd_backend
 from repro.codd.plan import plan_dict
 from repro.codd.sql import parse_sql, referenced_tables
 from repro.core.label_uncertainty import LabelUncertainDataset
-from repro.core.batch_engine import RESULT_CACHE_SIZE, kernel_cache_key
+from repro.core.batch_engine import kernel_cache_key
 from repro.core.planner import (
+    RESULT_CACHE_SIZE,
     ExecutionOptions,
+    _point_key,
+    _weights_key,
     execute_query,
     get_backend,
     make_query,
@@ -104,20 +106,6 @@ class AdmissionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _point_digest(point: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(point).tobytes()).hexdigest()
-
-
-def _weights_digest(weights: list[list[Fraction]] | None) -> str:
-    if weights is None:
-        return ""
-    digest = hashlib.sha256()
-    for row in weights:
-        digest.update(repr(row).encode("ascii"))
-        digest.update(b";")
-    return digest.hexdigest()
-
-
 class _PendingBatch:
     """One micro-batch being assembled for a query family.
 
@@ -167,7 +155,7 @@ class QueryBroker:
     cache, ttl_s:
         ``True`` (default) caches results in a
         :class:`~repro.utils.lru.LRUCache` of
-        :data:`~repro.core.batch_engine.RESULT_CACHE_SIZE` entries, each
+        :data:`~repro.core.planner.RESULT_CACHE_SIZE` entries, each
         expiring ``ttl_s`` seconds after it was stored; ``False``
         disables result caching.
     gateway:
@@ -651,11 +639,9 @@ class QueryBroker:
         the process reports the same counts for them. A backend replaced
         by one without the default caches just drops out.
         """
-        batch = get_backend("batch")
         caches = {
             "broker.results": self.cache,
-            "batch.results": getattr(batch, "cache", None),
-            "batch.prepared": getattr(batch, "_prepared", None),
+            "batch.results": getattr(get_backend("batch"), "cache", None),
             "incremental.states": getattr(get_backend("incremental"), "_states", None),
             "codd.grids": getattr(get_codd_backend("vectorized"), "_prepared", None),
             "codd.joins": joins._ANALYSIS_CACHE,
@@ -753,7 +739,7 @@ class QueryBroker:
             kernel_cache_key(entry.kernel),
             params["pins"],
             params["label"],
-            _weights_digest(params["weights"]),
+            "" if params["weights"] is None else _weights_key(params["weights"]),
             params["algorithm"],
             params["backend"],
             # Pruning never changes values, but a micro-batch flushes with
@@ -781,7 +767,7 @@ class QueryBroker:
             )
 
     def _point_cache_key(self, family: tuple, point: np.ndarray) -> tuple:
-        return (*family, _point_digest(point))
+        return (*family, _point_key(point))
 
     def _options(self, snap: DatasetSnapshot, prune: str) -> ExecutionOptions:
         return ExecutionOptions(
@@ -881,7 +867,7 @@ class QueryBroker:
         if single:
             cache_key = self._point_cache_key(family, matrix[0])
         else:
-            cache_key = (*family, "matrix", _point_digest(matrix))
+            cache_key = (*family, "matrix", _point_key(matrix))
         # Explain requests skip the cache *read*: the explain block reports
         # this execution's pruning telemetry, which a cached value lacks.
         # The computed values still populate the cache below.

@@ -1,7 +1,6 @@
 """One bounded, thread-safe, instrumented LRU cache.
 
-Every cache in the package — batch results, prepared batches, maintained
-states, Codd grids, join analyses, aggregate preparations and the
+Every cache in the package — batch results, maintained states, Codd grids, join analyses, aggregate preparations and the
 service's TTL'd results — is an :class:`LRUCache`, so each one counts its
 hits, misses and evictions the same way and the service can publish them
 all as gauges.

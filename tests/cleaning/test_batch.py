@@ -101,3 +101,59 @@ class TestBatchRuns:
         dataset, val_X, oracle = workload
         with pytest.raises(ValueError):
             run_batch_clean(dataset, val_X, oracle, batch_size=0, k=3)
+
+
+class TestFinalCheck:
+    """A run's final CP fraction is its last loop check's: no extra check.
+
+    Every exit of the loop (all certain, no dirty rows left, budget spent)
+    follows a check at unchanged pins, so a re-check could only repeat it.
+    """
+
+    @staticmethod
+    def _count_checks(monkeypatch) -> list[dict]:
+        calls: list[dict] = []
+        original = CleaningSession.val_certain_labels
+
+        def counted(self):
+            calls.append(dict(self.fixed))
+            return original(self)
+
+        monkeypatch.setattr(CleaningSession, "val_certain_labels", counted)
+        return calls
+
+    @staticmethod
+    def _rechecked(dataset, val_X, fixed) -> float:
+        session = CleaningSession(dataset, val_X, k=3)
+        for row, cand in fixed.items():
+            session.clean_row(row, cand)
+        return session.cp_fraction()
+
+    @pytest.mark.parametrize("max_cleaned", [None, 0, 2])
+    def test_sequential_run_checks_once_per_step_plus_exit(
+        self, workload, monkeypatch, max_cleaned
+    ) -> None:
+        dataset, val_X, oracle = workload
+        calls = self._count_checks(monkeypatch)
+        report = run_cp_clean(dataset, val_X, oracle, k=3, max_cleaned=max_cleaned)
+        assert len(calls) == report.n_cleaned + 1
+        assert calls[-1] == report.final_fixed
+        assert report.cp_fraction_final == self._rechecked(
+            dataset, val_X, report.final_fixed
+        )
+
+    @pytest.mark.parametrize("max_cleaned", [None, 4])
+    def test_batch_run_checks_once_per_round_plus_exit(
+        self, workload, monkeypatch, max_cleaned
+    ) -> None:
+        dataset, val_X, oracle = workload
+        calls = self._count_checks(monkeypatch)
+        report = run_batch_clean(
+            dataset, val_X, oracle, batch_size=3, k=3, max_cleaned=max_cleaned
+        )
+        rounds = -(-report.n_cleaned // 3)
+        assert len(calls) == rounds + 1
+        assert calls[-1] == report.final_fixed
+        assert report.cp_fraction_final == self._rechecked(
+            dataset, val_X, report.final_fixed
+        )

@@ -141,19 +141,6 @@ class TestRowBlocks:
             ).values
             assert values == reference, f"{rows}-row blocks, n_jobs={n_jobs}: {description}"
 
-    def test_blocked_query_leaves_prepared_lru_unchanged(self, monkeypatch):
-        backend = BatchParallelBackend()
-        small, _, _ = random_case(0, flavor="binary", kind="counts", n_points=2)
-        backend.execute(small, ExecutionOptions(cache=False))
-        before = list(backend._prepared)
-        assert len(before) == 1
-
-        query, _, _ = random_case(1, flavor="binary", kind="counts", n_points=5)
-        set_block_rows(monkeypatch, query, 2)
-        values, _ = backend.execute(query, ExecutionOptions(cache=False))
-        assert values == _reference(query)
-        assert list(backend._prepared) == before
-
     def test_handed_prepared_batch_is_not_split(self, monkeypatch):
         query, _, _ = random_case(2, flavor="binary", kind="counts", n_points=6)
         prepared = batch_engine.PreparedBatch(

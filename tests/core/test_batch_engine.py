@@ -1,7 +1,7 @@
 """Equivalence and caching tests for the parallel batch CP query engine.
 
-The batch executor's contract is that it NEVER changes results — only how
-fast they arrive. Every test here therefore compares against the sequential
+The ``batch`` backend's contract is that it NEVER changes results — only
+how fast they arrive. Every test here therefore compares against the sequential
 per-point path (:class:`repro.core.prepared.PreparedQuery`) and demands
 bit-identical output, across ``n_jobs`` values, cache states and pinned-row
 mappings.
@@ -13,21 +13,18 @@ import pytest
 from repro.cleaning.cp_clean import run_cp_clean
 from repro.cleaning.oracle import GroundTruthOracle
 from repro.cleaning.sequential import CleaningSession
-from repro.core.batch_engine import (
-    BatchQueryExecutor,
-    PreparedBatch,
-    RESULT_CACHE_SIZE,
-    batch_certain_labels,
-    batch_q2_counts,
-    fanout_map,
-    resolve_n_jobs,
-)
+from repro.core.batch_engine import PreparedBatch, fanout_map, resolve_n_jobs
 from repro.core.dataset import IncompleteDataset
+from repro.core.planner import (
+    BatchParallelBackend,
+    ExecutionOptions,
+    execute_query,
+    make_query,
+)
 from repro.core.prepared import PreparedQuery
 from repro.core.queries import certain_label
 from repro.core.scan import compute_scan_order, compute_scan_orders
 from repro.core.screening import screen_dataset
-from repro.utils.lru import LRUCache
 from tests.conftest import random_incomplete_dataset
 
 
@@ -51,6 +48,19 @@ def _sequential_counts(dataset, test_X, k, fixed=None):
 
 def _scaled(factor, x):
     return factor * x
+
+
+def _batch(dataset, test_X, kind="counts", pins=None, n_jobs=1, kernel=None):
+    """Values of one uncached query on the ``batch`` backend."""
+    query = make_query(dataset, test_X, kind=kind, k=3, pins=pins, kernel=kernel)
+    options = ExecutionOptions(n_jobs=n_jobs, cache=False)
+    return execute_query(query, backend="batch", options=options).values
+
+
+def _cached(backend, dataset, test_X, pins=None):
+    """Counts through ``backend`` with its shared result cache on."""
+    query = make_query(dataset, test_X, kind="counts", k=3, pins=pins)
+    return backend.execute(query, ExecutionOptions(cache=True))[0]
 
 
 class TestPreparedBatch:
@@ -116,89 +126,87 @@ class TestBatchCountsEquivalence:
     def test_counts_identical_to_sequential(self, n_labels):
         dataset, test_X = _workload(seed=1, n_labels=n_labels)
         expected = _sequential_counts(dataset, test_X, k=3)
-        assert batch_q2_counts(dataset, test_X, k=3) == expected
+        assert _batch(dataset, test_X) == expected
 
     def test_counts_identical_with_n_jobs(self):
         dataset, test_X = _workload(seed=2)
         expected = _sequential_counts(dataset, test_X, k=3)
-        assert batch_q2_counts(dataset, test_X, k=3, n_jobs=2) == expected
-        assert batch_q2_counts(dataset, test_X, k=3, n_jobs=4) == expected
+        assert _batch(dataset, test_X, n_jobs=2) == expected
+        assert _batch(dataset, test_X, n_jobs=4) == expected
 
     def test_counts_identical_with_pinned_rows(self):
         dataset, test_X = _workload(seed=4)
         fixed = {row: 0 for row in dataset.uncertain_rows()[:2]}
         expected = _sequential_counts(dataset, test_X, k=3, fixed=fixed)
-        executor = BatchQueryExecutor(dataset, test_X, k=3, cache=False)
-        assert executor.counts(fixed) == expected
-        parallel = BatchQueryExecutor(dataset, test_X, k=3, n_jobs=2, cache=False)
-        assert parallel.counts(fixed) == expected
+        assert _batch(dataset, test_X, pins=fixed) == expected
+        assert _batch(dataset, test_X, pins=fixed, n_jobs=2) == expected
 
     def test_certain_labels_match_query_api(self):
         for n_labels in (2, 3):
             dataset, test_X = _workload(seed=5, n_labels=n_labels)
             expected = [certain_label(dataset, t, k=3) for t in test_X]
-            assert batch_certain_labels(dataset, test_X, k=3) == expected
+            assert _batch(dataset, test_X, kind="certain_label") == expected
 
     def test_out_of_range_pin_rejected(self):
         dataset, test_X = _workload(seed=6)
         row = dataset.uncertain_rows()[0]
-        executor = BatchQueryExecutor(dataset, test_X, k=3, cache=False)
         with pytest.raises(IndexError, match="out of range"):
-            executor.counts({row: 99})
+            _batch(dataset, test_X, pins={row: 99})
         # The binary MinMax path must reject bad pins too, not silently
         # read a neighbouring row's similarity.
         assert dataset.n_labels == 2
+        too_far = {row: int(dataset.candidates(row).shape[0])}
         with pytest.raises(IndexError, match="out of range"):
-            executor.certain_labels({row: int(dataset.candidates(row).shape[0])})
+            _batch(dataset, test_X, kind="certain_label", pins=too_far)
 
 
 class TestResultCache:
     def test_cache_hits_serve_identical_results(self):
         dataset, test_X = _workload(seed=7)
-        executor = BatchQueryExecutor(dataset, test_X, k=3, cache=True)
-        first = executor.counts()
-        assert executor.cache.hits == 0
-        second = executor.counts()
+        backend = BatchParallelBackend()
+        first = _cached(backend, dataset, test_X)
+        assert backend.cache.hits == 0
+        second = _cached(backend, dataset, test_X)
         assert second == first
-        assert executor.cache.hits == len(test_X)
+        assert backend.cache.hits == len(test_X)
         # Cached results also match the sequential path, not just each other.
         assert second == _sequential_counts(dataset, test_X, k=3)
 
     def test_cache_hit_results_are_isolated_copies(self):
         dataset, test_X = _workload(seed=8)
-        executor = BatchQueryExecutor(dataset, test_X, k=3, cache=True)
-        first = executor.counts()
+        backend = BatchParallelBackend()
+        first = _cached(backend, dataset, test_X)
         first[0][0] = -12345  # corrupt the caller's copy
-        assert executor.counts() == _sequential_counts(dataset, test_X, k=3)
+        assert _cached(backend, dataset, test_X) == _sequential_counts(dataset, test_X, k=3)
 
     def test_distinct_pins_get_distinct_entries(self):
         dataset, test_X = _workload(seed=9)
-        executor = BatchQueryExecutor(dataset, test_X, k=3, cache=True)
+        backend = BatchParallelBackend()
         row = dataset.uncertain_rows()[0]
-        plain = executor.counts()
-        pinned = executor.counts({row: 1})
+        plain = _cached(backend, dataset, test_X)
+        pinned = _cached(backend, dataset, test_X, pins={row: 1})
         assert pinned == _sequential_counts(dataset, test_X, k=3, fixed={row: 1})
-        assert executor.cache.hits == 0  # different keys: no false sharing
-        assert executor.counts() == plain
-        assert executor.cache.hits == len(test_X)
+        assert backend.cache.hits == 0  # different keys: no false sharing
+        assert _cached(backend, dataset, test_X) == plain
+        assert backend.cache.hits == len(test_X)
 
     def test_fingerprint_change_invalidates(self):
-        """A shared cache never leaks results across dataset contents."""
+        """The shared cache never leaks results across dataset contents."""
         dataset, test_X = _workload(seed=10)
-        shared = LRUCache(RESULT_CACHE_SIZE)
-        before = BatchQueryExecutor(dataset, test_X, k=3, cache=shared).counts()
+        backend = BatchParallelBackend()
+        before = _cached(backend, dataset, test_X)
 
         row = dataset.uncertain_rows()[0]
         cleaned = dataset.restrict_row(row, 1)
         assert cleaned.fingerprint() != dataset.fingerprint()
 
-        hits_before = shared.hits
-        after = BatchQueryExecutor(cleaned, test_X, k=3, cache=shared).counts()
-        assert shared.hits == hits_before  # every lookup missed: new fingerprint
+        hits_before = backend.cache.hits
+        after = _cached(backend, cleaned, test_X)
+        assert backend.cache.hits == hits_before  # every lookup missed: new fingerprint
         assert after == _sequential_counts(cleaned, test_X, k=3)
         # The original dataset's entries are still valid and still served.
-        assert BatchQueryExecutor(dataset, test_X, k=3, cache=shared).counts() == before
-        assert shared.hits > hits_before
+        assert _cached(backend, dataset, test_X) == before
+        assert backend.cache.hits > hits_before
 
     def test_identical_content_shares_fingerprint(self):
         dataset, _ = _workload(seed=11)
@@ -230,19 +238,18 @@ class TestResultCache:
         assert kernel_cache_key(TweakedRBF(2.0)) != kernel_cache_key(RBFKernel(2.0))
 
     def test_shared_cache_across_threads_serves_consistent_values(self):
-        """Two executors on different threads sharing one cache agree with
+        """Calls on different threads sharing one result cache agree with
         the sequential reference throughout."""
         import threading
 
         dataset, test_X = _workload(seed=12)
-        shared = LRUCache(RESULT_CACHE_SIZE)
+        backend = BatchParallelBackend()
         expected = _sequential_counts(dataset, test_X, k=3)
         results: dict[int, list] = {}
 
         def run(slot: int) -> None:
-            executor = BatchQueryExecutor(dataset, test_X, k=3, cache=shared)
             for _ in range(3):
-                results[slot] = executor.counts()
+                results[slot] = _cached(backend, dataset, test_X)
 
         threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
         for thread in threads:
@@ -283,14 +290,14 @@ class TestCleaningIntegration:
         ]
         assert session.val_certain_labels() == expected
 
-    @pytest.mark.parametrize("n_jobs,use_cache", [(1, False), (2, True), (2, False)])
-    def test_cp_clean_report_invariant_under_executor_config(self, n_jobs, use_cache):
+    @pytest.mark.parametrize("n_jobs,backend", [(1, "batch"), (2, "auto"), (2, "batch")])
+    def test_cp_clean_report_invariant_under_executor_config(self, n_jobs, backend):
         dataset, val_X = _workload(seed=13, n_rows=16, n_val=4)
         oracle = GroundTruthOracle([0] * dataset.n_rows)
         baseline = run_cp_clean(dataset, val_X, oracle, k=3, max_cleaned=3)
         report = run_cp_clean(
             dataset, val_X, oracle, k=3, max_cleaned=3,
-            n_jobs=n_jobs, use_cache=use_cache,
+            n_jobs=n_jobs, backend=backend,
         )
         assert [s.row for s in report.steps] == [s.row for s in baseline.steps]
         assert [s.expected_entropy for s in report.steps] == [
@@ -305,9 +312,12 @@ class TestEmptyTestSet:
     def test_empty_test_matrix_yields_empty_results(self, kernel):
         dataset, _ = _workload(seed=15)
         empty = np.empty((0, dataset.n_features))
-        executor = BatchQueryExecutor(dataset, empty, k=3, kernel=kernel)
-        assert executor.counts() == []
-        assert executor.certain_labels() == []
+        assert _batch(dataset, empty, kernel=kernel) == []
+        assert _batch(dataset, empty, kind="certain_label", kernel=kernel) == []
+        # The backend itself, below the planner's zero-point shortcut.
+        for kind in ("counts", "certain_label"):
+            query = make_query(dataset, empty, kind=kind, k=3, kernel=kernel)
+            assert BatchParallelBackend().execute(query)[0] == []
         assert screen_dataset(dataset, empty, k=3, kernel=kernel).cp_fraction == 1.0
 
     def test_empty_validation_set_session(self):

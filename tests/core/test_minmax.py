@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.batch_engine import BatchQueryExecutor, PreparedBatch
+from repro.core.batch_engine import PreparedBatch
 from repro.core.bruteforce import brute_force_counts
 from repro.core.dataset import IncompleteDataset
 from repro.core.minmax import (
@@ -188,9 +188,15 @@ class TestMinMaxMerge:
 
     def test_batch_rejects_out_of_range_pins(self):
         dataset = _ragged_dataset(8)
-        executor = BatchQueryExecutor(dataset, np.zeros((1, 2)), k=1, cache=False)
+
+        def labels(pins):
+            query = make_query(
+                dataset, np.zeros((1, 2)), kind="certain_label", k=1, pins=pins
+            )
+            return execute_query(query, backend="batch").values
+
         with pytest.raises(IndexError, match="out of range"):
-            executor.certain_labels({0: 99})
+            labels({0: 99})
         # numpy's negative indexing must not let row=-1 pin the last row.
-        with pytest.raises(IndexError, match="fixed row -1"):
-            executor.certain_labels({-1: 0})
+        with pytest.raises(IndexError, match="row -1 out of range"):
+            labels({-1: 0})

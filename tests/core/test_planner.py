@@ -152,14 +152,10 @@ class TestRegistryErrorPaths:
             register_backend(get_backend("batch"))
         assert backend_names() == before
 
-    def test_replace_reregisters_under_same_name(self, monkeypatch):
-        from repro.core import planner
-
-        monkeypatch.setattr(planner, "MAX_PREPARED_BATCHES", 2)
+    def test_replace_reregisters_under_same_name(self):
         original = get_backend("batch")
         try:
             replacement = BatchParallelBackend()
-            assert replacement._prepared.maxsize == 2
             assert register_backend(replacement, replace=True) is replacement
             assert get_backend("batch") is replacement
             assert backend_names() == ["sequential", "batch", "incremental"]
@@ -530,7 +526,7 @@ class TestCachingAndOptions:
         assert second == first
         assert backend.cache.hits >= hits_before + len(test_X)
 
-    def test_prepared_handoff_is_used(self):
+    def test_prepared_handoff_is_used(self, monkeypatch):
         from repro.core.batch_engine import PreparedBatch
         from repro.core.planner import BatchParallelBackend
 
@@ -540,9 +536,17 @@ class TestCachingAndOptions:
         prepared = PreparedBatch(dataset, test_X, k=2)
         options = ExecutionOptions(cache=False, prepared=prepared)
         query = make_query(dataset, test_X, kind="counts", k=2)
+        built = []
+        original_init = PreparedBatch.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PreparedBatch, "__init__", counting_init)
         values, _ = backend.execute(query, options)
         assert values == execute_query(query, backend="sequential").values
-        assert not backend._prepared  # the handed-in batch was used, not rebuilt
+        assert not built  # the handed-in batch was used, not rebuilt
 
     def test_n_jobs_does_not_change_results(self):
         dataset = random_dataset(33)
@@ -558,7 +562,7 @@ class TestPerCallStats:
 
     def test_concurrent_calls_report_their_own_stats(self, monkeypatch):
         from repro.core import planner
-        from repro.core.batch_engine import count_point
+        from repro.core.planner import _count_point
 
         barrier = threading.Barrier(2, timeout=30)
         gated_threads: set[int] = set()
@@ -569,7 +573,7 @@ class TestPerCallStats:
             if threading.get_ident() not in gated_threads:
                 gated_threads.add(threading.get_ident())
                 barrier.wait()
-            return count_point(state, index)
+            return _count_point(state, index)
 
         monkeypatch.setitem(planner.FLAVOR_POINTS, "binary", ("q2", gated))
         dataset = random_dataset(41, n_rows=8)
@@ -738,23 +742,15 @@ class TestExecutionOptionsValidation:
         with pytest.raises(TypeError, match="n_jobs"):
             ExecutionOptions(n_jobs=True)
 
-    def test_cache_must_be_a_bool_none_or_an_lru(self):
+    def test_cache_must_be_a_bool(self):
         from repro.utils.lru import LRUCache
 
-        ExecutionOptions(cache=None)
-        ExecutionOptions(cache=LRUCache(2))
-        for bad in ("yes", 1, object()):
-            with pytest.raises(TypeError, match="cache"):
+        ExecutionOptions(cache=True)
+        ExecutionOptions(cache=False)
+        # The planner has one result cache; a handed-in cache is refused.
+        for bad in (None, LRUCache(2), "yes", 1, object()):
+            with pytest.raises(TypeError, match="cache must be a bool"):
                 ExecutionOptions(cache=bad)
-
-    def test_an_empty_handed_cache_is_used(self):
-        from repro.utils.lru import LRUCache
-
-        shared = LRUCache(64)  # empty, so falsy: must not read as "off"
-        test_X = np.random.default_rng(28).normal(size=(3, 2))
-        query = make_query(random_dataset(28), test_X, k=2)
-        execute_query(query, backend="batch", options=ExecutionOptions(cache=shared))
-        assert len(shared) == 3 and shared.misses == 3
 
     def test_only_the_four_knobs(self):
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.core import pruning as pruning_module, scan_kernels
 from repro.core.batch_engine import _counts_from_scan
 from repro.core.dataset import IncompleteDataset
 from repro.core.deltas import row_is_irrelevant
@@ -265,7 +266,11 @@ def test_pruned_counts_from_sims_bit_identical(seed, clustered):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("implementation", ("numpy", "python"))
-def test_pruned_decision_matches_counts_verdict(seed, implementation):
+def test_pruned_decision_matches_counts_verdict(seed, implementation, monkeypatch):
+    if implementation == "python":
+        monkeypatch.setattr(
+            pruning_module, "decision_winners", scan_kernels._decision_winners_python
+        )
     dataset, t, k, pins = random_problem(seed, clustered=True)
     reference = certain_label_from_counts(PreparedQuery(dataset, t, k=k).counts(pins or None))
     decision, stats = pruned_decision_from_sims(
@@ -273,7 +278,6 @@ def test_pruned_decision_matches_counts_verdict(seed, implementation):
         k,
         dataset.n_labels,
         pins or None,
-        implementation=implementation,
     )
     assert decision.certain_label == reference
     assert stats["n_scanned"] <= stats["n_candidates"] - stats["n_pruned"]

@@ -1,36 +1,33 @@
 """Tests for the vectorized decision kernels of ``repro.core.scan_kernels``.
 
-The contract under test: both implementations (``numpy`` chunked,
-``python`` per-position) build identical boundary-snapshot arrays, agree
-on the certain-label verdict everywhere, and — when run to completion —
-report exactly the set of labels whose exact Q2 count is nonzero.
+The contract under test: the vectorised kernels (``numpy`` chunked) and
+their private per-position references (``python``) build identical
+boundary-snapshot arrays, agree on the certain-label verdict everywhere,
+and — when run to completion — report exactly the set of labels whose
+exact Q2 count is nonzero.
 """
 
 from __future__ import annotations
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import repro
 from repro.core.batch_engine import _counts_from_scan
 from repro.core.dataset import IncompleteDataset
 from repro.core.entropy import certain_label_from_counts
 from repro.core.pruning import apply_pins_to_scan
 from repro.core.scan import ScanOrder, compute_scan_order
 from repro.core.scan_kernels import (
-    DEFAULT_IMPLEMENTATION,
-    KERNEL_IMPLEMENTATIONS,
+    _build_scan_arrays_python,
+    _decision_winners_python,
     build_scan_arrays,
     decision_winners,
-    resolve_implementation,
 )
 
 SEEDS = list(range(20))
+
+#: The decision scan and its per-position reference, by implementation.
+DECISIONS = {"numpy": decision_winners, "python": _decision_winners_python}
 
 
 def random_scan(seed: int):
@@ -59,37 +56,6 @@ def exact_winners(scan, k: int, n_labels: int) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Implementation selection
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_implementation_defaults():
-    assert resolve_implementation(None) == DEFAULT_IMPLEMENTATION
-    assert resolve_implementation("auto") == DEFAULT_IMPLEMENTATION
-    for name in KERNEL_IMPLEMENTATIONS:
-        assert resolve_implementation(name) == name
-
-
-def test_resolve_implementation_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown scan-kernel implementation"):
-        resolve_implementation("cython")
-
-
-def test_env_flag_forces_pure_python():
-    src = pathlib.Path(repro.__file__).resolve().parents[1]
-    code = "from repro.core.scan_kernels import DEFAULT_IMPLEMENTATION as D; print(D)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "REPRO_PURE_PYTHON_KERNELS": "1", "PYTHONPATH": str(src)},
-        timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
-
-
-# ---------------------------------------------------------------------------
 # Effective-scan guard
 # ---------------------------------------------------------------------------
 
@@ -107,6 +73,10 @@ def test_rejects_non_effective_scan():
         decision_winners(broken, k, n_labels)
     with pytest.raises(ValueError, match="effective form"):
         build_scan_arrays(broken, n_labels)
+    with pytest.raises(ValueError, match="effective form"):
+        _decision_winners_python(broken, k, n_labels)
+    with pytest.raises(ValueError, match="effective form"):
+        _build_scan_arrays_python(broken, n_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +87,8 @@ def test_rejects_non_effective_scan():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scan_arrays_identical_across_implementations(seed):
     scan, _, n_labels = random_scan(seed)
-    a = build_scan_arrays(scan, n_labels, implementation="numpy")
-    b = build_scan_arrays(scan, n_labels, implementation="python")
+    a = build_scan_arrays(scan, n_labels)
+    b = _build_scan_arrays_python(scan, n_labels)
     np.testing.assert_array_equal(a.boundary_labels, b.boundary_labels)
     np.testing.assert_array_equal(a.forced, b.forced)
     np.testing.assert_array_equal(a.cap, b.cap)
@@ -127,8 +97,8 @@ def test_scan_arrays_identical_across_implementations(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_decision_agrees_across_implementations(seed):
     scan, k, n_labels = random_scan(seed)
-    a = decision_winners(scan, k, n_labels, implementation="numpy")
-    b = decision_winners(scan, k, n_labels, implementation="python")
+    a = decision_winners(scan, k, n_labels)
+    b = _decision_winners_python(scan, k, n_labels)
     # The verdict is exact for both; the winner *sets* are only specified
     # exactly when a scan ran to completion (early termination may stop
     # after any >= 2 winners, and the chunked scan stops later).
@@ -150,9 +120,7 @@ def test_complete_scan_reports_exact_winner_set(seed):
     reference = exact_winners(scan, k, n_labels)
     # A chunk larger than the scan disables early termination for the
     # numpy implementation, so its winner set must be the exact one.
-    full = decision_winners(
-        scan, k, n_labels, implementation="numpy", chunk=scan.n_candidates + 1
-    )
+    full = decision_winners(scan, k, n_labels, chunk=scan.n_candidates + 1)
     assert not full.early_terminated
     assert full.winners == reference
     assert full.certain_label == certain_label_from_counts(
@@ -161,11 +129,11 @@ def test_complete_scan_reports_exact_winner_set(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("implementation", KERNEL_IMPLEMENTATIONS)
+@pytest.mark.parametrize("implementation", DECISIONS)
 def test_verdict_matches_exact_counts(seed, implementation):
     scan, k, n_labels = random_scan(seed)
     reference = certain_label_from_counts(_counts_from_scan(scan, k, n_labels))
-    decision = decision_winners(scan, k, n_labels, implementation=implementation)
+    decision = DECISIONS[implementation](scan, k, n_labels)
     assert decision.certain_label == reference
     # Early termination only ever fires once the verdict is mixed.
     if decision.early_terminated:
@@ -174,7 +142,7 @@ def test_verdict_matches_exact_counts(seed, implementation):
         assert decision.winners <= exact_winners(scan, k, n_labels)
 
 
-@pytest.mark.parametrize("implementation", KERNEL_IMPLEMENTATIONS)
+@pytest.mark.parametrize("implementation", DECISIONS)
 def test_chunked_scan_early_terminates_on_mixed_prefix(implementation):
     # Every row is wildly dirty: one candidate far away (so each row
     # advances early in the ascending-similarity scan) and one near the
@@ -192,7 +160,7 @@ def test_chunked_scan_early_terminates_on_mixed_prefix(implementation):
     labels = [row % 2 for row in range(n_rows)]
     dataset = IncompleteDataset(sets, labels)
     scan = compute_scan_order(dataset, np.zeros(2), None)
-    decision = decision_winners(scan, 3, 2, implementation=implementation)
+    decision = DECISIONS[implementation](scan, 3, 2)
     assert decision.certain_label is None
     assert decision.early_terminated
     assert decision.positions_scanned < scan.n_candidates

@@ -12,7 +12,8 @@ Two properties over 30 seeded random cases:
    exactly the same values with ``prune`` off, on and auto (``on`` where
    the backend prunes at all: ``sequential`` is the unpruned reference
    and refuses it), and for the decision kinds ``batch`` with ``prune``
-   on agrees under both scan-kernel implementations. The cases come from
+   on agrees under the vectorised decision scan and its per-position
+   reference. The cases come from
    :mod:`tests.fuzz.cp_cases`, so flavors, pins and weights all cycle
    through.
 """
@@ -24,7 +25,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import scan_kernels
+from repro.core import pruning, scan_kernels
 from repro.core.planner import ExecutionOptions, PlanError, execute_query
 from repro.core.pruning import (
     certificate_from_intervals,
@@ -156,11 +157,15 @@ def test_prune_modes_bit_identical_across_backends(seed, monkeypatch):
     if oracle is not None:
         assert reference == oracle, f"{description}: diverged from brute force"
 
-    # Decision kinds additionally cross-check both scan-kernel
-    # implementations through the pruned batch path.
+    # Decision kinds additionally cross-check the decision scan against its
+    # per-position reference through the pruned batch path.
     if query.kind in ("certain_label", "check"):
-        for implementation in ("numpy", "python"):
-            monkeypatch.setattr(scan_kernels, "DEFAULT_IMPLEMENTATION", implementation)
+        implementations = {
+            "numpy": scan_kernels.decision_winners,
+            "python": scan_kernels._decision_winners_python,
+        }
+        for implementation, decide in implementations.items():
+            monkeypatch.setattr(pruning, "decision_winners", decide)
             result = execute_query(query, backend="batch", options=_options("on"))
             assert result.values == reference, (
                 f"{description}: scan kernel {implementation} diverged"

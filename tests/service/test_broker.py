@@ -356,7 +356,6 @@ class TestCloseRace:
 LRU_CACHES = (
     "broker.results",
     "batch.results",
-    "batch.prepared",
     "incremental.states",
     "codd.grids",
     "codd.joins",
@@ -381,6 +380,10 @@ class TestCacheMetering:
         for cache in LRU_CACHES:
             for field in ("size", "hits", "misses", "evictions"):
                 assert f'lru_{field}{{cache="{cache}"}}' in gauges
+        published = {
+            name.split('"')[1] for name in gauges if name.startswith("lru_size{")
+        }
+        assert published == set(LRU_CACHES)  # exactly these five
         exposition = broker.obs.metrics.render_prometheus()
         assert validate_prometheus(exposition) > 0
         assert 'lru_evictions{cache="codd.joins"}' in exposition
@@ -398,10 +401,8 @@ class TestCacheMetering:
         def moved(old, new):
             return {name: new[name] - old[name] for name in new if new[name] != old[name]}
 
-        # Planning probes the maintained states by peeking: no hit, no miss.
-        assert moved(before, cold) == {
-            'lru_misses{cache="broker.results"}': 1,
-            'lru_misses{cache="batch.prepared"}': 1,
-        }
+        # Planning probes the maintained states by peeking: no hit, no miss;
+        # the planner's result cache is bypassed under the broker's.
+        assert moved(before, cold) == {'lru_misses{cache="broker.results"}': 1}
         assert moved(cold, warm) == {'lru_hits{cache="broker.results"}': 1}
         broker.close()

@@ -33,13 +33,11 @@ class TestParser:
         for command in ("screen", "clean"):
             args = build_parser().parse_args([command])
             assert args.n_jobs == 1
-            assert args.no_cache is False
             assert args.backend == "auto"
 
     def test_executor_flags_parse(self):
-        args = build_parser().parse_args(["clean", "--n-jobs", "4", "--no-cache"])
+        args = build_parser().parse_args(["clean", "--n-jobs", "4"])
         assert args.n_jobs == 4
-        assert args.no_cache is True
         args = build_parser().parse_args(
             ["csv-screen", "--input", "x.csv", "--label", "y", "--n-jobs", "-1"]
         )
@@ -65,6 +63,20 @@ class TestParser:
     def test_retired_sharded_flags_rejected(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["screen", *argv])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["screen"],
+            ["clean"],
+            ["csv-screen", "--input", "x.csv", "--label", "y"],
+            ["query"],
+        ],
+    )
+    def test_no_cache_is_a_serve_flag_only(self, argv):
+        # Only the served broker keeps a result cache worth switching off.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--no-cache"])
 
 
 class TestServeParser:
@@ -318,7 +330,7 @@ class TestCommands:
         base_args = ["--n-train", "40", "--n-val", "8", "--n-test", "20", "--seed", "1"]
         assert main(["screen", *base_args]) == 0
         reference = capsys.readouterr().out
-        assert main(["screen", *base_args, "--n-jobs", "2", "--no-cache"]) == 0
+        assert main(["screen", *base_args, "--n-jobs", "2"]) == 0
         assert capsys.readouterr().out == reference
 
     def test_backend_choice_does_not_change_results(self, capsys):
@@ -348,7 +360,7 @@ class TestCommands:
         # One test point per executed block and per kernel call.
         monkeypatch.setattr(planner, "DENSE_BLOCK_BYTES", 1)
         monkeypatch.setattr(batch_engine, "PAIRWISE_BLOCK_BYTES", 1)
-        blocked = [*base_args, "--backend", "batch", "--no-cache"]
+        blocked = [*base_args, "--backend", "batch"]
         assert main(["screen", *blocked]) == 0
         assert capsys.readouterr().out == reference
         assert main(["screen", *blocked, "--n-jobs", "2"]) == 0

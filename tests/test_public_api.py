@@ -129,3 +129,59 @@ def test_modules_nothing_serves_stay_gone() -> None:
     for package_name in PACKAGES:
         exported = set(importlib.import_module(package_name).__all__)
         assert not exported & REMOVED_NAMES, (package_name, exported & REMOVED_NAMES)
+
+
+#: module -> names that folded into the ``batch`` backend or stopped
+#: existing with the caches that never hit.
+FOLDED_NAMES = {
+    "repro.core.batch_engine": (
+        "BatchQueryExecutor",
+        "batch_q2_counts",
+        "batch_certain_labels",
+        "RESULT_CACHE_SIZE",
+        "count_point",
+        "decision_point",
+    ),
+    "repro.core.planner": ("MAX_PREPARED_BATCHES",),
+    "repro.core.scan_kernels": (
+        "KERNEL_IMPLEMENTATIONS",
+        "DEFAULT_IMPLEMENTATION",
+        "resolve_implementation",
+    ),
+}
+
+
+def test_one_batch_execution_path() -> None:
+    # Whole test matrices run through execute_query(..., backend="batch");
+    # there is no second executor, prepared-batch LRU or kernel switch.
+    import inspect
+
+    from repro.cleaning.batch import run_batch_clean
+    from repro.cleaning.cp_clean import run_cp_clean
+    from repro.cleaning.sequential import CleaningSession
+    from repro.cleaning.weighted_clean import run_weighted_cp_clean
+    from repro.core import pruning, scan_kernels
+    from repro.core.planner import BatchParallelBackend
+    from repro.core.screening import screen_dataset
+
+    for module_name, names in FOLDED_NAMES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert not hasattr(module, name), f"{module_name}.{name}"
+    removed = {name for names in FOLDED_NAMES.values() for name in names}
+    for package_name in PACKAGES:
+        exported = set(importlib.import_module(package_name).__all__)
+        assert not exported & removed, (package_name, exported & removed)
+    for function, parameter in (
+        (CleaningSession, "use_cache"),
+        (run_cp_clean, "use_cache"),
+        (run_batch_clean, "use_cache"),
+        (run_weighted_cp_clean, "use_cache"),
+        (screen_dataset, "cache"),
+        (scan_kernels.build_scan_arrays, "implementation"),
+        (scan_kernels.decision_winners, "implementation"),
+        (pruning.pruned_decision_from_sims, "implementation"),
+    ):
+        assert parameter not in inspect.signature(function).parameters, function
+    assert not hasattr(CleaningSession, "executor")
+    assert not hasattr(BatchParallelBackend(), "_prepared")
