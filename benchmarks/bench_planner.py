@@ -40,7 +40,6 @@ from repro.core.planner import (
     ExecutionOptions,
     IncrementalBackend,
     execute_query,
-    get_backend,
     make_query,
 )
 from repro.data.task import build_cleaning_task
@@ -206,13 +205,6 @@ def main(argv=None) -> int:
         },
         "cleaning_session": session,
         "flavors": flavors,
-        "backends": {
-            name: {
-                "batchable": get_backend(name).capabilities.batchable,
-                "incremental": get_backend(name).capabilities.incremental,
-            }
-            for name in ("sequential", "batch", "incremental")
-        },
     }
 
     write_bench_report(args.output, report)

@@ -14,32 +14,32 @@ through one engine layer:
   query family: the dataset, a test matrix, the query kind
   (``counts`` / ``certain_label`` / ``check``), the task **flavor**
   (``binary``, ``multiclass``, ``weighted``, ``topk``,
-  ``label_uncertainty``), ``k``, the kernel, the pins applied so far, an
-  optional per-point algorithm override and optional candidate weights.
+  ``label_uncertainty``), ``k``, the kernel, the pins applied so far and
+  optional candidate weights.
 * :class:`Backend` is the executor protocol. Each backend declares
   :class:`BackendCapabilities` (which flavors and kinds it can serve,
-  whether it is batchable / incremental / exact) and estimates its cost
-  for a concrete query; a process-wide registry
+  whether it is the unpruned reference) and estimates its cost for a
+  concrete query; a process-wide registry
   (:func:`register_backend` / :func:`get_backend` /
   :func:`backend_names`) makes backends pluggable.
 * :func:`plan_query` is the cost-model-lite planner: an explicit backend
   request is validated against capabilities, ``"auto"`` scores every
   capable backend and picks the cheapest (single points and batches go to
   the vectorised path, warm incremental state wins for repeated pinned
-  queries; the per-row reference is chosen only for the algorithm
-  overrides nothing else serves). :func:`execute_query` executes the plan
-  and returns a :class:`QueryResult`.
+  queries; the per-row reference is never chosen while another backend
+  can serve the query). :func:`execute_query` executes the plan and
+  returns a :class:`QueryResult`.
 
 Three backends ship by default:
 
 ``sequential``
     The unpruned reference: one :class:`~repro.core.prepared.PreparedQuery`
     scan per test point (or the flavor's per-point kernel), with per-row
-    similarities. Supports every flavor and every published algorithm
-    override, and never prunes — the semantics anchor every other
-    backend, and every pruned path, is tested against. Declared a
-    reference backend, so ``"auto"`` plans onto it only for those
-    overrides and an explicit request with ``prune="on"`` is refused.
+    similarities. Supports every flavor and never prunes — the semantics
+    anchor every other backend, and every pruned path, is tested against.
+    Declared a reference backend, so ``"auto"`` plans onto it only when
+    nothing else can serve the query, and an explicit request with
+    ``prune="on"`` is refused.
 ``batch``
     Runs the batch layer (a :class:`~repro.core.batch_engine.PreparedBatch`
     plus one :class:`~repro.utils.lru.LRUCache` of results): vectorised
@@ -95,15 +95,12 @@ from repro.core.batch_engine import (
     kernel_cache_key,
     resolve_n_jobs,
 )
-from repro.core.bruteforce import brute_force_counts
 from repro.core.dataset import IncompleteDataset
 from repro.core.deltas import CellRepair, DeltaMaintainedState
-from repro.core.engine import sortscan_counts
 from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.label_uncertainty import LabelUncertainDataset, label_uncertain_counts
 from repro.core.minmax import binary_minmax_label
-from repro.core.multiclass import sortscan_counts_multiclass
 from repro.core.prepared import PreparedQuery
 from repro.obs.tracing import trace_span
 from repro.core.pruning import (
@@ -115,8 +112,6 @@ from repro.core.pruning import (
     pruned_topk_counts_from_scan,
     pruned_weighted_probabilities,
 )
-from repro.core.sortscan import sortscan_counts_naive
-from repro.core.sortscan_tree import sortscan_counts_tree
 from repro.core.topk_prob import topk_inclusion_counts
 from repro.core.weighted import (
     condition_weights,
@@ -134,7 +129,6 @@ __all__ = [
     "FLAVOR_POINTS",
     "KINDS",
     "PRUNE_MODES",
-    "Q2_ALGORITHMS",
     "CPQuery",
     "make_query",
     "ExecutionOptions",
@@ -175,21 +169,9 @@ MAX_MAINTAINED_STATES = 8
 
 #: Candidate-pruning modes. ``"auto"`` prunes whenever the execution path
 #: can consume a certificate (SortScan-family engines with ``k < n_rows``),
-#: ``"on"`` demands pruning (a :class:`PlanError` if the query's algorithm
-#: cannot honour it), ``"off"`` disables it. Results never change.
+#: ``"on"`` demands pruning (a :class:`PlanError` on the unpruned
+#: ``sequential`` reference), ``"off"`` disables it. Results never change.
 PRUNE_MODES = ("auto", "on", "off")
-
-#: The per-point Q2 engines, by algorithm name. ``"auto"`` / ``"engine"``
-#: is the division-based SortScan; the others are the published
-#: alternatives kept for cross-validation and teaching. (This registry
-#: used to live in :mod:`repro.core.queries`, which now imports it.)
-Q2_ALGORITHMS = {
-    "engine": sortscan_counts,
-    "tree": sortscan_counts_tree,
-    "multiclass": sortscan_counts_multiclass,
-    "naive": sortscan_counts_naive,
-    "bruteforce": brute_force_counts,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +196,6 @@ class CPQuery:
     kernel: Kernel
     pins: tuple[tuple[int, int], ...] = ()
     label: int | None = None
-    algorithm: str = "auto"
     weights: tuple[tuple[Fraction, ...], ...] | None = None
 
     @property
@@ -295,7 +276,6 @@ def make_query(
     kernel: Kernel | str | None = None,
     pins: Mapping[int, int] | Sequence[tuple[int, int]] | None = None,
     label: int | None = None,
-    algorithm: str = "auto",
     weights: Sequence[Sequence[Fraction]] | None = None,
 ) -> CPQuery:
     """Build and validate a :class:`CPQuery`.
@@ -309,7 +289,6 @@ def make_query(
     """
     kind = check_in_options(kind, "kind", KINDS)
     flavor = check_in_options(flavor, "flavor", ("auto", *FLAVORS))
-    algorithm = check_in_options(algorithm, "algorithm", ("auto", *Q2_ALGORITHMS))
     k = check_positive_int(k, "k")
 
     if flavor == "auto":
@@ -366,7 +345,6 @@ def make_query(
         kernel=resolve_kernel(kernel),
         pins=_normalise_pins(dataset, pins),
         label=label,
-        algorithm=algorithm,
         weights=weights_tuple,
     )
 
@@ -395,9 +373,9 @@ class ExecutionOptions:
     ``prune`` selects exactness-preserving candidate pruning
     (:mod:`repro.core.pruning`): ``"auto"`` (default) engages it whenever
     the execution path can consume a prune certificate, ``"on"`` requires
-    it (planning fails on incompatible algorithm overrides and on the
-    unpruned ``sequential`` reference), ``"off"`` disables it. It is a
-    wall-clock knob only — values are bit-identical in every mode.
+    it (planning fails on the unpruned ``sequential`` reference), ``"off"``
+    disables it. It is a wall-clock knob only — values are bit-identical
+    in every mode.
 
     All knobs are validated at construction, with the same rules the CLI
     flags enforce: ``n_jobs`` must be a positive integer, ``-1`` (all
@@ -476,14 +454,9 @@ class BackendCapabilities:
 
     flavors: frozenset[str]
     kinds: frozenset[str] = frozenset(KINDS)
-    batchable: bool = False
-    incremental: bool = False
-    exact: bool = True
-    algorithms: frozenset[str] = frozenset({"auto"})
     #: A per-row, unpruned reference oracle: ``"auto"`` plans onto it only
-    #: when no other capable backend can serve the query (the published
-    #: algorithm overrides), and an explicit request with ``prune="on"``
-    #: is a :class:`PlanError`.
+    #: when no other capable backend can serve the query, and an explicit
+    #: request with ``prune="on"`` is a :class:`PlanError`.
     reference: bool = False
 
 
@@ -496,11 +469,7 @@ class Backend(ABC):
     def supports(self, query: CPQuery) -> bool:
         """True iff the declared capabilities cover this query."""
         caps = self.capabilities
-        return (
-            query.flavor in caps.flavors
-            and query.kind in caps.kinds
-            and (query.algorithm == "auto" or query.algorithm in caps.algorithms)
-        )
+        return query.flavor in caps.flavors and query.kind in caps.kinds
 
     @abstractmethod
     def estimate_cost(
@@ -572,7 +541,6 @@ def plan_query(
     path. Raises :class:`PlanError` when nothing can serve the query.
     """
     options = options or ExecutionOptions()
-    _check_prune_mode(query, options)
     if backend != "auto":
         chosen = get_backend(backend)
         if not chosen.supports(query):
@@ -605,21 +573,6 @@ def plan_query(
         cost=best_cost,
         considered=tuple((b.name, cost) for cost, _, b in scored),
     )
-
-
-def _check_prune_mode(query: CPQuery, options: ExecutionOptions) -> None:
-    """:class:`PlanError` when ``prune="on"`` meets an algorithm override.
-
-    The naive / tree / brute-force engines take a whole dataset and cannot
-    consume a pruned scan.
-    """
-    if options.prune == "on" and query.algorithm not in ("auto", "engine"):
-        raise PlanError(
-            f"prune='on' cannot be honoured with algorithm {query.algorithm!r}: "
-            "the naive / tree / brute-force engines take a whole dataset and "
-            "cannot consume a pruned scan (use prune='auto' to skip pruning "
-            "silently, or the default engine)"
-        )
 
 
 def execute_query(
@@ -718,15 +671,12 @@ def _weighted_to_kind(query: CPQuery, probs_per_point: list[list[Fraction]]) -> 
 def _prune_enabled(query: CPQuery, options: ExecutionOptions) -> bool:
     """Whether this execution should run the candidate-pruning pass.
 
-    ``"off"`` never prunes; any mode is a no-op for the published
-    alternative engines (they take a whole dataset, not a scan).
-    ``"auto"`` additionally skips the pass when ``k >= n_rows`` — the
-    certificate needs ``k`` *other* dominating rows, so nothing can ever
-    be pruned there and the interval pass would be pure overhead.
+    ``"off"`` never prunes, ``"on"`` always does. ``"auto"`` skips the
+    pass when ``k >= n_rows`` — the certificate needs ``k`` *other*
+    dominating rows, so nothing can ever be pruned there and the interval
+    pass would be pure overhead.
     """
     if options.prune == "off":
-        return False
-    if query.algorithm not in ("auto", "engine"):
         return False
     if options.prune == "on":
         return True
@@ -743,7 +693,6 @@ def _minmax_decides(query: CPQuery) -> bool:
         query.flavor in ("binary", "multiclass")
         and query.kind != "counts"
         and query.n_labels == 2
-        and query.algorithm in ("auto", "engine")
     )
 
 
@@ -803,25 +752,14 @@ def _weights_key(weights: list[list[Fraction]]) -> str:
 class SequentialBackend(Backend):
     """One prepared scan (or flavor kernel) per test point, in process.
 
-    Supports every flavor, every kind, and every published algorithm
-    override, and never prunes — the unpruned reference semantics every
-    other backend (and every pruned path) is held to. Counting pins go
-    through :meth:`PreparedQuery.counts`, which keeps the paper's
-    tie-break on the original candidate indices; an explicit non-default
-    algorithm with pins falls back to dataset restriction (those engines
-    take no ``fixed`` argument).
+    Supports every flavor and every kind, and never prunes — the unpruned
+    reference semantics every other backend (and every pruned path) is
+    held to. Counting pins go through :meth:`PreparedQuery.counts`, which
+    keeps the paper's tie-break on the original candidate indices.
     """
 
     name = "sequential"
-    capabilities = BackendCapabilities(
-        flavors=frozenset(FLAVORS),
-        kinds=frozenset(KINDS),
-        batchable=False,
-        incremental=False,
-        exact=True,
-        algorithms=frozenset({"auto", *Q2_ALGORITHMS}),
-        reference=True,
-    )
+    capabilities = BackendCapabilities(flavors=frozenset(FLAVORS), reference=True)
 
     def estimate_cost(self, query, options):
         return float(query.workload_size()), "one prepared scan per test point"
@@ -867,20 +805,10 @@ class SequentialBackend(Backend):
                 for t in query.test_X
             ]
             return _labels_to_kind(query, labels)
-        if query.algorithm in ("auto", "engine"):
-            counts = [
-                PreparedQuery(query.dataset, t, k=query.k, kernel=query.kernel).counts(
-                    fixed
-                )
-                for t in query.test_X
-            ]
-        else:
-            engine = Q2_ALGORITHMS[query.algorithm]
-            dataset = _restricted_dataset(query) if fixed else query.dataset
-            counts = [
-                engine(dataset, t, k=query.k, kernel=query.kernel)
-                for t in query.test_X
-            ]
+        counts = [
+            PreparedQuery(query.dataset, t, k=query.k, kernel=query.kernel).counts(fixed)
+            for t in query.test_X
+        ]
         return _counts_to_kind(query, counts)
 
 
@@ -1063,14 +991,7 @@ class BatchParallelBackend(Backend):
     """
 
     name = "batch"
-    capabilities = BackendCapabilities(
-        flavors=frozenset(FLAVORS),
-        kinds=frozenset(KINDS),
-        batchable=True,
-        incremental=False,
-        exact=True,
-        algorithms=frozenset({"auto", "engine"}),
-    )
+    capabilities = BackendCapabilities(flavors=frozenset(FLAVORS))
 
     def __init__(self) -> None:
         self.cache = LRUCache(RESULT_CACHE_SIZE)
@@ -1227,14 +1148,7 @@ class IncrementalBackend(Backend):
     """
 
     name = "incremental"
-    capabilities = BackendCapabilities(
-        flavors=frozenset({"binary", "multiclass"}),
-        kinds=frozenset(KINDS),
-        batchable=True,
-        incremental=True,
-        exact=True,
-        algorithms=frozenset({"auto", "engine"}),
-    )
+    capabilities = BackendCapabilities(flavors=frozenset({"binary", "multiclass"}))
 
     def __init__(self) -> None:
         # family key -> (maintained state, the pins it has absorbed, a weak

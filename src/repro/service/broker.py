@@ -268,7 +268,6 @@ class QueryBroker:
         pins: dict[int, int] | None = None,
         label: int | None = None,
         weights: list[list[Fraction]] | None = None,
-        algorithm: str = "auto",
         backend: str | None = None,
         with_cleaned: bool = False,
         prune: str = "auto",
@@ -303,7 +302,7 @@ class QueryBroker:
         ) as span:
             response = self._query_traced(
                 span, dataset, points, kind, flavor, k, pins, label, weights,
-                algorithm, backend, with_cleaned, prune, explain, timeout,
+                backend, with_cleaned, prune, explain, timeout,
             )
         if explain == "trace" and span:
             response["trace"] = span.root().record()
@@ -311,7 +310,7 @@ class QueryBroker:
 
     def _query_traced(
         self, span, dataset, points, kind, flavor, k, pins, label, weights,
-        algorithm, backend, with_cleaned, prune, explain, timeout,
+        backend, with_cleaned, prune, explain, timeout,
     ) -> dict:
         entry = self.registry.get(dataset)
         # One atomic read of (dataset, fingerprint, version, prepared):
@@ -335,7 +334,6 @@ class QueryBroker:
             "pins": tuple(sorted(pins.items())),
             "label": label,
             "weights": weights,
-            "algorithm": algorithm,
             "backend": backend or self.backend,
             "prune": prune,
         }
@@ -740,7 +738,6 @@ class QueryBroker:
             params["pins"],
             params["label"],
             "" if params["weights"] is None else _weights_key(params["weights"]),
-            params["algorithm"],
             params["backend"],
             # Pruning never changes values, but a micro-batch flushes with
             # one ExecutionOptions — requests asking for different prune
@@ -807,7 +804,6 @@ class QueryBroker:
             kernel=entry.kernel,
             pins=dict(params["pins"]),
             label=params["label"],
-            algorithm=params["algorithm"],
             weights=params["weights"],
         )
         backend = params["backend"]

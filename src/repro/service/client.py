@@ -213,7 +213,6 @@ class ServiceClient:
         pins=None,
         label: int | None = None,
         weights=None,
-        algorithm: str = "auto",
         backend: str | None = None,
         with_cleaned: bool = False,
         prune: str = "auto",
@@ -238,7 +237,6 @@ class ServiceClient:
             "dataset": dataset,
             "kind": kind,
             "flavor": flavor,
-            "algorithm": algorithm,
             "with_cleaned": with_cleaned,
             "prune": prune,
         }

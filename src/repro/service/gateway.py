@@ -53,7 +53,6 @@ from repro.core.planner import (
     ExecutionOptions,
     QueryPlan,
     QueryResult,
-    _check_prune_mode,
     _labels_to_kind,
     _prune_summary,
     get_backend,
@@ -603,7 +602,6 @@ class Gateway:
         if self._closed:
             raise GatewayUnavailable("gateway is closed")
         options = options or ExecutionOptions()
-        _check_prune_mode(query, options)
         dist = self.ensure_distributed(name, query.dataset, fingerprint)
         self._c_queries.inc()
         with trace_span(

@@ -39,10 +39,11 @@ path                        method  what it does
 ==========================  ======  ==============================================
 
 Every error is a structured JSON payload ``{"error": {"code", "message"}}``
-with the right status class: malformed JSON and invalid queries are 400,
-an unknown dataset is 404, a duplicate registration is 409, admission
-rejection is 429 with a ``Retry-After`` header, and anything unexpected
-is a 500 that never leaks a traceback to the client.
+with the right status class: malformed JSON, a ``/query`` field the
+handler does not read and invalid queries are 400, an unknown dataset is
+404, a duplicate registration is 409, admission rejection is 429 with a
+``Retry-After`` header, and anything unexpected is a 500 that never leaks
+a traceback to the client.
 
 Every request runs inside an ``http.request`` root span (the head of the
 trace tree the lower layers grow), is timed into per-route latency
@@ -337,8 +338,30 @@ def _route_label(path: str) -> str:
     return ":unrouted"
 
 
+#: The optional ``/query`` body fields, with their defaults: each is
+#: passed to :meth:`QueryBroker.query` under the same name.
+_QUERY_OPTIONS = {
+    "kind": "counts",
+    "flavor": "auto",
+    "k": None,
+    "pins": None,
+    "label": None,
+    "weights": None,
+    "backend": None,
+    "with_cleaned": False,
+    "prune": "auto",
+    "explain": False,
+}
+
+#: Every field a ``/query`` body may carry; any other is a 400.
+_QUERY_FIELDS = frozenset({"dataset", "point", "points", *_QUERY_OPTIONS})
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Sets TCP_NODELAY: without it a keep-alive client waits on delayed
+    # ACK for each response's body segment, ~40 ms per request.
+    disable_nagle_algorithm = True
     server: ServiceServer  # narrowed for type checkers
 
     # -- plumbing ------------------------------------------------------
@@ -616,6 +639,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_query(self):
         payload = self._read_json()
+        unknown = sorted(set(payload) - _QUERY_FIELDS)
+        if unknown:
+            raise WireError(
+                f"unknown /query field(s) {unknown}; accepted: {sorted(_QUERY_FIELDS)}"
+            )
         name = payload["dataset"]
         if "point" in payload and "points" in payload:
             raise WireError("send either 'point' or 'points', not both")
@@ -641,24 +669,13 @@ class _Handler(BaseHTTPRequestHandler):
                 points = decode_matrix(spec, "points")
         else:
             raise WireError("query needs a 'point' or 'points' field")
-        explain = payload.get("explain", False)
-        if explain != "trace":
-            explain = bool(explain)
-        response = self.server.broker.query(
-            name,
-            points,
-            kind=payload.get("kind", "counts"),
-            flavor=payload.get("flavor", "auto"),
-            k=payload.get("k"),
-            pins=decode_pins(payload.get("pins")),
-            label=payload.get("label"),
-            weights=decode_weights(payload.get("weights")),
-            algorithm=payload.get("algorithm", "auto"),
-            backend=payload.get("backend"),
-            with_cleaned=bool(payload.get("with_cleaned", False)),
-            prune=payload.get("prune", "auto"),
-            explain=explain,
-        )
+        args = {key: payload.get(key, default) for key, default in _QUERY_OPTIONS.items()}
+        if args["explain"] != "trace":
+            args["explain"] = bool(args["explain"])
+        args["pins"] = decode_pins(args["pins"])
+        args["weights"] = decode_weights(args["weights"])
+        args["with_cleaned"] = bool(args["with_cleaned"])
+        response = self.server.broker.query(name, points, **args)
         response["values"] = encode_values(response["values"])
         return 200, response
 

@@ -75,11 +75,10 @@ class TestRegistry:
             register_backend(get_backend("batch"))
 
     def test_declared_capabilities(self):
-        assert get_backend("incremental").capabilities.incremental
-        assert get_backend("batch").capabilities.batchable
-        assert not get_backend("sequential").capabilities.batchable
-        for name in backend_names():
-            assert get_backend(name).capabilities.exact
+        assert get_backend("sequential").capabilities.reference
+        assert not get_backend("batch").capabilities.reference
+        assert not get_backend("incremental").capabilities.reference
+        assert get_backend("incremental").capabilities.flavors == {"binary", "multiclass"}
 
     def test_custom_backend_registers_and_plans(self):
         class NullBackend(Backend):
@@ -131,15 +130,6 @@ class TestRegistryErrorPaths:
         with pytest.raises(PlanError, match="cannot serve"):
             plan_query(query, backend="incremental")
 
-    @pytest.mark.parametrize("backend", ["batch", "incremental"])
-    def test_capability_mismatch_algorithm(self, backend):
-        # Only the sequential backend honours the published algorithm
-        # overrides; every other explicit request must fail loudly.
-        dataset = random_dataset(63)
-        query = make_query(dataset, np.zeros((2, 2)), k=1, algorithm="naive")
-        with pytest.raises(PlanError, match="cannot serve"):
-            plan_query(query, backend=backend)
-
     def test_mismatch_error_names_capabilities(self):
         dataset = random_dataset(64)
         query = make_query(dataset, np.zeros((2, 2)), k=1, flavor="weighted")
@@ -166,24 +156,14 @@ class TestRegistryErrorPaths:
 
 class TestPlanning:
     @pytest.mark.parametrize("n_points", [1, 8])
-    @pytest.mark.parametrize("algorithm", ["auto", "engine"])
-    def test_engine_queries_go_batch(self, n_points, algorithm):
+    def test_engine_queries_go_batch(self, n_points):
         # The per-row reference is scored but never chosen for a query the
         # vectorised engine serves, however few points it has.
         dataset = random_dataset(1)
-        query = make_query(dataset, np.zeros((n_points, 2)), k=2, algorithm=algorithm)
+        query = make_query(dataset, np.zeros((n_points, 2)), k=2)
         plan = plan_query(query)
         assert plan.backend == "batch"
         assert "sequential" in dict(plan.considered)
-
-    @pytest.mark.parametrize("algorithm", ["naive", "tree", "bruteforce"])
-    def test_alternative_algorithms_go_sequential(self, algorithm):
-        dataset = random_dataset(1)
-        for n_points in (1, 4):
-            query = make_query(
-                dataset, np.zeros((n_points, 2)), k=2, algorithm=algorithm
-            )
-            assert plan_query(query).backend == "sequential"
 
     def test_explicit_sequential_still_serves(self):
         dataset = random_dataset(1)
@@ -241,12 +221,6 @@ class TestPlanning:
         query = make_query(dataset, np.zeros((2, 2)), k=1, flavor="weighted")
         with pytest.raises(PlanError, match="cannot serve"):
             plan_query(query, backend="incremental")
-
-    def test_algorithm_override_forces_sequential(self):
-        dataset = random_dataset(5)
-        query = make_query(dataset, np.zeros((4, 2)), k=2, algorithm="tree")
-        assert capable_names(query) == ["sequential"]
-        assert plan_query(query).backend == "sequential"
 
     def test_empty_test_set_executes_to_nothing(self):
         dataset = random_dataset(6)

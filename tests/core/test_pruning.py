@@ -403,15 +403,6 @@ def test_binary_minmax_path_reports_no_pruning(backend, kind, prune):
         assert stats["n_points"] == 16
 
 
-def test_plan_rejects_prune_on_with_naive_algorithm():
-    dataset, t, k, _ = random_problem(0)
-    query = make_query(dataset, t, kind="counts", k=k, algorithm="naive")
-    with pytest.raises(PlanError, match="prune"):
-        plan_query(query, options=ExecutionOptions(prune="on"))
-    # auto degrades gracefully: the naive path simply runs unpruned.
-    plan_query(query, options=ExecutionOptions(prune="auto"))
-
-
 def test_sequential_rejects_prune_on():
     """``sequential`` is the unpruned reference: it never prunes, and an
     explicit request to prune on it is refused rather than ignored."""

@@ -17,22 +17,33 @@ from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_counts
 from repro.core.dataset import IncompleteDataset
+from repro.core.engine import sortscan_counts
 from repro.core.minmax import minmax_check
+from repro.core.multiclass import sortscan_counts_multiclass
 from repro.core.prepared import PreparedQuery
 from repro.core.queries import q2_counts
+from repro.core.sortscan import sortscan_counts_naive
+from repro.core.sortscan_tree import sortscan_counts_tree
 from repro.core.topk_prob import (
     topk_inclusion_counts,
     topk_inclusion_counts_bruteforce,
 )
 
-ENGINES = ("engine", "tree", "multiclass", "naive")
+#: Every Q2 engine, plus the planned front door that serves queries.
+ENGINES = {
+    "q2_counts": q2_counts,
+    "engine": sortscan_counts,
+    "tree": sortscan_counts_tree,
+    "multiclass": sortscan_counts_multiclass,
+    "naive": sortscan_counts_naive,
+}
 
 
 def assert_all_engines_agree(dataset: IncompleteDataset, t: np.ndarray, k: int) -> list[int]:
     reference = brute_force_counts(dataset, t, k=k)
-    for engine in ENGINES:
-        counts = q2_counts(dataset, t, k=k, algorithm=engine)
-        assert counts == reference, f"{engine} disagrees with brute force under ties"
+    for name, engine in ENGINES.items():
+        counts = engine(dataset, t, k=k)
+        assert counts == reference, f"{name} disagrees with brute force under ties"
     return reference
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import time
 from urllib import error, request
 
 import numpy as np
@@ -157,6 +159,26 @@ class TestHappyPaths:
         assert big.n_worlds() > 2**63  # definitely not a float round trip
 
 
+    def test_keep_alive_requests_do_not_wait_on_delayed_ack(self, service):
+        """Requests over one persistent connection take well under the
+        ~40 ms a delayed ACK costs when the server leaves Nagle on."""
+        server, client = service
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            n_requests = 50
+            started = time.perf_counter()
+            for _ in range(n_requests):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            per_request = (time.perf_counter() - started) / n_requests
+        finally:
+            connection.close()
+        assert per_request < 0.010, f"{per_request * 1000:.1f} ms per request"
+
+
 class TestErrorPaths:
     def test_unknown_dataset_is_404(self, service):
         server, client = service
@@ -195,6 +217,18 @@ class TestErrorPaths:
         )
         assert status == 400
         assert "point" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "field, value", [("algorithm", "tree"), ("kinds", "certain_label")]
+    )
+    def test_unknown_query_field_is_400(self, service, field, value):
+        # A field /query does not read is refused, not silently ignored.
+        server, client = service
+        body = {"dataset": "d", "point": [0.0, 0.0], field: value}
+        status, payload = post_raw(server, "/query", json.dumps(body).encode())
+        assert status == 400
+        assert payload["error"]["code"] == "malformed_payload"
+        assert repr(field) in payload["error"]["message"]
 
     def test_flavor_mismatch_is_structured_400(self, service):
         server, client = service

@@ -185,3 +185,33 @@ def test_one_batch_execution_path() -> None:
         assert parameter not in inspect.signature(function).parameters, function
     assert not hasattr(CleaningSession, "executor")
     assert not hasattr(BatchParallelBackend(), "_prepared")
+
+
+def test_one_q2_engine_on_the_served_path() -> None:
+    # Queries always run the fast engine; the paper's other Q2 engines are
+    # plain functions, not a per-query `algorithm=` override.
+    import dataclasses
+    import inspect
+
+    from repro.core import planner
+    from repro.core.planner import BackendCapabilities, CPQuery, make_query
+    from repro.core.queries import certain_label, q1, q2, q2_counts
+    from repro.service import QueryBroker, ServiceClient
+
+    for function in (
+        make_query,
+        q2_counts,
+        q2,
+        q1,
+        certain_label,
+        QueryBroker.query,
+        ServiceClient.query,
+    ):
+        assert "algorithm" not in inspect.signature(function).parameters, function
+    assert "algorithm" not in {field.name for field in dataclasses.fields(CPQuery)}
+    assert not hasattr(planner, "Q2_ALGORITHMS")
+    assert [field.name for field in dataclasses.fields(BackendCapabilities)] == [
+        "flavors",
+        "kinds",
+        "reference",
+    ]
