@@ -156,11 +156,12 @@ class TestRegistryErrorPaths:
 
 class TestPlanning:
     @pytest.mark.parametrize("n_points", [1, 8])
-    def test_engine_queries_go_batch(self, n_points):
+    @pytest.mark.parametrize("kind", ["counts", "certain_label"])
+    def test_engine_queries_go_batch(self, n_points, kind):
         # The per-row reference is scored but never chosen for a query the
         # vectorised engine serves, however few points it has.
         dataset = random_dataset(1)
-        query = make_query(dataset, np.zeros((n_points, 2)), k=2)
+        query = make_query(dataset, np.zeros((n_points, 2)), kind=kind, k=2)
         plan = plan_query(query)
         assert plan.backend == "batch"
         assert "sequential" in dict(plan.considered)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.queries import q2_counts
 from repro.experiments.complexity import (
+    ALGORITHMS,
     fit_growth_exponent,
     measure_runtime,
     random_instance,
@@ -82,6 +84,16 @@ class TestComplexity:
         point = measure_runtime(algorithm, n_rows=20, m_candidates=2, k=3, repeats=1)
         assert point.seconds > 0
         assert point.algorithm == algorithm
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_figure4_engine_matches_the_served_path(self, algorithm):
+        # The Fig. 4 table is where the non-default engines live now; each
+        # must count exactly what a planned query answers.
+        engine = ALGORITHMS[algorithm]
+        for seed, n_labels in enumerate((2, 2, 3, 3)):
+            dataset, t = random_instance(6, 2, n_labels=n_labels, seed=seed)
+            for k in (1, 3):
+                assert engine(dataset, t, k=k) == q2_counts(dataset, t, k=k)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
