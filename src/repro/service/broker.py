@@ -13,6 +13,13 @@ reaches ``max_batch`` points or when the oldest request has waited
 flush serves many callers for roughly the price of one; an idle service
 degrades to per-request latency plus at most one window.
 
+That flush is the only way a CP read executes. A read that does not
+coalesce — a matrix, an ``explain`` request, or any read while
+coalescing is off (``window_s=0`` or ``max_batch=1``) — is a batch of
+one, flushed at once on the caller's thread. Either way the one flush
+makes the planner (or gateway) call, counts it in ``/metrics``, fills
+the result cache and resolves the waiting requests.
+
 Correctness is free: every backend computes per-point values
 independently, so a batched execution is bit-identical to the
 per-request one (the differential harness replays random queries both
@@ -21,14 +28,16 @@ ways over the wire and asserts exactly that).
 Two more serving-layer pieces live here:
 
 * The result cache — a :class:`~repro.utils.lru.LRUCache` with a
-  time-to-live: a served value is keyed by dataset *content
-  fingerprint* (so any dataset change invalidates by construction) and
-  expires after ``ttl_s`` seconds so the cache cannot pin unbounded
-  state warm forever.
-* **Admission control** — the broker tracks in-flight requests and
-  rejects new ones with :class:`AdmissionError` once ``max_pending`` is
-  reached, which the HTTP layer surfaces as ``429 Too Many Requests``
-  with a ``Retry-After`` hint. Shedding load early keeps the latency of
+  time-to-live and one entry per request: the request's query family
+  plus a digest of its test points keys its value list. The family
+  embeds the dataset's *content fingerprint*, so any dataset change
+  invalidates by construction, and entries expire after ``ttl_s``
+  seconds so the cache cannot pin unbounded state warm forever.
+* **Admission control** — one gate admits ``query``, ``sql`` and
+  ``patch`` alike. It tracks in-flight requests and rejects new ones
+  with :class:`AdmissionError` once ``max_pending`` is reached, which the
+  HTTP layer surfaces as ``429 Too Many Requests`` with a
+  ``Retry-After`` hint. Shedding load early keeps the latency of
   admitted requests bounded instead of letting a queue grow without
   limit.
 """
@@ -37,6 +46,8 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any
 
@@ -47,10 +58,10 @@ from repro.codd import joins
 from repro.codd.engine import MODES, answer_query, get_codd_backend
 from repro.codd.plan import plan_dict
 from repro.codd.sql import parse_sql, referenced_tables
-from repro.core.label_uncertainty import LabelUncertainDataset
 from repro.core.batch_engine import kernel_cache_key
 from repro.core.planner import (
     RESULT_CACHE_SIZE,
+    CPQuery,
     ExecutionOptions,
     _point_key,
     _weights_key,
@@ -107,30 +118,43 @@ class AdmissionError(RuntimeError):
 
 
 class _PendingBatch:
-    """One micro-batch being assembled for a query family.
+    """The requests of one query family, executed as one planner call.
 
-    Carries the :class:`~repro.service.registry.DatasetSnapshot` of the
-    request that opened the batch; the family key embeds the snapshot's
+    A coalescing batch waits in ``QueryBroker._pending`` until
+    ``max_batch`` requests or its window ``timer`` flush it; a direct
+    read is a batch of one with no timer, flushed at once. The batch
+    carries the :class:`~repro.service.registry.DatasetSnapshot` of the
+    request that opened it; the family key embeds the snapshot's
     fingerprint, so every coalesced request sees the same dataset version
-    and the flush executes against exactly that version. Each item also
-    remembers the waiting request's span id, so the batch's (detached)
-    trace can name every request it served.
+    and the flush executes against exactly that version. Each request is
+    ``(query, cache key, future, span id)``; the span ids let the batch's
+    (detached) trace name every request it served.
     """
 
-    __slots__ = ("entry", "snap", "params", "items", "timer")
+    __slots__ = ("entry", "snap", "backend", "options", "requests", "timer")
 
     def __init__(
-        self, entry: DatasetEntry, snap: DatasetSnapshot, params: dict
+        self,
+        entry: DatasetEntry,
+        snap: DatasetSnapshot,
+        backend: str,
+        options: ExecutionOptions,
     ) -> None:
         self.entry = entry
         self.snap = snap
-        self.params = params
-        self.items: list[tuple[np.ndarray, Future, str | None]] = []
+        self.backend = backend
+        self.options = options
+        self.requests: list[tuple[CPQuery, tuple, Future, str | None]] = []
         self.timer: threading.Timer | None = None
 
 
 class QueryBroker:
     """Admission-controlled, micro-batching front door to the planner.
+
+    Every request passes one admission gate (:meth:`_admission`). A CP
+    read then builds its :class:`~repro.core.planner.CPQuery`, reads its
+    one cache slot, and on a miss runs through :meth:`_flush`, coalesced
+    with its family's other single points or alone as a batch of one.
 
     Parameters
     ----------
@@ -147,8 +171,8 @@ class QueryBroker:
         ``1`` also disables coalescing.
     max_pending:
         Admission-control bound on concurrently in-flight requests
-        (micro-batched, per-request and matrix dispatch alike); beyond
-        it :class:`AdmissionError` is raised.
+        (``query``, ``sql`` and ``patch`` alike); beyond it
+        :class:`AdmissionError` is raised.
     backend, n_jobs:
         Defaults handed to the planner (a request may override the
         backend per query).
@@ -201,6 +225,7 @@ class QueryBroker:
         self._lock = threading.Lock()
         self._pending: dict[tuple, _PendingBatch] = {}
         self._inflight = 0
+        self._admissions = 0
         self._closed = False
         # Typed instruments on the shared MetricsRegistry replace the old
         # per-broker integer dict; the legacy ``metrics()`` key set is
@@ -277,14 +302,15 @@ class QueryBroker:
         """Answer a CP query against a registered dataset.
 
         ``points`` is one test point (1-D) or a matrix of them; a single
-        point rides the micro-batching path, a matrix executes as one
-        planner batch directly. Returns a dict with the resolved
+        point rides the micro-batching path, a matrix executes as a batch
+        of its own. Returns a dict with the resolved
         ``flavor``, per-point ``values``, the executing ``backend``, the
         size of the batch each point was served in, and cache/coalescing
-        telemetry. Raises :class:`AdmissionError` at capacity; any
-        query-construction error (bad pins, incapable backend, ...)
-        propagates to the caller exactly as :func:`make_query` /
-        :func:`plan_query` raise it.
+        telemetry. Raises :class:`AdmissionError` at capacity. The query
+        is built on admission, so a construction error (bad pins, a bad
+        label, ...) raises at once, exactly as :func:`make_query` raises
+        it; a planning error (an incapable backend, ...) propagates from
+        the flush as :func:`plan_query` raises it.
 
         ``prune`` selects exactness-preserving candidate pruning
         (:class:`~repro.core.planner.ExecutionOptions`'s knob verbatim:
@@ -314,80 +340,43 @@ class QueryBroker:
     ) -> dict:
         entry = self.registry.get(dataset)
         # One atomic read of (dataset, fingerprint, version, prepared):
-        # everything below — family key, execution, response — uses the
-        # snapshot, so the answer is consistent with one serializable
+        # everything below — query, family key, execution, response — uses
+        # the snapshot, so the answer is consistent with one serializable
         # version even while PATCH traffic rewrites the entry.
         snap = entry.snapshot()
         matrix = np.asarray(points, dtype=np.float64)
         single = matrix.ndim == 1
-        if single:
-            matrix = matrix.reshape(1, -1)
-        pins = dict(pins or {})
+        self._c_requests.inc()
+        (self._c_single if single else self._c_multi).inc()
         if with_cleaned:
-            session_pins = entry.session_pins()
-            session_pins.update(pins)
-            pins = session_pins
-        params = {
-            "kind": kind,
-            "flavor": self._resolve_flavor(snap.dataset, flavor, weights),
-            "k": entry.k if k is None else int(k),
-            "pins": tuple(sorted(pins.items())),
-            "label": label,
-            "weights": weights,
-            "backend": backend or self.backend,
-            "prune": prune,
-        }
-        # Admission control covers every dispatch path — micro-batched
-        # singles, per-request singles, and matrix queries alike: one
-        # admitted request = one in-flight slot until its response exists.
-        with self._lock:
-            self._c_requests.inc()
-            if single:
-                self._c_single.inc()
-            else:
-                self._c_multi.inc()
-            sweep = self.cache is not None and self._c_requests.value % 256 == 0
-            if self._closed:
-                raise AdmissionError("broker is shut down", retry_after=1.0)
-            if self._inflight >= self.max_pending:
-                self._c_rejected.inc()
-                raise AdmissionError(
-                    f"{self._inflight} requests in flight (max_pending="
-                    f"{self.max_pending}); shedding load",
-                    retry_after=max(self.window_s * 2, 0.01),
-                )
-            self._inflight += 1
-        if sweep:
-            # Periodic sweep: expired entries would otherwise stay resident
-            # until their exact key is looked up again or LRU pressure hits.
-            self.cache.purge()
-        try:
+            pins = {**entry.session_pins(), **(pins or {})}
+        with self._admission():
+            query = make_query(
+                snap.dataset, matrix, kind=kind, flavor=flavor,
+                k=entry.k if k is None else int(k), kernel=entry.kernel,
+                pins=pins, label=label, weights=weights,
+            )
             if explain:
                 self._c_explain.inc()
-                response = self._execute_direct(
-                    entry, snap, matrix, params, explain=True
-                )
-            elif single and self.window_s > 0 and self.max_batch > 1:
-                response = dict(
-                    self._submit_single(entry, snap, matrix[0], params, timeout)
-                )
-            else:
-                response = self._execute_direct(entry, snap, matrix, params)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-        entry.record_served(matrix.shape[0])
+            coalesce = (
+                single and not explain and self.window_s > 0 and self.max_batch > 1
+            )
+            response = self._read(
+                entry, snap, query, backend or self.backend, prune,
+                coalesce, explain, timeout,
+            )
+        entry.record_served(query.n_points)
         response.update(
             dataset=dataset,
             kind=kind,
-            flavor=params["flavor"],
-            n_points=matrix.shape[0],
+            flavor=query.flavor,
+            n_points=query.n_points,
             version=snap.version,
             fingerprint=snap.fingerprint,
         )
         span.set(
-            flavor=params["flavor"],
-            n_points=matrix.shape[0],
+            flavor=query.flavor,
+            n_points=query.n_points,
             backend=response.get("backend"),
             batch_size=response.get("batch_size"),
             cache_hit=bool(response.get("cached")),
@@ -456,22 +445,8 @@ class QueryBroker:
             query, schemas={name: t.schema for name, t in database.items()}
         )
 
-        with self._lock:
-            self._c_sql.inc()
-            sweep = self.cache is not None and self._c_sql.value % 256 == 0
-            if self._closed:
-                raise AdmissionError("broker is shut down", retry_after=1.0)
-            if self._inflight >= self.max_pending:
-                self._c_rejected.inc()
-                raise AdmissionError(
-                    f"{self._inflight} requests in flight (max_pending="
-                    f"{self.max_pending}); shedding load",
-                    retry_after=max(self.window_s * 2, 0.01),
-                )
-            self._inflight += 1
-        if sweep:
-            self.cache.purge()
-        try:
+        self._c_sql.inc()
+        with self._admission():
             cache_key = (
                 _SQL_TAG,
                 tuple(sorted(fingerprints.items())),
@@ -544,9 +519,6 @@ class QueryBroker:
                 backends=",".join(sorted(set(backends.values()))),
             )
             return {**response, "versions": versions, "cached": False}
-        finally:
-            with self._lock:
-                self._inflight -= 1
 
     def patch(
         self,
@@ -573,30 +545,18 @@ class QueryBroker:
                 "send either 'deltas' (for a CP dataset) or 'fixes' "
                 "(for a codd table), not both"
             )
-        with self._lock:
-            if self._closed:
-                raise AdmissionError("broker is shut down", retry_after=1.0)
-            if self._inflight >= self.max_pending:
-                self._c_rejected.inc()
-                raise AdmissionError(
-                    f"{self._inflight} requests in flight (max_pending="
-                    f"{self.max_pending}); shedding load",
-                    retry_after=max(self.window_s * 2, 0.01),
-                )
-            self._inflight += 1
+        with self._admission():
             self._c_patches.inc()
-        try:
-            with self._h_op_seconds["patch"].time(), trace_span(
-                "broker.patch", tracer=self.obs.tracer, dataset=name
-            ):
-                result = self._patch_traced(name, deltas, fixes)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-            # Purge even on partial application: any applied prefix already
-            # changed the content the cached results were computed for.
-            self._purge(name)
-        return result
+            try:
+                with self._h_op_seconds["patch"].time(), trace_span(
+                    "broker.patch", tracer=self.obs.tracer, dataset=name
+                ):
+                    return self._patch_traced(name, deltas, fixes)
+            finally:
+                # Purge even on partial application: any applied prefix
+                # already changed the content the cached results were
+                # computed for.
+                self._purge(name)
 
     def _patch_traced(self, name, deltas, fixes) -> dict:
         if deltas is not None:
@@ -697,52 +657,72 @@ class QueryBroker:
         shut down the gateway's executors (if one is attached)."""
         with self._lock:
             self._closed = True
-            pending = list(self._pending.items())
+            pending = list(self._pending.values())
             self._pending.clear()
-        for _, batch in pending:
-            if batch.timer is not None:
-                batch.timer.cancel()
-            self._run_batch(batch)
+        for batch in pending:
+            batch.timer.cancel()
+            self._flush(batch)
         if self.gateway is not None:
             self.gateway.close()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_flavor(dataset, flavor: str, weights) -> str:
-        """Mirror :func:`make_query`'s flavor inference for the family key.
+    @contextmanager
+    def _admission(self):
+        """Hold one in-flight slot for the block, or raise
+        :class:`AdmissionError` — the gate ``query``, ``sql`` and ``patch``
+        share.
 
-        (The query itself is still built by ``make_query`` at flush
-        time, so validation stays in one place; this only needs to be
-        consistent, and a wrong guess would surface there.)
+        One admitted request is one in-flight slot until its response
+        exists. Every 256th admission also sweeps the result cache:
+        expired entries would otherwise stay resident until their exact
+        key is looked up again or LRU pressure hits.
         """
-        if flavor != "auto":
-            return flavor
-        if isinstance(dataset, LabelUncertainDataset):
-            return "label_uncertainty"
-        if weights is not None:
-            return "weighted"
-        return "binary" if dataset.n_labels == 2 else "multiclass"
+        with self._lock:
+            if self._closed:
+                raise AdmissionError("broker is shut down", retry_after=1.0)
+            if self._inflight >= self.max_pending:
+                self._c_rejected.inc()
+                raise AdmissionError(
+                    f"{self._inflight} requests in flight (max_pending="
+                    f"{self.max_pending}); shedding load",
+                    retry_after=max(self.window_s * 2, 0.01),
+                )
+            self._inflight += 1
+            self._admissions += 1
+            sweep = self.cache is not None and self._admissions % 256 == 0
+        try:
+            if sweep:
+                self.cache.purge()
+            yield
+        finally:
+            with self._lock:
+                self._inflight -= 1
 
     def _family_key(
-        self, entry: DatasetEntry, snap: DatasetSnapshot, params: dict
+        self,
+        entry: DatasetEntry,
+        snap: DatasetSnapshot,
+        query: CPQuery,
+        backend: str,
+        options: ExecutionOptions,
     ) -> tuple:
         return (
             entry.name,
             snap.fingerprint,
-            params["kind"],
-            params["flavor"],
-            params["k"],
-            kernel_cache_key(entry.kernel),
-            params["pins"],
-            params["label"],
-            "" if params["weights"] is None else _weights_key(params["weights"]),
-            params["backend"],
+            query.kind,
+            query.flavor,
+            query.k,
+            kernel_cache_key(query.kernel),
+            query.pins,
+            query.label,
+            "" if query.weights is None else _weights_key(query.weights),
+            backend,
             # Pruning never changes values, but a micro-batch flushes with
             # one ExecutionOptions — requests asking for different prune
             # modes must not coalesce into the same planner call.
-            params["prune"],
+            options.prune,
         )
 
     def _purge(self, name: str) -> None:
@@ -763,19 +743,6 @@ class QueryBroker:
                 else key[0] == name
             )
 
-    def _point_cache_key(self, family: tuple, point: np.ndarray) -> tuple:
-        return (*family, _point_key(point))
-
-    def _options(self, snap: DatasetSnapshot, prune: str) -> ExecutionOptions:
-        return ExecutionOptions(
-            n_jobs=self.n_jobs,
-            # The broker's TTL cache is the service's caching layer; the
-            # planner-level LRU is bypassed so expiry is in one place.
-            cache=False,
-            prepared=snap.prepared,
-            prune=prune,
-        )
-
     def _record_stats(self, stats: dict) -> None:
         """Fold one execution's backend stats into the /metrics counters."""
         if not stats:
@@ -788,43 +755,158 @@ class QueryBroker:
             if isinstance(value, int):
                 self._prune_counters[key].inc(value)
 
-    def _execute(
+    def _read(
         self,
         entry: DatasetEntry,
         snap: DatasetSnapshot,
-        test_X: np.ndarray,
-        params: dict,
-    ):
-        query = make_query(
-            snap.dataset,
-            test_X,
-            kind=params["kind"],
-            flavor=params["flavor"],
-            k=params["k"],
-            kernel=entry.kernel,
-            pins=dict(params["pins"]),
-            label=params["label"],
-            weights=params["weights"],
+        query: CPQuery,
+        backend: str,
+        prune: str,
+        coalesce: bool,
+        explain: bool | str,
+        timeout: float | None,
+    ) -> dict:
+        """Serve one admitted CP read from its cache slot or a flush."""
+        options = ExecutionOptions(
+            n_jobs=self.n_jobs,
+            # The broker's TTL cache is the service's caching layer; the
+            # planner-level LRU is bypassed so expiry is in one place.
+            cache=False,
+            prepared=snap.prepared,
+            prune=prune,
         )
-        backend = params["backend"]
-        options = self._options(snap, params["prune"])
-        with trace_span(
-            "planner.route", requested_backend=backend, dataset=entry.name
-        ) as span:
-            if self.gateway is not None and backend in ("auto", "gateway"):
-                result = self._execute_gateway(entry, snap, query, options)
-                if result is not None:
-                    span.set(served_by="gateway")
-                    return result
-            if backend == "gateway":
-                # No gateway attached (single-process mode) or it declined:
-                # the local planner serves the same bit-identical answer.
-                backend = "auto"
-            span.set(served_by="local")
-            return execute_query(query, backend=backend, options=options)
+        family = self._family_key(entry, snap, query, backend, options)
+        key = (*family, _point_key(query.test_X))
+        # Explain requests skip the cache *read*: the explain block reports
+        # this execution's pruning telemetry, which a cached value lacks.
+        # The flush still fills the slot.
+        if self.cache is not None and not explain:
+            hit = self.cache.get(key, _MISS)
+            if hit is not _MISS:
+                self._c_cache_served.inc()
+                values, backend_name = hit
+                return {
+                    "values": list(values),
+                    "backend": backend_name,
+                    "batch_size": query.n_points,
+                    "cached": True,
+                }
+        future: Future = Future()
+        request = (query, key, future, current_span().span_id)
+        if not coalesce:
+            batch = _PendingBatch(entry, snap, backend, options)
+            batch.requests.append(request)
+            self._flush(batch)
+        else:
+            with self._lock:
+                # Re-check under the lock: a request that passed admission
+                # can reach this insertion after close() drained
+                # self._pending — inserting here would leave a fresh batch
+                # (and its daemon timer) firing into a closed broker, and
+                # the request's future would never resolve. Fail it instead.
+                if self._closed:
+                    raise AdmissionError(
+                        "broker closed while the request was being enqueued",
+                        retry_after=1.0,
+                    )
+                batch = self._pending.get(family)
+                if batch is None:
+                    batch = _PendingBatch(entry, snap, backend, options)
+                    self._pending[family] = batch
+                    batch.timer = threading.Timer(
+                        self.window_s, self._flush_family, (family, batch)
+                    )
+                    batch.timer.daemon = True
+                    batch.timer.start()
+                batch.requests.append(request)
+                full = len(batch.requests) >= self.max_batch
+                if full:
+                    del self._pending[family]
+            if full:
+                batch.timer.cancel()
+                self._flush(batch)
+        values, result, batch_record = future.result(timeout=timeout)
+        # A coalescing flush ran detached (it served many requests,
+        # possibly on a timer thread); grafting its span record here
+        # renders this request's share of the batch inside its trace.
+        current_span().adopt(batch_record)
+        response = {
+            "values": values,
+            "backend": result.plan.backend,
+            "batch_size": result.query.n_points,
+            "cached": False,
+        }
+        if explain:
+            response["explain"] = {
+                "backend": result.plan.backend,
+                "reason": result.plan.reason,
+                "stats": dict(result.stats),
+            }
+        return response
 
-    def _execute_gateway(self, entry, snap, query, options):
-        """Partition-parallel execution, or ``None`` to fall back locally.
+    def _flush_family(self, family: tuple, batch: _PendingBatch) -> None:
+        """Timer callback: flush ``batch`` unless someone else already did."""
+        with self._lock:
+            if self._pending.get(family) is not batch:
+                return  # flushed by max_batch (or close) already
+            del self._pending[family]
+        self._flush(batch)
+
+    def _flush(self, batch: _PendingBatch) -> None:
+        """Execute ``batch`` as one planner call and resolve its requests.
+
+        Every CP read executes here: a batch of one runs its request's
+        query as built, a coalesced batch the same query over every
+        request's points stacked in arrival order. Each request's slice of
+        the values fills its cache slot and resolves its future.
+        """
+        requests = batch.requests
+        # A batch without a window timer is one direct read: it runs on the
+        # caller's thread and nests under that request's span. A
+        # coalescing flush is detached — it may run on a timer thread, and
+        # even on a caller's thread it serves every coalesced request, so
+        # nesting it under one request's span would mis-attribute it.
+        # Waiters adopt its record from their future results instead.
+        direct = batch.timer is None
+        try:
+            queries = [query for query, _, _, _ in requests]
+            query = queries[0]
+            if len(queries) > 1:
+                query = replace(query, test_X=np.vstack([q.test_X for q in queries]))
+            with trace_span(
+                "broker.batch", tracer=self.obs.tracer, detached=not direct
+            ) as bspan:
+                bspan.set(
+                    dataset=batch.entry.name,
+                    n_points=query.n_points,
+                    coalesced=len(requests) > 1,
+                    request_span_ids=[sid for *_, sid in requests if sid],
+                )
+                result = self._execute(batch, query)
+                bspan.set(backend=result.plan.backend)
+            batch_record = None if direct else bspan.record()
+            self._record_stats(result.stats)
+            self._c_batches.inc()
+            self._c_batched_points.inc(query.n_points)
+            self._g_max_batch.set_max(query.n_points)
+            self._h_batch_size.observe(query.n_points)
+            if len(requests) > 1:
+                self._c_coalesced.inc()
+            start = 0
+            for request_query, key, future, _ in requests:
+                stop = start + request_query.n_points
+                values = list(result.values[start:stop])
+                start = stop
+                if self.cache is not None:
+                    self.cache.put(key, (tuple(values), result.plan.backend))
+                future.set_result((values, result, batch_record))
+        except BaseException as exc:  # noqa: BLE001 — futures carry it to callers
+            for _, _, future, _ in requests:
+                if not future.done():
+                    future.set_exception(exc)
+
+    def _execute(self, batch: _PendingBatch, query: CPQuery):
+        """Run ``query`` on the gateway when one serves it, else locally.
 
         The gateway raises
         :class:`~repro.service.gateway.GatewayUnavailable` when it cannot
@@ -836,182 +918,31 @@ class QueryBroker:
         """
         from repro.service.gateway import GatewayUnavailable
 
-        try:
-            result = self.gateway.execute_query(
-                entry.name, query, fingerprint=snap.fingerprint, options=options
-            )
-        except GatewayUnavailable as exc:
-            self._c_gateway_fallbacks.inc()
-            current_span().set(fallback_reason=str(exc) or "gateway unavailable")
-            return None
-        self._c_gateway_served.inc()
-        entry.set_partitioning(self.gateway.describe_dataset(entry.name))
-        return result
-
-    def _execute_direct(
-        self,
-        entry: DatasetEntry,
-        snap: DatasetSnapshot,
-        matrix: np.ndarray,
-        params: dict,
-        explain: bool = False,
-    ) -> dict:
-        family = self._family_key(entry, snap, params)
-        # A one-row matrix lives under its point key only (the key
-        # _submit_single reads); a larger matrix also gets a matrix key.
-        single = matrix.shape[0] == 1
-        if single:
-            cache_key = self._point_cache_key(family, matrix[0])
-        else:
-            cache_key = (*family, "matrix", _point_key(matrix))
-        # Explain requests skip the cache *read*: the explain block reports
-        # this execution's pruning telemetry, which a cached value lacks.
-        # The computed values still populate the cache below.
-        if self.cache is not None and not explain:
-            hit = self.cache.get(cache_key, _MISS)
-            if hit is not _MISS:
-                self._c_cache_served.inc()
-                values = [hit[0]] if single else list(hit[0])
-                return {"values": values, "backend": hit[1], "batch_size": matrix.shape[0], "cached": True}
-        result = self._execute(entry, snap, matrix, params)
-        self._record_stats(result.stats)
-        self._c_batches.inc()
-        self._c_batched_points.inc(matrix.shape[0])
-        self._g_max_batch.set_max(matrix.shape[0])
-        self._h_batch_size.observe(matrix.shape[0])
-        if self.cache is not None:
-            if not single:
-                self.cache.put(cache_key, (list(result.values), result.plan.backend))
-            for index in range(matrix.shape[0]):
-                self.cache.put(
-                    self._point_cache_key(family, matrix[index]),
-                    (result.values[index], result.plan.backend),
-                )
-        response = {
-            "values": list(result.values),
-            "backend": result.plan.backend,
-            "batch_size": matrix.shape[0],
-            "cached": False,
-        }
-        if explain:
-            response["explain"] = {
-                "backend": result.plan.backend,
-                "reason": result.plan.reason,
-                "stats": dict(result.stats),
-            }
-        return response
-
-    def _submit_single(
-        self,
-        entry: DatasetEntry,
-        snap: DatasetSnapshot,
-        point: np.ndarray,
-        params: dict,
-        timeout: float | None,
-    ) -> dict:
-        family = self._family_key(entry, snap, params)
-        if self.cache is not None:
-            hit = self.cache.get(self._point_cache_key(family, point), _MISS)
-            if hit is not _MISS:
-                self._c_cache_served.inc()
-                return {"values": [hit[0]], "backend": hit[1], "batch_size": 1, "cached": True}
-
-        future: Future = Future()
-        flush_now: _PendingBatch | None = None
-        with self._lock:
-            # Re-check under the lock: a request that passed the admission
-            # check can reach this insertion after close() drained
-            # self._pending — inserting here would leave a fresh batch (and
-            # its daemon timer) firing into a closed broker, and the
-            # request's future would never resolve. Fail it instead.
-            if self._closed:
-                future.set_exception(
-                    AdmissionError(
-                        "broker closed while the request was being enqueued",
-                        retry_after=1.0,
+        backend = batch.backend
+        with trace_span(
+            "planner.route", requested_backend=backend, dataset=batch.entry.name
+        ) as span:
+            if self.gateway is not None and backend in ("auto", "gateway"):
+                try:
+                    result = self.gateway.execute_query(
+                        batch.entry.name,
+                        query,
+                        fingerprint=batch.snap.fingerprint,
+                        options=batch.options,
                     )
-                )
-            else:
-                batch = self._pending.get(family)
-                if batch is None:
-                    batch = _PendingBatch(entry, snap, params)
-                    self._pending[family] = batch
-                    batch.timer = threading.Timer(
-                        self.window_s, self._flush_family, (family, batch)
+                except GatewayUnavailable as exc:
+                    self._c_gateway_fallbacks.inc()
+                    span.set(fallback_reason=str(exc) or "gateway unavailable")
+                else:
+                    self._c_gateway_served.inc()
+                    batch.entry.set_partitioning(
+                        self.gateway.describe_dataset(batch.entry.name)
                     )
-                    batch.timer.daemon = True
-                    batch.timer.start()
-                batch.items.append((point, future, current_span().span_id))
-                if len(batch.items) >= self.max_batch:
-                    self._pending.pop(family, None)
-                    flush_now = batch
-        if flush_now is not None:
-            if flush_now.timer is not None:
-                flush_now.timer.cancel()
-            self._run_batch(flush_now)
-        value, backend_name, batch_size, batch_record = future.result(
-            timeout=timeout
-        )
-        # The flush ran detached (it served many requests, possibly on a
-        # timer thread); grafting its span record here renders this
-        # request's share of the batch inside this request's trace.
-        current_span().adopt(batch_record)
-        return {"values": [value], "backend": backend_name, "batch_size": batch_size, "cached": False}
-
-    def _flush_family(self, family: tuple, batch: _PendingBatch) -> None:
-        """Timer callback: flush ``batch`` unless someone else already did."""
-        with self._lock:
-            if self._pending.get(family) is not batch:
-                return  # flushed by max_batch (or close) already
-            self._pending.pop(family, None)
-        self._run_batch(batch)
-
-    def _run_batch(self, batch: _PendingBatch) -> None:
-        if not batch.items:
-            return
-        points = [point for point, _, _ in batch.items]
-        futures = [future for _, future, _ in batch.items]
-        waiters = [span_id for _, _, span_id in batch.items if span_id]
-        n = len(futures)
-        try:
-            # Detached: the flush may run on a timer thread, and even on a
-            # caller's thread the batch serves *every* coalesced request —
-            # nesting it under one request's span would mis-attribute it.
-            # Waiters adopt the record from their future results instead.
-            with trace_span(
-                "broker.batch", tracer=self.obs.tracer, detached=True
-            ) as bspan:
-                bspan.set(
-                    dataset=batch.entry.name,
-                    n_points=n,
-                    coalesced=n > 1,
-                    request_span_ids=waiters,
-                )
-                test_X = np.vstack([point.reshape(1, -1) for point in points])
-                result = self._execute(
-                    batch.entry, batch.snap, test_X, batch.params
-                )
-                bspan.set(backend=result.plan.backend)
-            batch_record = bspan.record()
-            self._record_stats(result.stats)
-            family = self._family_key(batch.entry, batch.snap, batch.params)
-            self._c_batches.inc()
-            self._c_batched_points.inc(n)
-            self._g_max_batch.set_max(n)
-            self._h_batch_size.observe(n)
-            if n > 1:
-                self._c_coalesced.inc()
-            for index, future in enumerate(futures):
-                value = result.values[index]
-                if self.cache is not None:
-                    self.cache.put(
-                        self._point_cache_key(family, points[index]),
-                        (value, result.plan.backend),
-                    )
-                future.set_result(
-                    (value, result.plan.backend, n, batch_record)
-                )
-        except BaseException as exc:  # noqa: BLE001 — futures carry it to callers
-            for future in futures:
-                if not future.done():
-                    future.set_exception(exc)
+                    span.set(served_by="gateway")
+                    return result
+            if backend == "gateway":
+                # No gateway attached (single-process mode) or it declined:
+                # the local planner serves the same bit-identical answer.
+                backend = "auto"
+            span.set(served_by="local")
+            return execute_query(query, backend=backend, options=batch.options)

@@ -12,7 +12,8 @@ A query scatters to the executors owning the dataset's partitions — one
 pipe round trip per executor, issued concurrently — and the gateway
 merges the per-partition results into the full answer:
 
-* binary ``certain_label`` / ``check`` gather per-row **min/max tallies**
+* two-label ``certain_label`` / ``check`` (``binary`` or ``multiclass``
+  flavor: the planner's MinMax test) gather per-row **min/max tallies**
   (folded executor-side with the associative algebra of
   :func:`repro.core.minmax.merge_minmax_block`), concatenate them across
   the disjoint row spans, and decide with the reference
@@ -54,6 +55,7 @@ from repro.core.planner import (
     QueryPlan,
     QueryResult,
     _labels_to_kind,
+    _minmax_decides,
     _prune_summary,
     get_backend,
     scan_dataset,
@@ -612,7 +614,7 @@ class Gateway:
             n_points=query.n_points,
             n_partitions=len(dist.partitions),
         ) as span:
-            if query.flavor == "binary" and query.kind in ("certain_label", "check"):
+            if _minmax_decides(query):
                 values, mode = self._execute_minmax(dist, query), "minmax"
                 run_stats = _prune_summary(query, False, None)
             else:

@@ -138,6 +138,18 @@ class TestMicroBatching:
         assert broker.metrics()["multi_point_requests"] == 1
         broker.close()
 
+    def test_an_invalid_single_point_fails_without_waiting_out_the_window(
+        self, registry
+    ):
+        broker = QueryBroker(registry, window_s=5.0, max_batch=8, cache=False)
+        start = time.perf_counter()
+        with pytest.raises(IndexError, match="out of range"):
+            broker.query("d", np.zeros(2), pins={99: 0})
+        assert time.perf_counter() - start < 1.0
+        assert not broker._pending
+        assert broker.metrics()["inflight"] == 0
+        broker.close()
+
     def test_query_errors_propagate_to_the_caller(self, registry):
         broker = QueryBroker(registry, window_s=0.005, max_batch=8, cache=False)
         with pytest.raises(ValueError, match="topk"):
@@ -174,6 +186,18 @@ class TestCachingAndAdmission:
         assert not first["cached"] and second["cached"]
         assert second["values"] == first["values"]
         assert len(broker.cache) == 1
+        broker.close()
+
+    def test_a_direct_matrix_read_fills_one_cache_slot(self, registry):
+        broker = QueryBroker(registry, window_s=0.0, max_batch=1)
+        points = np.random.default_rng(6).normal(size=(3, 2))
+        first = broker.query("d", points)
+        assert len(broker.cache) == 1
+        second = broker.query("d", points)
+        assert not first["cached"] and second["cached"]
+        assert second["values"] == first["values"]
+        assert len(broker.cache) == 1
+        assert broker.metrics()["served_from_cache"] == 1
         broker.close()
 
     def test_matrix_results_are_ttl_cached(self, registry):

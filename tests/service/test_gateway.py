@@ -86,6 +86,21 @@ class TestDistribution:
         assert gateway.metrics()["stale_snapshots"] >= 1
 
 
+class TestMergeMode:
+    def test_two_label_multiclass_decisions_take_the_minmax_merge(self, gateway):
+        """The gateway picks MinMax by the planner's own test, so a
+        ``multiclass`` query on two labels merges min/max tallies too."""
+        dataset = small_dataset()
+        test_X = np.random.default_rng(7).normal(size=(4, 2))
+        query = make_query(
+            dataset, test_X, kind="certain_label", flavor="multiclass", k=2
+        )
+        result = gateway.execute_query("mm", query)
+        local = execute_query(query, backend="batch", options=ExecutionOptions(cache=False))
+        assert result.values == local.values
+        assert result.stats["merge_mode"] == "minmax"
+
+
 class TestFailureModel:
     def test_sigkilled_executor_is_respawned_and_answers_stay_exact(self, gateway):
         dataset = small_dataset(n_rows=10)
