@@ -16,9 +16,10 @@ request really executes):
   local path: the dataset's memoized candidate layout is pin-independent
   too, so a flush re-stacks nothing (asserted: no flush runs the per-row
   ``sequential`` reference);
-* **gateway** — 4 executor processes own candidate-row partitions; a
-  flush scatter-gathers per-partition min/max tallies and merges them
-  losslessly.
+* **gateway** — 4 executor processes own one candidate-row partition
+  each; a flush scatter-gathers per-partition similarity blocks, merges
+  them losslessly into the full similarity matrix, and decides on the
+  ``batch`` backend with the same MinMax check as the local path.
 
 The gateway used to win by 13-29x, because every single-process flush
 re-stacked all candidates and scanned them per row. Since the local path

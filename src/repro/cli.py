@@ -222,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--partitions-per-executor",
-        type=_positive_int_flag("--partitions-per-executor"),
-        default=2,
-        help="candidate-row partitions owned by each executor (with --executors)",
-    )
-    serve.add_argument(
         "--executor-timeout",
         type=_float_flag("--executor-timeout", 0.0, inclusive=False),
         default=30.0,
@@ -974,7 +968,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache=not args.no_cache,
         ttl_s=args.ttl,
         executors=args.executors,
-        partitions_per_executor=args.partitions_per_executor,
         executor_timeout_s=args.executor_timeout,
         trace=not args.no_trace,
         trace_buffer=args.trace_buffer,

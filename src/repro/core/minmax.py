@@ -18,12 +18,12 @@ refuses multi-class datasets. ``allow_multiclass=True`` exposes the
 construction anyway for experimentation (it is then only a *necessary*
 condition, not sufficient), mirroring the discussion in Appendix B.
 
-The per-row extremes are also the whole of MinMax's *tally* contract:
-:func:`merge_minmax_block` folds similarity blocks into running per-row
-min/max tallies and :func:`binary_minmax_label` decides Q1 from the merged
-extremes. The partitioned service gateway (:mod:`repro.service.gateway`)
-merges tallies produced in *different processes*; the associativity of
-min and max is what makes that merge lossless.
+The per-row extremes are all the decision needs:
+:func:`binary_minmax_label` decides Q1 from them. The ``batch`` backend
+takes them off its shared similarity matrix with one ``reduceat`` per
+point — for local queries and for the partitioned service gateway
+(:mod:`repro.service.gateway`) alike, which gathers that matrix from its
+executors and hands it to ``batch``.
 """
 
 from __future__ import annotations
@@ -41,14 +41,8 @@ __all__ = [
     "minmax_checks_all",
     "extreme_world_similarities",
     "predictable_labels",
-    "MINMAX_BLOCK_CANDIDATES",
-    "merge_minmax_block",
     "binary_minmax_label",
 ]
-
-#: Stacked candidates per kernel block when MinMax tallies are folded
-#: block by block (the partitioned executors' bound on resident similarities).
-MINMAX_BLOCK_CANDIDATES = 4096
 
 
 def extreme_world_similarities(
@@ -133,46 +127,10 @@ def minmax_checks_all(
     return result
 
 
-def merge_minmax_block(
-    mins: np.ndarray,
-    maxs: np.ndarray,
-    block: np.ndarray,
-    rows: np.ndarray,
-    offsets: np.ndarray,
-    c0: int,
-    c1: int,
-) -> None:
-    """Fold one candidate-block of similarities into running min/max tallies.
-
-    ``block`` holds similarities for stacked-candidate positions
-    ``[c0, c1)`` (shape ``(n_points, c1 - c0)``); ``rows`` maps each
-    stacked position to its dataset row and ``offsets`` is the row →
-    first-stacked-position table. ``mins`` / ``maxs`` (shape
-    ``(n_points, n_rows)``) are updated in place for the rows the block
-    touches. The merge is exact for any block boundaries: min and max are
-    associative and commutative, so min-of-mins / max-of-maxes over a row's
-    segments equals the min/max over the whole row — no floating-point
-    reordering is introduced.
-    """
-    first = int(rows[c0])
-    last = int(rows[c1 - 1])
-    starts = (np.maximum(offsets[first : last + 1], c0) - c0).astype(np.intp)
-    np.minimum(
-        mins[:, first : last + 1],
-        np.minimum.reduceat(block, starts, axis=1),
-        out=mins[:, first : last + 1],
-    )
-    np.maximum(
-        maxs[:, first : last + 1],
-        np.maximum.reduceat(block, starts, axis=1),
-        out=maxs[:, first : last + 1],
-    )
-
-
 def binary_minmax_label(
     lo: np.ndarray, hi: np.ndarray, labels: np.ndarray, k: int
 ) -> int | None:
-    """The Q1 verdict for one point from merged per-row extreme tallies.
+    """The Q1 verdict for one point from its per-row extreme similarities.
 
     ``lo`` / ``hi`` are the per-row min/max similarities (pins already
     applied as ``lo == hi == pinned similarity``). Binary label spaces

@@ -24,9 +24,9 @@ keeps it pinned across requests and callers:
 * :mod:`repro.service.gateway` / :mod:`repro.service.executor` /
   :mod:`repro.service.partition` — the partitioned multi-process
   topology (``repro serve --executors N``): a :class:`Gateway` that
-  consistent-hash-places candidate-row partitions on executor worker
-  processes and scatter-gathers per-partition tallies into bit-identical
-  answers, respawning dead executors automatically.
+  gives each executor worker process one candidate-row partition,
+  scatter-gathers per-partition similarity blocks into bit-identical
+  answers, and respawns dead executors automatically.
 
 Quickstart (in one process; see ``examples/service_quickstart.py``)::
 
@@ -44,7 +44,7 @@ from repro.service.broker import AdmissionError, QueryBroker
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import Gateway, GatewayError, GatewayUnavailable
 from repro.service.http import ServiceServer, make_service, serve
-from repro.service.partition import HashRing, RowPartition, plan_row_partitions
+from repro.service.partition import RowPartition, plan_row_partitions
 from repro.service.registry import (
     CoddTableEntry,
     DatasetEntry,
@@ -71,7 +71,6 @@ __all__ = [
     "Gateway",
     "GatewayError",
     "GatewayUnavailable",
-    "HashRing",
     "RowPartition",
     "plan_row_partitions",
 ]

@@ -2,29 +2,20 @@
 
 :class:`Gateway` is the front-end half of the multi-process serving
 topology. It owns ``N`` executor worker processes
-(:mod:`repro.service.executor`), each holding candidate-row partitions of
-every distributed dataset with shard-local prepared state. Placement is
-consistent-hash based (:class:`~repro.service.partition.HashRing` over
-``"name/partition"`` keys with bounded load), so the partition → executor
-map is deterministic and stable across gateway restarts.
+(:mod:`repro.service.executor`). Each distributed dataset's rows are cut
+into ``N`` contiguous spans (:func:`~repro.service.partition.plan_row_partitions`)
+and partition ``i`` lives on executor ``i``, with shard-local prepared
+state; the executor set never changes after start-up, so neither does
+the placement.
 
-A query scatters to the executors owning the dataset's partitions — one
-pipe round trip per executor, issued concurrently — and the gateway
-merges the per-partition results into the full answer:
-
-* two-label ``certain_label`` / ``check`` (``binary`` or ``multiclass``
-  flavor: the planner's MinMax test) gather per-row **min/max tallies**
-  (folded executor-side with the associative algebra of
-  :func:`repro.core.minmax.merge_minmax_block`), concatenate them across
-  the disjoint row spans, and decide with the reference
-  :func:`~repro.core.minmax.binary_minmax_label` — bit-identical to the
-  single-process MinMax path.
-* every other flavor × kind gathers raw **similarity blocks** over each
-  partition's stacked candidates; concatenation in partition order
-  restores the exact global similarity matrix (each similarity depends
-  only on its own candidate's features), and the gateway hands that
-  matrix to the in-process ``batch`` backend — the same per-flavor
-  evaluators, pruning included, that serve local queries.
+Every query takes one path. It scatters to the executors — one pipe
+round trip each, issued concurrently — and gathers raw **similarity
+blocks** over each partition's stacked candidates. Concatenation in
+partition order restores the exact global similarity matrix (each
+similarity depends only on its own candidate's features), and the
+gateway hands that matrix to the in-process ``batch`` backend — the same
+per-flavor evaluators, pruning and two-label MinMax check included, that
+serve local queries.
 
 Robustness is part of the contract, not an afterthought: every executor
 request carries a timeout and a bounded retry budget; a dead or wedged
@@ -48,15 +39,11 @@ from typing import Any
 import numpy as np
 
 from repro.core.batch_engine import PreparedBatch
-from repro.core.minmax import binary_minmax_label
 from repro.core.planner import (
     CPQuery,
     ExecutionOptions,
     QueryPlan,
     QueryResult,
-    _labels_to_kind,
-    _minmax_decides,
-    _prune_summary,
     get_backend,
     scan_dataset,
 )
@@ -64,15 +51,21 @@ from repro.obs import Observability
 from repro.obs.tracing import trace_span
 from repro.service.executor import executor_main
 from repro.service.partition import (
-    HashRing,
     RowPartition,
-    merge_minmax_tallies,
     merge_sim_blocks,
     plan_row_partitions,
 )
 from repro.utils.validation import check_positive_int
 
 __all__ = ["GatewayError", "GatewayUnavailable", "Gateway"]
+
+#: Retry budget per executor request *after* the first attempt; each
+#: retry respawns the executor first.
+RETRIES = 1
+
+#: The health monitor's poll period: dead executors are respawned
+#: proactively, not just when a query trips over them.
+MONITOR_INTERVAL_S = 0.5
 
 
 class GatewayError(RuntimeError):
@@ -128,37 +121,40 @@ class _DistributedDataset:
     """The gateway's authoritative record of one distributed dataset.
 
     Keeps the candidate sets themselves (references, not copies) so a
-    respawned executor's partitions can be re-prepared without consulting
-    the registry.
+    respawned executor's partition can be re-prepared without consulting
+    the registry. Partition ``i`` belongs to executor ``i``; a dataset
+    with fewer rows than executors leaves the last executors without one.
     """
 
-    __slots__ = ("name", "fingerprint", "partitions", "assignment", "candidate_sets")
+    __slots__ = ("name", "fingerprint", "partitions", "candidate_sets")
 
     def __init__(
         self,
         name: str,
         fingerprint: str,
         partitions: tuple[RowPartition, ...],
-        assignment: dict[int, int],
         candidate_sets: list[np.ndarray],
     ) -> None:
         self.name = name
         self.fingerprint = fingerprint
         self.partitions = partitions
-        self.assignment = assignment
         self.candidate_sets = candidate_sets
 
-    def specs_for(self, executor_id: int) -> list[dict]:
-        """The ``register`` payload entries owned by ``executor_id``."""
-        return [
-            {
+    def register_message(self, executor_id: int) -> dict | None:
+        """The ``register`` request for ``executor_id``'s partition, if any."""
+        if executor_id >= len(self.partitions):
+            return None
+        partition = self.partitions[executor_id]
+        return {
+            "op": "register",
+            "name": self.name,
+            "fingerprint": self.fingerprint,
+            "partition": {
                 "partition_id": partition.index,
                 "row_start": partition.start,
                 "candidate_sets": self.candidate_sets[partition.start : partition.stop],
-            }
-            for partition in self.partitions
-            if self.assignment[partition.index] == executor_id
-        ]
+            },
+        }
 
 
 def _preferred_context():
@@ -184,22 +180,12 @@ class Gateway:
     Parameters
     ----------
     n_executors:
-        Worker processes to own (``>= 1``).
-    partitions_per_executor:
-        Target partitions per executor; a dataset is cut into
-        ``n_executors * partitions_per_executor`` row spans (clamped to
-        its row count). More than one per executor keeps the consistent
-        placement balanced when membership changes.
+        Worker processes to spawn (``>= 1``); each owns one row partition
+        of every distributed dataset.
     timeout_s:
         Per-request pipe timeout. A request that exceeds it marks the
-        executor dead (it is killed and respawned).
-    retries:
-        Bounded retry budget per executor request *after* the first
-        attempt; each retry respawns the executor first.
-    monitor_interval_s:
-        The health monitor's poll period: dead executors are respawned
-        proactively, not just when a query trips over them. ``0``
-        disables the monitor thread.
+        executor dead (it is killed and respawned, up to :data:`RETRIES`
+        times).
     obs:
         The :class:`~repro.obs.Observability` bundle the gateway reports
         into (shared with the broker/server by ``make_service``); a bare
@@ -209,27 +195,14 @@ class Gateway:
     def __init__(
         self,
         n_executors: int,
-        partitions_per_executor: int = 2,
         timeout_s: float = 30.0,
-        retries: int = 1,
-        ring_replicas: int = 64,
-        monitor_interval_s: float = 0.5,
-        start: bool = True,
         obs: Observability | None = None,
     ) -> None:
         self.n_executors = check_positive_int(n_executors, "n_executors")
-        self.partitions_per_executor = check_positive_int(
-            partitions_per_executor, "partitions_per_executor"
-        )
         if not timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.timeout_s = float(timeout_s)
-        self.retries = int(retries)
-        self.monitor_interval_s = float(monitor_interval_s)
         self._ctx = _preferred_context()
-        self._ring = HashRing(range(self.n_executors), replicas=ring_replicas)
         self._handles = [_ExecutorHandle(i) for i in range(self.n_executors)]
         self._datasets: dict[str, _DistributedDataset] = {}
         self._datasets_lock = threading.Lock()
@@ -256,33 +229,23 @@ class Gateway:
         m.add_collector(self._collect_gauges)
         self._closed = False
         self._monitor_stop = threading.Event()
-        self._monitor: threading.Thread | None = None
-        if start:
-            self.start()
+        for handle in self._handles:
+            with handle.lock:
+                self._respawn_locked(handle)
+        self._monitor: threading.Thread | None = threading.Thread(
+            target=self._monitor_loop, name="gateway-monitor", daemon=True
+        )
+        self._monitor.start()
 
     # ------------------------------------------------------------------
     # Process lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Spawn every executor (idempotent) and the health monitor."""
-        if self._closed:
-            raise GatewayError("gateway is closed")
-        for handle in self._handles:
-            with handle.lock:
-                if handle.process is None or not handle.process.is_alive():
-                    self._respawn_locked(handle)
-        if self.monitor_interval_s > 0 and self._monitor is None:
-            self._monitor = threading.Thread(
-                target=self._monitor_loop, name="gateway-monitor", daemon=True
-            )
-            self._monitor.start()
-
     def _respawn_locked(self, handle: _ExecutorHandle) -> None:
         """(Re)spawn one executor; caller holds ``handle.lock``.
 
         Kills any previous incarnation, opens a fresh pipe, and re-prepares
-        every partition the consistent placement assigns to this executor
-        from the gateway's authoritative candidate sets. Only this
+        this executor's partition of every distributed dataset from the
+        gateway's authoritative candidate sets. Only this
         executor's lock is held — queries on surviving executors keep
         flowing while the respawn runs.
         """
@@ -305,17 +268,9 @@ class Gateway:
         with self._datasets_lock:
             distributed = list(self._datasets.values())
         for dist in distributed:
-            specs = dist.specs_for(handle.executor_id)
-            if specs:
-                self._roundtrip_locked(
-                    handle,
-                    {
-                        "op": "register",
-                        "name": dist.name,
-                        "fingerprint": dist.fingerprint,
-                        "partitions": specs,
-                    },
-                )
+            message = dist.register_message(handle.executor_id)
+            if message is not None:
+                self._roundtrip_locked(handle, message)
 
     def _kill_locked(self, handle: _ExecutorHandle) -> None:
         """Tear down one executor's process and pipe; caller holds its lock."""
@@ -333,7 +288,7 @@ class Gateway:
 
     def _monitor_loop(self) -> None:
         """Respawn dead executors proactively (detection without traffic)."""
-        while not self._monitor_stop.wait(self.monitor_interval_s):
+        while not self._monitor_stop.wait(MONITOR_INTERVAL_S):
             for handle in self._handles:
                 if self._closed:
                     return
@@ -403,7 +358,7 @@ class Gateway:
         if self._closed:
             raise GatewayUnavailable("gateway is closed")
         last_error: Exception | None = None
-        for _ in range(self.retries + 1):
+        for _ in range(RETRIES + 1):
             with handle.lock:
                 try:
                     if handle.process is None or not handle.process.is_alive():
@@ -431,7 +386,7 @@ class Gateway:
         self._c_unavailable.inc()
         raise GatewayUnavailable(
             f"executor {handle.executor_id} unavailable after "
-            f"{self.retries + 1} attempts: {last_error}"
+            f"{RETRIES + 1} attempts: {last_error}"
         )
 
     # ------------------------------------------------------------------
@@ -458,33 +413,14 @@ class Gateway:
     def _distribute(
         self, name: str, dataset, fingerprint: str
     ) -> _DistributedDataset:
-        """Partition, place, and push one dataset; holds ``_dist_lock``."""
+        """Partition and push one dataset; holds ``_dist_lock``."""
         candidate_sets = [dataset.candidates(row) for row in range(dataset.n_rows)]
-        partitions = plan_row_partitions(
-            dataset.n_rows, self.n_executors * self.partitions_per_executor
-        )
-        placement = self._ring.assign(
-            [f"{name}/{partition.index}" for partition in partitions]
-        )
-        assignment = {
-            partition.index: placement[f"{name}/{partition.index}"]
-            for partition in partitions
-        }
-        dist = _DistributedDataset(
-            name, fingerprint, partitions, assignment, candidate_sets
-        )
+        partitions = plan_row_partitions(dataset.n_rows, self.n_executors)
+        dist = _DistributedDataset(name, fingerprint, partitions, candidate_sets)
         for handle in self._handles:
-            specs = dist.specs_for(handle.executor_id)
-            if specs:
-                self._call(
-                    handle,
-                    {
-                        "op": "register",
-                        "name": name,
-                        "fingerprint": fingerprint,
-                        "partitions": specs,
-                    },
-                )
+            message = dist.register_message(handle.executor_id)
+            if message is not None:
+                self._call(handle, message)
         # Commit only after every executor accepted its partitions: a push
         # that dies mid-way must not leave a record claiming the dataset is
         # distributed (queries would scatter into "not prepared" replies).
@@ -509,68 +445,52 @@ class Gateway:
     # ------------------------------------------------------------------
     # Scatter/gather
     # ------------------------------------------------------------------
-    def _scatter(
-        self, dist: _DistributedDataset, op: str, payload: dict
-    ) -> list[Any]:
-        """Issue ``op`` to every executor owning a partition of ``dist``,
-        concurrently, and return per-partition results in partition order."""
+    def _scatter(self, dist: _DistributedDataset, payload: dict) -> list[np.ndarray]:
+        """Ask every executor owning a partition of ``dist`` for its
+        similarity block, concurrently; blocks return in partition order."""
         self._c_scatters.inc()
-        groups: dict[int, list[int]] = {}
-        for partition in dist.partitions:
-            groups.setdefault(dist.assignment[partition.index], []).append(
-                partition.index
-            )
-        results: dict[int, Any] = {}
+        n_parts = len(dist.partitions)
+        # Each gather thread writes only its own slot of ``blocks``, and
+        # list.append is atomic, so neither list needs a lock.
+        blocks: list[Any] = [None] * n_parts
         failures: list[Exception] = []
-        gather_lock = threading.Lock()
         # Gather threads attach their spans to the scatter span explicitly:
         # thread-local propagation does not cross threading.Thread.
         scatter_span = trace_span(
-            "gateway.scatter",
-            op=op,
-            dataset=dist.name,
-            partitions_scattered=len(dist.partitions),
-            n_executors=len(groups),
+            "gateway.scatter", dataset=dist.name, partitions_scattered=n_parts
         )
+        message = {
+            "op": "sims",
+            "name": dist.name,
+            "fingerprint": dist.fingerprint,
+            "trace": bool(scatter_span),
+            **payload,
+        }
 
-        def gather(executor_id: int, partition_ids: list[int]) -> None:
-            message = {
-                "op": op,
-                "name": dist.name,
-                "fingerprint": dist.fingerprint,
-                "partition_ids": partition_ids,
-                "trace": bool(scatter_span),
-                **payload,
-            }
+        def gather(executor_id: int) -> None:
             with trace_span(
-                "gateway.gather",
-                parent=scatter_span,
-                executor=executor_id,
-                n_partitions=len(partition_ids),
+                "gateway.gather", parent=scatter_span, executor=executor_id
             ) as gspan:
                 try:
                     reply = self._call(self._handles[executor_id], message)
                 except Exception as exc:  # noqa: BLE001 — re-raised below
-                    with gather_lock:
-                        failures.append(exc)
+                    failures.append(exc)
                     return
                 # Executor-side timings crossed the pipe as plain records;
                 # grafting them here renders the distributed execution as
                 # one tree.
                 for record in reply.get("spans") or ():
                     gspan.adopt(record)
-            with gather_lock:
-                results.update(reply["partitions"])
+            blocks[executor_id] = reply["block"]
 
         with scatter_span:
-            items = sorted(groups.items())
             threads = [
-                threading.Thread(target=gather, args=item, daemon=True)
-                for item in items[1:]
+                threading.Thread(target=gather, args=(i,), daemon=True)
+                for i in range(1, n_parts)
             ]
             for thread in threads:
                 thread.start()
-            gather(*items[0])  # run one group on the calling thread
+            gather(0)  # run one executor's round trip on the calling thread
             for thread in threads:
                 thread.join()
             scatter_span.set(failures=len(failures))
@@ -579,7 +499,7 @@ class Gateway:
                 if isinstance(failure, GatewayUnavailable):
                     raise failure
             raise failures[0]
-        return [results[partition.index] for partition in dist.partitions]
+        return blocks
 
     # ------------------------------------------------------------------
     # Query execution
@@ -606,76 +526,42 @@ class Gateway:
         options = options or ExecutionOptions()
         dist = self.ensure_distributed(name, query.dataset, fingerprint)
         self._c_queries.inc()
+        n_parts = len(dist.partitions)
         with trace_span(
             "gateway.execute",
             dataset=name,
             flavor=query.flavor,
             kind=query.kind,
             n_points=query.n_points,
-            n_partitions=len(dist.partitions),
+            n_partitions=n_parts,
         ) as span:
-            if _minmax_decides(query):
-                values, mode = self._execute_minmax(dist, query), "minmax"
-                run_stats = _prune_summary(query, False, None)
-            else:
-                values, run_stats = self._execute_scan(dist, query, options)
-                mode = "scan"
-            span.set(merge_mode=mode, prune=run_stats["prune"])
-        n_owning = len({dist.assignment[p.index] for p in dist.partitions})
+            values, run_stats = self._execute_scan(dist, query, options)
+            span.set(prune=run_stats["prune"])
         plan = QueryPlan(
             backend="gateway",
-            reason=(
-                f"scatter-gathered over {len(dist.partitions)} partitions "
-                f"on {n_owning} executors ({mode} merge)"
-            ),
+            reason=f"similarity blocks scatter-gathered from {n_parts} executors",
             cost=0.0,
         )
         stats = {
             **run_stats,
             "gateway": True,
-            "merge_mode": mode,
-            "n_partitions": len(dist.partitions),
+            "n_partitions": n_parts,
             "n_executors": self.n_executors,
             "n_points": query.n_points,
         }
         return QueryResult(query=query, plan=plan, values=values, stats=stats)
 
-    def _execute_minmax(
-        self, dist: _DistributedDataset, query: CPQuery
-    ) -> list:
-        """Binary Q1 via gathered per-row min/max tallies (pins pre-applied)."""
-        tallies = self._scatter(
-            dist,
-            "minmax",
-            {
-                "test_X": query.test_X,
-                "kernel": query.kernel,
-                "pins": query.pins_dict(),
-            },
-        )
-        lo, hi = merge_minmax_tallies(tallies)
-        labels = query.dataset.labels
-        if lo.shape[1] != labels.shape[0]:
-            raise GatewayError(
-                f"merged tallies cover {lo.shape[1]} rows, dataset has "
-                f"{labels.shape[0]}"
-            )
-        decisions = [
-            binary_minmax_label(lo[index], hi[index], labels, query.k)
-            for index in range(query.n_points)
-        ]
-        return _labels_to_kind(query, decisions)
-
     def _execute_scan(
         self, dist: _DistributedDataset, query: CPQuery, options: ExecutionOptions
     ) -> tuple[list, dict]:
-        """Every other flavor × kind: gather similarity blocks, merge, evaluate.
+        """Gather similarity blocks, merge them, and evaluate on ``batch``.
 
         The merged matrix becomes the :class:`PreparedBatch` of the
         ``batch`` backend, which then runs exactly as it does locally —
-        same evaluators, same pruning, same kind conversions — only the
-        similarities arrive partition by partition instead of being
-        computed here. Returns the backend's ``(values, stats)``.
+        same evaluators, same MinMax check for two-label decisions, same
+        pruning, same kind conversions — only the similarities arrive
+        partition by partition instead of being computed here. Returns the
+        backend's ``(values, stats)``.
         """
         dataset = scan_dataset(query)
         # A flavor that scans a dataset other than the query's has its pins
@@ -684,7 +570,6 @@ class Gateway:
         sims = merge_sim_blocks(
             self._scatter(
                 dist,
-                "sims",
                 {"test_X": query.test_X, "kernel": query.kernel, "restrict": restrict},
             )
         )
@@ -723,7 +608,7 @@ class Gateway:
                 {
                     "partition": partition.index,
                     "rows": [partition.start, partition.stop],
-                    "executor": dist.assignment[partition.index],
+                    "executor": partition.index,
                 }
                 for partition in dist.partitions
             ],
@@ -738,7 +623,7 @@ class Gateway:
         }
         for dist in distributed:
             for partition in dist.partitions:
-                owned[dist.assignment[partition.index]] += 1
+                owned[partition.index] += 1
         executors = {}
         for handle in self._handles:
             process = handle.process
@@ -764,9 +649,8 @@ class Gateway:
         }
         return {
             "n_executors": self.n_executors,
-            "partitions_per_executor": self.partitions_per_executor,
             "timeout_s": self.timeout_s,
-            "retries": self.retries,
+            "retries": RETRIES,
             **totals,
             "executors": executors,
             "datasets": {

@@ -147,7 +147,6 @@ def make_service(
     port: int = 0,
     start: bool = True,
     executors: int = 0,
-    partitions_per_executor: int = 2,
     executor_timeout_s: float = 30.0,
     trace: bool = True,
     trace_buffer: int = 256,
@@ -190,12 +189,7 @@ def make_service(
     if executors > 0:
         from repro.service.gateway import Gateway
 
-        gateway = Gateway(
-            executors,
-            partitions_per_executor=partitions_per_executor,
-            timeout_s=executor_timeout_s,
-            obs=obs,
-        )
+        gateway = Gateway(executors, timeout_s=executor_timeout_s, obs=obs)
         broker_kwargs["gateway"] = gateway
     # Until the broker owns the gateway (and the server owns the broker),
     # a constructor failure must not leak executor processes or the broker's

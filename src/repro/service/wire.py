@@ -419,7 +419,7 @@ def decode_matrix(payload: Any, name: str) -> np.ndarray:
     Non-finite values are rejected: ``json.loads`` happily parses
     ``NaN`` / ``Infinity`` (and ``float64`` parses ``"1e999"`` to
     ``inf``), but a NaN similarity poisons every comparison downstream —
-    the scan order and the min/max tallies would be garbage served under
+    the scan order and the MinMax extremes would be garbage served under
     an exactness guarantee.
     """
     try:

@@ -7,14 +7,13 @@ from repro.core.batch_engine import PreparedBatch
 from repro.core.bruteforce import brute_force_counts
 from repro.core.dataset import IncompleteDataset
 from repro.core.minmax import (
-    binary_minmax_label,
     extreme_world_similarities,
-    merge_minmax_block,
     minmax_check,
     minmax_checks_all,
     predictable_labels,
 )
-from repro.core.planner import execute_query, make_query
+from repro.core.planner import ExecutionOptions, execute_query, make_query
+from repro.service.partition import merge_sim_blocks, plan_row_partitions
 from tests.conftest import random_incomplete_dataset
 
 
@@ -123,68 +122,49 @@ def _ragged_dataset(seed: int, n_rows: int = 8, n_labels: int = 2) -> Incomplete
     return IncompleteDataset(sets, labels)
 
 
-def _blocked_labels(dataset, test_X, k, pins, block):
-    """MinMax labels from tallies folded ``block`` stacked candidates at a time."""
-    layout = dataset.candidate_layout()
-    sims = PreparedBatch(dataset, test_X, k=k).sims_matrix
-    n_points, total = sims.shape
-    mins = np.full((n_points, dataset.n_rows), np.inf)
-    maxs = np.full((n_points, dataset.n_rows), -np.inf)
-    for c0 in range(0, total, block):
-        c1 = min(c0 + block, total)
-        merge_minmax_block(
-            mins, maxs, sims[:, c0:c1], layout.rows, layout.offsets, c0, c1
-        )
-    for row, cand in pins.items():
-        pinned = sims[:, int(layout.offsets[row]) + cand]
-        mins[:, row] = maxs[:, row] = pinned
-    return [
-        binary_minmax_label(mins[i], maxs[i], dataset.labels, k)
-        for i in range(n_points)
-    ]
-
-
 class TestMinMaxMerge:
-    """The tally algebra: exact merging over any candidate-block boundaries."""
+    """The ``batch`` backend's MinMax check — the one the gateway runs on
+    its merged similarity matrix — against the ``sequential`` reference."""
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, 10_000])
-    def test_merged_extremes_match_dense(self, block):
+    @pytest.mark.parametrize("flavor", ["binary", "multiclass"])
+    def test_labels_match_sequential(self, flavor):
         dataset = _ragged_dataset(5)
         test_X = np.random.default_rng(5).normal(size=(4, 2))
-        layout = dataset.candidate_layout()
-        sims = PreparedBatch(dataset, test_X, k=2).sims_matrix
-        mins = np.full((4, dataset.n_rows), np.inf)
-        maxs = np.full((4, dataset.n_rows), -np.inf)
-        total = sims.shape[1]
-        for c0 in range(0, total, block):
-            c1 = min(c0 + block, total)
-            merge_minmax_block(
-                mins, maxs, sims[:, c0:c1], layout.rows, layout.offsets, c0, c1
-            )
-        starts = layout.offsets[:-1]
-        assert np.array_equal(mins, np.minimum.reduceat(sims, starts, axis=1))
-        assert np.array_equal(maxs, np.maximum.reduceat(sims, starts, axis=1))
-
-    @pytest.mark.parametrize("block", [1, 3, 10_000])
-    def test_labels_match_sequential(self, block):
-        dataset = _ragged_dataset(5)
-        test_X = np.random.default_rng(5).normal(size=(4, 2))
-        reference = execute_query(
-            make_query(dataset, test_X, kind="certain_label", k=2),
-            backend="sequential",
-        ).values
-        assert _blocked_labels(dataset, test_X, 2, {}, block) == reference
+        query = make_query(dataset, test_X, kind="certain_label", flavor=flavor, k=2)
+        reference = execute_query(query, backend="sequential").values
+        assert execute_query(query, backend="batch").values == reference
 
     def test_pinned_rows_override_extremes(self):
         dataset = _ragged_dataset(6)
         test_X = np.random.default_rng(6).normal(size=(3, 2))
         pins = {row: 0 for row in dataset.uncertain_rows()[:2]}
         assert pins
-        reference = execute_query(
-            make_query(dataset, test_X, kind="certain_label", k=2, pins=pins),
-            backend="sequential",
-        ).values
-        assert _blocked_labels(dataset, test_X, 2, pins, 1) == reference
+        query = make_query(dataset, test_X, kind="certain_label", k=2, pins=pins)
+        reference = execute_query(query, backend="sequential").values
+        assert execute_query(query, backend="batch").values == reference
+
+    @pytest.mark.parametrize("n_executors", [1, 2, 3, 5, 10_000])
+    def test_labels_over_gathered_blocks_match_sequential(self, n_executors):
+        """The gateway's path, in process: slice the similarity matrix at
+        the candidate spans of one partition per executor, merge the
+        blocks back and hand the result to ``batch`` as its prepared
+        matrix; the MinMax labels must not depend on the cut."""
+        dataset = _ragged_dataset(9)
+        test_X = np.random.default_rng(9).normal(size=(6, 2))
+        query = make_query(dataset, test_X, kind="certain_label", k=1)
+        full = PreparedBatch(dataset, test_X, k=1).sims_matrix
+        offsets = dataset.candidate_layout().offsets
+        blocks = [
+            full[:, int(offsets[part.start]) : int(offsets[part.stop])]
+            for part in plan_row_partitions(dataset.n_rows, n_executors)
+        ]
+        merged = merge_sim_blocks(blocks)
+        assert np.array_equal(merged, full)
+        gathered = PreparedBatch(dataset, test_X, k=1, sims_matrix=merged)
+        options = ExecutionOptions(prepared=gathered, cache=False)
+        reference = execute_query(query, backend="sequential").values
+        assert {0, 1, None} <= set(reference)  # both labels and a non-certain point
+        assert execute_query(query, backend="batch", options=options).values == reference
 
     def test_batch_rejects_out_of_range_pins(self):
         dataset = _ragged_dataset(8)

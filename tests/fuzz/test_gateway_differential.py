@@ -1,7 +1,7 @@
 """Partitioned (gateway) execution must be bit-identical to local.
 
 The gateway slices candidate rows across executor processes, computes
-per-partition tallies remotely, and merges them; this harness holds that
+per-partition similarity blocks remotely, and merges them; this harness holds that
 whole pipeline to the repo's certification standard. For the seeded
 random queries of :mod:`tests.fuzz.cp_cases` — all five flavors, every
 kind, pins, exact-``Fraction`` weights — and for random delta sequences
@@ -20,7 +20,12 @@ import numpy as np
 import pytest
 
 from repro.core.deltas import CellRepair, RowAppend, RowDelete, apply_delta_to_dataset
-from repro.core.planner import ExecutionOptions, execute_query, make_query
+from repro.core.planner import (
+    ExecutionOptions,
+    _minmax_decides,
+    execute_query,
+    make_query,
+)
 from repro.service.gateway import Gateway
 from tests.fuzz.cp_cases import FLAVOR_CYCLE, SEEDS, random_case
 
@@ -29,7 +34,7 @@ PRUNE_MODES = ("off", "on", "auto")
 
 @pytest.fixture(scope="module")
 def gateway():
-    with Gateway(2, partitions_per_executor=2, timeout_s=30.0) as gw:
+    with Gateway(2, timeout_s=30.0) as gw:
         yield gw
 
 
@@ -53,9 +58,9 @@ class TestGatewayDifferential:
         assert gathered.plan.backend == "gateway"
         _assert_same_values(gathered.values, local.values, where)
         # Pruning is reported exactly when a pass ran: never when off, never
-        # on the MinMax merge, and otherwise as the local batch run reports.
+        # on a MinMax decision, and otherwise as the local batch run reports.
         assert gathered.stats["prune"] is local.stats["prune"], where
-        if prune == "off" or gathered.stats["merge_mode"] == "minmax":
+        if prune == "off" or _minmax_decides(query):
             assert gathered.stats["prune"] is False, where
         if gathered.stats["prune"]:
             assert gathered.stats["n_rows"] == local.stats["n_rows"], where

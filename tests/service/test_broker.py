@@ -292,10 +292,11 @@ class TestCachingAndAdmission:
 
 
 class TestCloseRace:
-    """close() vs in-flight _submit_single: nobody hangs, nothing leaks.
+    """close() vs an in-flight read: nobody hangs, nothing leaks.
 
-    A request that passes admission can reach the batch-insertion critical
-    section after close() drained the pending map; without the re-check it
+    A request that passes admission can reach the enqueue block of
+    ``QueryBroker._read`` (its batch-insertion critical section) after
+    close() drained the pending map; without the re-check it
     would create a fresh batch whose future nothing ever resolves. The
     hammer drives that window hard: every submitter must terminate with
     either a real answer or a clear AdmissionError — never a stuck future.

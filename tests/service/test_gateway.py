@@ -1,8 +1,8 @@
 """The partitioned gateway: placement, scatter/gather, failure handling.
 
 The differential harness (``tests/fuzz/test_gateway_differential.py``)
-certifies exactness; this file covers the machinery around it — how
-partitions land on executors, what the observability surface reports,
+certifies exactness; this file covers the machinery around it — one
+partition per executor, what the observability surface reports,
 and above all the failure model: a SIGKILLed executor must be respawned,
 its partitions re-prepared, and the next answer must still be exact.
 """
@@ -38,7 +38,7 @@ def counts_query(dataset, seed: int = 0, kind: str = "counts"):
 
 @pytest.fixture
 def gateway():
-    with Gateway(2, partitions_per_executor=2, timeout_s=20.0) as gw:
+    with Gateway(2, timeout_s=20.0) as gw:
         yield gw
 
 
@@ -48,13 +48,26 @@ class TestDistribution:
         gateway.ensure_distributed("d", dataset)
         described = gateway.describe_dataset("d")
         assert described["fingerprint"] == dataset.fingerprint()
-        assert described["n_partitions"] == 4
+        assert described["n_partitions"] == 2
         spans = [tuple(p["rows"]) for p in described["partitions"]]
         assert spans[0][0] == 0 and spans[-1][1] == dataset.n_rows
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             assert stop == start  # contiguous candidate-row spans
-        owners = {p["executor"] for p in described["partitions"]}
-        assert owners <= {0, 1} and len(owners) == 2  # bounded-load: both own some
+        # Partition i lives on executor i.
+        assert [p["executor"] for p in described["partitions"]] == [0, 1]
+        owned = gateway.metrics()["executors"]
+        assert [owned[str(i)]["partitions"] for i in range(2)] == [1, 1]
+
+    def test_fewer_rows_than_executors_leaves_an_executor_idle(self):
+        dataset = IncompleteDataset([np.array([[0.0, 1.0], [1.0, 0.0]])], [1])
+        query = make_query(
+            dataset, np.ones((2, 2)), kind="certain_label", k=1, pins={0: 1}
+        )
+        local = execute_query(query, backend="batch", options=ExecutionOptions(cache=False))
+        with Gateway(2, timeout_s=20.0) as gw:
+            assert gw.execute_query("tiny", query).values == local.values
+            assert gw.describe_dataset("tiny")["n_partitions"] == 1
+            assert gw.metrics()["executors"]["1"]["partitions"] == 0
 
     def test_redistribution_replaces_a_moved_fingerprint(self, gateway):
         gateway.ensure_distributed("moving", small_dataset(seed=1))
@@ -86,19 +99,23 @@ class TestDistribution:
         assert gateway.metrics()["stale_snapshots"] >= 1
 
 
-class TestMergeMode:
-    def test_two_label_multiclass_decisions_take_the_minmax_merge(self, gateway):
-        """The gateway picks MinMax by the planner's own test, so a
-        ``multiclass`` query on two labels merges min/max tallies too."""
+class TestDecisions:
+    @pytest.mark.parametrize("flavor", ["binary", "multiclass"])
+    def test_two_label_decisions_match_local_batch(self, gateway, flavor):
+        """A two-label decision, pinned or not, takes the one gather path
+        and ``batch``'s MinMax check on the merged matrix."""
         dataset = small_dataset()
         test_X = np.random.default_rng(7).normal(size=(4, 2))
-        query = make_query(
-            dataset, test_X, kind="certain_label", flavor="multiclass", k=2
-        )
-        result = gateway.execute_query("mm", query)
-        local = execute_query(query, backend="batch", options=ExecutionOptions(cache=False))
-        assert result.values == local.values
-        assert result.stats["merge_mode"] == "minmax"
+        for pins in ({}, {row: 0 for row in dataset.uncertain_rows()[:2]}):
+            query = make_query(
+                dataset, test_X, kind="certain_label", flavor=flavor, k=2, pins=pins
+            )
+            result = gateway.execute_query("mm", query)
+            local = execute_query(
+                query, backend="batch", options=ExecutionOptions(cache=False)
+            )
+            assert result.plan.backend == "gateway"
+            assert result.values == local.values
 
 
 class TestFailureModel:
@@ -140,7 +157,7 @@ class TestFailureModel:
         # times out while its reply is still owed on the pipe. The gateway
         # must kill + respawn (fresh pipe) rather than retry on the same
         # pipe, where the stale reply would answer a *later* request.
-        with Gateway(2, partitions_per_executor=2, timeout_s=1.0, retries=1) as gw:
+        with Gateway(2, timeout_s=1.0) as gw:
             dataset = small_dataset(n_rows=10)
             query = counts_query(dataset)
             local = execute_query(query, options=ExecutionOptions(cache=False))
@@ -183,7 +200,7 @@ class TestObservability:
             assert executor["alive"]
             assert executor["requests"] >= 1
             assert executor["avg_latency_s"] >= 0.0
-        assert metrics["datasets"]["obs"]["n_partitions"] == 4
+        assert metrics["datasets"]["obs"]["n_partitions"] == 2
 
     def test_ping_round_trips_every_executor(self, gateway):
         health = gateway.ping()
@@ -204,7 +221,7 @@ class TestBrokerIntegration:
             metrics = broker.metrics()
             assert metrics["gateway_served"] >= 1
             assert metrics["gateway"]["n_executors"] == 2
-            assert registry.get("d").describe()["partitioning"]["n_partitions"] == 4
+            assert registry.get("d").describe()["partitioning"]["n_partitions"] == 2
         finally:
             broker.close()
         assert not broker.gateway.metrics()["executors"]["0"]["alive"]

@@ -52,7 +52,6 @@ REGISTRY_KEYS = {
 
 GATEWAY_KEYS = {
     "n_executors",
-    "partitions_per_executor",
     "timeout_s",
     "retries",
     "queries",

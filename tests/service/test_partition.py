@@ -1,8 +1,8 @@
-"""Partition planning, the consistent-hash ring, and tally merging.
+"""Partition planning and similarity-block merging.
 
 These are the pure building blocks under the gateway: contiguous
-candidate-row spans, deterministic bounded-load placement, and the
-lossless concatenation of per-partition results back into global order.
+candidate-row spans (one per executor) and the lossless concatenation of
+per-partition similarity blocks back into global order.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from repro.service.partition import (
-    HashRing,
     RowPartition,
-    merge_minmax_tallies,
     merge_sim_blocks,
     plan_row_partitions,
 )
@@ -52,53 +50,37 @@ class TestPlanRowPartitions:
             RowPartition(index=0, start=4, stop=4)
 
 
-class TestHashRing:
+class TestOnePartitionPerExecutor:
+    """The gateway's placement rule: partition ``i`` lives on executor ``i``."""
+
     def test_placement_is_deterministic(self):
-        keys = [f"dataset/{i}" for i in range(32)]
-        a = HashRing([0, 1, 2, 3]).assign(keys)
-        b = HashRing([0, 1, 2, 3]).assign(keys)
-        assert a == b  # md5-based: stable across processes and runs
+        assert plan_row_partitions(37, 5) == plan_row_partitions(37, 5)
 
-    def test_bounded_load_never_overfills_a_node(self):
-        keys = [f"d/{i}" for i in range(37)]
-        nodes = [0, 1, 2, 3, 4]
-        assignment = HashRing(nodes).assign(keys)
-        capacity = -(-len(keys) // len(nodes))  # ceil
-        loads = {n: 0 for n in nodes}
-        for node in assignment.values():
-            loads[node] += 1
-        assert max(loads.values()) <= capacity
-        assert sum(loads.values()) == len(keys)
-
-    def test_every_node_reachable_in_preference_order(self):
-        ring = HashRing(["a", "b", "c"])
-        order = ring.preference("some-key")
-        assert sorted(order) == ["a", "b", "c"]
-        assert order[0] == ring.node_for("some-key")
-
-    def test_removal_moves_only_the_lost_nodes_keys(self):
-        # Consistent hashing's point: dropping one node must not reshuffle
-        # keys that were not on it (modulo bounded-load spill).
-        keys = [f"k/{i}" for i in range(64)]
-        full = {k: HashRing([0, 1, 2, 3]).node_for(k) for k in keys}
-        reduced = {k: HashRing([0, 1, 2]).node_for(k) for k in keys}
-        moved = [k for k in keys if full[k] != reduced[k] and full[k] != 3]
-        assert not moved
-
-    def test_empty_ring_rejected(self):
-        with pytest.raises(ValueError):
-            HashRing([])
+    @pytest.mark.parametrize(
+        ("n_rows", "n_executors"), [(1, 1), (2, 3), (7, 2), (10, 3), (64, 5)]
+    )
+    def test_each_executor_owns_at_most_one_span(self, n_rows, n_executors):
+        parts = plan_row_partitions(n_rows, n_executors)
+        # One partition per executor that has rows to hold; none shares one.
+        assert [p.index for p in parts] == list(range(min(n_rows, n_executors)))
+        assert (parts[0].start, parts[-1].stop) == (0, n_rows)
+        sizes = [p.n_rows for p in parts]
+        assert max(sizes) - min(sizes) <= 1
 
 
 class TestMerges:
-    def test_minmax_merge_is_concatenation_in_partition_order(self):
-        rng = np.random.default_rng(0)
-        lo = rng.normal(size=(3, 7))
-        hi = lo + rng.uniform(size=(3, 7))
-        tallies = [(lo[:, :4], hi[:, :4]), (lo[:, 4:], hi[:, 4:])]
-        mins, maxs = merge_minmax_tallies(tallies)
-        np.testing.assert_array_equal(mins, lo)
-        np.testing.assert_array_equal(maxs, hi)
+    def test_sim_merge_over_planned_candidate_spans_restores_order(self):
+        # Ragged candidate sets: a row span maps to a candidate span through
+        # the stacked offsets, and the spans' blocks merge back losslessly.
+        counts = np.array([1, 3, 2, 1, 4, 2, 1])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        sims = np.random.default_rng(2).normal(size=(3, int(offsets[-1])))
+        blocks = [
+            sims[:, offsets[p.start] : offsets[p.stop]]
+            for p in plan_row_partitions(len(counts), 3)
+        ]
+        assert [b.shape[1] for b in blocks] == [6, 5, 3]
+        np.testing.assert_array_equal(merge_sim_blocks(blocks), sims)
 
     def test_sim_merge_restores_global_candidate_order(self):
         rng = np.random.default_rng(1)
@@ -107,7 +89,5 @@ class TestMerges:
         np.testing.assert_array_equal(merged, sims)
 
     def test_merge_of_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            merge_minmax_tallies([])
         with pytest.raises(ValueError):
             merge_sim_blocks([])

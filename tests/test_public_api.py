@@ -215,3 +215,41 @@ def test_one_q2_engine_on_the_served_path() -> None:
         "kinds",
         "reference",
     ]
+
+
+#: module -> names that went with the gateway's MinMax tally protocol and
+#: its consistent-hash placement.
+GATEWAY_REMOVED_NAMES = {
+    "repro.service.partition": ("HashRing", "_hash_point", "merge_minmax_tallies"),
+    "repro.core.minmax": ("merge_minmax_block", "MINMAX_BLOCK_CANDIDATES"),
+}
+
+
+def test_one_gateway_merge_mode() -> None:
+    # Every gateway query gathers similarity blocks and decides on the
+    # ``batch`` backend; partition i lives on executor i.
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.service import Gateway, make_service
+    from repro.service.executor import ExecutorPartition
+
+    for module_name, names in GATEWAY_REMOVED_NAMES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert not hasattr(module, name), f"{module_name}.{name}"
+    removed = {name for names in GATEWAY_REMOVED_NAMES.values() for name in names}
+    for package_name in PACKAGES:
+        exported = set(importlib.import_module(package_name).__all__)
+        assert not exported & removed, (package_name, exported & removed)
+    assert list(inspect.signature(Gateway).parameters) == [
+        "n_executors",
+        "timeout_s",
+        "obs",
+    ]
+    assert "partitions_per_executor" not in inspect.signature(make_service).parameters
+    assert not hasattr(Gateway, "_execute_minmax")
+    assert not hasattr(ExecutorPartition, "minmax_tallies")
+    with pytest.raises(SystemExit) as rejected:
+        build_parser().parse_args(["serve", "--partitions-per-executor", "2"])
+    assert rejected.value.code == 2
