@@ -8,10 +8,12 @@ certain/possible answer relations without enumerating worlds, via a
 dynamic program over row-local completions of the flattened child
 (:class:`~repro.codd.joins.FlatQuery`):
 
-* For every base row, enumerate its local completions once, keeping the
-  distinct child-output tuples that pass the filter plus whether the row
-  can *avoid* contributing (some completion fails, or lands in another
-  group).
+* One predicate pass over the child's stacked completion grid gives, for
+  every base row, the distinct child-output tuples that pass the filter
+  plus whether the row can *avoid* contributing (some completion fails,
+  or lands in another group).  A child without a grid (above the
+  stacking cap), or a filter whose vectorised pass raises a mixed-type
+  ``TypeError``, enumerates each row's local completions instead.
 * Rows are independent (every NULL variable lives in one row), so per
   group the set of achievable aggregate results is the product-closure of
   per-row choices — a set-of-states DP, capped by
@@ -48,15 +50,19 @@ pay for the DP once.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from repro.codd.algebra import AggregateSpec
 from repro.codd.certain import _row_local_valuations
 from repro.codd.joins import _Decline
 from repro.codd.relation import Relation
+from repro.codd.vectorized import StackedTable, predicate_mask
 
 __all__ = [
     "MAX_AGGREGATE_STATES",
@@ -160,10 +166,29 @@ class _PreparedAggregation:
     possible: Relation
 
 
-def _row_options(flat) -> list[tuple[list[tuple[Any, ...]], bool]]:
+def _row_options(
+    flat, stacked: StackedTable | None = None
+) -> list[tuple[list[tuple[Any, ...]], bool]]:
     """Per base row: the distinct passing child-output tuples and whether
-    the row can fail the filter.  Raises on cross-row tuple collisions."""
+    the row can fail the filter.  Raises on cross-row tuple collisions.
+
+    On the table's grid the filter runs once over every completion.  A
+    vectorised pass evaluates branches a row's own short-circuit never
+    reaches, so when it raises a ``TypeError`` the row loop decides, like
+    the join prune; so does a table without a grid (above the stacking
+    cap)."""
     out_idx = [flat.working.index(a) for a in flat.output]
+    if stacked is not None:
+        try:
+            mask = (
+                np.ones(stacked.total, dtype=bool)
+                if flat.predicate is None
+                else predicate_mask(flat.predicate, flat.working, stacked)
+            )
+        except TypeError:
+            pass
+        else:
+            return _grid_row_options(stacked, mask, out_idx)
     owners: dict[tuple[Any, ...], int] = {}
     rows = []
     for r, row in enumerate(flat.table.rows):
@@ -190,20 +215,59 @@ def _row_options(flat) -> list[tuple[list[tuple[Any, ...]], bool]]:
     return rows
 
 
+def _grid_row_options(
+    stacked: StackedTable, mask: np.ndarray, out_idx: list[int]
+) -> list[tuple[list[tuple[Any, ...]], bool]]:
+    """:func:`_row_options` read off one predicate mask over the grid.
+
+    The passing completions' output tuples come from the object columns,
+    so they hold the original values, in row then completion order."""
+    n_rows = stacked.n_rows
+    if n_rows == 0:
+        return []
+    can_fail = ~np.logical_and.reduceat(mask, stacked.offsets)
+    passing = np.flatnonzero(mask)
+    owners = np.repeat(np.arange(n_rows), stacked.counts)[passing].tolist()
+    tuples = (
+        list(zip(*(stacked.columns[i][passing] for i in out_idx)))
+        if out_idx
+        else [()] * len(passing)
+    )
+    owner_of = dict(zip(tuples, owners))
+    if any(map(operator.ne, map(owner_of.__getitem__, tuples), owners)):
+        raise _Decline(
+            "two base rows can produce the same child tuple; set "
+            "semantics would couple them across worlds"
+        )
+    # Each tuple has one owner, so the distinct tuples in first-seen order
+    # (the dict's order) run row by row, each row's in its own order.
+    distinct = list(owner_of)
+    bounds = np.searchsorted(
+        np.fromiter(owner_of.values(), np.int64, len(distinct)),
+        np.arange(n_rows + 1),
+    ).tolist()
+    return [
+        (distinct[start:stop], fail)
+        for start, stop, fail in zip(bounds, bounds[1:], can_fail.tolist())
+    ]
+
+
 def prepare_aggregation(
     flat,
     group_by: tuple[str, ...],
     aggregates: tuple[AggregateSpec, ...],
+    stacked: StackedTable | None = None,
 ) -> _PreparedAggregation:
     """Run the aggregation DP for ``flat``: both answer relations at once.
 
-    The composite analysis calls it once per analysed query and keeps the
+    ``stacked`` is the grid of ``flat.table``, if it has one.  The
+    composite analysis calls it once per analysed query and keeps the
     result on its :class:`~repro.codd.joins.Composite`.  Raises
     :class:`repro.codd.joins._Decline` when the fast path would be
     inexact or unaffordable — callers treat that as "not supported".
     """
     try:
-        rows = _row_options(flat)
+        rows = _row_options(flat, stacked)
     except TypeError:
         # Mixed-type comparison somewhere in the filter: enumeration order
         # determines which world trips it, so let naive raise canonically.

@@ -83,6 +83,21 @@ class CoddTable:
             table.append(tup)
         self._init_validated(tuple(table), tuple(variables))
 
+    @classmethod
+    def _from_validated(
+        cls,
+        schema: tuple[str, ...],
+        rows: tuple[tuple[Any, ...], ...],
+        variables: tuple[tuple[int, int, Null], ...],
+    ) -> "CoddTable":
+        """A table from parts already known valid, with no re-validation:
+        a checked ``schema``, ``rows`` of its arity, and ``variables``
+        listing their NULL cells in ``(row, column)`` order."""
+        table = cls.__new__(cls)
+        table._schema = schema
+        table._init_validated(rows, variables)
+        return table
+
     def _init_validated(
         self, rows: tuple[tuple[Any, ...], ...], variables: tuple[tuple[int, int, Null], ...]
     ) -> None:
@@ -242,9 +257,8 @@ class CoddTable:
         old_row = self._rows[row]
         new_row = old_row[:column] + (value,) + old_row[column + 1 :]
         index = bisect.bisect_left(self._variables, (row, column), key=lambda v: v[:2])
-        table = CoddTable.__new__(CoddTable)
-        table._schema = self._schema
-        table._init_validated(
+        table = CoddTable._from_validated(
+            self._schema,
             self._rows[:row] + (new_row,) + self._rows[row + 1 :],
             self._variables[:index] + self._variables[index + 1 :],
         )

@@ -74,7 +74,7 @@ from repro.codd.certain import (
     select_project_answers,
 )
 from repro.codd.codd_table import CoddTable
-from repro.codd.joins import composite_analysis, composite_answer
+from repro.codd.joins import GridResolver, composite_analysis, composite_answer
 from repro.codd.plan import LogicalPlan
 from repro.codd.relation import Relation
 from repro.codd.vectorized import (
@@ -440,7 +440,7 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         composite = self._analysis(query, database, prepared)
         assert composite is not None
         return (
-            composite.estimated_cells(),
+            composite.cells,
             "hash-joined pair tables / set combinators over stacked grids",
         )
 
@@ -448,21 +448,14 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         self,
         name: str,
         table: CoddTable,
-        database: Mapping[str, CoddTable],
         prepared: Mapping[str, StackedTable] | None,
     ) -> StackedTable | None:
-        """The table's whole grid — handed, cached or freshly cached — or
-        ``None`` when it is above the stacking cap.
+        """The whole grid of the table bound as ``name`` — handed, cached
+        or freshly cached — or ``None`` when it is above the stacking cap.
 
-        A table the query synthesizes (a join's pair table, bound under
-        no name of ``database``) gets a grid for this call only: its
-        content is per query, and caching it would evict the base-table
-        grids the LRU keeps."""
-        base = database.get(name)
-        if base is not table and (
-            base is None or base.fingerprint() != table.fingerprint()
-        ):
-            return StackedTable(table) if stackable(table) else None
+        Only bound tables come here: a join's pair table gathers its grid
+        from its sides' (:meth:`repro.codd.joins.FlatQuery.grid`), so no
+        per-query grid evicts the base-table grids the LRU keeps."""
         if prepared is not None:
             handed = prepared.get(name)
             if handed is not None and (
@@ -479,29 +472,24 @@ class VectorizedCoddBackend(CoddAnswerBackend):
             self._prepared.put(key, stacked)
         return stacked
 
-    def _analysis(self, query, database, prepared):
-        """The composite analysis, its join prune reading the same grids
-        the leaves run on."""
-        return composite_analysis(
-            query,
-            database,
-            lambda name, table: self._stacked_for(name, table, database, prepared),
-        )
+    def _grids(self, prepared) -> GridResolver:
+        return lambda name, table: self._stacked_for(name, table, prepared)
 
-    def _answer(self, query, name, table, database, mode, prepared) -> Relation:
-        stacked = self._stacked_for(name, table, database, prepared)
-        return select_project_answers(
-            query, table, name=name, mode=mode, stacked=stacked
-        )
+    def _analysis(self, query, database, prepared):
+        """The composite analysis, reading the same grids the leaves run on."""
+        return composite_analysis(query, database, self._grids(prepared))
 
     def _run(self, query, database, prepared, mode) -> Relation:
+        grids = self._grids(prepared)
         bound = _single_scan_table(query, database)
         if bound is not None:
             # Run the original query directly so the pinned single-table
             # fast path stays byte-for-byte what it was.
             name, table = bound
-            return self._answer(query, name, table, database, mode, prepared)
-        composite = self._analysis(query, database, prepared)
+            return select_project_answers(
+                query, table, name=name, mode=mode, stacked=grids(name, table)
+            )
+        composite = composite_analysis(query, database, grids)
         if composite is None:
             raise CoddPlanError(
                 "vectorized backend needs a select-project(-rename) query "
@@ -511,8 +499,12 @@ class VectorizedCoddBackend(CoddAnswerBackend):
         return composite_answer(
             composite,
             mode,
-            lambda flat, m: self._answer(
-                flat.to_query(), flat.name, flat.table, database, m, prepared
+            lambda flat, m: select_project_answers(
+                flat.to_query(),
+                flat.table,
+                name=flat.name,
+                mode=m,
+                stacked=flat.grid(grids),
             ),
         )
 

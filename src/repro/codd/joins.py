@@ -16,6 +16,13 @@ one row.  The join condition and both side filters become a single ``σ``
 over the pair table, so the whole join runs through the unchanged
 single-table engine.
 
+The pair table is index-built: the prune yields kept row indices, the
+probe ``(left, right)`` row-index arrays, and the table takes its rows and
+NULL cells from the sides' without re-validation.  Its stacked grid is
+gathered from the sides' grids by index arithmetic
+(:meth:`FlatQuery.grid`, :meth:`~repro.codd.vectorized.StackedTable.paired`),
+never built by walking rows, and never kept past the call that needs it.
+
 **Exactness.**  Worlds of the pair table correspond exactly to worlds of
 the database *provided no NULL variable occurs in two pair rows* — a
 NULL-bearing base row matched by two partners would otherwise have its
@@ -40,15 +47,19 @@ calls ``supports``/``estimate_cost``/``answer`` back to back), including
 the aggregation DP, whose answers it keeps on the :class:`Composite`;
 :func:`composite_answer` evaluates it.  Both are parameterised by the
 engine's grid access — the analysis by a :data:`GridResolver` that finds
-a join side's stacked completion grid (so the pre-pairing prune is one
-vectorised pass), the answer by the leaf evaluator — which keeps the
-grid LRU and the service's pinned grids out of this module.
+a scanned table's stacked completion grid (so the pre-pairing prune and
+the DP's row options are one vectorised pass each), the answer by the
+leaf evaluator — which keeps the grid LRU and the service's pinned grids
+out of this module.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -65,7 +76,7 @@ from repro.codd.algebra import (
     predicate_attributes,
 )
 from repro.codd.certain import _row_local_valuations
-from repro.codd.codd_table import CoddTable, Null
+from repro.codd.codd_table import CoddTable
 from repro.codd.optimizer import _conjoin, _conjuncts, _rename_predicate
 from repro.codd.plan import (
     AggregateNode,
@@ -85,6 +96,7 @@ from repro.codd.vectorized import (
     StackedTable,
     estimate_stacked_cells,
     predicate_mask,
+    stackable,
 )
 from repro.utils.lru import LRUCache
 
@@ -131,10 +143,33 @@ class FlatQuery:
     output: tuple[str, ...]
     predicate: Predicate | None
     sources: frozenset[str]
+    #: For a join's pair table, where its rows come from; ``None`` for a
+    #: scanned table.
+    pairing: _Pairing | None = None
 
     def completion_cells(self) -> int:
         """Cells a stacked completion grid of ``table`` would hold."""
         return estimate_stacked_cells(self.table)
+
+    def grid(self, grids: GridResolver | None) -> StackedTable | None:
+        """The stacked completion grid of ``table``: the resolver's for a
+        scanned table, gathered from the sides' grids for a pair table
+        (built per call, never kept). ``None`` without a resolver, or when
+        a grid involved is above the stacking cap."""
+        if grids is None:
+            return None
+        pairing = self.pairing
+        if pairing is None:
+            return grids(self.name, self.table)
+        if not stackable(self.table):
+            return None
+        left = pairing.left.grid(grids)
+        right = pairing.right.grid(grids)
+        if left is None or right is None:
+            return None
+        return StackedTable.paired(
+            self.table, left, right, pairing.left_rows, pairing.right_rows
+        )
 
     def to_query(self) -> Query:
         """The canonical ``π(σ(ρ(Scan)))`` the single-table engines accept."""
@@ -151,6 +186,17 @@ class FlatQuery:
         if self.output != self.working:
             query = Project(query, self.output)
         return query
+
+
+@dataclass(frozen=True, eq=False)
+class _Pairing:
+    """Row ``p`` of a pair table is ``left.table`` row ``left_rows[p]``
+    followed by ``right.table`` row ``right_rows[p]``."""
+
+    left: FlatQuery
+    right: FlatQuery
+    left_rows: np.ndarray
+    right_rows: np.ndarray
 
 
 class _Decline(Exception):
@@ -296,25 +342,21 @@ def _flatten_join(
     return _synthesize_pair(left, right, key_pairs, grids)
 
 
-def _prune_rows(
-    flat: FlatQuery, grids: GridResolver | None
-) -> list[tuple[Any, ...]]:
-    """Rows of ``flat.table`` that could pass ``flat.predicate`` in some
-    world — the pre-pairing prune that makes the hash join fast.  Rows too
-    ambiguous to check cheaply (or whose check raises, e.g. a mixed-type
-    ordering the oracle would also choke on) are conservatively kept.
+def _prune_rows(flat: FlatQuery, grids: GridResolver | None) -> np.ndarray:
+    """Indices of the rows of ``flat.table`` that could pass
+    ``flat.predicate`` in some world, in row order — the pre-pairing prune
+    that makes the hash join fast.  Rows too ambiguous to check cheaply
+    (or whose check raises, e.g. a mixed-type ordering the oracle would
+    also choke on) are conservatively kept.
 
     With a grid the predicate runs once over every completion and is
     OR-reduced per row.  A vectorised pass evaluates branches a row's own
     short-circuit never reaches, so when it raises a ``TypeError`` the
     row loop decides instead, keeping exactly the rows it always kept."""
+    table = flat.table
     if flat.predicate is None:
-        return list(flat.table.rows)
-    stacked = (
-        grids(flat.name, flat.table)
-        if grids is not None and flat.table.rows
-        else None
-    )
+        return np.arange(len(table), dtype=np.int64)
+    stacked = flat.grid(grids) if len(table) else None
     if stacked is not None:
         try:
             mask = predicate_mask(flat.predicate, flat.working, stacked)
@@ -323,26 +365,199 @@ def _prune_rows(
         else:
             keep = np.logical_or.reduceat(mask, stacked.offsets)
             keep |= stacked.counts > MAX_JOIN_PRUNE_COMPLETIONS
-            rows = flat.table.rows
-            return [rows[r] for r in np.flatnonzero(keep)]
+            return np.flatnonzero(keep)
     kept = []
-    for row, completions in zip(flat.table.rows, flat.table.row_completions()):
+    for r, (row, completions) in enumerate(zip(table.rows, table.row_completions())):
         if completions > MAX_JOIN_PRUNE_COMPLETIONS:
-            kept.append(row)
+            kept.append(r)
             continue
         try:
             if any(
                 flat.predicate.holds(flat.working, completion)
                 for completion in _row_local_valuations(row)
             ):
-                kept.append(row)
+                kept.append(r)
         except (TypeError, KeyError):
-            kept.append(row)
-    return kept
+            kept.append(r)
+    return np.array(kept, dtype=np.int64)
 
 
-def _possible_values(cell: Any) -> tuple[Any, ...]:
-    return cell.domain if isinstance(cell, Null) else (cell,)
+def _null_cells(table: CoddTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, columns)`` of the NULL cells of ``table``, in its
+    ``(row, column)`` order."""
+    variables = table.variables
+    return (
+        np.fromiter(map(itemgetter(0), variables), np.int64, len(variables)),
+        np.fromiter(map(itemgetter(1), variables), np.int64, len(variables)),
+    )
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(start, start + length)`` for each pair, concatenated."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    shifts = np.repeat(starts - ends + lengths, lengths)
+    return shifts + np.arange(total, dtype=np.int64)
+
+
+def _value_coder() -> Callable[[list[Any]], np.ndarray]:
+    """A numbering of values, shared across calls: values equal as dict
+    keys (the probe's notion of a match) get equal numbers."""
+    codes: dict[Any, int] = {}
+    fresh = itertools.count()
+
+    def code(values: list[Any]) -> np.ndarray:
+        try:
+            return np.fromiter(
+                map(codes.setdefault, values, fresh), np.int64, len(values)
+            )
+        except TypeError:
+            raise _Decline("unhashable join-key value") from None
+
+    return code
+
+
+def _key_entries(
+    table: CoddTable,
+    kept: np.ndarray,
+    column: int,
+    null_rows: np.ndarray,
+    code: Callable[[list[Any]], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, value code)`` for every possible value of ``column`` in the
+    ``kept`` rows, grouped by row in row order; ``null_rows`` are the rows
+    holding a NULL in ``column``."""
+    rows = table.rows
+    null_at = np.zeros(len(rows), dtype=bool)
+    null_at[null_rows] = True
+    is_null = null_at[kept]
+    owners = [kept[~is_null]]
+    values = [rows[r][column] for r in owners[0].tolist()]
+    for r in kept[is_null].tolist():
+        domain = rows[r][column].domain
+        owners.append(np.full(len(domain), r, dtype=np.int64))
+        values.extend(domain)
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return owner[order], code(values)[order]
+
+
+def _probe(
+    left: FlatQuery,
+    right: FlatQuery,
+    kept: tuple[np.ndarray, np.ndarray],
+    nulls: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    key_pairs: list[tuple[str, str]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(left rows, right rows)`` of the candidate pairs among the
+    ``kept`` rows, ordered by left row, then right row.
+
+    A pair is a candidate when, on every key pair, some possible value of
+    its left cell equals some possible value of its right cell.  The first
+    key is a hash join on value codes; each further key filters the pairs.
+    Probing is only candidate pruning — the σ equalities over the pair
+    table are what make matches exact."""
+    left_kept, right_kept = kept
+    if not key_pairs:  # cross product
+        return (
+            np.repeat(left_kept, len(right_kept)),
+            np.tile(right_kept, len(left_kept)),
+        )
+    pairs: tuple[np.ndarray, np.ndarray] | None = None
+    for a, b in key_pairs:
+        code = _value_coder()
+        entries = []
+        for side, side_kept, (null_rows, null_cols), attr in (
+            (left, left_kept, nulls[0], a),
+            (right, right_kept, nulls[1], b),
+        ):
+            column = side.working.index(attr)
+            entries.append(
+                _key_entries(
+                    side.table, side_kept, column, null_rows[null_cols == column], code
+                )
+            )
+        (left_owner, left_codes), (right_owner, right_codes) = entries
+        if pairs is None:
+            order = np.argsort(right_codes, kind="stable")
+            right_owner, right_codes = right_owner[order], right_codes[order]
+            start = np.searchsorted(right_codes, left_codes, "left")
+            n = np.searchsorted(right_codes, left_codes, "right") - start
+            width = max(len(right.table), 1)
+            keys = np.sort(
+                np.repeat(left_owner, n) * width + right_owner[_ranges(start, n)]
+            )
+            # Distinct keys (np.unique would import numpy.ma, about 1 MB).
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            keys = keys[first]
+            pairs = (keys // width, keys % width)
+            continue
+        # Tag each pair's possible values with the pair: the pairs whose
+        # two cells share a value have a tag on both sides.
+        span = int(max(left_codes.max(initial=0), right_codes.max(initial=0))) + 1
+        tags = []
+        for side_rows, owner, codes in zip(
+            pairs, (left_owner, right_owner), (left_codes, right_codes)
+        ):
+            start = np.searchsorted(owner, side_rows, "left")
+            n = np.searchsorted(owner, side_rows, "right") - start
+            pair = np.repeat(np.arange(len(side_rows)), n)
+            tags.append((pair, pair * span + codes[_ranges(start, n)]))
+        (pair, left_tags), (_, right_tags) = tags
+        right_tags = np.sort(right_tags)
+        at = np.searchsorted(right_tags, left_tags).clip(max=len(right_tags) - 1)
+        keep = np.zeros(len(pairs[0]), dtype=bool)
+        keep[pair[right_tags[at] == left_tags]] = True
+        pairs = (pairs[0][keep], pairs[1][keep])
+    return pairs
+
+
+def _pair_table(
+    working: tuple[str, ...],
+    left: CoddTable,
+    right: CoddTable,
+    pairs: tuple[np.ndarray, np.ndarray],
+    nulls: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> CoddTable:
+    """The pair table: row ``p`` is ``left`` row ``pairs[0][p]`` followed by
+    ``right`` row ``pairs[1][p]``, its NULL cells taken from the sides'
+    (with no re-validation)."""
+    left_rows, right_rows = (side_rows.tolist() for side_rows in pairs)
+    rows = tuple(
+        map(
+            operator.add,
+            map(left.rows.__getitem__, left_rows),
+            map(right.rows.__getitem__, right_rows),
+        )
+    )
+    owners, columns, variables = [], [], []
+    for side, side_rows, (null_rows, null_cols), shift in (
+        (left, pairs[0], nulls[0], 0),
+        (right, pairs[1], nulls[1], len(left.schema)),
+    ):
+        start = np.searchsorted(null_rows, side_rows, "left")
+        n = np.searchsorted(null_rows, side_rows, "right") - start
+        at = _ranges(start, n)
+        owners.append(np.repeat(np.arange(len(side_rows)), n))
+        columns.append(null_cols[at] + shift)
+        variables.extend(map(side.variables.__getitem__, at.tolist()))
+    # Each side's cells are in (pair, column) order already; a stable sort
+    # on the pair interleaves them, left columns first.
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    nulls_in_order = map(itemgetter(2), map(variables.__getitem__, order.tolist()))
+    return CoddTable._from_validated(
+        working,
+        rows,
+        tuple(
+            zip(
+                owner[order].tolist(),
+                np.concatenate(columns)[order].tolist(),
+                nulls_in_order,
+            )
+        ),
+    )
 
 
 def _synthesize_pair(
@@ -374,69 +589,22 @@ def _synthesize_pair(
         else None
     )
 
-    left_rows = _prune_rows(left, grids)
-    right_rows = _prune_rows(right, grids)
-
-    left_key_idx = [left.working.index(a) for a, _ in key_pairs]
-    right_key_idx = [right.working.index(b) for _, b in key_pairs]
-
-    # Hash probe on the first key pair's possible values; remaining key
-    # pairs are verified by possible-overlap.  Probing is only candidate
-    # pruning — the σ equalities below are what make matches exact.
-    if key_pairs:
-        probe: dict[Any, list[int]] = {}
-        for j, row in enumerate(right_rows):
-            for value in _possible_values(row[right_key_idx[0]]):
-                try:
-                    bucket = probe.setdefault(value, [])
-                except TypeError:
-                    raise _Decline("unhashable join-key value")
-                if not bucket or bucket[-1] != j:
-                    bucket.append(j)
-
-    pairs: list[tuple[int, int]] = []
-    for i, lrow in enumerate(left_rows):
-        if key_pairs:
-            candidates: list[int] = []
-            seen: set[int] = set()
-            for value in _possible_values(lrow[left_key_idx[0]]):
-                for j in probe.get(value, ()):
-                    if j not in seen:
-                        seen.add(j)
-                        candidates.append(j)
-            candidates.sort()
-        else:
-            candidates = range(len(right_rows))  # cross product
-        for j in candidates:
-            rrow = right_rows[j]
-            ok = True
-            for li, ri in zip(left_key_idx[1:], right_key_idx[1:]):
-                lvals = _possible_values(lrow[li])
-                rvals = set(_possible_values(rrow[ri]))
-                if not any(v in rvals for v in lvals):
-                    ok = False
-                    break
-            if ok:
-                pairs.append((i, j))
+    kept = (_prune_rows(left, grids), _prune_rows(right, grids))
+    nulls = (_null_cells(left.table), _null_cells(right.table))
+    pairs = _probe(left, right, kept, nulls, key_pairs)
 
     # Exactness guard: a NULL-bearing row in two pairs would decouple its
     # variable.  Complete rows carry no variables and may repeat freely.
-    used_left: set[int] = set()
-    used_right: set[int] = set()
-    for i, j in pairs:
-        if not all(not isinstance(c, Null) for c in left_rows[i]):
-            if i in used_left:
-                raise _Decline("a NULL-bearing left row matches several right rows")
-            used_left.add(i)
-        if not all(not isinstance(c, Null) for c in right_rows[j]):
-            if j in used_right:
-                raise _Decline("a NULL-bearing right row matches several left rows")
-            used_right.add(j)
+    for side, other, side_table, side_rows, (null_rows, _) in zip(
+        ("left", "right"), ("right", "left"), (left.table, right.table), pairs, nulls
+    ):
+        has_null = np.zeros(len(side_table), dtype=bool)
+        has_null[null_rows] = True
+        if np.bincount(side_rows[has_null[side_rows]]).max(initial=0) > 1:
+            raise _Decline(f"a NULL-bearing {side} row matches several {other} rows")
 
     working = left.working + right_working
-    table = CoddTable(
-        working, [left_rows[i] + right_rows[j] for i, j in pairs]
-    )
+    table = _pair_table(working, left.table, right.table, pairs, nulls)
     cells = estimate_stacked_cells(table)
     if cells > MAX_QUERY_CELLS:
         raise _Decline(
@@ -459,6 +627,7 @@ def _synthesize_pair(
         output=output,
         predicate=_conjoin(parts),
         sources=left.sources | right.sources,
+        pairing=_Pairing(left, right, *pairs),
     )
 
 
@@ -469,29 +638,20 @@ def _synthesize_pair(
 class Composite:
     """The analyzed form of a fast-evaluable query tree.
 
-    An ``aggregate`` composite carries its prepared aggregation: both
-    answer relations, computed once by the DP during the analysis.
+    ``sources`` are the incomplete tables it reads and ``cells`` its
+    estimated cost in completion cells. An ``aggregate`` composite keeps
+    only its prepared aggregation (both answer relations, computed once by
+    the DP during the analysis), not the flattened child the DP ran on, so
+    a cached analysis pins no pair table.
     """
 
     kind: str  # "flat" | "union" | "difference" | "aggregate"
+    sources: frozenset[str]
+    cells: float
     flat: FlatQuery | None = None
     left: "Composite | None" = None
     right: "Composite | None" = None
     aggregation: _PreparedAggregation | None = None
-
-    @property
-    def sources(self) -> frozenset[str]:
-        if self.flat is not None:
-            return self.flat.sources
-        return self.left.sources | self.right.sources
-
-    def estimated_cells(self) -> float:
-        if self.kind == "flat":
-            return float(self.flat.completion_cells())
-        if self.kind == "aggregate":
-            # The aggregation DP walks every completion of the flat child.
-            return 2.0 * self.flat.completion_cells()
-        return self.left.estimated_cells() + self.right.estimated_cells()
 
 
 def _analyze(
@@ -508,24 +668,37 @@ def _analyze(
                 "operator; its worlds would be coupled across the sides"
             )
         kind = "union" if isinstance(node, UnionNode) else "difference"
-        return Composite(kind=kind, left=left, right=right)
+        return Composite(
+            kind=kind,
+            sources=left.sources | right.sources,
+            cells=left.cells + right.cells,
+            left=left,
+            right=right,
+        )
     if isinstance(node, AggregateNode):
         flat = _flatten(node.child, database, grids)
-        if flat.completion_cells() > MAX_QUERY_CELLS:
+        cells = flat.completion_cells()
+        if cells > MAX_QUERY_CELLS:
             raise _Decline("aggregate child above the completion-cell cap")
         from repro.codd.aggregate import prepare_aggregation
 
         # Raises _Decline when cross-row tuple collisions or the DP state
         # cap make the fast path inexact/unaffordable for this input.
+        aggregation = prepare_aggregation(
+            flat, node.group_by, node.aggregates, flat.grid(grids)
+        )
+        # The aggregation DP walks every completion of the flat child.
         return Composite(
             kind="aggregate",
-            flat=flat,
-            aggregation=prepare_aggregation(flat, node.group_by, node.aggregates),
+            sources=flat.sources,
+            cells=2.0 * cells,
+            aggregation=aggregation,
         )
     flat = _flatten(node, database, grids)
-    if flat.completion_cells() > MAX_QUERY_CELLS:
+    cells = flat.completion_cells()
+    if cells > MAX_QUERY_CELLS:
         raise _Decline("flattened table above the completion-cell cap")
-    return Composite(kind="flat", flat=flat)
+    return Composite(kind="flat", sources=flat.sources, cells=float(cells), flat=flat)
 
 
 # Planning calls supports/estimate_cost/answer back to back on the same

@@ -201,6 +201,57 @@ class StackedTable:
         )
         self._numeric: list[np.ndarray | None | bool] = [False] * arity
 
+    @classmethod
+    def paired(
+        cls,
+        table: CoddTable,
+        left: "StackedTable",
+        right: "StackedTable",
+        left_rows: np.ndarray,
+        right_rows: np.ndarray,
+    ) -> "StackedTable":
+        """The grid of a join's pair table, gathered from its sides' grids.
+
+        Row ``p`` of ``table`` must be ``left`` row ``left_rows[p]``
+        followed by ``right`` row ``right_rows[p]``. Its ``cl * cr``
+        completions take the left completion ``k // cr`` and the right
+        one ``k % cr``, so the left NULLs vary slowest, as the
+        constructor lays them out, and the result equals
+        ``StackedTable(table)`` with no row walk. Each side's float views
+        are resolved on the side (and kept there) and gathered too.
+        """
+        left_counts = left.counts[left_rows]
+        right_counts = right.counts[right_rows]
+        counts = left_counts * right_counts
+        offsets = np.zeros(len(counts), dtype=np.int64)
+        if len(counts) > 1:
+            np.cumsum(counts[:-1], out=offsets[1:])
+        total = int(counts.sum())
+        pair = np.repeat(np.arange(len(counts)), counts)
+        k = np.arange(total, dtype=np.int64) - offsets[pair]
+        width = right_counts[pair]
+        gathers = (
+            (left, left.offsets[left_rows][pair] + k // width),
+            (right, right.offsets[right_rows][pair] + k % width),
+        )
+        grid = cls.__new__(cls)
+        grid.table = table
+        grid.columns = []
+        grid._numeric = []
+        for side, at in gathers:
+            for c, column in enumerate(side.columns):
+                grid.columns.append(column[at])
+                view = side.numeric_column(c)
+                # A view the whole side lacks may still exist for the
+                # paired rows: leave it to resolve lazily.
+                grid._numeric.append(False if view is None else view[at])
+        grid.counts = counts
+        grid.offsets = offsets
+        grid.total = total
+        present = set(map(operator.itemgetter(1), table.variables))
+        grid.varying = tuple(c in present for c in range(len(grid.columns)))
+        return grid
+
     @property
     def n_rows(self) -> int:
         return len(self.counts)
@@ -292,8 +343,15 @@ class StackedTable:
         derived._numeric = []
         for c, cached in enumerate(self._numeric):
             if isinstance(cached, np.ndarray):
+                # The same surgery on the float view: ``value`` was one of
+                # the column's float-exact values.
+                segment = (
+                    np.full(n_keep, float(value))
+                    if c == column
+                    else cached[start : start + n][keep_local]
+                )
                 derived._numeric.append(
-                    derived.columns[c].astype(np.float64)
+                    np.concatenate([cached[:start], segment, cached[start + n :]])
                 )
             else:
                 # Unresolved, or previously inexact (fixing a cell can only

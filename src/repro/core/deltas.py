@@ -165,6 +165,11 @@ def _exact_scale(counts: list[int], numer: int, denom: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
 class DeltaMaintainedState:
     """Exact Q2 counts for many test points, maintained across deltas.
 
@@ -239,6 +244,11 @@ class DeltaMaintainedState:
         # Per-row candidate counts: the blocks' widths, kept as one array so
         # a pruned recount reads its scale and totals without a row loop.
         self._widths = layout.counts.astype(np.int64)
+        # The blocks side by side, kept once :meth:`sims_matrix` is asked
+        # for: each delta then splices the touched row's columns into a new
+        # array. A state nobody reads as a matrix (the ``incremental``
+        # backend's) keeps none and copies nothing on a delta.
+        self._sims: np.ndarray | None = None
         self._mins = np.minimum.reduceat(sims_matrix, starts, axis=1)
         self._maxs = np.maximum.reduceat(sims_matrix, starts, axis=1)
         self.prune = bool(prune)
@@ -428,6 +438,7 @@ class DeltaMaintainedState:
         self.dataset = self.dataset.restrict_row(row, candidate)
         pinned = self._row_sims[row][:, candidate].copy()
         self._row_sims[row] = pinned.reshape(-1, 1)
+        self._splice(row, m_row, self._row_sims[row])
         self._widths[row] = 1
         self._mins[:, row] = pinned
         self._maxs[:, row] = pinned
@@ -459,6 +470,7 @@ class DeltaMaintainedState:
         new_maxs = block.max(axis=1)
         irrelevant = self._append_irrelevant_mask(new_maxs)
         self._row_sims.append(block)
+        self._splice(len(self._widths), 0, block)
         self._widths = np.append(self._widths, m_new)
         self._mins = np.concatenate(
             [self._mins, block.min(axis=1)[:, None]], axis=1
@@ -497,6 +509,7 @@ class DeltaMaintainedState:
         self.dataset = self.dataset.delete_row(row)
         new_n_labels = self.dataset.n_labels
         del self._row_sims[row]
+        self._splice(row, m_row, np.empty((self.n_points, 0)))
         self._widths = np.delete(self._widths, row)
         self._mins = np.delete(self._mins, row, axis=1)
         self._maxs = np.delete(self._maxs, row, axis=1)
@@ -520,6 +533,18 @@ class DeltaMaintainedState:
             "touched_points": touched,
         }
 
+    def _splice(self, row: int, width: int, block: np.ndarray) -> None:
+        """In the kept matrix, if any, put ``block`` in place of the
+        ``width`` columns row ``row`` starts at, as a new array: no matrix
+        handed out earlier is ever written."""
+        if self._sims is None:
+            return
+        start = int(self._widths[:row].sum())
+        sims = self._sims
+        self._sims = _read_only(
+            np.concatenate([sims[:, :start], block, sims[:, start + width :]], axis=1)
+        )
+
     # ------------------------------------------------------------------
     # Warm-state handoff and verification
     # ------------------------------------------------------------------
@@ -527,10 +552,13 @@ class DeltaMaintainedState:
         """The maintained ``(n_points, total_candidates)`` similarity matrix.
 
         Bit-identical to ``kernel.pairwise(stacked_candidates, test_points)``
-        on the current dataset — assembled from the maintained blocks, no
-        kernel work.
+        on the current dataset, with no kernel work: assembled from the
+        maintained blocks on the first call, then kept and spliced by each
+        delta. It is read-only, and later deltas never write it.
         """
-        return np.concatenate(self._row_sims, axis=1)
+        if self._sims is None:
+            self._sims = _read_only(np.concatenate(self._row_sims, axis=1))
+        return self._sims
 
     def prepared_batch(self) -> PreparedBatch:
         """A :class:`~repro.core.batch_engine.PreparedBatch` for the current
@@ -548,8 +576,11 @@ class DeltaMaintainedState:
         fresh = DeltaMaintainedState(
             self.dataset, self._points, k=self.k, kernel=self.kernel
         )
-        sims = self.sims_matrix()
-        if not np.array_equal(sims, fresh.sims_matrix()):
+        expected = fresh.sims_matrix()
+        maintained = [np.concatenate(self._row_sims, axis=1)]
+        if self._sims is not None:
+            maintained.append(self._sims)
+        if not all(np.array_equal(sims, expected) for sims in maintained):
             raise AssertionError("maintained similarities diverged from recompute")
         for point in range(self.n_points):
             if self._counts[point] != fresh._counts[point]:

@@ -16,8 +16,11 @@ asserts the pruned multi-table path agrees with unpruned enumeration.
 A third generator fuzzes the served SQL read shape — ``GROUP BY`` with
 ``COUNT``/``SUM`` over a qualified ``JOIN ... ON`` — with and without
 pinned grids, and the join prune on a grid is held to the row loop it
-replaces, kept row for kept row.  The aggregation DP's state cap is
-checked on both sides of its boundary.
+replaces, kept row for kept row.  So are the pair table's gathered grid
+(to a fresh ``StackedTable`` build), the probe's pairs (to a brute-force
+overlap check) and the aggregation's grid row options (to the row loop);
+cached analyses are held to pinning no per-query grid.  The aggregation
+DP's state cap is checked on both sides of its boundary.
 
 The row-block leg lowers the stacking cap below each case's grid, so the
 ``vectorized`` backend evaluates every leaf in transient row blocks (and
@@ -29,6 +32,9 @@ The seeded case generators live in :mod:`fuzz.codd_cases`
 """
 
 from __future__ import annotations
+
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -74,6 +80,7 @@ from repro.codd.codd_table import CoddTable, Null
 from repro.codd.engine import VectorizedCoddBackend, answer_query, plan_codd_query
 from repro.codd.joins import FlatQuery, composite_analysis
 from repro.codd.optimizer import optimize_query
+from repro.codd.sql import parse_sql
 from repro.codd.vectorized import StackedTable, predicate_mask
 from repro.utils.lru import LRUCache
 
@@ -270,8 +277,8 @@ def _resolve(name, table):
 
 
 def _pruned_sides(query, database, monkeypatch):
-    """``(side, kept rows)`` for every join side the analysis of ``query``
-    prunes without grids, i.e. on the row loop."""
+    """``(side, kept row indices)`` for every join side the analysis of
+    ``query`` prunes without grids, i.e. on the row loop."""
     seen = []
     row_loop = joins._prune_rows
 
@@ -304,7 +311,8 @@ class TestGridPrune:
             optimized = optimize_query(query, database).query()
             for run in (query, optimized):
                 for side, kept in _pruned_sides(run, database, monkeypatch):
-                    assert joins._prune_rows(side, _resolve) == kept, description
+                    grid_kept = joins._prune_rows(side, _resolve)
+                    assert grid_kept.tolist() == kept.tolist(), description
                     filtered += side.predicate is not None
                     dropped += len(kept) < len(side.table)
         assert filtered >= 10 and dropped >= 5, (filtered, dropped)
@@ -320,11 +328,11 @@ class TestGridPrune:
             predicate=Comparison(Attribute("x"), "<", Literal(3)),
             sources=frozenset({"L"}),
         )
-        assert joins._prune_rows(side, _resolve) == [(2, 1)]
-        assert joins._prune_rows(side, None) == [(2, 1)]
+        assert joins._prune_rows(side, _resolve).tolist() == [1]
+        assert joins._prune_rows(side, None).tolist() == [1]
         monkeypatch.setattr(joins, "MAX_JOIN_PRUNE_COMPLETIONS", 2)
-        assert joins._prune_rows(side, _resolve) == list(table.rows)
-        assert joins._prune_rows(side, None) == list(table.rows)
+        assert joins._prune_rows(side, _resolve).tolist() == [0, 1]
+        assert joins._prune_rows(side, None).tolist() == [0, 1]
 
         monkeypatch.setattr(joins, "_ANALYSIS_CACHE", LRUCache(32))
         database = {"L": table, "R": CoddTable(("k", "y"), [(1, "u"), (2, "v")])}
@@ -363,7 +371,8 @@ class TestGridPrune:
         )
         with pytest.raises(TypeError):
             predicate_mask(predicate, side.working, StackedTable(self.MIXED))
-        assert joins._prune_rows(side, _resolve) == joins._prune_rows(side, None)
+        grid_kept = joins._prune_rows(side, _resolve)
+        assert grid_kept.tolist() == joins._prune_rows(side, None).tolist()
 
         database = {"L": self.MIXED, "R": self.RIGHT}
         query = Join(Select(Scan("L"), predicate), Scan("R"))
@@ -379,6 +388,379 @@ class TestGridPrune:
                 served = answer_query(query, database, mode=mode, prepared=pinned)
                 assert served.plan.backend == "vectorized"
                 assert served.relation == expected.relation
+
+
+#: The served join reads: ``sql_mix``'s aggregate, and the join under it.
+_JOIN_SQL = {
+    "aggregate": (
+        "SELECT o.cid, COUNT(*) AS n, SUM(o.amount) AS total "
+        "FROM customers c JOIN orders o ON c.cid = o.cid "
+        "WHERE c.region = 'north' AND o.oid >= {t} GROUP BY o.cid"
+    ),
+    "flat": (
+        "SELECT o.oid, o.amount FROM customers c JOIN orders o "
+        "ON c.cid = o.cid WHERE c.region = 'north' AND o.oid >= {t}"
+    ),
+}
+
+
+def _engine_grids(database, handed: bool):
+    """The grid resolver a fresh ``vectorized`` backend reads: the handed
+    (pinned) grids, their float views resolved up front, or grids it
+    resolves into its own LRU."""
+    pinned = None
+    if handed:
+        pinned = {name: StackedTable(table) for name, table in database.items()}
+        for grid in pinned.values():
+            for c in range(len(grid.columns)):
+                grid.numeric_column(c)
+    return VectorizedCoddBackend()._grids(pinned)
+
+
+def _pair_flats(query, database, grids, monkeypatch):
+    """Every pair table's :class:`FlatQuery` the analysis of ``query``
+    synthesizes."""
+    made = []
+    synthesize = joins._synthesize_pair
+
+    def recording(*args):
+        made.append(synthesize(*args))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(joins, "_synthesize_pair", recording)
+        patch.setattr(joins, "_ANALYSIS_CACHE", LRUCache(32))
+        composite_analysis(query, database, grids)
+    return made
+
+
+def _assert_same_grid(gathered, fresh):
+    """Column values (the same objects), dtypes, segments, total, varying
+    columns and resolved float views all equal."""
+    assert gathered.table is fresh.table
+    assert len(gathered.columns) == len(fresh.columns)
+    for ours, theirs in zip(gathered.columns, fresh.columns):
+        assert ours.dtype == theirs.dtype == np.dtype(object)
+        assert len(ours) == len(theirs)
+        assert all(a is b for a, b in zip(ours, theirs))
+    for ours, theirs in (
+        (gathered.counts, fresh.counts),
+        (gathered.offsets, fresh.offsets),
+    ):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    assert type(gathered.total) is int and gathered.total == fresh.total
+    assert gathered.varying == fresh.varying
+    for c in range(len(fresh.columns)):
+        ours, theirs = gathered.numeric_column(c), fresh.numeric_column(c)
+        assert (ours is None) == (theirs is None), c
+        if ours is not None:
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
+class TestPairGrid:
+    """A pair table's grid, gathered from its sides' grids, is the grid
+    :class:`StackedTable` builds from the pair table."""
+
+    @pytest.mark.parametrize("handed", [False, True], ids=["resolved", "handed"])
+    @pytest.mark.parametrize(
+        "generator",
+        [random_join_case, random_join_aggregate_case],
+        ids=["join", "join_aggregate"],
+    )
+    def test_gathered_grid_equals_a_fresh_build(self, generator, handed, monkeypatch):
+        pairs = with_nulls = 0
+        for seed in SEEDS:
+            query, database, description = generator(seed)
+            grids = _engine_grids(database, handed)
+            optimized = optimize_query(query, database).query()
+            for run in (query, optimized):
+                for flat in _pair_flats(run, database, grids, monkeypatch):
+                    _assert_same_grid(flat.grid(grids), StackedTable(flat.table))
+                    pairs += len(flat.table)
+                    with_nulls += flat.table.n_variables
+        assert pairs >= 40 and with_nulls >= 20, (pairs, with_nulls)
+
+    L = CoddTable(
+        ("k", "a", "b"),
+        [
+            (1, Null([1, 2]), Null(["x", "y", "z"])),  # two NULLs
+            (2, 5, "w"),  # no partner
+            (Null([3, 4]), Null([7, 8.5]), "v"),  # a NULL join key
+            (6, 6, Null([2**60, 1])),
+        ],
+    )
+    # Column c is not float-exact as a whole ("z"), but is on paired rows.
+    R = CoddTable(
+        ("k", "c"), [(1, Null([1, 2])), (3, Null([5, 2])), (6, 0.5), (7, "z")]
+    )
+    S = CoddTable(("k", "d"), [(2, "p"), (3, Null(["q", "r"])), (6, "t")])
+
+    @pytest.mark.parametrize("handed", [False, True], ids=["resolved", "handed"])
+    @pytest.mark.parametrize(
+        "query, tables, n_pairs",
+        [
+            # NULL keys, rows with several NULLs, and both sides' NULLs in
+            # one pair row: left row 0 x right row 2 has 2 * 3 * 2 completions.
+            (Join(Scan("L"), Scan("R")), "LR", None),
+            # A pair table as a join side: its grid is gathered in turn.
+            (Join(Join(Scan("L"), Scan("R")), Scan("S")), "LRS", None),
+            # No key pairs: a cross product with a one-row complete side.
+            (
+                Join(
+                    Scan("L"),
+                    Rename(
+                        Select(Scan("R"), Comparison(Attribute("c"), "==", Literal(0.5))),
+                        {"k": "k2"},
+                    ),
+                ),
+                "LR",
+                4,
+            ),
+            # An empty side.
+            (Join(Scan("L"), Scan("E")), "LE", 0),
+        ],
+        ids=["null_keys", "nested", "cross_product", "empty_side"],
+    )
+    def test_gathered_grid_on_built_cases(
+        self, query, tables, n_pairs, handed, monkeypatch
+    ):
+        every = {"L": self.L, "R": self.R, "S": self.S, "E": CoddTable(("k", "e"), [])}
+        database = {name: every[name] for name in tables}
+        grids = _engine_grids(database, handed)
+        flats = _pair_flats(query, database, grids, monkeypatch)
+        assert flats, "the join declined"
+        for flat in flats:
+            _assert_same_grid(flat.grid(grids), StackedTable(flat.table))
+        if n_pairs is not None:
+            assert len(flats[-1].table) == n_pairs
+        for mode in ("certain", "possible"):
+            result = answer_query(query, database, mode=mode, backend="vectorized")
+            assert result.relation == _oracle(query, database, mode)
+
+    def test_the_probe_pairs_exactly_the_rows_whose_keys_can_match(
+        self, monkeypatch, fresh_analysis
+    ):
+        probe, probed = joins._probe, []
+
+        def recording(*args):
+            probed.append((args, probe(*args)))
+            return probed[-1][1]
+
+        monkeypatch.setattr(joins, "_probe", recording)
+        # Two key pairs, NULLs on both: the second key filters the first's pairs.
+        two_keys = (
+            Join(Scan("A"), Scan("B")),
+            {
+                "A": CoddTable(
+                    ("k", "j"), [(1, Null([1, 2])), (1, 3), (Null([2, 9]), 2), (2, 1)]
+                ),
+                "B": CoddTable(
+                    ("k", "j", "z"), [(1, 2, "u"), (2, Null([2, 5]), "v"), (1, 1, "w")]
+                ),
+            },
+        )
+        cases = [two_keys] + [
+            generator(seed)[:2]
+            for generator in (random_join_case, random_join_aggregate_case)
+            for seed in SEEDS
+        ]
+        for query, database in cases:
+            joins._ANALYSIS_CACHE.clear()
+            composite_analysis(query, database)
+
+        def values(cell):
+            return set(cell.domain) if isinstance(cell, Null) else {cell}
+
+        keys = pairs = 0
+        for (left, right, kept, _, key_pairs), (left_rows, right_rows) in probed:
+            key_cols = [
+                (left.working.index(a), right.working.index(b)) for a, b in key_pairs
+            ]
+            expected = [
+                (i, j)
+                for i in kept[0].tolist()
+                for j in kept[1].tolist()
+                if all(
+                    values(left.table.rows[i][a]) & values(right.table.rows[j][b])
+                    for a, b in key_cols
+                )
+            ]
+            assert list(zip(left_rows.tolist(), right_rows.tolist())) == expected
+            keys = max(keys, len(key_pairs))
+            pairs += len(expected)
+        assert keys >= 2 and pairs >= 50, (keys, pairs)
+
+    @pytest.mark.parametrize("kind", ["aggregate", "flat"])
+    def test_a_join_read_on_pinned_grids_builds_no_table_or_grid(
+        self, kind, monkeypatch, fresh_analysis
+    ):
+        customers = CoddTable(
+            ("cid", "region"), [(cid, ("north", "south")[cid % 2]) for cid in range(6)]
+        )
+        orders = CoddTable(
+            ("oid", "cid", "amount"),
+            [
+                (oid, oid % 6, Null([oid, oid + 30, oid + 60]) if oid % 5 == 0 else oid)
+                for oid in range(16)
+            ],
+        )
+        database = {"customers": customers, "orders": orders}
+        query = parse_sql(
+            _JOIN_SQL[kind].format(t=3),
+            schemas={name: table.schema for name, table in database.items()},
+        )
+        expected = {
+            mode: _oracle(query, database, mode) for mode in ("certain", "possible")
+        }
+        pinned = {name: StackedTable(table) for name, table in database.items()}
+        built = []
+        for cls in (StackedTable, CoddTable):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for mode in ("certain", "possible"):
+            result = answer_query(query, database, mode=mode, prepared=pinned)
+            assert result.plan.backend == "vectorized"
+            assert result.relation == expected[mode]
+        assert built == []
+
+
+def _aggregations(query, database, grids, monkeypatch):
+    """``(flat, grid)`` for every aggregation the analysis of ``query``
+    prepares."""
+    seen = []
+    prepare = aggregate.prepare_aggregation
+
+    def recording(flat, group_by, aggregates, stacked=None):
+        seen.append((flat, stacked))
+        return prepare(flat, group_by, aggregates, stacked)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(aggregate, "prepare_aggregation", recording)
+        patch.setattr(joins, "_ANALYSIS_CACHE", LRUCache(32))
+        composite_analysis(query, database, grids)
+    return seen
+
+
+def _row_options_outcome(flat, stacked):
+    """The per-row options, or the type of the error they raise."""
+    try:
+        return aggregate._row_options(flat, stacked)
+    except (joins._Decline, TypeError) as error:
+        return type(error)
+
+
+class TestGridRowOptions:
+    """Row options read off one predicate pass over the grid are the row
+    loop's, option for option, and decline where it declines."""
+
+    @pytest.mark.parametrize(
+        "generator, min_declines",
+        # The join-aggregate cases decline in the join, before any options.
+        [(random_join_aggregate_case, 0), (random_aggregate_case, 1)],
+        ids=["join_aggregate", "aggregate"],
+    )
+    def test_grid_row_options_match_the_row_loop(
+        self, generator, min_declines, monkeypatch
+    ):
+        rows = declined = 0
+        for seed in SEEDS:
+            query, database, description = generator(seed)
+            optimized = optimize_query(query, database).query()
+            for handed in (False, True):
+                grids = _engine_grids(database, handed)
+                for run in (query, optimized):
+                    aggregations = _aggregations(run, database, grids, monkeypatch)
+                    for flat, stacked in aggregations:
+                        assert stacked is not None, description
+                        outcome = _row_options_outcome(flat, stacked)
+                        assert outcome == _row_options_outcome(flat, None), description
+                        if isinstance(outcome, list):
+                            rows += len(outcome)
+                        else:
+                            declined += 1
+        assert rows >= 100 and declined >= min_declines, (rows, declined)
+
+    def test_a_type_error_off_the_short_circuit_stays_on_the_fast_path(
+        self, monkeypatch, fresh_analysis
+    ):
+        # Every row short-circuits before comparing "b" < 2; a vectorised
+        # pass over the pair grid compares them all and raises.
+        predicate = Disjunction(
+            Comparison(Attribute("x"), "==", Literal("b")),
+            Comparison(Attribute("x"), "<", Literal(2)),
+        )
+        query = Aggregate(
+            Select(Join(Scan("L"), Scan("R")), predicate),
+            ("y",),
+            (AggregateSpec("count", None, "n"),),
+        )
+        database = {"L": TestGridPrune.MIXED, "R": TestGridPrune.RIGHT}
+        grids = _engine_grids(database, handed=True)
+        (flat, stacked), = _aggregations(query, database, grids, monkeypatch)
+        with pytest.raises(TypeError):
+            predicate_mask(flat.predicate, flat.working, stacked)
+        on_grid = aggregate._row_options(flat, stacked)
+        assert on_grid == aggregate._row_options(flat, None)
+        pinned = {name: StackedTable(table) for name, table in database.items()}
+        for prepared in (None, pinned):
+            joins._ANALYSIS_CACHE.clear()
+            for mode in ("certain", "possible"):
+                result = answer_query(query, database, mode=mode, prepared=prepared)
+                assert result.plan.backend == "vectorized"
+                assert result.relation == _oracle(query, database, mode)
+
+
+def _reachable(root) -> list:
+    """Every object reachable from ``root``, past no type, module or function."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestAnalysisCacheMemory:
+    """Cached analyses keep no per-query grid: an aggregate keeps only its
+    answers and a cell estimate, a flat join its pair table."""
+
+    @pytest.mark.parametrize("kind", ["aggregate", "flat"])
+    def test_forty_join_analyses_pin_no_pair_grid(self, kind, fresh_analysis):
+        customers = CoddTable(
+            ("cid", "region"), [(cid, ("north", "south")[cid % 2]) for cid in range(8)]
+        )
+        orders = CoddTable(
+            ("oid", "cid", "amount"),
+            [
+                (oid, oid % 8, Null([oid, oid + 7]) if oid % 3 == 0 else oid)
+                for oid in range(60)
+            ],
+        )
+        database = {"customers": customers, "orders": orders}
+        schemas = {name: table.schema for name, table in database.items()}
+        pinned = {name: StackedTable(table) for name, table in database.items()}
+        for t in range(40):
+            query = parse_sql(_JOIN_SQL[kind].format(t=t), schemas=schemas)
+            result = answer_query(query, database, mode="possible", prepared=pinned)
+            assert result.plan.backend == "vectorized"
+        cache = joins._ANALYSIS_CACHE
+        assert len(cache) == 32
+        for key in cache:
+            composite = cache.peek(key)
+            assert composite.kind == kind
+            reachable = _reachable(composite)
+            assert not any(isinstance(obj, StackedTable) for obj in reachable)
+            if kind == "aggregate":
+                assert composite.flat is None
+                assert not any(isinstance(obj, CoddTable) for obj in reachable)
 
 
 class TestAggregateStateCap:

@@ -420,6 +420,31 @@ class TestWarmStateHandoff:
         assert np.array_equal(batch.sims_matrix, before)
         assert batch.sims_matrix.flags.writeable  # the batch's own flag is untouched
 
+    def test_a_delta_never_writes_a_matrix_the_state_handed_out(self):
+        dataset = random_incomplete_dataset(np.random.default_rng(7), n_rows=9)
+        points = np.random.default_rng(8).normal(size=(3, dataset.n_features))
+        state = DeltaMaintainedState(dataset, points, k=3, prune=True)
+        unread = DeltaMaintainedState(dataset, points, k=3, prune=True)
+        dirty = dataset.uncertain_rows()
+        handed = []
+        for delta in (
+            CellRepair(dirty[0], 1),
+            RowAppend(np.zeros((2, dataset.n_features)), 0),
+            RowDelete(dirty[1]),
+            RowDelete(0),
+        ):
+            matrix = state.sims_matrix()
+            handed.append((matrix, matrix.copy(), state.prepared_batch()))
+            assert state.apply(delta) == unread.apply(delta)
+            assert state.sims_matrix() is not matrix
+            state.verify()  # the spliced matrix equals a fresh recompute
+        for matrix, copy, batch in handed:
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.0
+            assert np.array_equal(matrix, copy)
+            assert batch.sims_matrix is matrix
+        assert unread._sims is None  # never read as a matrix: never spliced
+
     def test_verify_detects_corruption(self):
         state = DeltaMaintainedState(small_dataset(), probe_points(), k=3)
         state.verify()  # clean state passes

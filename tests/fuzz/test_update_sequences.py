@@ -253,12 +253,19 @@ class TestCoddGridUpdateDifferential:
     def test_fixed_grid_identical_to_rebuilt_grid(self, seed):
         table, fixes, _, _ = random_fix_sequence(seed)
         stacked = StackedTable(table)
+        for c in range(len(stacked.columns)):
+            stacked.numeric_column(c)  # resolved float views ride the fixes too
         current = table
         for step, (row, column, value) in enumerate(fixes):
             stacked = stacked.with_cell_fixed(row, column, value)
             current = current.with_cell_fixed(row, column, value)
             rebuilt = StackedTable(current)
             where = f"seed={seed} step={step} fix=({row},{column},{value!r})"
+            for c in range(len(rebuilt.columns)):
+                view, fresh_view = stacked.numeric_column(c), rebuilt.numeric_column(c)
+                assert (view is None) == (fresh_view is None), f"{where} column={c}"
+                if view is not None:
+                    assert np.array_equal(view, fresh_view), f"{where} column={c}"
             assert stacked.table.fingerprint() == current.fingerprint(), where
             assert stacked.total == rebuilt.total, where
             assert np.array_equal(stacked.counts, rebuilt.counts), where
