@@ -4,7 +4,7 @@ A Table 2-style workload (the ``supreme`` recipe at a few hundred training
 rows) is screened point by point through the seed's sequential path — one
 :class:`repro.core.prepared.PreparedQuery` per test point — and then through
 the ``batch`` backend (:class:`repro.core.planner.BatchParallelBackend`,
-pruning off) with ``n_jobs=1`` and ``n_jobs=4``. The acceptance bar is a >=2x wall-clock speedup for the batch
+which prunes) with ``n_jobs=1`` and ``n_jobs=4``. The acceptance bar is a >=2x wall-clock speedup for the batch
 engine at ``n_jobs=4`` with results verified identical to the sequential
 engine's; the LRU result cache is measured separately (repeated screening,
 the shape of CPClean's certainty re-checks) and must serve hits without
@@ -56,7 +56,7 @@ def _time(fn, repeats=3):
 
 
 def _batch_counts(query, n_jobs):
-    options = ExecutionOptions(n_jobs=n_jobs, cache=False, prune="off")
+    options = ExecutionOptions(n_jobs=n_jobs, cache=False)
     return execute_query(query, backend="batch", options=options).values
 
 
@@ -77,7 +77,7 @@ def test_batch_engine_speedup(benchmark, emit):
     # Cached re-screening: one backend, the same query set twice — the
     # shape of a repeated screening of unchanged data.
     backend = BatchParallelBackend()
-    options = ExecutionOptions(cache=True, prune="off")
+    options = ExecutionOptions(cache=True)
     backend.execute(query, options)
     start = time.perf_counter()
     cached, _ = backend.execute(query, options)

@@ -36,7 +36,7 @@ name                                what it is
 ``plan_query``                      choose a backend for a query (cost-model-lite)
 ``execute_query``                   plan + run a query → ``QueryResult``
 ``QueryPlan``, ``QueryResult``      what the planner decided / returned
-``ExecutionOptions``                wall-clock knobs (``n_jobs``, cache, prepared, prune)
+``ExecutionOptions``                wall-clock knobs (``n_jobs``, cache, prepared)
 ``register_backend``                add a custom backend to the registry
 ``get_backend``, ``backend_names``  inspect the backend registry
 ``PreparedQuery``                   cached per-test-point query state

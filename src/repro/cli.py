@@ -12,8 +12,7 @@ Three commands cover the library's headline workflows:
 process through the query planner, or against a running service with
 ``--url`` — and with ``--explain`` prints how it was executed: the
 chosen backend, the plan reason, and the certificate-pruning /
-early-termination counters (``--prune {auto,on,off}`` selects the
-pruning mode; answers are bit-identical for every choice).
+early-termination counters.
 
 Two more commands serve the paper's database side: ``sql`` runs a
 SELECT-FROM-WHERE query over a dirty CSV with certain/possible-answer
@@ -95,9 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Answer a CP query over a recipe's validation set — in-process "
             "through the query planner, or (with --url) against a running "
-            "`repro serve` instance's /query endpoint. --prune selects the "
-            "exactness-preserving candidate-pruning mode (answers are "
-            "bit-identical for every choice); --explain prints the chosen "
+            "`repro serve` instance's /query endpoint. --explain prints the chosen "
             "backend, the plan reason and the pruning / early-termination "
             "counters of the execution."
         ),
@@ -130,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int_flag("--points"),
         default=None,
         help="query only the first N validation points (default: all)",
-    )
-    query.add_argument(
-        "--prune",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="exactness-preserving candidate pruning (default auto)",
     )
     query.add_argument(
         "--explain",
@@ -683,7 +674,6 @@ def _command_query(args: argparse.Namespace) -> int:
                 k=args.k,
                 label=args.label,
                 backend=None if args.backend == "auto" else args.backend,
-                prune=args.prune,
                 explain=args.explain,
             )
         except ServiceError as exc:
@@ -732,7 +722,7 @@ def _command_query(args: argparse.Namespace) -> int:
             label=args.label,
         )
         # One query per process: a result cache would never be read.
-        options = ExecutionOptions(n_jobs=args.n_jobs, cache=False, prune=args.prune)
+        options = ExecutionOptions(n_jobs=args.n_jobs, cache=False)
         result = execute_query(query, backend=args.backend, options=options)
     except (PlanError, ValueError) as exc:
         print(f"query error: {exc}", file=sys.stderr)

@@ -1,14 +1,7 @@
 """The unified CP query planner: one front door, pluggable backends.
 
-The repo grew four disconnected dispatch paths for what is really one
-family of counting queries over possible worlds: the string-dispatch of
-:mod:`repro.core.queries`, the parallel batch engine of
-:mod:`repro.core.batch_engine`, the exact delta maintenance of
-:mod:`repro.core.deltas`, and standalone entry points for the
-weighted / top-k / label-uncertain task variants. This module replaces the
-ad-hoc wiring with a planner-plus-backend architecture, the same move
-provenance systems make when they route every probability computation
-through one engine layer:
+Every CP query over possible worlds — whatever its kind or task flavor —
+goes through one planner-plus-backend layer:
 
 * :class:`CPQuery` (built via :func:`make_query`) is the *descriptor* of a
   query family: the dataset, a test matrix, the query kind
@@ -30,37 +23,16 @@ through one engine layer:
   can serve the query). :func:`execute_query` executes the plan and
   returns a :class:`QueryResult`.
 
-Three backends ship by default:
-
-``sequential``
-    The unpruned reference: one :class:`~repro.core.prepared.PreparedQuery`
-    scan per test point (or the flavor's per-point kernel), with per-row
-    similarities. Supports every flavor and never prunes — the semantics
-    anchor every other backend, and every pruned path, is tested against.
-    Declared a reference backend, so ``"auto"`` plans onto it only when
-    nothing else can serve the query, and an explicit request with
-    ``prune="on"`` is refused.
-``batch``
-    Runs the batch layer (a :class:`~repro.core.batch_engine.PreparedBatch`
-    plus one :class:`~repro.utils.lru.LRUCache` of results): vectorised
-    distance passes over the whole test matrix, the per-point evaluators
-    of :data:`FLAVOR_POINTS` (pruned or not), a ``fork`` worker-pool
-    fan-out, and fingerprint-keyed result caching, for **all five
-    flavors**. It is the one serving evaluator: the partitioned gateway
-    (:mod:`repro.service.gateway`) hands it a gathered similarity matrix
-    instead of evaluating flavors itself. Its memory is bounded without a
-    knob: a query whose dense similarity matrix would exceed
-    :data:`DENSE_BLOCK_BYTES` runs in consecutive row blocks, and each
-    block's kernel temporaries are bounded by
-    :data:`~repro.core.batch_engine.PAIRWISE_BLOCK_BYTES`.
-``incremental``
-    Serves counting queries from a
-    :class:`~repro.core.deltas.DeltaMaintainedState` kept per query
-    family across calls: a cleaning session that re-queries the same
-    validation points with a growing pin set applies each new pin as one
-    :class:`~repro.core.deltas.CellRepair` instead of recounting every
-    point. A cold state is seeded from a handed
-    :class:`~repro.core.batch_engine.PreparedBatch`, with no kernel call.
+Three backends ship by default (each class docstring has the details):
+``sequential``, the unpruned per-row reference every other backend and
+every pruned path is tested against, running each flavor's reference
+kernel of :data:`FLAVOR_POINTS`; ``batch``, the one serving evaluator,
+running the pruned :data:`FLAVOR_POINTS` evaluators over a vectorised
+:class:`~repro.core.batch_engine.PreparedBatch` (the partitioned gateway
+hands it a gathered similarity matrix); and ``incremental``, which serves
+counting queries from a :class:`~repro.core.deltas.DeltaMaintainedState`
+kept per query family, absorbing a cleaning session's growing pin set
+one delta at a time.
 
 All backends return bit-identical values for any query they both support
 (``tests/core/test_planner.py`` holds the full equivalence matrix);
@@ -80,7 +52,7 @@ import hashlib
 import threading
 import weakref
 from abc import ABC, abstractmethod
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -90,7 +62,6 @@ import numpy as np
 
 from repro.core.batch_engine import (
     PreparedBatch,
-    _counts_from_scan,
     fanout_map,
     kernel_cache_key,
     resolve_n_jobs,
@@ -128,7 +99,6 @@ __all__ = [
     "FLAVORS",
     "FLAVOR_POINTS",
     "KINDS",
-    "PRUNE_MODES",
     "CPQuery",
     "make_query",
     "ExecutionOptions",
@@ -166,12 +136,6 @@ RESULT_CACHE_SIZE = 4096
 
 #: Query families whose maintained state the ``incremental`` backend keeps.
 MAX_MAINTAINED_STATES = 8
-
-#: Candidate-pruning modes. ``"auto"`` prunes whenever the execution path
-#: can consume a certificate (SortScan-family engines with ``k < n_rows``),
-#: ``"on"`` demands pruning (a :class:`PlanError` on the unpruned
-#: ``sequential`` reference), ``"off"`` disables it. Results never change.
-PRUNE_MODES = ("auto", "on", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +180,16 @@ class CPQuery:
     def n_candidates(self) -> int:
         """Total candidates over all rows (counted once per query)."""
         return int(np.sum(self.dataset.candidate_counts()))
+
+    @cached_property
+    def restricted_dataset(self) -> Any:
+        """The dataset with every pin applied by restriction, for the
+        flavors without native pin support (``topk`` and
+        ``label_uncertainty``); restricted once per query."""
+        dataset = self.dataset
+        for row, cand in self.pins:
+            dataset = dataset.restrict_row(row, cand)
+        return dataset
 
     def workload_size(self) -> int:
         """``n_points * total candidates`` — the planner's cost unit."""
@@ -370,26 +344,16 @@ class ExecutionOptions:
     ``incremental`` backends so a session's vectorised distance state is
     shared instead of rebuilt.
 
-    ``prune`` selects exactness-preserving candidate pruning
-    (:mod:`repro.core.pruning`): ``"auto"`` (default) engages it whenever
-    the execution path can consume a prune certificate, ``"on"`` requires
-    it (planning fails on the unpruned ``sequential`` reference), ``"off"``
-    disables it. It is a wall-clock knob only — values are bit-identical
-    in every mode.
-
-    All knobs are validated at construction, with the same rules the CLI
+    Both knobs are validated at construction, with the same rules the CLI
     flags enforce: ``n_jobs`` must be a positive integer, ``-1`` (all
-    CPUs) or ``None``; ``cache`` must be a bool; ``prune`` must name a
-    known mode.
+    CPUs) or ``None``; ``cache`` must be a bool.
     """
 
     n_jobs: int | None = 1
     cache: bool = True
     prepared: PreparedBatch | None = None
-    prune: str = "auto"
 
     def __post_init__(self) -> None:
-        check_in_options(self.prune, "prune", PRUNE_MODES)
         if not isinstance(self.cache, bool):
             raise TypeError(f"cache must be a bool, got {type(self.cache).__name__}")
         if self.n_jobs is not None:
@@ -404,7 +368,6 @@ class ExecutionOptions:
                     f"n_jobs must be a positive integer, -1 (all CPUs) or None, "
                     f"got {self.n_jobs}"
                 )
-            resolve_n_jobs(self.n_jobs)  # keep the normalisation path exercised
 
 
 @dataclass(frozen=True)
@@ -455,8 +418,7 @@ class BackendCapabilities:
     flavors: frozenset[str]
     kinds: frozenset[str] = frozenset(KINDS)
     #: A per-row, unpruned reference oracle: ``"auto"`` plans onto it only
-    #: when no other capable backend can serve the query, and an explicit
-    #: request with ``prune="on"`` is a :class:`PlanError`.
+    #: when no other capable backend can serve the query.
     reference: bool = False
 
 
@@ -548,11 +510,6 @@ def plan_query(
                 f"backend {backend!r} cannot serve {query!r} "
                 f"(capabilities: {chosen.capabilities})"
             )
-        if options.prune == "on" and chosen.capabilities.reference:
-            raise PlanError(
-                f"backend {backend!r} is the unpruned reference and cannot "
-                "honour prune='on' (use prune='auto', or another backend)"
-            )
         cost, _ = chosen.estimate_cost(query, options)
         return QueryPlan(
             backend=chosen.name,
@@ -609,37 +566,10 @@ def execute_query(
 # ---------------------------------------------------------------------------
 
 
-def _restricted_dataset(query: CPQuery) -> Any:
-    """The dataset with every pin applied by restriction (flavors without
-    native pin support: ``topk`` and ``label_uncertainty``)."""
-    dataset = query.dataset
-    for row, cand in query.pins:
-        dataset = dataset.restrict_row(row, cand)
-    return dataset
-
-
 def scan_dataset(query: CPQuery) -> IncompleteDataset:
-    """The dataset whose candidates the query's per-point scans run over.
-
-    Counting and weighted flavors pin inside the scan, so they scan the
-    query's dataset; ``topk`` scans the pin-restricted dataset, and
-    ``label_uncertainty`` the restricted dataset's feature side.
-    """
-    if query.flavor == "topk":
-        return _restricted_dataset(query)
-    if query.flavor == "label_uncertainty":
-        return _restricted_dataset(query).feature_dataset
-    return query.dataset
-
-
-def _conditioned_weights(query: CPQuery) -> list[list[Fraction]]:
-    """The weighted flavor's prior with pins conditioned in as point masses."""
-    base = (
-        [list(row) for row in query.weights]
-        if query.weights is not None
-        else uniform_candidate_weights(query.dataset)
-    )
-    return condition_weights(base, query.pins_dict())
+    """The dataset whose candidates the query's per-point scans run over
+    (its :data:`FLAVOR_POINTS` row's ``scan``)."""
+    return FLAVOR_POINTS[query.flavor].scan(query)
 
 
 def _labels_to_kind(query: CPQuery, labels: list) -> list:
@@ -649,38 +579,15 @@ def _labels_to_kind(query: CPQuery, labels: list) -> list:
     return labels
 
 
-def _counts_to_kind(query: CPQuery, counts_per_point: list[list[int]]) -> list:
-    """Derive ``certain_label`` / ``check`` values from exact count vectors."""
+def _counts_to_kind(query: CPQuery, counts_per_point: list[list]) -> list:
+    """Derive ``certain_label`` / ``check`` values from exact per-label
+    counts or exact probabilities: a certain label holds the whole total
+    (every world, or probability exactly 1)."""
     if query.kind == "counts":
         return counts_per_point
     return _labels_to_kind(
         query, [certain_label_from_counts(counts) for counts in counts_per_point]
     )
-
-
-def _weighted_to_kind(query: CPQuery, probs_per_point: list[list[Fraction]]) -> list:
-    if query.kind == "counts":
-        return probs_per_point
-    certain = [
-        next((y for y, p in enumerate(probs) if p == 1), None)
-        for probs in probs_per_point
-    ]
-    return _labels_to_kind(query, certain)
-
-
-def _prune_enabled(query: CPQuery, options: ExecutionOptions) -> bool:
-    """Whether this execution should run the candidate-pruning pass.
-
-    ``"off"`` never prunes, ``"on"`` always does. ``"auto"`` skips the
-    pass when ``k >= n_rows`` — the certificate needs ``k`` *other*
-    dominating rows, so nothing can ever be pruned there and the interval
-    pass would be pure overhead.
-    """
-    if options.prune == "off":
-        return False
-    if options.prune == "on":
-        return True
-    return query.k < query.dataset.n_rows
 
 
 def _minmax_decides(query: CPQuery) -> bool:
@@ -696,29 +603,29 @@ def _minmax_decides(query: CPQuery) -> bool:
     )
 
 
-def _prune_summary(query: CPQuery, prune: bool, totals: dict | None) -> dict:
-    """A backend's stats report: context keys plus accumulated counters."""
-    summary = {"flavor": query.flavor, "kind": query.kind, "prune": prune}
-    if totals:
-        summary.update(totals)
-    return summary
+def _prune_summary(query: CPQuery, totals: dict | None) -> dict:
+    """A backend's stats report: context keys plus accumulated prune
+    counters; ``prune`` says whether a pruning pass ran (``totals`` given)."""
+    return {
+        "flavor": query.flavor,
+        "kind": query.kind,
+        "prune": totals is not None,
+        **(totals or {}),
+    }
 
 
 def _handed_prepared(
-    dataset: IncompleteDataset,
-    test_X: np.ndarray,
-    k: int,
-    kernel: Kernel,
-    options: ExecutionOptions,
+    dataset: IncompleteDataset, query: CPQuery, options: ExecutionOptions
 ) -> PreparedBatch | None:
-    """:attr:`ExecutionOptions.prepared` if it covers exactly this family."""
+    """:attr:`ExecutionOptions.prepared` if it covers exactly ``query``'s
+    family, scanned over ``dataset``."""
     handed = options.prepared
     if (
         handed is not None
-        and handed.k == k
-        and kernel_cache_key(handed.kernel) == kernel_cache_key(kernel)
+        and handed.k == query.k
+        and kernel_cache_key(handed.kernel) == kernel_cache_key(query.kernel)
         and handed.fingerprint() == dataset.fingerprint()
-        and np.array_equal(handed.test_X, test_X)
+        and np.array_equal(handed.test_X, query.test_X)
     ):
         return handed
     return None
@@ -745,12 +652,219 @@ def _weights_key(weights: list[list[Fraction]]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The flavor table
+# ---------------------------------------------------------------------------
+#
+# Every batch evaluator has the signature ``point(state, index)`` with
+# ``state = (prepared, argument)`` and returns ``(value, stats)``, ``stats``
+# being the point's pruning telemetry (``None`` from the MinMax check,
+# which prunes nothing). :meth:`BatchParallelBackend._evaluate` runs them;
+# the ``prepared`` batch is built over :func:`scan_dataset`. Every reference
+# kernel has the signature ``reference(dataset, argument, t, k, kernel)``
+# and returns the same value, unpruned; :class:`SequentialBackend` runs them.
+
+
+def _sims_problem(prepared: PreparedBatch, index: int) -> tuple:
+    """The leading arguments of the ``pruned_*_from_sims`` kernels."""
+    return (
+        prepared.sims_matrix[index],
+        prepared._rows,
+        prepared._cands,
+        prepared._labels,
+        prepared._counts,
+        prepared.k,
+        prepared.dataset.n_labels,
+    )
+
+
+def _count_point(state: tuple, index: int) -> tuple[list[int], dict]:
+    """Q2 counts of one point; ``argument`` is the pin mapping.
+
+    Counts straight from the point's similarity row and never touches
+    ``prepared.scan(index)`` — pruning happens *before* the sort, which is
+    where the clustered-candidate speedup comes from.
+    """
+    prepared, fixed = state
+    return pruned_counts_from_sims(*_sims_problem(prepared, index), fixed)
+
+
+def _decision_point(state: tuple, index: int) -> tuple[int | None, dict]:
+    """The certain label of one point via prune + vectorised decision scan."""
+    prepared, fixed = state
+    decision, stats = pruned_decision_from_sims(*_sims_problem(prepared, index), fixed)
+    return decision.certain_label, stats
+
+
+def _minmax_point(state: tuple, index: int) -> tuple[int | None, None]:
+    """The binary MinMax check (Algorithm 2) of one point, vectorised.
+
+    Mirrors :meth:`PreparedQuery.certain_label_minmax`: per-row extreme
+    similarities come straight off the shared similarity matrix via
+    ``reduceat`` instead of per-row ``min()``/``max()`` calls. The pins
+    were range-checked by :func:`make_query`.
+    """
+    prepared, fixed = state
+    sims = prepared.sims_matrix[index]
+    starts = prepared._offsets[:-1]
+    mins = np.minimum.reduceat(sims, starts)
+    maxs = np.maximum.reduceat(sims, starts)
+    for row, cand in fixed.items():
+        mins[row] = maxs[row] = sims[int(starts[row]) + cand]
+    return binary_minmax_label(mins, maxs, prepared.dataset.labels, prepared.k), None
+
+
+def _weighted_point(state: tuple, index: int) -> tuple[list[Fraction], dict]:
+    """Weighted label probabilities of one point; ``argument`` is the prior."""
+    prepared, weights = state
+    return pruned_weighted_probabilities(
+        prepared.dataset,
+        prepared.test_X[index],
+        weights,
+        prepared.k,
+        kernel=prepared.kernel,
+        scan=prepared.scan(index),
+    )
+
+
+def _topk_point(state: tuple, index: int) -> tuple[list[int], dict]:
+    """Top-K inclusion counts of one point over the restricted dataset."""
+    prepared, _ = state
+    return pruned_topk_counts_from_scan(prepared.scan(index), prepared.k)
+
+
+def _label_uncertain_point(state: tuple, index: int) -> tuple[list[int], dict]:
+    """Label-uncertain counts of one point; ``argument`` is the restricted
+    :class:`LabelUncertainDataset` whose feature side ``prepared`` holds."""
+    prepared, dataset = state
+    return pruned_label_uncertain_counts(
+        dataset,
+        prepared.test_X[index],
+        k=prepared.k,
+        kernel=prepared.kernel,
+        scan=prepared.scan(index),
+    )
+
+
+def _count_reference(dataset, fixed, t, k, kernel) -> list[int]:
+    """One :class:`PreparedQuery` scan; pins keep the paper's tie-break on
+    the original candidate indices."""
+    return PreparedQuery(dataset, t, k=k, kernel=kernel).counts(fixed)
+
+
+def _weighted_reference(dataset, weights, t, k, kernel) -> list[Fraction]:
+    return weighted_prediction_probabilities(dataset, t, k=k, weights=weights, kernel=kernel)
+
+
+def _topk_reference(dataset, _, t, k, kernel) -> list[int]:
+    return topk_inclusion_counts(dataset, t, k=k, kernel=kernel)
+
+
+def _label_uncertain_reference(_, dataset, t, k, kernel) -> list[int]:
+    return label_uncertain_counts(dataset, t, k=k, kernel=kernel)
+
+
+def _weights_argument(query: CPQuery) -> tuple[list[list[Fraction]], tuple]:
+    """The weighted flavor's prior with pins conditioned in as point masses."""
+    base = (
+        [list(row) for row in query.weights]
+        if query.weights is not None
+        else uniform_candidate_weights(query.dataset)
+    )
+    weights = condition_weights(base, query.pins_dict())
+    return weights, (_weights_key(weights),)
+
+
+def _restricted_argument(query: CPQuery) -> tuple[Any, tuple]:
+    dataset = query.restricted_dataset
+    return dataset, (dataset.fingerprint(),)
+
+
+@dataclass(frozen=True)
+class FlavorPoint:
+    """One flavor's row of :data:`FLAVOR_POINTS`.
+
+    ``scan(query)`` is the dataset the flavor's scans run over;
+    ``argument(query)`` is ``(argument, its result-cache key part)``, the
+    per-query input both evaluators take; ``point`` is the pruned
+    ``batch`` evaluator, with result-cache ``tag``; ``reference`` is the
+    unpruned per-point kernel ``sequential`` runs. Both return per-label
+    counts or probabilities (``topk``: per-row inclusion counts), which
+    :func:`_counts_to_kind` turns into the query's kind. ``decision`` is
+    the ``(tag, point)`` of the pruned decision scan that answers
+    ``certain_label`` / ``check`` in place of ``point``, if any;
+    ``reads_scan`` says whether ``point`` reads ``prepared.scan``, whose
+    scans are then built before a fork so workers share them.
+    """
+
+    tag: str
+    scan: Callable[[CPQuery], IncompleteDataset]
+    argument: Callable[[CPQuery], tuple[Any, tuple]]
+    point: Callable[[tuple, int], tuple[Any, dict | None]]
+    reference: Callable[..., Any]
+    decision: tuple[str, Callable] | None = None
+    reads_scan: bool = False
+
+
+_COUNTING = FlavorPoint(
+    tag="q2",
+    scan=lambda query: query.dataset,
+    argument=lambda query: (query.pins_dict(), query.pins),
+    point=_count_point,
+    reference=_count_reference,
+    decision=("q2d", _decision_point),
+)
+
+#: The one flavor table: the ``batch`` backend (and through it the
+#: gateway) serves its pruned evaluators, the ``sequential`` reference
+#: runs its unpruned kernels. Binary decisions take the MinMax check
+#: (:func:`_minmax_point`) instead; see
+#: :meth:`BatchParallelBackend._execute_block`.
+FLAVOR_POINTS = {
+    "binary": _COUNTING,
+    "multiclass": _COUNTING,
+    "weighted": FlavorPoint(
+        tag="wt",
+        scan=lambda query: query.dataset,
+        argument=_weights_argument,
+        point=_weighted_point,
+        reference=_weighted_reference,
+        reads_scan=True,
+    ),
+    "topk": FlavorPoint(
+        tag="topk",
+        scan=lambda query: query.restricted_dataset,
+        # Pins live in the restricted dataset's fingerprint.
+        argument=lambda query: (None, ()),
+        point=_topk_point,
+        reference=_topk_reference,
+        reads_scan=True,
+    ),
+    "label_uncertainty": FlavorPoint(
+        tag="lu",
+        scan=lambda query: query.restricted_dataset.feature_dataset,
+        argument=_restricted_argument,
+        point=_label_uncertain_point,
+        reference=_label_uncertain_reference,
+        reads_scan=True,
+    ),
+}
+
+
+_MISS = object()
+
+
+def _copied(value: Any) -> Any:
+    """A fresh copy of a list value, so cache entries are never aliased."""
+    return list(value) if isinstance(value, list) else value
+
+
+# ---------------------------------------------------------------------------
 # SequentialBackend — the unpruned per-row reference
 # ---------------------------------------------------------------------------
 
 
 class SequentialBackend(Backend):
-    """One prepared scan (or flavor kernel) per test point, in process.
+    """Each flavor's reference kernel once per test point, in process.
 
     Supports every flavor and every kind, and never prunes — the unpruned
     reference semantics every other backend (and every pruned path) is
@@ -765,206 +879,25 @@ class SequentialBackend(Backend):
         return float(query.workload_size()), "one prepared scan per test point"
 
     def execute(self, query, options=None):
-        flavor = query.flavor
-        if flavor in ("binary", "multiclass"):
-            values = self._execute_counting(query)
-        elif flavor == "weighted":
-            weights = _conditioned_weights(query)
-            probs = [
-                weighted_prediction_probabilities(
-                    query.dataset, t, k=query.k, weights=weights, kernel=query.kernel
-                )
-                for t in query.test_X
-            ]
-            values = _weighted_to_kind(query, probs)
-        elif flavor == "topk":
-            dataset = _restricted_dataset(query)
-            values = [
-                topk_inclusion_counts(dataset, t, k=query.k, kernel=query.kernel)
-                for t in query.test_X
-            ]
-        else:
-            dataset = _restricted_dataset(query)
-            counts = [
-                label_uncertain_counts(dataset, t, k=query.k, kernel=query.kernel)
-                for t in query.test_X
-            ]
-            values = _counts_to_kind(query, counts)
-        return values, _prune_summary(query, False, None)
-
-    @staticmethod
-    def _execute_counting(query: CPQuery) -> list:
-        fixed = query.pins_dict()
         if _minmax_decides(query):
             # The MM shortcut (Algorithm 2): no counting at all. Exact, and
             # it matches the counts-based answer bit for bit (tested).
+            fixed = query.pins_dict()
             labels = [
                 PreparedQuery(
                     query.dataset, t, k=query.k, kernel=query.kernel
                 ).certain_label_minmax(fixed)
                 for t in query.test_X
             ]
-            return _labels_to_kind(query, labels)
-        counts = [
-            PreparedQuery(query.dataset, t, k=query.k, kernel=query.kernel).counts(fixed)
+            return _labels_to_kind(query, labels), _prune_summary(query, None)
+        row = FLAVOR_POINTS[query.flavor]
+        dataset = row.scan(query)
+        argument, _ = row.argument(query)
+        values = [
+            row.reference(dataset, argument, t, query.k, query.kernel)
             for t in query.test_X
         ]
-        return _counts_to_kind(query, counts)
-
-
-# ---------------------------------------------------------------------------
-# The per-point flavor table
-# ---------------------------------------------------------------------------
-#
-# Every per-point evaluator has the signature ``point(state, index)`` with
-# ``state = (prepared, argument, prune)`` and returns ``(value, stats)``,
-# ``stats`` being the point's pruning telemetry or ``None`` when unpruned.
-# :meth:`BatchParallelBackend._evaluate` runs them; the ``prepared`` batch
-# is built over :func:`scan_dataset`.
-
-
-def _count_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
-    """Q2 counts of one point; ``argument`` is the pin mapping.
-
-    Pruned, it counts straight from the point's similarity row and never
-    touches ``prepared.scan(index)`` — pruning happens *before* the sort,
-    which is where the clustered-candidate speedup comes from.
-    """
-    prepared, fixed, prune = state
-    n_labels = prepared.dataset.n_labels
-    if not prune:
-        counts = _counts_from_scan(prepared.scan(index), prepared.k, n_labels, fixed)
-        return counts, None
-    return pruned_counts_from_sims(
-        prepared.sims_matrix[index],
-        prepared._rows,
-        prepared._cands,
-        prepared._labels,
-        prepared._counts,
-        prepared.k,
-        n_labels,
-        fixed,
-    )
-
-
-def _decision_point(state: tuple, index: int) -> tuple[int | None, dict]:
-    """The certain label of one point via prune + vectorised decision scan."""
-    prepared, fixed, _ = state
-    decision, stats = pruned_decision_from_sims(
-        prepared.sims_matrix[index],
-        prepared._rows,
-        prepared._cands,
-        prepared._labels,
-        prepared._counts,
-        prepared.k,
-        prepared.dataset.n_labels,
-        fixed,
-    )
-    return decision.certain_label, stats
-
-
-def _minmax_point(state: tuple, index: int) -> tuple[int | None, None]:
-    """The binary MinMax check (Algorithm 2) of one point, vectorised.
-
-    Mirrors :meth:`PreparedQuery.certain_label_minmax`: per-row extreme
-    similarities come straight off the shared similarity matrix via
-    ``reduceat`` instead of per-row ``min()``/``max()`` calls. The pins
-    were range-checked by :func:`make_query`.
-    """
-    prepared, fixed, _ = state
-    sims = prepared.sims_matrix[index]
-    starts = prepared._offsets[:-1]
-    mins = np.minimum.reduceat(sims, starts)
-    maxs = np.maximum.reduceat(sims, starts)
-    for row, cand in fixed.items():
-        mins[row] = maxs[row] = sims[int(starts[row]) + cand]
-    return binary_minmax_label(mins, maxs, prepared.dataset.labels, prepared.k), None
-
-
-def _weighted_point(state: tuple, index: int) -> tuple[list[Fraction], dict | None]:
-    """Weighted label probabilities of one point; ``argument`` is the prior."""
-    prepared, weights, prune = state
-    t, scan = prepared.test_X[index], prepared.scan(index)
-    if prune:
-        return pruned_weighted_probabilities(
-            prepared.dataset, t, weights, prepared.k, kernel=prepared.kernel, scan=scan
-        )
-    probs = weighted_prediction_probabilities(
-        prepared.dataset,
-        t,
-        k=prepared.k,
-        weights=weights,
-        kernel=prepared.kernel,
-        scan=scan,
-    )
-    return probs, None
-
-
-def _topk_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
-    """Top-K inclusion counts of one point over the restricted dataset."""
-    prepared, _, prune = state
-    scan = prepared.scan(index)
-    if prune:
-        return pruned_topk_counts_from_scan(scan, prepared.k)
-    counts = topk_inclusion_counts(
-        prepared.dataset,
-        prepared.test_X[index],
-        k=prepared.k,
-        kernel=prepared.kernel,
-        scan=scan,
-    )
-    return counts, None
-
-
-def _label_uncertain_point(state: tuple, index: int) -> tuple[list[int], dict | None]:
-    """Label-uncertain counts of one point; ``argument`` is the restricted
-    :class:`LabelUncertainDataset` whose feature side ``prepared`` holds."""
-    prepared, dataset, prune = state
-    t, scan = prepared.test_X[index], prepared.scan(index)
-    if prune:
-        return pruned_label_uncertain_counts(
-            dataset, t, k=prepared.k, kernel=prepared.kernel, scan=scan
-        )
-    counts = label_uncertain_counts(
-        dataset, t, k=prepared.k, kernel=prepared.kernel, scan=scan
-    )
-    return counts, None
-
-
-#: The per-point evaluator of every flavor with its result-cache tag: the
-#: one flavor table the ``batch`` backend (and through it the gateway)
-#: serves. Binary and multiclass *decisions* take the MinMax check
-#: (:func:`_minmax_point`, two labels) or the pruned decision scan
-#: (:func:`_decision_point`) instead; see
-#: :meth:`BatchParallelBackend._execute_block`.
-FLAVOR_POINTS = {
-    "binary": ("q2", _count_point),
-    "multiclass": ("q2", _count_point),
-    "weighted": ("wt", _weighted_point),
-    "topk": ("topk", _topk_point),
-    "label_uncertainty": ("lu", _label_uncertain_point),
-}
-
-
-def _point_argument(query: CPQuery) -> tuple[Any, tuple]:
-    """The flavor evaluator's ``argument`` and its cache-key part."""
-    if query.flavor == "weighted":
-        weights = _conditioned_weights(query)
-        return weights, (_weights_key(weights),)
-    if query.flavor == "topk":
-        return None, ()  # pins live in the restricted dataset's fingerprint
-    if query.flavor == "label_uncertainty":
-        dataset = _restricted_dataset(query)
-        return dataset, (dataset.fingerprint(),)
-    return query.pins_dict(), query.pins
-
-
-_MISS = object()
-
-
-def _copied(value: Any) -> Any:
-    """A fresh copy of a list value, so cache entries are never aliased."""
-    return list(value) if isinstance(value, list) else value
+        return _counts_to_kind(query, values), _prune_summary(query, None)
 
 
 # ---------------------------------------------------------------------------
@@ -978,16 +911,18 @@ class BatchParallelBackend(Backend):
     Every flavor runs over one :class:`PreparedBatch` per call — the one
     handed in via :attr:`ExecutionOptions.prepared` when it covers the
     query, else a fresh one: per-point scans derived from the shared
-    similarity matrix, the :data:`FLAVOR_POINTS` evaluators, ``fork``
-    fan-out across ``n_jobs`` workers, and :attr:`cache`, the
+    similarity matrix, the pruned :data:`FLAVOR_POINTS` evaluators,
+    ``fork`` fan-out across ``n_jobs`` workers, and :attr:`cache`, the
     fingerprint-keyed result cache shared across calls
     (:attr:`ExecutionOptions.cache`).
 
     A query whose dense similarity matrix (``T·P·8`` bytes) exceeds
     :data:`DENSE_BLOCK_BYTES` runs as consecutive row blocks, each through
     the same per-flavor path on its own :class:`PreparedBatch`, so resident
-    memory stays flat in ``T``. Results are cached per point, so blocked
-    and unblocked runs share cache entries.
+    memory stays flat in ``T``, and each block's kernel temporaries are
+    bounded by :data:`~repro.core.batch_engine.PAIRWISE_BLOCK_BYTES`.
+    Results are cached per point, so blocked and unblocked runs share
+    cache entries.
     """
 
     name = "batch"
@@ -1006,12 +941,11 @@ class BatchParallelBackend(Backend):
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
         # Binary decisions take the MM check, which builds no scan to prune.
-        prune = _prune_enabled(query, options) and not _minmax_decides(query)
-        totals = empty_prune_stats() if prune else None
+        totals = None if _minmax_decides(query) else empty_prune_stats()
         values = []
         for block in self._row_blocks(query, options):
-            values.extend(self._execute_block(block, options, prune, totals))
-        return values, _prune_summary(query, prune, totals)
+            values.extend(self._execute_block(block, options, totals))
+        return values, _prune_summary(query, totals)
 
     def _row_blocks(self, query: CPQuery, options: ExecutionOptions) -> list[CPQuery]:
         """``[query]``, or its row blocks when the dense matrix is over budget.
@@ -1022,9 +956,7 @@ class BatchParallelBackend(Backend):
         step = max(DENSE_BLOCK_BYTES // max(query.n_candidates * 8, 1), 1)
         if step >= query.n_points:
             return [query]
-        if _handed_prepared(
-            scan_dataset(query), query.test_X, query.k, query.kernel, options
-        ):
+        if _handed_prepared(scan_dataset(query), query, options):
             return [query]
         return [
             replace(query, test_X=query.test_X[r0 : r0 + step])
@@ -1032,38 +964,29 @@ class BatchParallelBackend(Backend):
         ]
 
     def _execute_block(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
+        self, query: CPQuery, options: ExecutionOptions, totals: dict | None
     ) -> list:
         """One block's values: the one place decisions split from counts."""
-        dataset = scan_dataset(query)
-        prepared = _handed_prepared(
-            dataset, query.test_X, query.k, query.kernel, options
-        ) or PreparedBatch(dataset, query.test_X, k=query.k, kernel=query.kernel)
-        argument, argument_key = _point_argument(query)
-        decision = None
-        if query.flavor in ("binary", "multiclass") and query.kind != "counts":
-            if _minmax_decides(query):
-                decision = ("mm", _minmax_point)
-            elif prune:
-                # The early-terminating decision scan. A decision carries
-                # less than the full counts, so it has its own cache tag.
-                decision = ("q2d", _decision_point)
-        tag, point = decision or FLAVOR_POINTS[query.flavor]
+        row = FLAVOR_POINTS[query.flavor]
+        dataset = row.scan(query)
+        prepared = _handed_prepared(dataset, query, options) or PreparedBatch(
+            dataset, query.test_X, k=query.k, kernel=query.kernel
+        )
+        argument, argument_key = row.argument(query)
+        tag, point = row.tag, row.point
+        decides = query.kind != "counts" and row.decision is not None
+        if decides:
+            # A decision carries less than the full counts, so it has its
+            # own cache tag; two labels take the MinMax check.
+            tag, point = ("mm", _minmax_point) if _minmax_decides(query) else row.decision
         # A MinMax check is two reductions per point: cheaper than a fork.
         n_jobs = 1 if tag == "mm" else options.n_jobs
         cache = self.cache if options.cache else None
         values = self._evaluate(
-            prepared, tag, point, argument, argument_key, prune, totals, n_jobs, cache
+            prepared, tag, point, argument, argument_key, row.reads_scan, totals,
+            n_jobs, cache,
         )
-        if decision:
-            return _labels_to_kind(query, values)
-        if query.flavor == "weighted":
-            return _weighted_to_kind(query, values)
-        return _counts_to_kind(query, values)
+        return (_labels_to_kind if decides else _counts_to_kind)(query, values)
 
     @staticmethod
     def _evaluate(
@@ -1072,7 +995,7 @@ class BatchParallelBackend(Backend):
         point,
         argument: Any,
         argument_key: tuple,
-        prune: bool,
+        reads_scan: bool,
         totals: dict | None,
         n_jobs: int | None,
         cache: LRUCache | None,
@@ -1080,9 +1003,8 @@ class BatchParallelBackend(Backend):
         """``point`` over every test point: served from ``cache``, else fanned out.
 
         Results are cached under ``(tag, fingerprint, k, kernel,
-        argument_key, point digest)``. Pruned and unpruned evaluators are
-        bit-identical, so they share entries; ``totals`` accumulates the
-        prune telemetry of the points computed this call.
+        argument_key, point digest)``; ``totals`` accumulates the prune
+        telemetry of the points computed this call.
         """
         results: list = [None] * prepared.n_points
         missing = list(range(prepared.n_points))
@@ -1104,19 +1026,17 @@ class BatchParallelBackend(Backend):
                     results[index] = _copied(hit)
             if not missing:
                 return results
-        if not prune and resolve_n_jobs(n_jobs) > 1:
-            # Unpruned evaluators read the sorted scans: build them before
-            # the fork so workers share them copy-on-write. (Pruned counts
-            # and decisions sort only the surviving positions.)
+        if reads_scan and resolve_n_jobs(n_jobs) > 1:
+            # Build the sorted scans before the fork so workers share them
+            # copy-on-write. (Counts and decisions sort only the positions
+            # that survive the prune.)
             prepared.materialize_scans(missing)
-        outputs = fanout_map(
-            point, missing, n_jobs=n_jobs, state=(prepared, argument, prune)
-        )
+        outputs = fanout_map(point, missing, n_jobs=n_jobs, state=(prepared, argument))
         for index, (value, stats) in zip(missing, outputs):
             results[index] = value
             if cache is not None:
                 cache.put(keys[index], _copied(value))
-            if totals is not None and stats is not None:
+            if totals is not None:
                 accumulate_prune_stats(totals, stats)
         return results
 
@@ -1129,8 +1049,8 @@ class BatchParallelBackend(Backend):
 class IncrementalBackend(Backend):
     """Serves repeated pinned queries from maintained counts.
 
-    Per query family ``(dataset fingerprint, test matrix, k, kernel, prune)``
-    the backend keeps, in a small LRU, one
+    Per query family ``(dataset fingerprint, test matrix, k, kernel)`` the
+    backend keeps, in a small LRU, one
     :class:`~repro.core.deltas.DeltaMaintainedState` and the pins it has
     absorbed. A query whose pins extend those pins applies only the new
     ones, as :class:`~repro.core.deltas.CellRepair` deltas in row order:
@@ -1155,24 +1075,23 @@ class IncrementalBackend(Backend):
         # reference to the batch it was seeded from or None)
         self._states = LRUCache(MAX_MAINTAINED_STATES)
         # The backend-wide lock only keeps the family locks in step with
-        # the LRU; the
-        # expensive per-family work (state builds, pin maintenance) runs
-        # under a per-family lock so concurrent sessions on different
-        # query families never serialise each other. It is reentrant
-        # because a seeding batch's collection can run :meth:`_forget` on a
-        # thread that already holds it.
+        # the LRU; the expensive per-family work (state builds, pin
+        # maintenance) runs under a per-family lock so concurrent sessions
+        # on different query families never serialise each other. It is
+        # reentrant because a seeding batch's collection can run
+        # :meth:`_forget` on a thread that already holds it.
         self._lock = threading.RLock()
         self._family_locks: dict[tuple, threading.Lock] = {}
         self.n_reuses = 0
         self.n_rebuilds = 0
 
-    def _family_key(self, query: CPQuery, options: ExecutionOptions) -> tuple:
+    @staticmethod
+    def _family_key(query: CPQuery) -> tuple:
         return (
             query.fingerprint(),
             _point_key(query.test_X),
             query.k,
             kernel_cache_key(query.kernel),
-            _prune_enabled(query, options),
         )
 
     @staticmethod
@@ -1195,14 +1114,14 @@ class IncrementalBackend(Backend):
 
     def estimate_cost(self, query, options):
         # A peek: planning must not count a cache hit that served nothing.
-        entry = self._states.peek(self._family_key(query, options))
+        entry = self._states.peek(self._family_key(query))
         if self._warm_state(query, entry) is not None:
             return 0.1 * query.workload_size(), "maintained counts, delta pins only"
         return 1.5 * query.workload_size(), "cold start: full preparation + counts"
 
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
-        key = self._family_key(query, options)
+        key = self._family_key(query)
         while True:
             with self._lock:
                 family_lock = self._family_locks.setdefault(key, threading.Lock())
@@ -1222,16 +1141,14 @@ class IncrementalBackend(Backend):
         """
         entry = self._warm_state(query, self._states.get(key))
         if entry is None:  # no state yet, or pins shrank or contradict
-            handed = _handed_prepared(
-                query.dataset, query.test_X, query.k, query.kernel, options
-            )
+            handed = _handed_prepared(query.dataset, query, options)
             state = DeltaMaintainedState(
                 query.dataset,
                 query.test_X,
                 k=query.k,
                 kernel=query.kernel,
                 sims_matrix=None if handed is None else handed.sims_matrix,
-                prune=_prune_enabled(query, options),
+                prune=True,
             )
             absorbed: dict[int, int] = {}
             owner = None if handed is None else weakref.ref(
@@ -1257,7 +1174,7 @@ class IncrementalBackend(Backend):
         prune_stats = {
             name: value - prune_before[name] for name, value in state.prune_stats.items()
         }
-        summary = _prune_summary(query, state.prune, prune_stats if state.prune else None)
+        summary = _prune_summary(query, prune_stats)
         summary["n_rows_skipped"] = state.n_pruned - skipped_before
         summary["n_recomputed"] = state.n_recomputed - recomputed_before
         # Stored only after the last read: once an eviction has dropped

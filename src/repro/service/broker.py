@@ -295,7 +295,6 @@ class QueryBroker:
         weights: list[list[Fraction]] | None = None,
         backend: str | None = None,
         with_cleaned: bool = False,
-        prune: str = "auto",
         explain: bool | str = False,
         timeout: float | None = 60.0,
     ) -> dict:
@@ -312,10 +311,8 @@ class QueryBroker:
         it; a planning error (an incapable backend, ...) propagates from
         the flush as :func:`plan_query` raises it.
 
-        ``prune`` selects exactness-preserving candidate pruning
-        (:class:`~repro.core.planner.ExecutionOptions`'s knob verbatim:
-        ``auto`` / ``on`` / ``off``); answers are bit-identical either
-        way, so prune modes share nothing but wall-clock. With
+        Every read runs the exactness-preserving candidate pruning of
+        :mod:`repro.core.pruning` wherever it applies. With
         ``explain=True`` the request bypasses micro-batching and the
         result cache read (the explain block needs this execution's
         telemetry, not a cached value's) and the response carries an
@@ -328,7 +325,7 @@ class QueryBroker:
         ) as span:
             response = self._query_traced(
                 span, dataset, points, kind, flavor, k, pins, label, weights,
-                backend, with_cleaned, prune, explain, timeout,
+                backend, with_cleaned, explain, timeout,
             )
         if explain == "trace" and span:
             response["trace"] = span.root().record()
@@ -336,7 +333,7 @@ class QueryBroker:
 
     def _query_traced(
         self, span, dataset, points, kind, flavor, k, pins, label, weights,
-        backend, with_cleaned, prune, explain, timeout,
+        backend, with_cleaned, explain, timeout,
     ) -> dict:
         entry = self.registry.get(dataset)
         # One atomic read of (dataset, fingerprint, version, prepared):
@@ -362,8 +359,8 @@ class QueryBroker:
                 single and not explain and self.window_s > 0 and self.max_batch > 1
             )
             response = self._read(
-                entry, snap, query, backend or self.backend, prune,
-                coalesce, explain, timeout,
+                entry, snap, query, backend or self.backend, coalesce,
+                explain, timeout,
             )
         entry.record_served(query.n_points)
         response.update(
@@ -706,7 +703,6 @@ class QueryBroker:
         snap: DatasetSnapshot,
         query: CPQuery,
         backend: str,
-        options: ExecutionOptions,
     ) -> tuple:
         return (
             entry.name,
@@ -719,10 +715,6 @@ class QueryBroker:
             query.label,
             "" if query.weights is None else _weights_key(query.weights),
             backend,
-            # Pruning never changes values, but a micro-batch flushes with
-            # one ExecutionOptions — requests asking for different prune
-            # modes must not coalesce into the same planner call.
-            options.prune,
         )
 
     def _purge(self, name: str) -> None:
@@ -761,7 +753,6 @@ class QueryBroker:
         snap: DatasetSnapshot,
         query: CPQuery,
         backend: str,
-        prune: str,
         coalesce: bool,
         explain: bool | str,
         timeout: float | None,
@@ -773,9 +764,8 @@ class QueryBroker:
             # planner-level LRU is bypassed so expiry is in one place.
             cache=False,
             prepared=snap.prepared,
-            prune=prune,
         )
-        family = self._family_key(entry, snap, query, backend, options)
+        family = self._family_key(entry, snap, query, backend)
         key = (*family, _point_key(query.test_X))
         # Explain requests skip the cache *read*: the explain block reports
         # this execution's pruning telemetry, which a cached value lacks.

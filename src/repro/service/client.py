@@ -215,7 +215,6 @@ class ServiceClient:
         weights=None,
         backend: str | None = None,
         with_cleaned: bool = False,
-        prune: str = "auto",
         explain: bool | str = False,
     ) -> dict:
         """Run a CP query; the response's ``values`` are exact local types.
@@ -223,13 +222,11 @@ class ServiceClient:
         Give ``point`` (one test point — rides the server's micro-batch)
         or ``points`` (a matrix, or the string ``"validation"`` for the
         dataset's registered validation set). ``weights`` may hold
-        Fractions; they are shipped exactly. ``prune`` selects
-        exactness-preserving candidate pruning server-side (``auto`` /
-        ``on`` / ``off``; values are bit-identical either way), and
-        ``explain=True`` asks for the response's ``explain`` block —
-        chosen backend, plan reason, and pruning / early-termination
-        counters for this execution. ``explain="trace"`` additionally
-        embeds the request's span tree under ``"trace"``.
+        Fractions; they are shipped exactly. ``explain=True`` asks for the
+        response's ``explain`` block — chosen backend, plan reason, and
+        pruning / early-termination counters for this execution.
+        ``explain="trace"`` additionally embeds the request's span tree
+        under ``"trace"``.
         """
         if (point is None) == (points is None):
             raise ValueError("provide exactly one of point= or points=")
@@ -238,7 +235,6 @@ class ServiceClient:
             "kind": kind,
             "flavor": flavor,
             "with_cleaned": with_cleaned,
-            "prune": prune,
         }
         if explain:
             payload["explain"] = explain if explain == "trace" else True

@@ -515,9 +515,9 @@ class Gateway:
 
         ``query.dataset`` is the authoritative content; it is distributed
         (or re-distributed, if its fingerprint moved) on first use.
-        ``options`` are the request's execution knobs: ``prune`` and
-        ``n_jobs`` apply to the gathered scan, which runs on the ``batch``
-        backend; ``cache`` and ``prepared`` are the gateway's own. Raises
+        ``options`` are the request's execution knobs: ``n_jobs`` applies
+        to the gathered scan, which runs on the ``batch`` backend; ``cache``
+        and ``prepared`` are the gateway's own. Raises
         :class:`GatewayUnavailable` when partitioned execution cannot
         proceed — the caller's cue to execute locally instead.
         """

@@ -28,8 +28,7 @@ path                        method  what it does
                                     (``fixes``); bumps the entry version,
                                     maintained in O(Δ)
 ``/query``                  POST    a CP query — single point (micro-batched) or
-                                    matrix; ``prune`` selects certificate
-                                    pruning, ``explain`` adds plan + pruning
+                                    matrix; ``explain`` adds plan + pruning
                                     telemetry, ``explain="trace"`` embeds the
                                     request's span tree
 ``/sql``                    POST    a SQL query over a registered (or inline)
@@ -343,7 +342,6 @@ _QUERY_OPTIONS = {
     "weights": None,
     "backend": None,
     "with_cleaned": False,
-    "prune": "auto",
     "explain": False,
 }
 

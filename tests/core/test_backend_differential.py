@@ -6,7 +6,7 @@ datasets, kind × flavor × pins × weights × k, under every built-in kernel
 backends (whichever declare themselves capable) and, for the counting
 flavors, against the brute-force world-enumeration oracle. The reference
 is ``sequential``, which never prunes, so every pruned path (``batch`` and
-``incremental`` under the default ``prune="auto"``) is checked against an
+``incremental`` always run the prune certificate) is checked against an
 unpruned one. Any divergence
 between two backends on any generated query is a bug in a certification
 system, so the harness asserts **bit-identical** values, not approximate
@@ -23,6 +23,8 @@ The seeded case generators live in :mod:`fuzz.cp_cases`
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.core.kernels import resolve_kernel
 from repro.core.planner import (
     BatchParallelBackend,
     ExecutionOptions,
+    _minmax_decides,
     capable_backends,
     execute_query,
 )
@@ -159,6 +162,36 @@ class TestRowBlocks:
         monkeypatch.setattr(batch_engine, "PAIRWISE_BLOCK_BYTES", 1)
         blocked = batch_engine.PreparedBatch(query.dataset, query.test_X, k=query.k)
         assert np.array_equal(blocked.sims_matrix, whole.sims_matrix)
+
+
+class TestCertificateEdge:
+    """The prune pass runs at every ``k``, also where it can prune little.
+
+    A row is pruned only when ``k`` *other* rows dominate it, so at
+    ``k == n_rows`` the certificate keeps every row, and at
+    ``k == n_rows - 1`` only a row all others dominate goes.
+    """
+
+    @pytest.mark.parametrize("offset", (0, 1))
+    @pytest.mark.parametrize("flavor,kind", FLAVOR_KINDS)
+    def test_pruned_backends_match_sequential(self, flavor, kind, offset):
+        for seed in range(8):
+            query, _, description = random_case(seed, flavor=flavor, kind=kind)
+            query = replace(query, k=query.dataset.n_rows - offset)
+            reference = _reference(query)
+            for backend in capable_backends(query):
+                if backend.name not in ("batch", "incremental"):
+                    continue
+                result = execute_query(
+                    query, backend=backend.name, options=ExecutionOptions(cache=False)
+                )
+                where = f"{backend.name} k={query.k}: {description}"
+                assert result.values == reference, where
+                # Only batch's two-label MinMax check builds no scan to prune.
+                pruned = backend.name == "incremental" or not _minmax_decides(query)
+                assert result.stats["prune"] is pruned, where
+                if offset == 0:
+                    assert result.stats.get("n_rows_pruned", 0) == 0, where
 
 
 @pytest.mark.parametrize("name", KERNELS)

@@ -376,11 +376,10 @@ class TestEquivalenceMatrix:
         assert backend.n_rebuilds == 1
         assert backend.n_reuses == len(pins) - 1
 
-    @pytest.mark.parametrize("prune", ("off", "on"))
-    def test_incremental_rebuilds_on_contradicting_or_shrinking_pins(self, prune):
+    def test_incremental_rebuilds_on_contradicting_or_shrinking_pins(self):
         dataset = random_dataset(22, n_rows=8, n_labels=3)
         test_X = np.random.default_rng(22).normal(size=(5, 2))
-        options = ExecutionOptions(prune=prune)
+        options = ExecutionOptions()
         backend = IncrementalBackend()
         first, second = dataset.uncertain_rows()[:2]
         sequence = [
@@ -395,11 +394,10 @@ class TestEquivalenceMatrix:
             assert values == execute_query(query, backend="sequential").values
         assert (backend.n_rebuilds, backend.n_reuses) == (3, 1)
 
-    @pytest.mark.parametrize("prune", ("off", "on"))
-    def test_incremental_stats_report_this_calls_work_only(self, prune):
+    def test_incremental_stats_report_this_calls_work_only(self):
         dataset = random_dataset(23, n_rows=8)
         test_X = np.random.default_rng(23).normal(size=(6, 2))
-        options = ExecutionOptions(prune=prune)
+        options = ExecutionOptions()
         backend = IncrementalBackend()
         pins: dict[int, int] = {}
         for row in dataset.uncertain_rows():
@@ -407,27 +405,27 @@ class TestEquivalenceMatrix:
             query = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
             _, stats = backend.execute(query, options)
             assert stats["n_rows_skipped"] + stats["n_recomputed"] == len(test_X)
-            if prune == "on" and len(pins) > 1:
+            if len(pins) > 1:
                 # Pruned recounts are only the contested points of this pin.
                 assert stats["n_points"] == stats["n_recomputed"]
         _, stats = backend.execute(query, options)  # nothing new to absorb
         assert stats["n_rows_skipped"] == stats["n_recomputed"] == 0
         assert stats.get("n_points", 0) == 0
 
-    def test_incremental_state_is_kept_per_prune_mode(self):
-        # A prune="off" query after a prune="on" one must not be served
-        # from the pruning state (whose stats would report prune: True).
+    def test_incremental_keeps_one_pruning_state_per_family(self):
+        # Every call prunes, so a repeat of the query reuses the one state
+        # and reports no pruning work it did not do.
         dataset = random_dataset(24, n_rows=8, n_labels=3)
         test_X = np.random.default_rng(24).normal(size=(4, 2))
         query = make_query(dataset, test_X, kind="counts", k=2)
         backend = IncrementalBackend()
-        _, on = backend.execute(query, ExecutionOptions(prune="on"))
-        values, off = backend.execute(query, ExecutionOptions(prune="off"))
-        assert on["prune"] is True and off["prune"] is False
-        assert "n_points" not in off  # no pruning counters from the other state
+        _, first = backend.execute(query, ExecutionOptions())
+        values, again = backend.execute(query, ExecutionOptions())
+        assert first["prune"] is True and again["prune"] is True
+        assert first["n_points"] == len(test_X) and again["n_points"] == 0
         assert values == execute_query(query, backend="sequential").values
-        assert (backend.n_rebuilds, backend.n_reuses) == (2, 0)
-        assert len(backend._states) == 2
+        assert (backend.n_rebuilds, backend.n_reuses) == (1, 1)
+        assert len(backend._states) == 1
 
     @pytest.mark.parametrize("n_labels", (2, 3))
     def test_incremental_cold_state_is_seeded_from_a_handed_batch(self, n_labels):
@@ -550,14 +548,18 @@ class TestPerCallStats:
                 barrier.wait()
             return _count_point(state, index)
 
-        monkeypatch.setitem(planner.FLAVOR_POINTS, "binary", ("q2", gated))
+        monkeypatch.setitem(
+            planner.FLAVOR_POINTS,
+            "binary",
+            dataclasses.replace(planner.FLAVOR_POINTS["binary"], point=gated),
+        )
         dataset = random_dataset(41, n_rows=8)
         rng = np.random.default_rng(41)
         queries = [
             make_query(dataset, rng.normal(size=(n_points, 2)), kind="counts", k=2)
             for n_points in (2, 5)
         ]
-        options = ExecutionOptions(cache=False, prune="on")
+        options = ExecutionOptions(cache=False)
         results: list = [None, None]
 
         def run(slot: int) -> None:
@@ -698,7 +700,7 @@ class TestExecutionOptionsValidation:
         ExecutionOptions()
         ExecutionOptions(n_jobs=None)
         ExecutionOptions(n_jobs=-1)  # the all-CPUs sentinel
-        ExecutionOptions(n_jobs=4, cache=False, prune="off")
+        ExecutionOptions(n_jobs=4, cache=False)
         ExecutionOptions(n_jobs=np.int64(2))  # numpy integers are integers
 
     def test_zero_n_jobs_rejected(self):
@@ -727,9 +729,11 @@ class TestExecutionOptionsValidation:
             with pytest.raises(TypeError, match="cache must be a bool"):
                 ExecutionOptions(cache=bad)
 
-    def test_only_the_four_knobs(self):
+    def test_only_the_three_knobs(self):
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]
-        assert names == ["n_jobs", "cache", "prepared", "prune"]
+        assert names == ["n_jobs", "cache", "prepared"]
+        with pytest.raises(TypeError):
+            ExecutionOptions(prune="off")
         with pytest.raises(TypeError):
             ExecutionOptions(tile_rows=8)
         with pytest.raises(TypeError):

@@ -1,8 +1,8 @@
 """Unit tests for ``repro.core.pruning``: certificates, scan surgery, and
 bit-identity of every pruned query path against its unpruned reference.
 
-The fuzz half (world-enumeration soundness oracle, cross-backend
-on/off identity) lives in ``tests/fuzz/test_pruning.py``; these tests
+The fuzz half (world-enumeration soundness oracle, pruned backends
+against the unpruned ``sequential`` reference) lives in ``tests/fuzz/test_pruning.py``; these tests
 pin down the building blocks one at a time.
 """
 
@@ -22,11 +22,8 @@ from repro.core.entropy import certain_label_from_counts
 from repro.core.label_uncertainty import LabelUncertainDataset, label_uncertain_counts
 from repro.core.planner import (
     ExecutionOptions,
-    PlanError,
-    _restricted_dataset,
     execute_query,
     make_query,
-    plan_query,
 )
 from repro.core.prepared import PreparedQuery
 from repro.core.pruning import (
@@ -158,7 +155,7 @@ def _flavor_world_counts(flavor, dataset, t, pins):
         return effective, effective.row_counts
     if flavor == "topk":
         query = make_query(dataset, t, flavor="topk", k=1, pins=pins)
-        effective = compute_scan_order(_restricted_dataset(query), t, None)
+        effective = compute_scan_order(query.restricted_dataset, t, None)
         return effective, effective.row_counts
     if flavor == "label_uncertainty":
         lu = LabelUncertainDataset.from_incomplete(dataset, flip_rows=[0, 2])
@@ -330,10 +327,8 @@ def test_pruned_label_uncertain_counts_bit_identical(seed):
 
 
 def _pruned_batch(query):
-    """``query``'s values on the ``batch`` backend with pruning forced on."""
-    result = execute_query(
-        query, backend="batch", options=ExecutionOptions(prune="on", cache=False)
-    )
+    """``query``'s values on the ``batch`` backend, which always prunes."""
+    result = execute_query(query, backend="batch", options=ExecutionOptions(cache=False))
     assert result.stats["prune"] is True
     return result.values
 
@@ -367,32 +362,26 @@ def test_accumulate_prune_stats():
 
 
 # ---------------------------------------------------------------------------
-# ExecutionOptions validation and planning guards
+# What the stats report
 # ---------------------------------------------------------------------------
 
 
-def test_execution_options_reject_unknown_prune_mode():
-    with pytest.raises(ValueError, match="prune must be one of"):
-        ExecutionOptions(prune="sometimes")
+def test_execution_options_have_no_prune_knob():
+    # Pruning keeps every answer bit-identical, so no caller selects it.
+    with pytest.raises(TypeError):
+        ExecutionOptions(prune="auto")
 
 
-def test_execution_options_accept_all_modes():
-    for prune in ("auto", "on", "off"):
-        ExecutionOptions(prune=prune)
-
-
-@pytest.mark.parametrize(
-    "backend,prune", [("sequential", "auto"), ("batch", "auto"), ("batch", "on")]
-)
+@pytest.mark.parametrize("backend", ["sequential", "batch"])
 @pytest.mark.parametrize("kind", ["certain_label", "check"])
-def test_binary_minmax_path_reports_no_pruning(backend, kind, prune):
+def test_binary_minmax_path_reports_no_pruning(backend, kind):
     """The binary MinMax decision runs no pruning pass and must not claim one."""
     rng = np.random.default_rng(7)
     dataset, _, _, pins = random_problem(7, n_labels=2, clustered=True)
     test_X = rng.normal(size=(16, 2))
     label = 0 if kind == "check" else None
     query = make_query(dataset, test_X, kind=kind, k=2, pins=pins, label=label)
-    options = ExecutionOptions(prune=prune, cache=False)
+    options = ExecutionOptions(cache=False)
     result = execute_query(query, backend=backend, options=options)
     assert result.stats == {"flavor": "binary", "kind": kind, "prune": False}
     if backend == "batch":
@@ -403,19 +392,11 @@ def test_binary_minmax_path_reports_no_pruning(backend, kind, prune):
         assert stats["n_points"] == 16
 
 
-def test_sequential_rejects_prune_on():
-    """``sequential`` is the unpruned reference: it never prunes, and an
-    explicit request to prune on it is refused rather than ignored."""
+def test_sequential_never_prunes():
+    """``sequential`` is the unpruned reference: it reports no pruning pass."""
     dataset, t, k, pins = random_problem(3, clustered=True)
     query = make_query(dataset, t, kind="counts", k=k, pins=pins)
-    with pytest.raises(PlanError, match="unpruned reference"):
-        plan_query(query, backend="sequential", options=ExecutionOptions(prune="on"))
-    with pytest.raises(PlanError, match="unpruned reference"):
-        execute_query(query, backend="sequential", options=ExecutionOptions(prune="on"))
-    for prune in ("auto", "off"):
-        result = execute_query(
-            query, backend="sequential", options=ExecutionOptions(prune=prune)
-        )
-        assert result.stats == {"flavor": query.flavor, "kind": "counts", "prune": False}
+    result = execute_query(query, backend="sequential")
+    assert result.stats == {"flavor": query.flavor, "kind": "counts", "prune": False}
     # The pruned batch path agrees with the unpruned reference.
     assert _pruned_batch(query) == result.values

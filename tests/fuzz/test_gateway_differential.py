@@ -7,9 +7,10 @@ random queries of :mod:`tests.fuzz.cp_cases` — all five flavors, every
 kind, pins, exact-``Fraction`` weights — and for random delta sequences
 that force redistribution, :meth:`Gateway.execute_query` must return
 values equal (with ``==``, exact types) to a direct
-:func:`~repro.core.planner.execute_query` call — under every ``prune``
-mode, with the gateway's ``stats["prune"]`` reporting exactly whether a
-pruning pass ran (as the local ``batch`` backend it counts through does).
+:func:`~repro.core.planner.execute_query` call on ``batch`` and to the
+unpruned ``sequential`` reference, with the gateway's ``stats["prune"]``
+reporting exactly whether a pruning pass ran (as the local ``batch``
+backend it counts through does).
 """
 
 from __future__ import annotations
@@ -29,12 +30,18 @@ from repro.core.planner import (
 from repro.service.gateway import Gateway
 from tests.fuzz.cp_cases import FLAVOR_CYCLE, SEEDS, random_case
 
-PRUNE_MODES = ("off", "on", "auto")
-
 
 @pytest.fixture(scope="module")
 def gateway():
     with Gateway(2, timeout_s=30.0) as gw:
+        yield gw
+
+
+@pytest.fixture(scope="module", params=(1, 3), ids=("one-executor", "three-executors"))
+def other_gateway(request):
+    """Row spans other than the two-executor default: one span, so nothing
+    to merge, and three spans, uneven on most of the 4-7 row datasets."""
+    with Gateway(request.param, timeout_s=30.0) as gw:
         yield gw
 
 
@@ -46,25 +53,34 @@ def _assert_same_values(gathered, local, where: str) -> None:
         )
 
 
+def _check_against_local(gateway, seed: int) -> None:
+    query, _oracle, where = random_case(seed)
+    options = ExecutionOptions(cache=False)
+    local = execute_query(query, backend="batch", options=options)
+    gathered = gateway.execute_query(f"fuzz-{seed}", query, options=options)
+    where = f"{where} n_executors={gateway.n_executors}"
+    assert gathered.plan.backend == "gateway"
+    assert gathered.stats["n_partitions"] == min(gateway.n_executors, query.dataset.n_rows)
+    _assert_same_values(gathered.values, local.values, where)
+    reference = execute_query(query, backend="sequential", options=options)
+    _assert_same_values(gathered.values, reference.values, where)
+    # Pruning is reported exactly when a pass ran: never on a MinMax
+    # decision, and otherwise as the local batch run reports.
+    assert gathered.stats["prune"] is local.stats["prune"], where
+    assert gathered.stats["prune"] is not _minmax_decides(query), where
+    if gathered.stats["prune"]:
+        assert gathered.stats["n_rows"] == local.stats["n_rows"], where
+        assert gathered.stats["n_rows_pruned"] == local.stats["n_rows_pruned"], where
+
+
 class TestGatewayDifferential:
-    @pytest.mark.parametrize("prune", PRUNE_MODES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_partitioned_values_match_local(self, gateway, seed, prune):
-        query, _oracle, description = random_case(seed)
-        options = ExecutionOptions(cache=False, prune=prune)
-        local = execute_query(query, backend="batch", options=options)
-        gathered = gateway.execute_query(f"fuzz-{seed}", query, options=options)
-        where = f"{description} prune={prune}"
-        assert gathered.plan.backend == "gateway"
-        _assert_same_values(gathered.values, local.values, where)
-        # Pruning is reported exactly when a pass ran: never when off, never
-        # on a MinMax decision, and otherwise as the local batch run reports.
-        assert gathered.stats["prune"] is local.stats["prune"], where
-        if prune == "off" or _minmax_decides(query):
-            assert gathered.stats["prune"] is False, where
-        if gathered.stats["prune"]:
-            assert gathered.stats["n_rows"] == local.stats["n_rows"], where
-            assert gathered.stats["n_rows_pruned"] == local.stats["n_rows_pruned"], where
+    def test_partitioned_values_match_local(self, gateway, seed):
+        _check_against_local(gateway, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_other_partition_counts_match_local(self, other_gateway, seed):
+        _check_against_local(other_gateway, seed)
 
     def test_seeds_cover_every_flavor(self):
         assert {random_case(seed)[0].flavor for seed in SEEDS} == set(FLAVOR_CYCLE)

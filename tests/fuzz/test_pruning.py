@@ -9,11 +9,10 @@ Two properties over 30 seeded random cases:
    top-K": whatever convention breaks similarity ties, a row with ``k``
    strictly-greater rows above it cannot be a k-nearest neighbour.
 2. **Bit-identity** — every backend that can plan the query returns
-   exactly the same values with ``prune`` off, on and auto (``on`` where
-   the backend prunes at all: ``sequential`` is the unpruned reference
-   and refuses it), and for the decision kinds ``batch`` with ``prune``
-   on agrees under the vectorised decision scan and its per-position
-   reference. The cases come from
+   exactly the values of the unpruned ``sequential`` reference (``batch``
+   and ``incremental`` always prune), and for the decision kinds the
+   pruned ``batch`` path agrees under the vectorised decision scan and
+   its per-position reference. The cases come from
    :mod:`tests.fuzz.cp_cases`, so flavors, pins and weights all cycle
    through.
 """
@@ -34,7 +33,7 @@ from repro.core.pruning import (
 )
 from repro.core.scan import compute_scan_order
 
-from tests.fuzz.cp_cases import BACKENDS, random_case, random_dataset
+from tests.fuzz.cp_cases import random_case, random_dataset
 
 SEEDS = list(range(30))
 
@@ -119,43 +118,28 @@ def test_soundness_seeds_actually_prune():
 
 
 # ---------------------------------------------------------------------------
-# prune on/off/auto bit-identity across backends x flavors x pins x weights
+# Pruned backends vs the unpruned reference, x flavors x pins x weights
 # ---------------------------------------------------------------------------
 
 
-def _options(prune: str) -> ExecutionOptions:
-    return ExecutionOptions(cache=False, prune=prune)
+_OPTIONS = ExecutionOptions(cache=False)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_prune_modes_bit_identical_across_backends(seed, monkeypatch):
+def test_pruned_backends_bit_identical_to_sequential(seed, monkeypatch):
     query, oracle, description = random_case(seed)
-    reference = None
-    n_served = 0
-    for backend in BACKENDS:
-        try:
-            off = execute_query(query, backend=backend, options=_options("off"))
-        except PlanError:
-            continue  # backend cannot serve this flavor/kind; fine
-        n_served += 1
-        if backend == "sequential":
-            with pytest.raises(PlanError, match="unpruned reference"):
-                execute_query(query, backend=backend, options=_options("on"))
-        for prune in ("auto",) if backend == "sequential" else ("on", "auto"):
-            result = execute_query(query, backend=backend, options=_options(prune))
-            assert result.values == off.values, (
-                f"{description}: backend={backend} prune={prune} diverged"
-            )
-            assert result.stats.get("prune") in (True, False)
-        if reference is None:
-            reference = off.values
-        else:
-            assert off.values == reference, (
-                f"{description}: backend={backend} disagrees with reference"
-            )
-    assert n_served > 0, f"{description}: no backend could serve the query"
+    reference = execute_query(query, backend="sequential", options=_OPTIONS)
+    assert reference.stats["prune"] is False, description
+    reference = reference.values
     if oracle is not None:
         assert reference == oracle, f"{description}: diverged from brute force"
+    for backend in ("batch", "incremental"):
+        try:
+            result = execute_query(query, backend=backend, options=_OPTIONS)
+        except PlanError:
+            continue  # backend cannot serve this flavor/kind; fine
+        assert result.values == reference, f"{description}: backend={backend} diverged"
+        assert result.stats.get("prune") in (True, False)
 
     # Decision kinds additionally cross-check the decision scan against its
     # per-position reference through the pruned batch path.
@@ -166,7 +150,7 @@ def test_prune_modes_bit_identical_across_backends(seed, monkeypatch):
         }
         for implementation, decide in implementations.items():
             monkeypatch.setattr(pruning, "decision_winners", decide)
-            result = execute_query(query, backend="batch", options=_options("on"))
+            result = execute_query(query, backend="batch", options=_OPTIONS)
             assert result.values == reference, (
                 f"{description}: scan kernel {implementation} diverged"
             )

@@ -227,8 +227,8 @@ class TestBrokerIntegration:
         assert not broker.gateway.metrics()["executors"]["0"]["alive"]
 
     def test_gateway_served_counts_query_is_pruned(self):
-        """The gateway counts through the pruned ``batch`` path, honours the
-        request's ``prune`` mode, and the broker's counters say so."""
+        """The gateway counts through the pruned ``batch`` path, and the
+        broker's counters say so."""
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
         broker = QueryBroker(
@@ -241,10 +241,10 @@ class TestBrokerIntegration:
             after = broker.metrics()["prune"]
             assert after["pruned_executions"] == before["pruned_executions"] + 1
             assert after["n_points"] == before["n_points"] + 2
-            off = broker.query("d", np.ones((2, 2)), kind="counts", prune="off")
-            assert off["backend"] == "gateway"
+            again = broker.query("d", np.ones((2, 2)), kind="counts")
+            assert again["backend"] == "gateway"
             final = broker.metrics()["prune"]
-            assert final["pruned_executions"] == after["pruned_executions"]
+            assert final["pruned_executions"] == after["pruned_executions"] + 1
             assert final["executions"] == after["executions"] + 1
         finally:
             broker.close()

@@ -219,7 +219,8 @@ class TestErrorPaths:
         assert "point" in payload["error"]["message"]
 
     @pytest.mark.parametrize(
-        "field, value", [("algorithm", "tree"), ("kinds", "certain_label")]
+        "field, value",
+        [("algorithm", "tree"), ("kinds", "certain_label"), ("prune", "off")],
     )
     def test_unknown_query_field_is_400(self, service, field, value):
         # A field /query does not read is refused, not silently ignored.

@@ -142,7 +142,7 @@ FOLDED_NAMES = {
         "count_point",
         "decision_point",
     ),
-    "repro.core.planner": ("MAX_PREPARED_BATCHES",),
+    "repro.core.planner": ("MAX_PREPARED_BATCHES", "PRUNE_MODES", "_prune_enabled"),
     "repro.core.scan_kernels": (
         "KERNEL_IMPLEMENTATIONS",
         "DEFAULT_IMPLEMENTATION",
@@ -215,6 +215,28 @@ def test_one_q2_engine_on_the_served_path() -> None:
         "kinds",
         "reference",
     ]
+
+
+def test_pruning_is_not_a_knob() -> None:
+    # The prune certificate keeps every answer bit-identical, so ``batch``
+    # and ``incremental`` always run it and no caller selects it.
+    import dataclasses
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.core.planner import ExecutionOptions
+    from repro.service import QueryBroker, ServiceClient
+
+    assert [field.name for field in dataclasses.fields(ExecutionOptions)] == [
+        "n_jobs",
+        "cache",
+        "prepared",
+    ]
+    for function in (QueryBroker.query, ServiceClient.query):
+        assert "prune" not in inspect.signature(function).parameters, function
+    with pytest.raises(SystemExit) as rejected:
+        build_parser().parse_args(["query", "--prune", "off"])
+    assert rejected.value.code == 2
 
 
 #: module -> names that went with the gateway's MinMax tally protocol and
