@@ -738,7 +738,7 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _command_sql(args: argparse.Namespace) -> int:
-    from repro.codd.engine import CoddPlanError, answer_query
+    from repro.codd.engine import CoddPlanError, answer_query, optimize_for
     from repro.codd.from_table import codd_table_from_dirty_table
     from repro.codd.sql import SqlError, parse_sql, referenced_tables
     from repro.data.io import read_csv
@@ -793,12 +793,15 @@ def _command_sql(args: argparse.Namespace) -> int:
                 response["explain"].get("rewrites") or (),
             )
     else:
+        optimized = optimize_for(query, database)
         try:
             certain_result = answer_query(
-                query, database, mode="certain", backend=args.engine
+                query, database, mode="certain", backend=args.engine,
+                optimize=optimized,
             )
             maybe = answer_query(
-                query, database, mode="possible", backend=args.engine
+                query, database, mode="possible", backend=args.engine,
+                optimize=optimized,
             ).relation
         except CoddPlanError as exc:
             print(f"plan error: {exc}", file=sys.stderr)

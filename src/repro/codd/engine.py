@@ -55,6 +55,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.codd.algebra import (
     Aggregate,
@@ -86,6 +87,9 @@ from repro.codd.vectorized import (
 )
 from repro.utils.lru import LRUCache
 
+if TYPE_CHECKING:
+    from repro.codd.optimizer import OptimizedPlan
+
 __all__ = [
     "MODES",
     "MAX_PREPARED_GRIDS",
@@ -99,6 +103,7 @@ __all__ = [
     "capable_codd_backends",
     "plan_codd_query",
     "answer_query",
+    "optimize_for",
     "scan_relations",
     "VectorizedCoddBackend",
     "NaiveCoddBackend",
@@ -321,13 +326,28 @@ def plan_codd_query(
     )
 
 
+def optimize_for(
+    query: Query, database: Mapping[str, CoddTable]
+) -> OptimizedPlan | None:
+    """:func:`~repro.codd.optimizer.optimize_query` of ``query`` against
+    ``database``, or ``None`` when lowering or rewriting fails — the query
+    then runs untouched, so malformed queries fail exactly where (and as)
+    they would unoptimized: during evaluation."""
+    from repro.codd.optimizer import optimize_query
+
+    try:
+        return optimize_query(query, database)
+    except Exception:
+        return None
+
+
 def answer_query(
     query: Query,
     database: Mapping[str, CoddTable],
     mode: str = "certain",
     backend: str = "auto",
     prepared: Mapping[str, StackedTable] | None = None,
-    optimize: bool = True,
+    optimize: bool | OptimizedPlan | None = True,
 ) -> CoddAnswerResult:
     """Plan and run one certain/possible-answer query; the one call the
     dispatchers, the SQL service and the CLI all go through.
@@ -345,29 +365,25 @@ def answer_query(
     trail.  Every rewrite is a per-world equivalence, so answers are
     unchanged; if lowering or rewriting fails for any reason the original
     query runs untouched, preserving the unoptimized error behaviour.
+    ``optimize`` may also be what :func:`optimize_for` returned for this
+    query and database (``None``: run it unoptimized), so a caller
+    answering both modes optimizes once.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if optimize is True:
+        optimize = optimize_for(query, database)
     logical: LogicalPlan | None = None
     rewrites: tuple[str, ...] = ()
     run_query = query
     if optimize:
-        from repro.codd.optimizer import optimize_query
-
-        try:
-            optimized = optimize_query(query, database)
-        except Exception:
-            # Malformed queries must fail exactly where (and as) they did
-            # before the optimizer existed — during evaluation, below.
-            optimized = None
-        if optimized is not None:
-            logical = optimized.plan
-            rewrites = optimized.rewrites
-            run_query = optimized.query()
+        logical = optimize.plan
+        rewrites = optimize.rewrites
+        run_query = optimize.query()
     plan = plan_codd_query(
         run_query, database, backend=backend, prepared=prepared
     )
-    if plan.backend == "naive" and optimize and logical is not None:
+    if plan.backend == "naive" and logical is not None:
         from repro.codd.optimizer import prune_rewrite
 
         try:

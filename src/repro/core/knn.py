@@ -27,6 +27,10 @@ from repro.utils.validation import check_matrix, check_positive_int, check_vecto
 
 __all__ = ["KNNClassifier", "majority_label", "top_k_rows"]
 
+#: Budget for the ``(rows, n, d)`` float64 kernel temporary of one block
+#: of :meth:`KNNClassifier.predict`.
+PREDICT_BLOCK_BYTES = 1 << 20
+
 
 def majority_label(labels: Sequence[int], tally_size: int | None = None) -> int:
     """Majority vote with the library-wide tie-break (smallest label wins)."""
@@ -119,10 +123,38 @@ class KNNClassifier:
         return majority_label(labels[top])
 
     def predict(self, test_features: np.ndarray) -> np.ndarray:
-        """Predicted labels for a matrix of test examples."""
-        features, _ = self._require_fitted()
+        """Predicted labels for a matrix of test examples.
+
+        Equal to :meth:`predict_one` on every row, computed a block of
+        rows at a time: one ``kernel.pairwise`` call per block (blocks
+        sized so a ``(rows, n, d)`` kernel temporary stays within
+        :data:`PREDICT_BLOCK_BYTES`), the top ``k`` picked by ``k`` rounds
+        of ``argmax`` (which returns the first maximum, i.e. the smaller
+        row index on a similarity tie) and the vote by ``argmax`` over a
+        per-row label tally (the smaller label on a vote tie). A row with
+        a non-finite similarity, whose order ``argmax`` and
+        :func:`top_k_rows` do not share, takes :func:`top_k_rows`.
+        """
+        features, labels = self._require_fitted()
         test_features = check_matrix(test_features, "test_features", n_cols=features.shape[1])
-        return np.array([self.predict_one(t) for t in test_features], dtype=np.int64)
+        n, d = features.shape
+        n_labels = int(labels.max()) + 1
+        step = max(PREDICT_BLOCK_BYTES // max(n * d * 8, 1), 1)
+        out = np.empty(test_features.shape[0], dtype=np.int64)
+        for r0 in range(0, test_features.shape[0], step):
+            sims = self.kernel.pairwise(features, test_features[r0 : r0 + step])
+            rows = np.arange(sims.shape[0])
+            left = sims.copy()
+            tally = np.zeros((sims.shape[0], n_labels), dtype=np.int64)
+            for _ in range(self.k):
+                taken = np.argmax(left, axis=1)
+                tally[rows, labels[taken]] += 1
+                left[rows, taken] = -np.inf
+            votes = np.argmax(tally, axis=1)
+            for i in np.flatnonzero(~np.isfinite(sims).all(axis=1)):
+                votes[i] = majority_label(labels[top_k_rows(sims[i], self.k)])
+            out[r0 : r0 + sims.shape[0]] = votes
+        return out
 
     def accuracy(self, test_features: np.ndarray, test_labels: Sequence[int]) -> float:
         """Fraction of correct predictions on a labelled test set."""

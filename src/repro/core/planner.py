@@ -763,20 +763,14 @@ def _label_uncertain_reference(_, dataset, t, k, kernel) -> list[int]:
     return label_uncertain_counts(dataset, t, k=k, kernel=kernel)
 
 
-def _weights_argument(query: CPQuery) -> tuple[list[list[Fraction]], tuple]:
+def _weights_argument(query: CPQuery) -> list[list[Fraction]]:
     """The weighted flavor's prior with pins conditioned in as point masses."""
     base = (
         [list(row) for row in query.weights]
         if query.weights is not None
         else uniform_candidate_weights(query.dataset)
     )
-    weights = condition_weights(base, query.pins_dict())
-    return weights, (_weights_key(weights),)
-
-
-def _restricted_argument(query: CPQuery) -> tuple[Any, tuple]:
-    dataset = query.restricted_dataset
-    return dataset, (dataset.fingerprint(),)
+    return condition_weights(base, query.pins_dict())
 
 
 @dataclass(frozen=True)
@@ -784,8 +778,9 @@ class FlavorPoint:
     """One flavor's row of :data:`FLAVOR_POINTS`.
 
     ``scan(query)`` is the dataset the flavor's scans run over;
-    ``argument(query)`` is ``(argument, its result-cache key part)``, the
-    per-query input both evaluators take; ``point`` is the pruned
+    ``argument(query)`` is the per-query input both evaluators take, and
+    ``argument_key(query, argument)`` its result-cache key part, computed
+    only when the result cache is read; ``point`` is the pruned
     ``batch`` evaluator, with result-cache ``tag``; ``reference`` is the
     unpruned per-point kernel ``sequential`` runs. Both return per-label
     counts or probabilities (``topk``: per-row inclusion counts), which
@@ -798,7 +793,8 @@ class FlavorPoint:
 
     tag: str
     scan: Callable[[CPQuery], IncompleteDataset]
-    argument: Callable[[CPQuery], tuple[Any, tuple]]
+    argument: Callable[[CPQuery], Any]
+    argument_key: Callable[[CPQuery, Any], tuple]
     point: Callable[[tuple, int], tuple[Any, dict | None]]
     reference: Callable[..., Any]
     decision: tuple[str, Callable] | None = None
@@ -808,7 +804,8 @@ class FlavorPoint:
 _COUNTING = FlavorPoint(
     tag="q2",
     scan=lambda query: query.dataset,
-    argument=lambda query: (query.pins_dict(), query.pins),
+    argument=lambda query: query.pins_dict(),
+    argument_key=lambda query, _: query.pins,
     point=_count_point,
     reference=_count_reference,
     decision=("q2d", _decision_point),
@@ -826,6 +823,7 @@ FLAVOR_POINTS = {
         tag="wt",
         scan=lambda query: query.dataset,
         argument=_weights_argument,
+        argument_key=lambda _, weights: (_weights_key(weights),),
         point=_weighted_point,
         reference=_weighted_reference,
         reads_scan=True,
@@ -833,8 +831,9 @@ FLAVOR_POINTS = {
     "topk": FlavorPoint(
         tag="topk",
         scan=lambda query: query.restricted_dataset,
+        argument=lambda query: None,
         # Pins live in the restricted dataset's fingerprint.
-        argument=lambda query: (None, ()),
+        argument_key=lambda query, _: (),
         point=_topk_point,
         reference=_topk_reference,
         reads_scan=True,
@@ -842,7 +841,10 @@ FLAVOR_POINTS = {
     "label_uncertainty": FlavorPoint(
         tag="lu",
         scan=lambda query: query.restricted_dataset.feature_dataset,
-        argument=_restricted_argument,
+        argument=lambda query: query.restricted_dataset,
+        # The scan is the restricted feature dataset, so the key adds the
+        # restricted label-uncertain dataset's whole fingerprint.
+        argument_key=lambda _, dataset: (dataset.fingerprint(),),
         point=_label_uncertain_point,
         reference=_label_uncertain_reference,
         reads_scan=True,
@@ -892,7 +894,7 @@ class SequentialBackend(Backend):
             return _labels_to_kind(query, labels), _prune_summary(query, None)
         row = FLAVOR_POINTS[query.flavor]
         dataset = row.scan(query)
-        argument, _ = row.argument(query)
+        argument = row.argument(query)
         values = [
             row.reference(dataset, argument, t, query.k, query.kernel)
             for t in query.test_X
@@ -972,7 +974,7 @@ class BatchParallelBackend(Backend):
         prepared = _handed_prepared(dataset, query, options) or PreparedBatch(
             dataset, query.test_X, k=query.k, kernel=query.kernel
         )
-        argument, argument_key = row.argument(query)
+        argument = row.argument(query)
         tag, point = row.tag, row.point
         decides = query.kind != "counts" and row.decision is not None
         if decides:
@@ -982,6 +984,7 @@ class BatchParallelBackend(Backend):
         # A MinMax check is two reductions per point: cheaper than a fork.
         n_jobs = 1 if tag == "mm" else options.n_jobs
         cache = self.cache if options.cache else None
+        argument_key = None if cache is None else row.argument_key(query, argument)
         values = self._evaluate(
             prepared, tag, point, argument, argument_key, row.reads_scan, totals,
             n_jobs, cache,
@@ -994,7 +997,7 @@ class BatchParallelBackend(Backend):
         tag: str,
         point,
         argument: Any,
-        argument_key: tuple,
+        argument_key: tuple | None,
         reads_scan: bool,
         totals: dict | None,
         n_jobs: int | None,
@@ -1003,8 +1006,9 @@ class BatchParallelBackend(Backend):
         """``point`` over every test point: served from ``cache``, else fanned out.
 
         Results are cached under ``(tag, fingerprint, k, kernel,
-        argument_key, point digest)``; ``totals`` accumulates the prune
-        telemetry of the points computed this call.
+        argument_key, point digest)`` (``argument_key`` is ``None`` without
+        a cache); ``totals`` accumulates the prune telemetry of the points
+        computed this call.
         """
         results: list = [None] * prepared.n_points
         missing = list(range(prepared.n_points))

@@ -4,21 +4,25 @@ The planner (:mod:`repro.core.planner`) is fastest when handed a whole
 test matrix at once — one vectorised preparation amortised over many
 points — but interactive callers ask one point at a time. The broker
 closes that gap the way high-throughput serving systems do, with
-**micro-batching**: a single-point query does not execute immediately;
-it joins the pending batch of its *query family* (same dataset, kind,
-flavor, ``k``, kernel, pins, label, weights, backend — everything except
-the test point), and the batch is flushed as one planner call when it
-reaches ``max_batch`` points or when the oldest request has waited
-``window_s`` seconds. Under concurrent load the window fills and every
-flush serves many callers for roughly the price of one; an idle service
-degrades to per-request latency plus at most one window.
+**micro-batching** of single-point queries by *query family* (same
+dataset, kind, flavor, ``k``, kernel, pins, label, weights, backend —
+everything except the test point). A single point whose family is idle
+(no batch pending, no flush running) has nobody to wait for: it runs at
+once on the caller's thread, with no window. One that finds its family
+busy joins the family's pending batch, or opens it, and the batch is
+flushed as one planner call when it reaches ``max_batch`` points or when
+its oldest request has waited ``window_s`` seconds. So ``window_s`` is
+the longest a read waits for company while its family is busy: under
+concurrent load the window fills and every flush serves many callers for
+roughly the price of one, and an idle service pays no window at all.
 
 That flush is the only way a CP read executes. A read that does not
 coalesce — a matrix, an ``explain`` request, or any read while
 coalescing is off (``window_s=0`` or ``max_batch=1``) — is a batch of
-one, flushed at once on the caller's thread. Either way the one flush
-makes the planner (or gateway) call, counts it in ``/metrics``, fills
-the result cache and resolves the waiting requests.
+one, flushed at once on the caller's thread, as is an uncontended
+single point. Either way the one flush makes the planner (or gateway)
+call, counts it in ``/metrics``, fills the result cache and resolves the
+waiting requests.
 
 Correctness is free: every backend computes per-point values
 independently, so a batched execution is bit-identical to the
@@ -55,7 +59,7 @@ import numpy as np
 
 from repro.codd.codd_table import CoddTable
 from repro.codd import joins
-from repro.codd.engine import MODES, answer_query, get_codd_backend
+from repro.codd.engine import MODES, answer_query, get_codd_backend, optimize_for
 from repro.codd.plan import plan_dict
 from repro.codd.sql import parse_sql, referenced_tables
 from repro.core.batch_engine import kernel_cache_key
@@ -122,7 +126,8 @@ class _PendingBatch:
 
     A coalescing batch waits in ``QueryBroker._pending`` until
     ``max_batch`` requests or its window ``timer`` flush it; a direct
-    read is a batch of one with no timer, flushed at once. The batch
+    read (including a single point whose family is idle) is a batch of
+    one with no timer, flushed at once. The batch
     carries the :class:`~repro.service.registry.DatasetSnapshot` of the
     request that opened it; the family key embeds the snapshot's
     fingerprint, so every coalesced request sees the same dataset version
@@ -155,6 +160,9 @@ class QueryBroker:
     read then builds its :class:`~repro.core.planner.CPQuery`, reads its
     one cache slot, and on a miss runs through :meth:`_flush`, coalesced
     with its family's other single points or alone as a batch of one.
+    Each family counts its coalescing flushes in flight
+    (``self._running``); a single point that finds none, and no pending
+    batch, flushes inline instead of opening a window.
 
     Parameters
     ----------
@@ -162,8 +170,9 @@ class QueryBroker:
         The :class:`~repro.service.registry.DatasetRegistry` whose
         entries (and pinned prepared state) queries run against.
     window_s:
-        Micro-batching window: how long the first request of a family
-        waits for company before its batch is flushed. ``0`` disables
+        Micro-batching window: the longest a single-point read waits for
+        company while its family is busy (a flush running or a batch
+        pending); a read of an idle family never waits. ``0`` disables
         coalescing (the per-request baseline ``bench_service.py``
         measures against).
     max_batch:
@@ -224,6 +233,8 @@ class QueryBroker:
         self.cache = LRUCache(RESULT_CACHE_SIZE, ttl_s=ttl_s) if cache else None
         self._lock = threading.Lock()
         self._pending: dict[tuple, _PendingBatch] = {}
+        # family -> number of its coalescing flushes executing right now
+        self._running: dict[tuple, int] = {}
         self._inflight = 0
         self._admissions = 0
         self._closed = False
@@ -471,10 +482,12 @@ class QueryBroker:
             results: dict[str, dict] = {}
             backends: dict[str, str] = {}
             explain_info: dict | None = None
+            # One optimization serves every mode answered.
+            optimized = optimize_for(parsed, database)
             for one_mode in modes:
                 answer = answer_query(
                     parsed, database, mode=one_mode, backend=backend,
-                    prepared=prepared,
+                    prepared=prepared, optimize=optimized,
                 )
                 results[one_mode] = encode_relation(answer.relation)
                 backends[one_mode] = answer.plan.backend
@@ -802,19 +815,24 @@ class QueryBroker:
                 batch = self._pending.get(family)
                 if batch is None:
                     batch = _PendingBatch(entry, snap, backend, options)
-                    self._pending[family] = batch
-                    batch.timer = threading.Timer(
-                        self.window_s, self._flush_family, (family, batch)
-                    )
-                    batch.timer.daemon = True
-                    batch.timer.start()
+                    if self._running.get(family):
+                        # The family is busy: wait up to a window for company.
+                        self._pending[family] = batch
+                        batch.timer = threading.Timer(
+                            self.window_s, self._flush_family, (family, batch)
+                        )
+                        batch.timer.daemon = True
+                        batch.timer.start()
                 batch.requests.append(request)
-                full = len(batch.requests) >= self.max_batch
+                # An uncontended read has no timer: it flushes at once.
+                full = batch.timer is None or len(batch.requests) >= self.max_batch
                 if full:
-                    del self._pending[family]
+                    self._pending.pop(family, None)
+                    self._running[family] = self._running.get(family, 0) + 1
             if full:
-                batch.timer.cancel()
-                self._flush(batch)
+                if batch.timer is not None:
+                    batch.timer.cancel()
+                self._flush_running(family, batch)
         values, result, batch_record = future.result(timeout=timeout)
         # A coalescing flush ran detached (it served many requests,
         # possibly on a timer thread); grafting its span record here
@@ -840,7 +858,21 @@ class QueryBroker:
             if self._pending.get(family) is not batch:
                 return  # flushed by max_batch (or close) already
             del self._pending[family]
-        self._flush(batch)
+            self._running[family] = self._running.get(family, 0) + 1
+        self._flush_running(family, batch)
+
+    def _flush_running(self, family: tuple, batch: _PendingBatch) -> None:
+        """Flush a coalescing family's ``batch``, counted in
+        ``self._running`` (the caller took the count under the lock) so
+        the family's next reads know to wait for company."""
+        try:
+            self._flush(batch)
+        finally:
+            with self._lock:
+                if self._running[family] == 1:
+                    del self._running[family]
+                else:
+                    self._running[family] -= 1
 
     def _flush(self, batch: _PendingBatch) -> None:
         """Execute ``batch`` as one planner call and resolve its requests.
@@ -851,8 +883,9 @@ class QueryBroker:
         the values fills its cache slot and resolves its future.
         """
         requests = batch.requests
-        # A batch without a window timer is one direct read: it runs on the
-        # caller's thread and nests under that request's span. A
+        # A batch without a window timer is one direct read (a matrix, an
+        # explain request, or a single point of an idle family): it runs
+        # on the caller's thread and nests under that request's span. A
         # coalescing flush is detached — it may run on a timer thread, and
         # even on a caller's thread it serves every coalesced request, so
         # nesting it under one request's span would mis-attribute it.

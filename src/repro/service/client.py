@@ -11,16 +11,28 @@ client-side consumer can compare served values to local
 expect bit-identical agreement (the differential harness does exactly
 that).
 
+Each calling thread keeps one persistent HTTP/1.1 connection, opened on
+its first request, so a request costs the server no new connection and
+no new handler thread. A request that fails on a reused connection
+before the status line arrives (the server dropped the idle connection)
+is sent once more on a fresh one — but only a read (``GET``, ``POST
+/query``, ``POST /sql``): a write is never sent twice, so ``PATCH``,
+``POST /clean/step`` and ``POST /datasets`` raise instead. :meth:`close`
+(or leaving a ``with`` block) closes every thread's connection.
+
 Server-side failures raise :class:`ServiceError` carrying the HTTP
 status and the structured ``code``/``message`` payload the server sent.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
+import weakref
 from typing import Any
-from urllib import error, request
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -34,6 +46,21 @@ from repro.service.wire import (
 )
 
 __all__ = ["ServiceError", "ServiceClient"]
+
+#: Request paths a ``POST`` may re-send: reads that change no state.
+_READ_POSTS = frozenset({"/query", "/sql"})
+
+#: How a request fails when the server closed its connection before
+#: answering (``RemoteDisconnected`` is both).
+_DROPPED = (ConnectionError, http.client.BadStatusLine)
+
+
+class _Connection(http.client.HTTPConnection):
+    """A client thread's connection: it closes its socket when collected,
+    as when its thread ends, instead of leaving that to the socket."""
+
+    def __del__(self) -> None:
+        self.close()
 
 
 class ServiceError(RuntimeError):
@@ -49,6 +76,10 @@ class ServiceError(RuntimeError):
 class ServiceClient:
     """Talk to a running ``repro serve`` instance.
 
+    Safe to share across threads: each thread talks over its own
+    keep-alive connection. Use it as a context manager, or call
+    :meth:`close`, to release the connections.
+
     Parameters
     ----------
     base_url:
@@ -60,38 +91,92 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"base_url must be an http:// URL, got {base_url!r}")
+        self._host = parts.hostname
+        self._port = parts.port
+        self._prefix = parts.path
+        self._local = threading.local()
+        # Every live connection, so close() reaches other threads' ones; a
+        # thread's connection is collected (and closed) with the thread.
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request opens a new one."""
+        with self._lock:
+            connections = list(self._connections)
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
-        req = request.Request(
-            self.base_url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with request.urlopen(req, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except error.HTTPError as exc:
+    def _connection(self) -> _Connection:
+        """This thread's connection, opened lazily (and again after close)."""
+        connection = getattr(self._local, "connection", None)
+        with self._lock:
+            if connection is None or connection not in self._connections:
+                connection = _Connection(self._host, self._port, timeout=self.timeout)
+                self._connections.add(connection)
+                self._local.connection = connection
+        return connection
+
+    def _discard(self, connection: _Connection) -> None:
+        connection.close()
+        with self._lock:
+            self._connections.discard(connection)
+
+    def _send(self, method: str, path: str, body: bytes | None) -> tuple[int, str, bytes]:
+        """One request/response exchange: ``(status, reason, body bytes)``."""
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        resend = method == "GET" or (method == "POST" and path in _READ_POSTS)
+        while True:
+            connection = self._connection()
+            reused = connection.sock is not None
+            response = None
             try:
-                detail = json.loads(exc.read().decode("utf-8"))["error"]
-                raise ServiceError(
-                    exc.code, detail.get("code", "error"), detail.get("message", "")
-                ) from None
-            except (json.JSONDecodeError, KeyError, UnicodeDecodeError):
-                raise ServiceError(exc.code, "error", exc.reason) from None
+                connection.request(method, self._prefix + path, body, headers)
+                response = connection.getresponse()
+                return response.status, response.reason, response.read()
+            except BaseException as exc:
+                # After any failure the connection's state is unknown.
+                self._discard(connection)
+                # No status line over a reused connection: the server closed
+                # it while idle. A read goes out once more, on a fresh one.
+                dropped = response is None and isinstance(exc, _DROPPED)
+                if not (dropped and reused and resend):
+                    raise
+                resend = False
+
+    def _raw(self, method: str, path: str, payload: dict | None = None) -> bytes:
+        """The response body of a successful request; :class:`ServiceError`
+        for an error status."""
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        status, reason, data = self._send(method, path, body)
+        if status < 400:
+            return data
+        try:
+            detail = json.loads(data)["error"]
+            code, message = detail.get("code", "error"), detail.get("message", "")
+        except (ValueError, LookupError, TypeError, AttributeError):
+            code, message = "error", reason  # not the service's error payload
+        raise ServiceError(status, code, message)
+
+    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+        return json.loads(self._raw(method, path, payload))
 
     def _request_text(self, method: str, path: str) -> str:
         """Like :meth:`_request` but for non-JSON (text) responses."""
-        req = request.Request(self.base_url + path, method=method)
-        try:
-            with request.urlopen(req, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except error.HTTPError as exc:
-            raise ServiceError(exc.code, "error", exc.reason) from None
+        return self._raw(method, path).decode("utf-8")
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -105,7 +190,7 @@ class ServiceClient:
         while True:
             try:
                 return self.healthz()
-            except (ServiceError, error.URLError, ConnectionError, OSError):
+            except (ServiceError, OSError, http.client.HTTPException):
                 if time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"service at {self.base_url} not ready after {timeout}s"

@@ -51,6 +51,13 @@ histograms, echoes its ``X-Trace-Id`` header, and — with
 access-log line to stderr. Root spans slower than ``slow_ms`` land in
 the slow-query log (see :class:`repro.obs.Tracer`).
 
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``: a client
+that keeps its connection (as :class:`~repro.service.client.ServiceClient`
+does, one per thread) pays for neither a TCP handshake nor a new handler
+thread per request. :meth:`ServiceServer.close` ends every open
+connection once the broker has drained, so no handler thread stays
+parked on an idle connection after the server is closed.
+
 Start a server with :func:`make_service` (ephemeral port, background
 thread — what the tests and the CI smoke job use) or :func:`serve`
 (blocking — what ``repro serve`` calls).
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import sys
 import threading
 import time
@@ -92,6 +100,9 @@ from repro.service.wire import (
 
 __all__ = ["ServiceServer", "make_service", "serve"]
 
+#: How long :meth:`ServiceServer.close` waits for connection handlers to exit.
+_HANDLER_JOIN_S = 10.0
+
 
 class ServiceServer(ThreadingHTTPServer):
     """The HTTP server plus the service state its handlers operate on."""
@@ -120,23 +131,83 @@ class ServiceServer(ThreadingHTTPServer):
         self.access_sink = access_sink  # None → sys.stderr at emit time
         self.started = time.monotonic()
         self._accepting = False  # True once serve_forever is (about to be) live
+        # Open connection socket -> its handler thread, so close() can end
+        # keep-alive handlers parked on their next request line.
+        self._handlers: dict[socket.socket, threading.Thread] = {}
+        self._handlers_lock = threading.Lock()
+        self._closing = False  # set by close(): new connections are refused
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def process_request(self, request, client_address) -> None:
+        """Serve one connection on its own daemon thread (as
+        ``ThreadingMixIn`` does), remembering both until it closes. Once
+        :meth:`close` has begun, a new connection is closed unserved."""
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._handlers_lock:
+            refused = self._closing
+            if not refused:
+                self._handlers[request] = thread
+        if refused:
+            self.shutdown_request(request)
+        else:
+            thread.start()
+
+    def handle_error(self, request, client_address) -> None:
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return  # the client hung up mid-response: not a server fault
+        super().handle_error(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._handlers_lock:
+            self._handlers.pop(request, None)
+        super().shutdown_request(request)
+
     def close(self) -> None:
-        """Stop serving, flush pending micro-batches, release the socket.
+        """Flush pending micro-batches, end every connection, stop serving,
+        release the socket.
+
+        From the first step on, a new connection is closed unserved. Once
+        the broker has answered what it held, each open connection's read
+        side is shut down: a handler parked on a keep-alive connection's
+        next request line reads end-of-file and exits, while one still
+        writing a response finishes it first. The handlers are joined (for
+        at most :data:`_HANDLER_JOIN_S`) before the accept loop stops, so
+        the accept thread, started first, exits last. glibc gives a new
+        thread the malloc arena an exited thread released last, so in a
+        process that builds one server after another (a test suite, a
+        benchmark) the next accept thread takes this accept thread's small
+        arena and the next handler this handler's grown one. In the other
+        order the two swap and the next handler grows a second arena:
+        about 10 MB more peak RSS over a 1000-row cleaning session.
 
         Safe whether or not the accept loop ever ran: ``shutdown()`` waits
         on an event only ``serve_forever()`` sets, so it is skipped when
         the loop was never started (``make_service(..., start=False)``).
         """
+        with self._handlers_lock:
+            self._closing = True
+        self.broker.close()
+        with self._handlers_lock:
+            handlers = list(self._handlers.items())
+        for sock, _ in handlers:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer already closed it
+        deadline = time.monotonic() + _HANDLER_JOIN_S
+        for _, thread in handlers:
+            thread.join(max(deadline - time.monotonic(), 0.0))
         if self._accepting:
             self._accepting = False
             self.shutdown()
-        self.broker.close()
         self.server_close()
 
 

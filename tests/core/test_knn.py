@@ -96,3 +96,51 @@ class TestKNNClassifier:
         a = KNNClassifier(k=3, kernel="euclidean").fit(X, y).predict(T)
         b = KNNClassifier(k=3, kernel="rbf").fit(X, y).predict(T)
         assert np.array_equal(a, b)
+
+
+def predict_loop(clf: KNNClassifier, T: np.ndarray) -> np.ndarray:
+    """The per-point reference :meth:`KNNClassifier.predict` must equal."""
+    return np.array([clf.predict_one(t) for t in T], dtype=np.int64)
+
+
+class TestVectorisedPredict:
+    @pytest.mark.parametrize("kernel", ["euclidean", "rbf", "linear", "cosine"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_per_point_loop(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        n_labels = int(rng.integers(2, 5))
+        # Coarse integer grids make similarity and vote ties common;
+        # repeated rows make exact duplicates.
+        X = rng.integers(-2, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+        X[n // 2 :] = X[: n - n // 2]
+        y = rng.integers(0, n_labels, size=n)
+        T = rng.integers(-2, 3, size=(25, X.shape[1])).astype(float)
+        T[:3] = 0.0  # a zero test vector: every cosine similarity is 0
+        for k in {1, 2, min(3, n), n}:
+            clf = KNNClassifier(k=k, kernel=kernel).fit(X, y)
+            assert np.array_equal(clf.predict(T), predict_loop(clf, T)), k
+
+    def test_blocks_agree_with_one_block(self, monkeypatch):
+        import repro.core.knn as knn
+
+        rng = np.random.default_rng(9)
+        X, y = rng.normal(size=(30, 4)), rng.integers(0, 3, size=30)
+        T = rng.normal(size=(50, 4))
+        clf = KNNClassifier(k=5).fit(X, y)
+        whole = clf.predict(T)
+        monkeypatch.setattr(knn, "PREDICT_BLOCK_BYTES", 30 * 4 * 8 * 3)
+        assert np.array_equal(clf.predict(T), whole)
+        assert np.array_equal(whole, predict_loop(clf, T))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows
+    @pytest.mark.parametrize("kernel", ["euclidean", "rbf", "linear", "cosine"])
+    def test_a_non_finite_similarity_takes_the_reference_order(self, kernel):
+        # Finite inputs whose similarities overflow: +-inf, and NaN (inf/inf)
+        # for the cosine kernel.
+        X = np.array([[1e200, 1.0], [1.0, 0.0], [-1e200, 2.0], [2.0, 1.0], [0.0, 0.0]])
+        y = np.array([1, 0, 1, 0, 1])
+        T = np.array([[1e200, 0.0], [0.5, 0.5], [-1e200, -1e200], [3.0, 3.0]])
+        for k in (1, 2, 3, 5):
+            clf = KNNClassifier(k=k, kernel=kernel).fit(X, y)
+            assert np.array_equal(clf.predict(T), predict_loop(clf, T)), k

@@ -521,6 +521,37 @@ class TestCachingAndOptions:
         assert values == execute_query(query, backend="sequential").values
         assert not built  # the handed-in batch was used, not rebuilt
 
+    def test_label_sets_are_part_of_the_cache_key(self):
+        """Two label-uncertain datasets with the same features share the
+        scan's fingerprint; the cache key must still tell them apart."""
+        backend = BatchParallelBackend()
+        base = random_dataset(34, n_rows=7)
+        sets = [base.candidates(i) for i in range(base.n_rows)]
+        certain = LabelUncertainDataset(sets, [(base.label_of(i),) for i in range(7)])
+        flipped = LabelUncertainDataset(sets, [(0, 1)] * 7)
+        test_X = np.random.default_rng(34).normal(size=(3, 2))
+        for dataset in (certain, flipped, certain):
+            query = make_query(dataset, test_X, k=3)
+            values, _ = backend.execute(query, ExecutionOptions(cache=True))
+            assert values == execute_query(query, backend="sequential").values
+
+    def test_uncached_label_uncertain_query_takes_no_fingerprint(self, monkeypatch):
+        dataset = LabelUncertainDataset.from_incomplete(random_dataset(35), flip_rows=[2])
+        calls = []
+        original = LabelUncertainDataset.fingerprint
+
+        def counted(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(LabelUncertainDataset, "fingerprint", counted)
+        row = dataset.feature_dataset.uncertain_rows()[0]
+        query = make_query(dataset, np.zeros((2, 2)), k=2, pins={row: 0})
+        uncached = execute_query(query, backend="batch", options=ExecutionOptions(cache=False))
+        assert not calls
+        cached = execute_query(query, backend="batch", options=ExecutionOptions(cache=True))
+        assert calls and cached.values == uncached.values
+
     def test_n_jobs_does_not_change_results(self):
         dataset = random_dataset(33)
         test_X = np.random.default_rng(33).normal(size=(6, 2))

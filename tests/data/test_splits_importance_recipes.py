@@ -107,3 +107,20 @@ class TestRecipes:
         assert RECIPES["babyproduct"].paper_missing_rate == pytest.approx(0.118)
         for name in ("supreme", "bank", "puma"):
             assert RECIPES[name].paper_missing_rate == pytest.approx(0.20)
+
+
+class TestImportancesUnderVectorisedPredict:
+    @pytest.mark.parametrize("recipe", ["supreme", "babyproduct"])
+    def test_unchanged_against_the_per_point_predict(self, recipe, monkeypatch):
+        from repro.core.knn import KNNClassifier
+
+        table, _ = make_table(recipe, n_rows=400, seed=1)
+        vectorised = feature_importances(table, seed=2)
+
+        def predict_loop(self, test_features):
+            return np.array(
+                [self.predict_one(t) for t in test_features], dtype=np.int64
+            )
+
+        monkeypatch.setattr(KNNClassifier, "predict", predict_loop)
+        assert np.array_equal(vectorised, feature_importances(table, seed=2))

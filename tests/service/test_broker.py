@@ -37,8 +37,9 @@ def registry() -> DatasetRegistry:
 
 
 class TestMicroBatching:
-    def test_concurrent_singles_coalesce(self, registry):
+    def test_concurrent_singles_coalesce(self, registry, hold_first_flush):
         broker = QueryBroker(registry, window_s=0.05, max_batch=64, cache=False)
+        gate = hold_first_flush(broker)
         rng = np.random.default_rng(0)
         points = rng.normal(size=(12, 2))
         results: dict[int, dict] = {}
@@ -47,10 +48,18 @@ class TestMicroBatching:
             results[index] = broker.query("d", points[index], kind="counts")
 
         threads = [threading.Thread(target=ask, args=(i,)) for i in range(12)]
-        for thread in threads:
+        # The first read's flush is held, so the other eleven find the
+        # family busy and queue up behind it.
+        threads[0].start()
+        assert gate.entered.wait(timeout=5.0)
+        for thread in threads[1:]:
             thread.start()
-        for thread in threads:
-            thread.join()
+        for thread in threads[1:]:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        gate.release()
+        threads[0].join(timeout=10.0)
+        assert not threads[0].is_alive()
         metrics = broker.metrics()
         assert metrics["requests"] == 12
         assert metrics["batches_executed"] < 12  # some coalescing happened
@@ -58,23 +67,91 @@ class TestMicroBatching:
         assert any(results[i]["batch_size"] > 1 for i in results)
         broker.close()
 
-    def test_max_batch_flushes_without_waiting_for_window(self, registry):
+    def test_max_batch_flushes_without_waiting_for_window(
+        self, registry, hold_first_flush
+    ):
         broker = QueryBroker(registry, window_s=30.0, max_batch=2, cache=False)
-        points = np.random.default_rng(1).normal(size=(2, 2))
+        gate = hold_first_flush(broker)
+        points = np.random.default_rng(1).normal(size=(3, 2))
         results: dict[int, dict] = {}
 
         def ask(index: int) -> None:
             results[index] = broker.query("d", points[index], kind="counts")
 
+        # A flush in flight makes the family busy, so the next two reads
+        # open a batch with a window instead of running inline.
+        holder = threading.Thread(target=ask, args=(2,))
+        holder.start()
+        assert gate.entered.wait(timeout=5.0)
         threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
         start = time.perf_counter()
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
         # A 30s window would have blocked; the max_batch flush must not.
         assert time.perf_counter() - start < 5.0
-        assert {results[i]["batch_size"] for i in results} == {2}
+        assert {results[i]["batch_size"] for i in (0, 1)} == {2}
+        gate.release()
+        holder.join(timeout=10.0)
+        assert not holder.is_alive()
+        assert results[2]["batch_size"] == 1
+        broker.close()
+
+    def test_a_lone_read_starts_no_timer(self, registry, monkeypatch):
+        import repro.service.broker as broker_module
+
+        def no_timer(*args, **kwargs):
+            raise AssertionError("a lone read started a window timer")
+
+        monkeypatch.setattr(broker_module.threading, "Timer", no_timer)
+        broker = QueryBroker(registry, window_s=30.0, max_batch=16, cache=False)
+        start = time.perf_counter()
+        for point in np.random.default_rng(7).normal(size=(3, 2)):
+            response = broker.query("d", point, kind="counts")
+            assert response["batch_size"] == 1 and not response["cached"]
+        assert time.perf_counter() - start < 5.0
+        assert not broker._pending and not broker._running
+        metrics = broker.metrics()
+        assert metrics["batches_executed"] == 3
+        assert metrics["coalesced_batches"] == 0
+        broker.close()
+
+    def test_reads_during_a_running_flush_coalesce(self, registry, hold_first_flush):
+        entry = registry.get("d")
+        broker = QueryBroker(registry, window_s=30.0, max_batch=4, cache=False)
+        gate = hold_first_flush(broker)
+        points = np.random.default_rng(8).normal(size=(5, 2))
+        results: dict[int, dict] = {}
+
+        def ask(index: int) -> None:
+            results[index] = broker.query("d", points[index], kind="counts")
+
+        holder = threading.Thread(target=ask, args=(4,))
+        holder.start()
+        assert gate.entered.wait(timeout=5.0)
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        gate.release()
+        holder.join(timeout=10.0)
+        assert not holder.is_alive()
+        # The four reads queued behind the held flush ran as one batch.
+        assert [results[i]["batch_size"] for i in range(4)] == [4] * 4
+        assert results[4]["batch_size"] == 1
+        metrics = broker.metrics()
+        assert metrics["batches_executed"] == 2
+        assert metrics["coalesced_batches"] == 1
+        assert not broker._pending and not broker._running
+        direct = execute_query(
+            make_query(entry.dataset, points, kind="counts", k=entry.k),
+            options=ExecutionOptions(cache=False),
+        ).values
+        assert [results[i]["values"][0] for i in range(5)] == direct
         broker.close()
 
     def test_batched_values_match_direct_execution(self, registry):
@@ -224,10 +301,11 @@ class TestCachingAndAdmission:
         assert len(broker.cache) == 0
         broker.close()
 
-    def test_admission_rejects_beyond_max_pending(self, registry):
+    def test_admission_rejects_beyond_max_pending(self, registry, hold_first_flush):
         broker = QueryBroker(
             registry, window_s=0.4, max_batch=64, max_pending=1, cache=False
         )
+        gate = hold_first_flush(broker)
         release: dict[str, object] = {}
 
         def slow_request() -> None:
@@ -235,21 +313,24 @@ class TestCachingAndAdmission:
 
         thread = threading.Thread(target=slow_request)
         thread.start()
-        time.sleep(0.1)  # let the first request enter its batching window
+        assert gate.entered.wait(timeout=5.0)  # the first request is in flight
         with pytest.raises(AdmissionError) as excinfo:
             broker.query("d", np.ones(2), kind="counts")
         assert excinfo.value.retry_after > 0
         assert broker.metrics()["rejected"] == 1
-        thread.join()
+        gate.release()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
         assert release["response"]["values"]  # the admitted request completed
         broker.close()
 
-    def test_admission_also_covers_direct_dispatch(self, registry):
+    def test_admission_also_covers_direct_dispatch(self, registry, hold_first_flush):
         """Matrix queries and window_s=0 brokers must shed load too, not
         just the micro-batched single-point path."""
         broker = QueryBroker(
             registry, window_s=0.4, max_batch=64, max_pending=1, cache=False
         )
+        gate = hold_first_flush(broker)
         release: dict[str, object] = {}
 
         def slow_request() -> None:
@@ -257,10 +338,13 @@ class TestCachingAndAdmission:
 
         thread = threading.Thread(target=slow_request)
         thread.start()
-        time.sleep(0.1)  # the single-point request occupies the one slot
+        # the single-point request occupies the one slot
+        assert gate.entered.wait(timeout=5.0)
         with pytest.raises(AdmissionError):
             broker.query("d", np.zeros((3, 2)), kind="counts")  # matrix path
-        thread.join()
+        gate.release()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
         broker.close()
 
     def test_close_flushes_pending_batches(self, registry):
@@ -295,9 +379,10 @@ class TestCloseRace:
     """close() vs an in-flight read: nobody hangs, nothing leaks.
 
     A request that passes admission can reach the enqueue block of
-    ``QueryBroker._read`` (its batch-insertion critical section) after
-    close() drained the pending map; without the re-check it
-    would create a fresh batch whose future nothing ever resolves. The
+    ``QueryBroker._read`` (the critical section where a single point
+    either flushes inline or joins its family's pending batch) after
+    close() drained the pending map; without the re-check it could
+    create a fresh batch whose future nothing ever resolves. The
     hammer drives that window hard: every submitter must terminate with
     either a real answer or a clear AdmissionError — never a stuck future.
     """

@@ -321,16 +321,17 @@ class TestErrorPaths:
             request.urlopen(server.url + "/nope", timeout=10)
         assert excinfo.value.code == 404
 
-    def test_overload_is_429_with_retry_after(self, service):
+    def test_overload_is_429_with_retry_after(self, service, hold_first_flush):
         """Admission rejection must surface as 429 + Retry-After over HTTP."""
         import threading
 
         server, client = service
         broker = server.broker
-        # Temporarily throttle the running broker: one in-flight request
-        # inside a long window, then the next one must be shed.
+        # Temporarily throttle the running broker: one request held in
+        # flight, then the next one must be shed.
         old = broker.max_pending, broker.window_s
         broker.max_pending, broker.window_s = 1, 0.5
+        gate = hold_first_flush(broker)
         try:
             background: dict[str, object] = {}
 
@@ -341,14 +342,15 @@ class TestErrorPaths:
 
             thread = threading.Thread(target=slow)
             thread.start()
-            import time as _time
-
-            _time.sleep(0.1)
+            assert gate.entered.wait(timeout=5.0)
             with pytest.raises(ServiceError) as excinfo:
                 client.query("d", point=[8.0, 8.0], kind="counts")
             assert excinfo.value.status == 429
             assert excinfo.value.code == "overloaded"
-            thread.join()
+            gate.release()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
             assert background["response"]["values"]
         finally:
+            gate.release()
             broker.max_pending, broker.window_s = old

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 from urllib import error, request
 
 import numpy as np
@@ -104,13 +105,26 @@ class TestExplainTrace:
         assert {"http.request", "broker.sql"} <= span_names(trace)
         assert_tree_consistent(trace)
 
-    def test_batched_queries_link_to_the_batch_span(self, service):
+    def test_batched_queries_link_to_the_batch_span(self, service, hold_first_flush):
         server, client = service
-        # un-explained single points ride the micro-batch; their trace
-        # adopts the detached broker.batch span's record
-        response_trace = None
-        for _ in range(3):
-            client.query("d", point=[0.1, 0.1])
+        # un-explained single points that find their family busy ride the
+        # micro-batch; their trace adopts the detached broker.batch span's
+        # record
+        gate = hold_first_flush(server.broker)
+        threads = [
+            threading.Thread(target=client.query, args=("d",), kwargs={"point": [x, 0.1]})
+            for x in (0.1, 0.2, 0.3)
+        ]
+        threads[0].start()
+        assert gate.entered.wait(timeout=5.0)
+        for thread in threads[1:]:
+            thread.start()
+        for thread in threads[1:]:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        gate.release()
+        threads[0].join(timeout=10.0)
+        assert not threads[0].is_alive()
         # the batch span is detached, so it publishes its own root
         records = server.obs.tracer.buffer.list()
         batch_roots = [r for r in records if r["name"] == "broker.batch"]

@@ -231,6 +231,38 @@ class TestMultiTableSql:
         assert set(response["tables"]) == {"customers", "orders"}
         assert set(response["versions"]) == {"customers", "orders"}
 
+    @pytest.mark.parametrize("backend", ["auto", "naive"])
+    def test_both_modes_share_one_optimization(
+        self, service, join_tables, monkeypatch, backend
+    ):
+        from repro.codd import optimizer
+        from repro.codd.engine import answer_query
+
+        server, _ = service
+        calls = []
+        original = optimizer.optimize_query
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "optimize_query", counted)
+        sql = self.JOIN_SQL + " AND o.oid >= 10"  # a key no other test caches
+        response = server.broker.sql(sql, mode="both", backend=backend)
+        assert len(calls) == 1
+        query = parse_sql(
+            sql, schemas={name: t.schema for name, t in join_tables.items()}
+        )
+        local = {
+            mode: answer_query(query, join_tables, mode=mode, backend=backend)
+            for mode in ("certain", "possible")
+        }
+        for mode, answer in local.items():
+            assert response["results"][mode] == encode_relation(answer.relation)
+            assert response["backends"][mode] == answer.plan.backend
+        assert response["explain"]["plan"] == local["certain"].logical.render()
+        assert response["explain"]["rewrites"] == list(local["certain"].rewrites)
+
     def test_group_by_round_trip_matches_in_process(self, service, join_tables):
         server, client = service
         sql = "SELECT cid, COUNT(*) AS n, SUM(amount) AS total FROM orders GROUP BY cid"
