@@ -17,11 +17,25 @@ dynamic program over row-local completions of the flattened child
 * Rows are independent (every NULL variable lives in one row), so per
   group the set of achievable aggregate results is the product-closure of
   per-row choices — a set-of-states DP, capped by
-  :data:`MAX_AGGREGATE_STATES`.
+  :data:`MAX_AGGREGATE_STATES`.  The options are grouped on arrays; one
+  DP loop serves two state algebras (below).
 * A group is certainly present iff some row contributes to it under
   every completion; its tuple is certain iff additionally every reachable
   state finalizes to the same values.  Possible answers are all reachable
   finalized states of all groups.
+
+**State algebras.**  The input picks one; no option does.  When every
+aggregate is ``COUNT`` or ``SUM`` and every contributed value an int (or
+bool) of magnitude at most ``2**53`` — the served ``GROUP BY`` read —
+:class:`_IntegerStates` packs each present state into one Python int:
+field ``j`` holds its value plus the group's bound on its magnitude, in
+just enough bits, so adding a packed delta adds every field at once and a
+row's transition is ``{s + d for s in states for d in deltas}``.  The
+group's certain members are summed into its base state on arrays, and the
+one absent state ``(False, initial)`` is a flag.  Every other input runs
+:class:`_SetStates` over ``(present, accumulators)`` tuples folded with
+:func:`_combine`.  The two reach the same states after every member (the
+encoding is injective), so the cap declines on the same inputs.
 
 **Exactness guards.**  Set semantics collapses equal child tuples *before*
 grouping, so if two different base rows could ever produce the same child
@@ -44,7 +58,9 @@ the state cap never declines a group another order would accept.
 
 The prepared answers live on the analysed
 :class:`~repro.codd.joins.Composite`, so planning and both answer modes
-pay for the DP once.
+pay for the DP once.  The certain relation is built with the DP; the
+possible one finalizes every reachable state, which only a possible-mode
+answer reads, so it is built from the kept accumulators on first use.
 """
 
 from __future__ import annotations
@@ -54,7 +70,8 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from itertools import repeat
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -158,19 +175,53 @@ def _initial(func: str) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Preparation: enumerate row options, run the DP, build both relations
+# Preparation: enumerate row options, group them, run the DP
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
 class _PreparedAggregation:
-    certain: Relation
-    possible: Relation
+    """Both answer relations of an aggregation.  ``certain`` is built
+    with the DP.  ``possible`` finalizes every reachable state of every
+    group, which only a possible-mode answer reads, so it is built from
+    the kept accumulators on first use."""
+
+    def __init__(
+        self,
+        certain: Relation,
+        schema: tuple[str, ...],
+        funcs: list[str],
+        kept: list[tuple[tuple[Any, ...], list[tuple[Any, ...]]]],
+    ) -> None:
+        self.certain = certain
+        self._schema = schema
+        self._funcs = funcs
+        self._kept = kept
+        self._possible: Relation | None = None
+
+    @property
+    def possible(self) -> Relation:
+        if self._possible is None:
+            self._possible = Relation(
+                self._schema,
+                {
+                    group + tuple(map(_finalize, self._funcs, accs))
+                    for group, accumulators in self._kept
+                    for accs in accumulators
+                },
+            )
+        return self._possible
 
 
-def _row_options(
-    flat, stacked: StackedTable | None = None
-) -> list[tuple[list[tuple[Any, ...]], bool]]:
-    """Per base row: the distinct passing child-output tuples and whether
-    the row can fail the filter.  Raises on cross-row tuple collisions.
+class _OptionTable(NamedTuple):
+    """Every base row's distinct passing child-output tuples, row by row:
+    row ``r`` owns ``distinct[bounds[r]:bounds[r + 1]]``, in its own
+    completion order, and can fail the filter iff ``can_fail[r]``."""
+
+    distinct: list[tuple[Any, ...]]
+    bounds: np.ndarray
+    can_fail: np.ndarray
+
+
+def _row_options(flat, stacked: StackedTable | None = None) -> _OptionTable:
+    """The option table of ``flat``.  Raises on cross-row tuple collisions.
 
     On the table's grid the filter runs once over every completion.  A
     vectorised pass evaluates branches a row's own short-circuit never
@@ -190,41 +241,45 @@ def _row_options(
         else:
             return _grid_row_options(stacked, mask, out_idx)
     owners: dict[tuple[Any, ...], int] = {}
-    rows = []
+    distinct: list[tuple[Any, ...]] = []
+    bounds = [0]
+    can_fail = []
     for r, row in enumerate(flat.table.rows):
-        options: list[tuple[Any, ...]] = []
         seen: set[tuple[Any, ...]] = set()
-        can_fail = False
+        fails = False
         for completion in _row_local_valuations(row):
             if flat.predicate is not None and not flat.predicate.holds(
                 flat.working, completion
             ):
-                can_fail = True
+                fails = True
                 continue
             tup = tuple(completion[i] for i in out_idx)
             if tup not in seen:
                 seen.add(tup)
-                options.append(tup)
+                distinct.append(tup)
                 owner = owners.setdefault(tup, r)
                 if owner != r:
                     raise _Decline(
                         "two base rows can produce the same child tuple; set "
                         "semantics would couple them across worlds"
                     )
-        rows.append((options, can_fail))
-    return rows
+        bounds.append(len(distinct))
+        can_fail.append(fails)
+    return _OptionTable(
+        distinct, np.array(bounds, dtype=np.int64), np.array(can_fail, dtype=bool)
+    )
 
 
 def _grid_row_options(
     stacked: StackedTable, mask: np.ndarray, out_idx: list[int]
-) -> list[tuple[list[tuple[Any, ...]], bool]]:
+) -> _OptionTable:
     """:func:`_row_options` read off one predicate mask over the grid.
 
     The passing completions' output tuples come from the object columns,
     so they hold the original values, in row then completion order."""
     n_rows = stacked.n_rows
     if n_rows == 0:
-        return []
+        return _OptionTable([], np.zeros(1, dtype=np.int64), np.zeros(0, dtype=bool))
     can_fail = ~np.logical_and.reduceat(mask, stacked.offsets)
     passing = np.flatnonzero(mask)
     owners = np.repeat(np.arange(n_rows), stacked.counts)[passing].tolist()
@@ -245,11 +300,279 @@ def _grid_row_options(
     bounds = np.searchsorted(
         np.fromiter(owner_of.values(), np.int64, len(distinct)),
         np.arange(n_rows + 1),
-    ).tolist()
-    return [
-        (distinct[start:stop], fail)
-        for start, stop, fail in zip(bounds, bounds[1:], can_fail.tolist())
-    ]
+    )
+    return _OptionTable(distinct, bounds, can_fail)
+
+
+@dataclass(frozen=True)
+class _Groups:
+    """An option table's options grouped by key.
+
+    ``keys`` are the groups in first-seen order and ``gid`` each option's
+    group.  A row is a *member* of every group its options land in, and
+    can avoid it when it can fail the filter or lands in another group.
+    A *certain* member (one option, unavoidable) adds that option in every
+    world; ``certain`` marks those options.  ``uncertain[g]`` lists group
+    ``g``'s other members in row order, as ``(option indices,
+    avoidable)``; ``certain_present[g]`` is true iff some member of ``g``
+    cannot avoid it."""
+
+    keys: list[tuple[Any, ...]]
+    gid: np.ndarray
+    certain: np.ndarray
+    n_certain: list[int]
+    certain_present: list[bool]
+    uncertain: list[list[tuple[list[int], bool]]]
+
+
+def _group(table: _OptionTable, key_idx: list[int]) -> _Groups:
+    """Group ``table``'s options by the columns ``key_idx`` (an empty key
+    is the one global group, present even when no row passes)."""
+    distinct, bounds, can_fail = table
+    n_options = len(distinct)
+    if key_idx:
+        # One key column groups by its bare values (itemgetter returns a
+        # tuple only for several), each group keeping its first-seen one.
+        option_keys = list(map(operator.itemgetter(*key_idx), distinct))
+        firsts = list(dict.fromkeys(option_keys))
+        ids = dict(zip(firsts, range(len(firsts))))
+        gid = np.fromiter(map(ids.__getitem__, option_keys), np.int64, n_options)
+        keys = [(k,) for k in firsts] if len(key_idx) == 1 else firsts
+    else:
+        keys = [()]
+        gid = np.zeros(n_options, dtype=np.int64)
+    n_rows = len(can_fail)
+    counts = np.diff(bounds)
+    row = np.repeat(np.arange(n_rows), counts)
+    split = np.zeros(n_rows, dtype=bool)
+    split[row[gid != gid[bounds[row]]]] = True
+    avoidable = (can_fail | split)[row]
+    certain = ~avoidable & (counts == 1)[row]
+    certain_present = np.zeros(len(keys), dtype=bool)
+    certain_present[gid[~avoidable]] = True
+    # The uncertain members: their options by (group, row), each member's
+    # in its row's order (a stable sort).
+    loose = np.flatnonzero(~certain)
+    member = gid[loose] * n_rows + row[loose]
+    order = np.argsort(member, kind="stable")
+    options = loose[order].tolist()
+    starts = np.flatnonzero(np.diff(member[order], prepend=-1))
+    heads = loose[order[starts]]
+    uncertain: list[list[tuple[list[int], bool]]] = [[] for _ in keys]
+    for start, stop, g, can_avoid in zip(
+        starts.tolist(),
+        starts[1:].tolist() + [len(options)],
+        gid[heads].tolist(),
+        avoidable[heads].tolist(),
+    ):
+        uncertain[g].append((options[start:stop], can_avoid))
+    return _Groups(
+        keys=keys,
+        gid=gid,
+        certain=certain,
+        n_certain=np.bincount(gid[certain], minlength=len(keys)).tolist(),
+        certain_present=certain_present.tolist(),
+        uncertain=uncertain,
+    )
+
+
+class _SetStates:
+    """The general state algebra: a state is ``(present, accumulators)``,
+    and a row's option is folded in with :func:`_combine`."""
+
+    def __init__(
+        self,
+        table: _OptionTable,
+        groups: _Groups,
+        funcs: list[str],
+        value_idx: list[int | None],
+    ) -> None:
+        self.distinct = table.distinct
+        self.funcs = funcs
+        self.value_idx = value_idx
+        self.initial = tuple(map(_initial, funcs))
+        certain = np.flatnonzero(groups.certain)
+        by_group = certain[np.argsort(groups.gid[certain], kind="stable")].tolist()
+        stops = np.cumsum(groups.n_certain).tolist()
+        self.certain = [
+            by_group[stop - n : stop] for stop, n in zip(stops, groups.n_certain)
+        ]
+
+    def start(self, g: int) -> set[tuple[bool, tuple[Any, ...]]]:
+        states = {(False, self.initial)}
+        for option in self.certain[g]:
+            states = self.step(g, states, [option], False)
+        return states
+
+    def step(
+        self,
+        g: int,
+        states: set[tuple[bool, tuple[Any, ...]]],
+        options: list[int],
+        avoidable: bool,
+    ) -> set[tuple[bool, tuple[Any, ...]]]:
+        next_states: set[tuple[bool, tuple[Any, ...]]] = set()
+        tuples = [self.distinct[o] for o in options]
+        for present, accs in states:
+            if avoidable:
+                next_states.add((present, accs))
+            for tup in tuples:
+                try:
+                    combined = tuple(
+                        _combine(f, acc, True if idx is None else tup[idx])
+                        for f, acc, idx in zip(self.funcs, accs, self.value_idx)
+                    )
+                except TypeError:
+                    # e.g. MIN over incomparable types; naive raises the
+                    # canonical error in whichever world mixes them.
+                    raise _Decline(
+                        "type error while combining aggregate states"
+                    ) from None
+                next_states.add((True, combined))
+        return next_states
+
+    @staticmethod
+    def count(states: set[tuple[bool, tuple[Any, ...]]]) -> int:
+        return len(states)
+
+    @staticmethod
+    def accumulators(
+        g: int, states: set[tuple[bool, tuple[Any, ...]]], with_absent: bool
+    ) -> list[tuple[Any, ...]]:
+        """The accumulators of the present states, and of the absent one
+        too if ``with_absent``."""
+        return [accs for present, accs in states if present or with_absent]
+
+
+def _integer_contributions(
+    distinct: list[tuple[Any, ...]],
+    funcs: list[str],
+    value_idx: list[int | None],
+) -> np.ndarray | None:
+    """What each option adds to each aggregate, as an ``(options, specs)``
+    integer matrix, when every spec is ``COUNT`` or ``SUM`` and every
+    contributed value an int (or bool) of magnitude at most ``2**53``,
+    where a ``SUM`` state is a plain int; else ``None``."""
+    if not set(funcs) <= {"count", "sum"}:
+        return None
+    sums: list[list[Any] | None] = []
+    for func, idx in zip(funcs, value_idx):
+        if idx is None:
+            sums.append(None)
+            continue
+        values = list(map(operator.itemgetter(idx), distinct))
+        if not all(map(isinstance, values, repeat(int))):
+            return None
+        if values and (
+            min(values) < -_FLOAT_EXACT_INT or max(values) > _FLOAT_EXACT_INT
+        ):
+            return None
+        # COUNT adds one per (non-None) value.
+        sums.append(values if func == "sum" else None)
+    # Every sum of contributions is bounded by the largest total magnitude.
+    mass = max((sum(map(abs, v)) for v in sums if v is not None), default=0)
+    matrix = np.ones(
+        (len(distinct), len(funcs)), dtype=np.int64 if mass < 2**62 else object
+    )
+    for j, values in enumerate(sums):
+        if values is not None:
+            matrix[:, j] = values
+    return matrix
+
+
+class _IntegerStates:
+    """COUNT/SUM over bounded ints: a present state is one packed int.
+
+    Field ``j`` of a state is stored as ``value + bound_j`` in
+    ``(2 * bound_j).bit_length()`` bits, where ``bound_j`` bounds
+    ``|value|`` over every world of the group (its certain total plus
+    every uncertain contribution's magnitude), so no field overflows into
+    the next and adding a packed delta adds field by field.  The certain
+    members fold into each group's base on arrays; the lone absent state
+    ``(False, initial)`` is a flag beside the set of present states."""
+
+    def __init__(
+        self, contributions: np.ndarray, groups: _Groups, funcs: list[str]
+    ) -> None:
+        self.initial = tuple(map(_initial, funcs))
+        certain, gid = groups.certain, groups.gid
+        loose = ~certain
+        base = np.zeros((len(groups.keys), len(funcs)), dtype=contributions.dtype)
+        np.add.at(base, gid[certain], contributions[certain])
+        uncertain = contributions[loose]
+        bound = np.zeros_like(base)
+        np.add.at(bound, gid[loose], np.abs(uncertain))
+        bound += np.abs(base)
+        self.fields: list[list[tuple[int, int, int]]] = []
+        self.zero: list[int] = []
+        self.base: list[int] = []
+        scales = []
+        widest = 0
+        for group_base, group_bound in zip(base.tolist(), bound.tolist()):
+            shift = zero = packed = 0
+            fields, scale = [], []
+            for value, b in zip(group_base, group_bound):
+                width = (2 * b).bit_length()
+                fields.append((shift, (1 << width) - 1, b))
+                scale.append(1 << shift)
+                zero += b << shift
+                packed += (value + b) << shift
+                shift += width
+            self.fields.append(fields)
+            self.zero.append(zero)
+            self.base.append(packed)
+            scales.append(scale)
+            widest = max(widest, shift)
+        # Pack the deltas in int64 while every packed value fits in it.
+        dtype = np.int64 if widest <= 62 else object
+        scale_of = np.array(scales, dtype=dtype).reshape(base.shape)
+        delta = np.zeros(len(gid), dtype=dtype)
+        delta[loose] = (uncertain.astype(dtype) * scale_of[gid[loose]]).sum(axis=1)
+        self.delta = delta.tolist()
+        self.n_certain = groups.n_certain
+
+    def start(self, g: int) -> tuple[bool, set[int]]:
+        if self.n_certain[g]:
+            return False, {self.base[g]}
+        return True, set()
+
+    def step(
+        self,
+        g: int,
+        states: tuple[bool, set[int]],
+        options: list[int],
+        avoidable: bool,
+    ) -> tuple[bool, set[int]]:
+        absent, present = states
+        deltas = [self.delta[o] for o in options]
+        next_states = {s + d for s in present for d in deltas}
+        if absent:
+            zero = self.zero[g]
+            next_states.update([zero + d for d in deltas])
+        if avoidable:
+            next_states |= present
+            return absent, next_states
+        return False, next_states
+
+    @staticmethod
+    def count(states: tuple[bool, set[int]]) -> int:
+        return len(states[1]) + states[0]
+
+    def accumulators(
+        self, g: int, states: tuple[bool, set[int]], with_absent: bool
+    ) -> list[tuple[Any, ...]]:
+        absent, present = states
+        unpacked = list(
+            zip(
+                *[
+                    [((state >> shift) & mask) - b for state in present]
+                    for shift, mask, b in self.fields[g]
+                ]
+            )
+        )
+        if absent and with_absent:
+            unpacked.append(self.initial)
+        return unpacked
 
 
 def prepare_aggregation(
@@ -258,7 +581,8 @@ def prepare_aggregation(
     aggregates: tuple[AggregateSpec, ...],
     stacked: StackedTable | None = None,
 ) -> _PreparedAggregation:
-    """Run the aggregation DP for ``flat``: both answer relations at once.
+    """Run the aggregation DP for ``flat``: its certain relation, and the
+    accumulators its possible relation is finalized from on first use.
 
     ``stacked`` is the grid of ``flat.table``, if it has one.  The
     composite analysis calls it once per analysed query and keeps the
@@ -267,82 +591,68 @@ def prepare_aggregation(
     inexact or unaffordable — callers treat that as "not supported".
     """
     try:
-        rows = _row_options(flat, stacked)
+        table = _row_options(flat, stacked)
     except TypeError:
         # Mixed-type comparison somewhere in the filter: enumeration order
         # determines which world trips it, so let naive raise canonically.
         raise _Decline("type error while enumerating row completions") from None
-    key_idx = [flat.output.index(k) for k in group_by]
+    groups = _group(table, [flat.output.index(k) for k in group_by])
     value_idx = [
         None if spec.attribute is None else flat.output.index(spec.attribute)
         for spec in aggregates
     ]
     funcs = [spec.func for spec in aggregates]
-
-    # Group the per-row options by group key.
-    participants: dict[tuple[Any, ...], list[tuple[list[tuple[Any, ...]], bool]]] = {}
-    certain_present: dict[tuple[Any, ...], bool] = {}
-    if not group_by:
-        participants[()] = []
-    for options, can_fail in rows:
-        by_key: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
-        for tup in options:
-            by_key.setdefault(tuple(tup[i] for i in key_idx), []).append(tup)
-        for group, group_options in by_key.items():
-            avoidable = can_fail or len(by_key) > 1
-            participants.setdefault(group, []).append((group_options, avoidable))
-            if not avoidable:
-                certain_present[group] = True
-
-    initial = tuple(_initial(f) for f in funcs)
-    out_schema = group_by + tuple(spec.alias for spec in aggregates)
-    certain_rows: set[tuple[Any, ...]] = set()
-    possible_rows: set[tuple[Any, ...]] = set()
-    for group, members in participants.items():
-        # Certain contributions first (a stable partition): each maps a
-        # state to one state, so the state set stays as small as it can.
-        members.sort(key=lambda member: member[1] or len(member[0]) > 1)
-        # states: (present, accumulator tuple) reachable over this group's
-        # worlds; rows are independent so choices multiply.
-        states: set[tuple[bool, tuple[Any, ...]]] = {(False, initial)}
-        for group_options, avoidable in members:
-            next_states: set[tuple[bool, tuple[Any, ...]]] = set()
-            for present, accs in states:
-                if avoidable:
-                    next_states.add((present, accs))
-                for tup in group_options:
-                    try:
-                        combined = tuple(
-                            _combine(
-                                f, acc, True if idx is None else tup[idx]
-                            )
-                            for f, acc, idx in zip(funcs, accs, value_idx)
-                        )
-                    except TypeError:
-                        # e.g. MIN over incomparable types; naive raises the
-                        # canonical error in whichever world mixes them.
-                        raise _Decline(
-                            "type error while combining aggregate states"
-                        ) from None
-                    next_states.add((True, combined))
-            if len(next_states) > MAX_AGGREGATE_STATES:
-                raise _Decline(
-                    f"aggregate DP exceeded {MAX_AGGREGATE_STATES} states"
-                )
-            states = next_states
-        finalized = {
-            group + tuple(_finalize(f, acc) for f, acc in zip(funcs, accs))
-            for present, accs in states
-            if present or not group_by
-        }
-        possible_rows |= finalized
-        if len(finalized) == 1 and (not group_by or certain_present.get(group)):
-            certain_rows |= finalized
-
-    return _PreparedAggregation(
-        certain=Relation(out_schema, certain_rows),
-        possible=Relation(out_schema, possible_rows),
+    contributions = _integer_contributions(table.distinct, funcs, value_idx)
+    algebra: _SetStates | _IntegerStates = (
+        _SetStates(table, groups, funcs, value_idx)
+        if contributions is None
+        else _IntegerStates(contributions, groups, funcs)
     )
+
+    certain_rows: set[tuple[Any, ...]] = set()
+    kept = []
+    for g, group in enumerate(groups.keys):
+        # States reachable over this group's worlds; rows are independent,
+        # so choices multiply.  Certain members fold first: each maps a
+        # state to one state, so every state set stays as small as it can.
+        states = algebra.start(g)
+        if groups.n_certain[g]:
+            # Each certain member leaves one state: one check covers them.
+            _check_state_cap(algebra.count(states))
+        for options, avoidable in groups.uncertain[g]:
+            states = algebra.step(g, states, options, avoidable)
+            _check_state_cap(algebra.count(states))
+        # Without GROUP BY the one group exists in every world.
+        accumulators = algebra.accumulators(g, states, with_absent=not group_by)
+        kept.append((group, accumulators))
+        if not group_by or groups.certain_present[g]:
+            values = _only_answer(funcs, accumulators)
+            if values is not None:
+                certain_rows.add(group + values)
+    out_schema = group_by + tuple(spec.alias for spec in aggregates)
+    return _PreparedAggregation(
+        Relation(out_schema, certain_rows), out_schema, funcs, kept
+    )
+
+
+def _only_answer(
+    funcs: list[str], accumulators: list[tuple[Any, ...]]
+) -> tuple[Any, ...] | None:
+    """The values every accumulator tuple finalizes to, or ``None`` when
+    they finalize to several (or there are none)."""
+    only = None
+    for accs in accumulators:
+        values = tuple(map(_finalize, funcs, accs))
+        if only is None:
+            only = values
+        elif values != only:
+            return None
+    return only
+
+
+def _check_state_cap(n_states: int) -> None:
+    if n_states > MAX_AGGREGATE_STATES:
+        raise _Decline(f"aggregate DP exceeded {MAX_AGGREGATE_STATES} states")
 
 
 def aggregate_answers(prepared: _PreparedAggregation, mode: str) -> Relation:

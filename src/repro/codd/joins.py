@@ -640,9 +640,9 @@ class Composite:
 
     ``sources`` are the incomplete tables it reads and ``cells`` its
     estimated cost in completion cells. An ``aggregate`` composite keeps
-    only its prepared aggregation (both answer relations, computed once by
-    the DP during the analysis), not the flattened child the DP ran on, so
-    a cached analysis pins no pair table.
+    only its prepared aggregation (the answers of the DP run once during
+    the analysis), not the flattened child the DP ran on, so a cached
+    analysis pins no pair table.
     """
 
     kind: str  # "flat" | "union" | "difference" | "aggregate"

@@ -218,7 +218,8 @@ class StackedTable:
         one ``k % cr``, so the left NULLs vary slowest, as the
         constructor lays them out, and the result equals
         ``StackedTable(table)`` with no row walk. Each side's float views
-        are resolved on the side (and kept there) and gathered too.
+        are resolved on the side (and kept there) and gathered too; a
+        view the side lacks resolves lazily from the gathered column.
         """
         left_counts = left.counts[left_rows]
         right_counts = right.counts[right_rows]
@@ -243,7 +244,7 @@ class StackedTable:
                 grid.columns.append(column[at])
                 view = side.numeric_column(c)
                 # A view the whole side lacks may still exist for the
-                # paired rows: leave it to resolve lazily.
+                # paired rows: leave it to resolve from their values.
                 grid._numeric.append(False if view is None else view[at])
         grid.counts = counts
         grid.offsets = offsets
@@ -265,20 +266,13 @@ class StackedTable:
         holds a value that would not compare exactly as a float."""
         cached = self._numeric[index]
         if cached is False:  # not resolved yet (None is a valid answer)
-            # Check each distinct value once. Values equal under ``==``
-            # collapse, which is sound: an int equal to a non-NaN float is
-            # exactly that float.
-            values: set[Any] = set()
-            for row in self.table.rows:
-                cell = row[index]
-                if isinstance(cell, Null):
-                    values.update(cell.domain)
-                else:
-                    values.add(cell)
-            safe = all(_is_float_exact(v) for v in values)
-            cached = (
-                self.columns[index].astype(np.float64) if safe else None
-            )
+            # Check each distinct value once. Every domain value appears
+            # in some completion, so the column holds exactly the table's
+            # values. Values equal under ``==`` collapse, which is sound:
+            # an int equal to a non-NaN float is exactly that float.
+            column = self.columns[index]
+            safe = all(map(_is_float_exact, set(column.tolist())))
+            cached = column.astype(np.float64) if safe else None
             self._numeric[index] = cached
         return cached
 

@@ -127,23 +127,22 @@ class LabelUncertainDataset:
         The row's label set is unchanged — pinning a feature repair does
         not resolve label uncertainty. Mirrors
         :meth:`IncompleteDataset.restrict_row`; this is how the planner
-        applies pins to label-uncertain queries.
+        applies pins to label-uncertain queries. The feature side is that
+        restriction and the label sets are shared as they are, so nothing
+        is rebuilt or re-validated.
         """
         if not 0 <= row < self.n_rows:
             raise IndexError(f"row {row} out of range for {self.n_rows} rows")
-        candidates = self.candidates(row)
-        if not 0 <= candidate_index < candidates.shape[0]:
+        n_candidates = self.candidates(row).shape[0]
+        if not 0 <= candidate_index < n_candidates:
             raise IndexError(
                 f"candidate {candidate_index} out of range for row {row} "
-                f"with {candidates.shape[0]} candidates"
+                f"with {n_candidates} candidates"
             )
-        sets = [
-            candidates[candidate_index : candidate_index + 1]
-            if i == row
-            else self.candidates(i)
-            for i in range(self.n_rows)
-        ]
-        return LabelUncertainDataset(sets, list(self._label_sets))
+        restricted = LabelUncertainDataset.__new__(LabelUncertainDataset)
+        restricted._features = self._features.restrict_row(row, candidate_index)
+        restricted._label_sets = self._label_sets
+        return restricted
 
     def fingerprint(self) -> str:
         """Content hash over candidates *and* label sets (a sound cache key)."""

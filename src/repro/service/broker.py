@@ -10,11 +10,12 @@ everything except the test point). A single point whose family is idle
 (no batch pending, no flush running) has nobody to wait for: it runs at
 once on the caller's thread, with no window. One that finds its family
 busy joins the family's pending batch, or opens it, and the batch is
-flushed as one planner call when it reaches ``max_batch`` points or when
-its oldest request has waited ``window_s`` seconds. So ``window_s`` is
-the longest a read waits for company while its family is busy: under
-concurrent load the window fills and every flush serves many callers for
-roughly the price of one, and an idle service pays no window at all.
+flushed as one planner call when it reaches ``max_batch`` points, when
+the family's running flushes end, or when its oldest request has waited
+``window_s`` seconds. So ``window_s`` is the longest a read waits for
+company while its family is busy: under concurrent load the window
+fills and every flush serves many callers for roughly the price of one,
+and an idle service pays no window at all.
 
 That flush is the only way a CP read executes. A read that does not
 coalesce — a matrix, an ``explain`` request, or any read while
@@ -864,15 +865,27 @@ class QueryBroker:
     def _flush_running(self, family: tuple, batch: _PendingBatch) -> None:
         """Flush a coalescing family's ``batch``, counted in
         ``self._running`` (the caller took the count under the lock) so
-        the family's next reads know to wait for company."""
+        the family's next reads know to wait for company.
+
+        The last running flush of a family that leaves a batch pending
+        starts that batch's flush at once: its window waits for a flush
+        that is over. It runs on a thread of its own, as the timer's
+        would, so this flush's callers get their responses now."""
         try:
             self._flush(batch)
         finally:
             with self._lock:
+                waiting = None
                 if self._running[family] == 1:
                     del self._running[family]
+                    waiting = self._pending.get(family)
                 else:
                     self._running[family] -= 1
+            if waiting is not None:
+                waiting.timer.cancel()
+                threading.Thread(
+                    target=self._flush_family, args=(family, waiting), daemon=True
+                ).start()
 
     def _flush(self, batch: _PendingBatch) -> None:
         """Execute ``batch`` as one planner call and resolve its requests.

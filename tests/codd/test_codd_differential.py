@@ -20,7 +20,9 @@ replaces, kept row for kept row.  So are the pair table's gathered grid
 (to a fresh ``StackedTable`` build), the probe's pairs (to a brute-force
 overlap check) and the aggregation's grid row options (to the row loop);
 cached analyses are held to pinning no per-query grid.  The aggregation
-DP's state cap is checked on both sides of its boundary.
+DP's state cap is checked on both sides of its boundary, and its integer
+state algebra (COUNT/SUM over bounded ints) is held to the set DP:
+answers, per-member state counts and declines.
 
 The row-block leg lowers the stacking cap below each case's grid, so the
 ``vectorized`` backend evaluates every leaf in transient row blocks (and
@@ -33,6 +35,7 @@ The seeded case generators live in :mod:`fuzz.codd_cases`
 
 from __future__ import annotations
 
+import copy
 import gc
 import types
 
@@ -45,6 +48,7 @@ import repro.codd.engine as engine
 import repro.codd.joins as joins
 import repro.codd.vectorized as vectorized
 from fuzz.codd_cases import (
+    JOIN_AGGREGATE_SQL,
     SEEDS,
     TYPE_POOLS as _TYPE_POOLS,
     random_aggregate_case,
@@ -230,6 +234,19 @@ class TestAggregateDifferential:
         possible = answer_query(query, database, mode="possible").relation
         assert possible == _oracle(query, database, "possible")
         assert possible.rows == {(0, 0.5), (0, float(2**60))}
+
+    def test_a_certain_answer_finalizes_no_possible_relation(self, fresh_analysis):
+        table = CoddTable(("g", "v"), [(0, 1), (0, Null([2, 3])), (1, 4)])
+        query = Aggregate(Scan("T"), ("g",), (AggregateSpec("sum", "v", "total"),))
+        database = {"T": table}
+        certain = answer_query(query, database, mode="certain").relation
+        assert certain == _oracle(query, database, "certain")
+        cache = joins._ANALYSIS_CACHE
+        (composite,) = (cache.peek(key) for key in cache)
+        assert composite.aggregation._possible is None
+        possible = answer_query(query, database, mode="possible").relation
+        assert possible == _oracle(query, database, "possible")
+        assert composite.aggregation._possible is possible
 
     def test_fast_path_actually_engages(self):
         fast = 0
@@ -436,7 +453,7 @@ def _pair_flats(query, database, grids, monkeypatch):
 
 def _assert_same_grid(gathered, fresh):
     """Column values (the same objects), dtypes, segments, total, varying
-    columns and resolved float views all equal."""
+    columns and every column's resolved float view all equal."""
     assert gathered.table is fresh.table
     assert len(gathered.columns) == len(fresh.columns)
     for ours, theirs in zip(gathered.columns, fresh.columns):
@@ -450,11 +467,17 @@ def _assert_same_grid(gathered, fresh):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
     assert type(gathered.total) is int and gathered.total == fresh.total
     assert gathered.varying == fresh.varying
+    # Every view also resolves from the gathered columns alone, without
+    # the sides' views or the pair table's rows.
+    unresolved = copy.copy(gathered)
+    unresolved.table = None
+    unresolved._numeric = [False] * len(fresh.columns)
     for c in range(len(fresh.columns)):
-        ours, theirs = gathered.numeric_column(c), fresh.numeric_column(c)
-        assert (ours is None) == (theirs is None), c
-        if ours is not None:
-            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        theirs = fresh.numeric_column(c)
+        for ours in (gathered.numeric_column(c), unresolved.numeric_column(c)):
+            assert (ours is None) == (theirs is None), c
+            if ours is not None:
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
 
 class TestPairGrid:
@@ -628,13 +651,13 @@ class TestPairGrid:
 
 
 def _aggregations(query, database, grids, monkeypatch):
-    """``(flat, grid)`` for every aggregation the analysis of ``query``
-    prepares."""
+    """``(flat, group_by, aggregates, grid)`` for every aggregation the
+    analysis of ``query`` prepares."""
     seen = []
     prepare = aggregate.prepare_aggregation
 
     def recording(flat, group_by, aggregates, stacked=None):
-        seen.append((flat, stacked))
+        seen.append((flat, group_by, aggregates, stacked))
         return prepare(flat, group_by, aggregates, stacked)
 
     with monkeypatch.context() as patch:
@@ -644,10 +667,16 @@ def _aggregations(query, database, grids, monkeypatch):
     return seen
 
 
+def _options(flat, stacked):
+    """The option table as plain lists: ``(distinct, bounds, can_fail)``."""
+    distinct, bounds, can_fail = aggregate._row_options(flat, stacked)
+    return distinct, bounds.tolist(), can_fail.tolist()
+
+
 def _row_options_outcome(flat, stacked):
-    """The per-row options, or the type of the error they raise."""
+    """The option table, or the type of the error it raises."""
     try:
-        return aggregate._row_options(flat, stacked)
+        return _options(flat, stacked)
     except (joins._Decline, TypeError) as error:
         return type(error)
 
@@ -673,12 +702,12 @@ class TestGridRowOptions:
                 grids = _engine_grids(database, handed)
                 for run in (query, optimized):
                     aggregations = _aggregations(run, database, grids, monkeypatch)
-                    for flat, stacked in aggregations:
+                    for flat, _, _, stacked in aggregations:
                         assert stacked is not None, description
                         outcome = _row_options_outcome(flat, stacked)
                         assert outcome == _row_options_outcome(flat, None), description
-                        if isinstance(outcome, list):
-                            rows += len(outcome)
+                        if isinstance(outcome, tuple):
+                            rows += len(outcome[2])
                         else:
                             declined += 1
         assert rows >= 100 and declined >= min_declines, (rows, declined)
@@ -699,11 +728,10 @@ class TestGridRowOptions:
         )
         database = {"L": TestGridPrune.MIXED, "R": TestGridPrune.RIGHT}
         grids = _engine_grids(database, handed=True)
-        (flat, stacked), = _aggregations(query, database, grids, monkeypatch)
+        (flat, _, _, stacked), = _aggregations(query, database, grids, monkeypatch)
         with pytest.raises(TypeError):
             predicate_mask(flat.predicate, flat.working, stacked)
-        on_grid = aggregate._row_options(flat, stacked)
-        assert on_grid == aggregate._row_options(flat, None)
+        assert _options(flat, stacked) == _options(flat, None)
         pinned = {name: StackedTable(table) for name, table in database.items()}
         for prepared in (None, pinned):
             joins._ANALYSIS_CACHE.clear()
@@ -794,6 +822,318 @@ class TestAggregateStateCap:
             result = answer_query(query, database, mode=mode).relation
             assert result == _oracle(query, database, mode)
             assert result.rows == {(0, 10)}
+
+
+def _prepare_on(path, aggregation, monkeypatch):
+    """Prepare ``aggregation`` (``(flat, group_by, aggregates, grid)``) on
+    ``path``: ``"integer"`` where the integer state algebra applies, else
+    ``"set"`` (the set DP, always).  Returns ``(algebra, outcome,
+    steps)``: the algebra's class name, the certain and possible
+    relations (schema and sorted row reprs) or the decline's message, and
+    ``(group, options, avoidable, states)`` for every DP step."""
+    algebras, steps = [], []
+    with monkeypatch.context() as patch:
+        if path == "set":
+            patch.setattr(aggregate, "_integer_contributions", lambda *args: None)
+        for cls in (aggregate._IntegerStates, aggregate._SetStates):
+
+            def init(self, *args, _init=cls.__init__, _name=cls.__name__):
+                algebras.append(_name)
+                _init(self, *args)
+
+            def step(self, g, states, options, avoidable, _step=cls.step):
+                states = _step(self, g, states, options, avoidable)
+                steps.append((g, len(options), avoidable, self.count(states)))
+                return states
+
+            patch.setattr(cls, "__init__", init)
+            patch.setattr(cls, "step", step)
+        try:
+            prepared = aggregate.prepare_aggregation(*aggregation)
+        except joins._Decline as error:
+            outcome = str(error)
+        else:
+            # Bit for bit: each value's type and repr, not only equality.
+            outcome = tuple(
+                (relation.schema, sorted(map(repr, relation.rows)))
+                for relation in (prepared.certain, prepared.possible)
+            )
+    return (algebras or [None])[0], outcome, steps
+
+
+def _assert_paths_agree(aggregation, monkeypatch, description=""):
+    """Both state algebras give the same answers or the same decline, and
+    the same state count after every member: the set DP steps through
+    the certain members (one state each) that the integer path folds on
+    arrays.  Returns the algebra the unforced run took."""
+    algebra, outcome, steps = _prepare_on("integer", aggregation, monkeypatch)
+    set_algebra, set_outcome, set_steps = _prepare_on("set", aggregation, monkeypatch)
+    assert set_algebra in ("_SetStates", None), description
+    assert outcome == set_outcome, description
+    certain = [step for step in set_steps if step[1:3] == (1, False)]
+    assert all(step[3] == 1 for step in certain), description
+    if algebra == "_IntegerStates":
+        assert steps == [step for step in set_steps if step[1:3] != (1, False)]
+    else:
+        assert steps == set_steps, description
+    return algebra
+
+
+def _only_aggregation(query, database, monkeypatch):
+    grids = _engine_grids(database, handed=False)
+    (aggregation,) = _aggregations(query, database, grids, monkeypatch)
+    return aggregation
+
+
+class TestIntegerStates:
+    """COUNT/SUM over bounded ints runs on packed integer states, with the
+    certain members folded on arrays; its answers, per-member state counts
+    and declines are the set DP's, which keeps every other input."""
+
+    @pytest.mark.parametrize(
+        "generator, min_integer, min_set, min_declined",
+        # The join-aggregate cases decline in the join, before any DP.
+        [(random_aggregate_case, 8, 30, 1), (random_join_aggregate_case, 15, 15, 0)],
+        ids=["aggregate", "join_aggregate"],
+    )
+    def test_the_integer_path_matches_the_set_dp(
+        self, generator, min_integer, min_set, min_declined, monkeypatch
+    ):
+        taken = {"_IntegerStates": 0, "_SetStates": 0, None: 0}
+        for seed in SEEDS:
+            query, database, description = generator(seed)
+            grids = _engine_grids(database, handed=False)
+            for aggregation in _aggregations(query, database, grids, monkeypatch):
+                for stacked in (aggregation[3], None):
+                    taken[
+                        _assert_paths_agree(
+                            aggregation[:3] + (stacked,), monkeypatch, description
+                        )
+                    ] += 1
+        assert taken["_IntegerStates"] >= min_integer, taken
+        assert taken["_SetStates"] >= min_set, taken
+        assert taken[None] >= min_declined, taken
+
+    @pytest.mark.parametrize(
+        "rows, specs, group_by, predicate, path",
+        [
+            pytest.param(
+                [(0, -5), (0, Null([-3, 4])), (1, Null([-7, -1])), (1, -2)],
+                [("sum", "v")],
+                ("g",),
+                None,
+                "integer",
+                id="negative_sums",
+            ),
+            pytest.param(
+                [(0, True), (0, Null([False, 2])), (1, False), (1, Null([True, 3]))],
+                [("sum", "v"), ("count", "v")],
+                ("g",),
+                None,
+                "integer",
+                id="bools",
+            ),
+            pytest.param(
+                [
+                    (0, 2**53),
+                    (0, Null([-(2**53), 5])),
+                    (1, -(2**53)),
+                    (1, Null([2**53, 0])),
+                ],
+                [("sum", "v")],
+                ("g",),
+                None,
+                "integer",
+                id="plus_minus_2_53",
+            ),
+            pytest.param(
+                [(0, 2**53 + 1), (0, Null([1, 2])), (1, 4)],
+                [("sum", "v")],
+                ("g",),
+                None,
+                "set",
+                id="2_53_plus_1",
+            ),
+            pytest.param(
+                [(0, -(2**53) - 1), (0, Null([1, 2])), (1, 4)],
+                [("sum", "v")],
+                ("g",),
+                None,
+                "set",
+                id="minus_2_53_minus_1",
+            ),
+            pytest.param(
+                [(0, 1), (0, Null([2, 2.5])), (1, 4)],
+                [("sum", "v")],
+                ("g",),
+                None,
+                "set",
+                id="a_float",
+            ),
+            pytest.param(
+                [(0, 1), (0, Null([3, 4])), (1, 2)],
+                [("count", None), ("count", "v"), ("sum", "v")],
+                ("g",),
+                None,
+                "integer",
+                id="count_attribute_beside_sum",
+            ),
+            pytest.param(
+                [(0, 2**53 - i) for i in range(9)] + [(0, Null([-(2**53), -5]))],
+                [("sum", "v"), ("count", None), ("sum", "v")],
+                ("g",),
+                None,
+                "integer",
+                id="packed_states_wider_than_int64",
+            ),
+            pytest.param(
+                [(i % 2, 2**53 - i) for i in range(600)]
+                + [(0, Null([-(2**53), -5])), (1, Null([0, -(2**53)]))],
+                [("sum", "v")],
+                ("g",),
+                None,
+                "integer",
+                id="sums_wider_than_int64",
+            ),
+            pytest.param(
+                [(0, 1), (0, Null([3, 4])), (1, 2)],
+                [("max", "v"), ("sum", "v")],
+                ("g",),
+                None,
+                "set",
+                id="max_beside_sum",
+            ),
+            pytest.param(
+                [(0, Null([1, 5])), (1, Null([2, 6])), (2, 3)],
+                [("sum", "v")],
+                (),
+                Comparison(Attribute("v"), ">", Literal(4)),
+                "integer",
+                id="sum_without_group_by_over_a_child_that_may_be_empty",
+            ),
+            pytest.param(
+                [(0, Null([1, 5])), (0, Null([2, 6])), (Null([0, 1]), 3), (1, 8)],
+                [("count", None), ("sum", "v")],
+                ("g",),
+                Comparison(Attribute("v"), "<", Literal(5)),
+                "integer",
+                id="groups_of_avoidable_rows_only",
+            ),
+        ],
+    )
+    def test_edge_cases(
+        self, rows, specs, group_by, predicate, path, monkeypatch, fresh_analysis
+    ):
+        child = Scan("T")
+        if predicate is not None:
+            child = Select(child, predicate)
+        query = Aggregate(
+            child,
+            group_by,
+            tuple(
+                AggregateSpec(func, attribute, f"{func}_{i}")
+                for i, (func, attribute) in enumerate(specs)
+            ),
+        )
+        database = {"T": CoddTable(("g", "v"), rows)}
+        aggregation = _only_aggregation(query, database, monkeypatch)
+        algebra = _assert_paths_agree(aggregation, monkeypatch)
+        assert algebra == {"integer": "_IntegerStates", "set": "_SetStates"}[path]
+        joins._ANALYSIS_CACHE.clear()
+        assert plan_codd_query(query, database).backend == "vectorized"
+        for mode in ("certain", "possible"):
+            result = answer_query(query, database, mode=mode).relation
+            assert result == _oracle(query, database, mode)
+
+    def test_no_group_by_over_an_empty_child(self, monkeypatch, fresh_analysis):
+        query = Aggregate(
+            Select(Scan("T"), Comparison(Attribute("v"), ">", Literal(9))),
+            (),
+            (AggregateSpec("sum", "v", "total"), AggregateSpec("count", None, "n")),
+        )
+        database = {"T": CoddTable(("g", "v"), [(0, 1), (1, Null([2, 3]))])}
+        aggregation = _only_aggregation(query, database, monkeypatch)
+        assert _assert_paths_agree(aggregation, monkeypatch) == "_IntegerStates"
+        for mode in ("certain", "possible"):
+            assert answer_query(query, database, mode=mode).relation.rows == {(None, 0)}
+
+    @pytest.mark.parametrize("cap", [3, 4], ids=["above", "at"])
+    def test_the_cap_on_the_integer_path(self, cap, monkeypatch, fresh_analysis):
+        # Group 0 reaches four SUM states after its second uncertain row,
+        # behind two certain rows folded on arrays.
+        table = CoddTable(
+            ("g", "v"),
+            [(0, 5), (0, Null([1, 2])), (0, 7), (0, Null([10, 20])), (1, 4)],
+        )
+        query = Aggregate(
+            Scan("T"),
+            ("g",),
+            (AggregateSpec("count", None, "n"), AggregateSpec("sum", "v", "total")),
+        )
+        database = {"T": table}
+        monkeypatch.setattr(aggregate, "MAX_AGGREGATE_STATES", cap)
+        aggregation = _only_aggregation(query, database, monkeypatch)
+        algebra, outcome, steps = _prepare_on("integer", aggregation, monkeypatch)
+        assert algebra == "_IntegerStates"
+        assert [step[3] for step in steps] == [2, 4]
+        assert isinstance(outcome, str) == (cap == 3)
+        _assert_paths_agree(aggregation, monkeypatch)
+        joins._ANALYSIS_CACHE.clear()
+        backend = "naive" if cap == 3 else "vectorized"
+        assert plan_codd_query(query, database).backend == backend
+        for mode in ("certain", "possible"):
+            result = answer_query(query, database, mode=mode).relation
+            assert result == _oracle(query, database, mode)
+
+    def test_a_cap_below_one_declines_certain_rows_alone(self, monkeypatch):
+        # The set DP holds one state after each certain member; folded on
+        # arrays they still count as one state, checked against the cap.
+        query = Aggregate(Scan("T"), ("g",), (AggregateSpec("sum", "v", "total"),))
+        database = {"T": CoddTable(("g", "v"), [(0, 1), (0, 2), (1, 3)])}
+        aggregation = _only_aggregation(query, database, monkeypatch)
+        monkeypatch.setattr(aggregate, "MAX_AGGREGATE_STATES", 0)
+        algebra, outcome, steps = _prepare_on("integer", aggregation, monkeypatch)
+        assert algebra == "_IntegerStates" and steps == []
+        assert outcome == "aggregate DP exceeded 0 states"
+        assert _assert_paths_agree(aggregation, monkeypatch) == "_IntegerStates"
+
+    def test_every_served_shape_read_takes_the_integer_path(
+        self, monkeypatch, fresh_analysis
+    ):
+        # The served benchmark's read shape: COUNT(*) and SUM over int
+        # amounts, a quarter of them NULL with three options, behind a
+        # join filtered on both sides; on pinned grids, as served.
+        rng = np.random.default_rng(33)
+        regions = ("north", "south", "east", "west")
+        customers = CoddTable(
+            ("cid", "region"), [(cid, regions[cid % 4]) for cid in range(40)]
+        )
+        orders = []
+        for oid in range(240):
+            amount: object = int(rng.integers(0, 160))
+            if oid % 4 == 0:
+                base = int(rng.integers(0, 120))
+                amount = Null([base, base + 30, base + 60])
+            orders.append((oid, int(rng.integers(40)), amount))
+        database = {
+            "customers": customers,
+            "orders": CoddTable(("oid", "cid", "amount"), orders),
+        }
+        schemas = {name: table.schema for name, table in database.items()}
+        pinned = {name: StackedTable(table) for name, table in database.items()}
+        grids = VectorizedCoddBackend()._grids(pinned)
+        reads = 0
+        for region in regions:
+            for t in (0, 60, 150):
+                sql = JOIN_AGGREGATE_SQL.format(
+                    region=region, order_filter=f"o.oid >= {t}"
+                )
+                query = parse_sql(sql, schemas=schemas)
+                for aggregation in _aggregations(query, database, grids, monkeypatch):
+                    algebra = _assert_paths_agree(aggregation, monkeypatch)
+                    assert algebra == "_IntegerStates"
+                    reads += 1
+        assert reads == 12
 
 
 def _generated(generator, seed):

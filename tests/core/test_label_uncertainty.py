@@ -77,6 +77,45 @@ class TestModel:
         assert lifted.n_worlds() == base.n_worlds() * 2
 
 
+def _rebuilt_restriction(
+    dataset: LabelUncertainDataset, row: int, candidate_index: int
+) -> LabelUncertainDataset:
+    """A pin by rebuilding and re-validating every row."""
+    sets = [dataset.candidates(i) for i in range(dataset.n_rows)]
+    sets[row] = sets[row][candidate_index : candidate_index + 1]
+    return LabelUncertainDataset(sets, list(dataset.label_sets))
+
+
+class TestRestrictRow:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pins_equal_a_rebuild(self, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        dataset = random_label_uncertain(
+            rng, n_rows=6, n_labels=int(rng.integers(2, 4)), max_candidates=4
+        )
+        rebuilt = dataset
+        for _ in range(4):
+            row = int(rng.integers(dataset.n_rows))
+            candidate_index = int(rng.integers(dataset.candidates(row).shape[0]))
+            dataset = dataset.restrict_row(row, candidate_index)
+            rebuilt = _rebuilt_restriction(rebuilt, row, candidate_index)
+            assert dataset.label_sets == rebuilt.label_sets
+            assert np.array_equal(
+                dataset.candidate_counts(), rebuilt.candidate_counts()
+            )
+            for i in range(dataset.n_rows):
+                assert np.array_equal(dataset.candidates(i), rebuilt.candidates(i))
+            assert dataset.fingerprint() == rebuilt.fingerprint()
+            assert dataset.n_worlds() == rebuilt.n_worlds()
+
+    def test_out_of_range_pins_rejected(self) -> None:
+        dataset = LabelUncertainDataset([np.zeros((2, 1))], [(0, 1)])
+        with pytest.raises(IndexError, match="row 1 out of range"):
+            dataset.restrict_row(1, 0)
+        with pytest.raises(IndexError, match="candidate 2 out of range"):
+            dataset.restrict_row(0, 2)
+
+
 class TestCertainLabelReduction:
     """Singleton label sets must reproduce the feature-only counts exactly."""
 

@@ -154,6 +154,49 @@ class TestMicroBatching:
         assert [results[i]["values"][0] for i in range(5)] == direct
         broker.close()
 
+    def test_a_pending_batch_flushes_when_its_family_goes_idle(
+        self, registry, hold_first_flush
+    ):
+        broker = QueryBroker(registry, window_s=30.0, max_batch=64, cache=False)
+        gate = hold_first_flush(broker)
+        points = np.random.default_rng(9).normal(size=(3, 2))
+        results: dict[int, dict] = {}
+
+        def ask(index: int) -> None:
+            results[index] = broker.query("d", points[index], kind="counts")
+
+        holder = threading.Thread(target=ask, args=(2,))
+        holder.start()
+        assert gate.entered.wait(timeout=5.0)
+        # Two reads open and join a batch behind the held flush.
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+
+        def waiting() -> int:
+            batches = list(broker._pending.values())
+            return len(batches[0].requests) if batches else 0
+
+        deadline = time.perf_counter() + 5.0
+        while waiting() < 2:
+            assert time.perf_counter() < deadline
+            time.sleep(0.001)
+        start = time.perf_counter()
+        gate.release()
+        for thread in (holder, *threads):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        # Once the held flush ends the family is idle: the batch flushes
+        # then, not after its 30 s window.
+        assert time.perf_counter() - start < 5.0
+        assert [results[i]["batch_size"] for i in range(2)] == [2, 2]
+        assert results[2]["batch_size"] == 1
+        metrics = broker.metrics()
+        assert metrics["batches_executed"] == 2
+        assert metrics["coalesced_batches"] == 1
+        assert not broker._pending and not broker._running
+        broker.close()
+
     def test_batched_values_match_direct_execution(self, registry):
         entry = registry.get("d")
         broker = QueryBroker(registry, window_s=0.02, max_batch=16, cache=False)
