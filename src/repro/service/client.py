@@ -13,12 +13,20 @@ that).
 
 Each calling thread keeps one persistent HTTP/1.1 connection, opened on
 its first request, so a request costs the server no new connection and
-no new handler thread. A request that fails on a reused connection
-before the status line arrives (the server dropped the idle connection)
-is sent once more on a fresh one — but only a read (``GET``, ``POST
-/query``, ``POST /sql``): a write is never sent twice, so ``PATCH``,
-``POST /clean/step`` and ``POST /datasets`` raise instead. :meth:`close`
-(or leaving a ``with`` block) closes every thread's connection.
+no new handler thread. The connection is a plain socket with
+``TCP_NODELAY`` that frames HTTP/1.1 itself: the request's head and
+body go out in one ``sendall``, the status line and headers are read
+line by line, and the body by ``Content-Length`` (or to end-of-file
+when the response gives none). It closes after a ``Connection: close``
+or HTTP/1.0 response, and raises the :mod:`http.client` and
+:class:`OSError` exceptions the stdlib client would.
+
+A request that fails on a reused connection before the status line
+arrives (the server dropped the idle connection) is sent once more on
+a fresh one — but only a read (``GET``, ``POST /query``, ``POST
+/sql``): a write is never sent twice, so ``PATCH``, ``POST
+/clean/step`` and ``POST /datasets`` raise instead. :meth:`close` (or
+leaving a ``with`` block) closes every thread's connection.
 
 Server-side failures raise :class:`ServiceError` carrying the HTTP
 status and the structured ``code``/``message`` payload the server sent.
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 import weakref
@@ -54,13 +63,106 @@ _READ_POSTS = frozenset({"/query", "/sql"})
 #: answering (``RemoteDisconnected`` is both).
 _DROPPED = (ConnectionError, http.client.BadStatusLine)
 
+#: The longest status or header line, and the most header lines, a
+#: response may carry (``http.client``'s limits).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
-class _Connection(http.client.HTTPConnection):
-    """A client thread's connection: it closes its socket when collected,
-    as when its thread ends, instead of leaving that to the socket."""
+
+class _Connection:
+    """A client thread's HTTP/1.1 connection: one socket with
+    ``TCP_NODELAY``, opened on first use and again after a close.
+
+    It sends a request's head and body in one ``sendall`` and reads the
+    status line and headers line by line, raising what
+    :mod:`http.client` raises for the same faults. It closes its socket
+    when the response says so, and when collected, as when its thread
+    ends, instead of leaving that to the socket.
+    """
+
+    def __init__(self, host: str, port: int, host_header: str, timeout: float) -> None:
+        self._address = (host, port)
+        self._host_header = host_header
+        self._timeout = timeout
+        self.sock: socket.socket | None = None
+        self._reader = None
+
+    def close(self) -> None:
+        sock, reader = self.sock, self._reader
+        self.sock = self._reader = None
+        if reader is not None:
+            reader.close()
+        if sock is not None:
+            sock.close()
 
     def __del__(self) -> None:
         self.close()
+
+    def request(self, method: str, target: str, body: bytes | None) -> None:
+        """Send one request, connecting first if no socket is open."""
+        if self.sock is None:
+            sock = socket.create_connection(self._address, self._timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock, self._reader = sock, sock.makefile("rb")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._host_header}\r\n"
+        if body is not None:
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        self.sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+
+    def read_head(self) -> tuple[int, str, int | None, bool]:
+        """The response's ``(status, reason, length, closes)``: ``length``
+        is the body's, None when the body runs to end-of-file, and
+        ``closes`` is true when the server ends the connection after it."""
+        line = self._readline("status line")
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response"
+            )
+        version, _, rest = line.decode("iso-8859-1").rstrip("\r\n").partition(" ")
+        status, _, reason = rest.partition(" ")
+        if not version.startswith("HTTP/1.") or not (
+            len(status) == 3 and status.isascii() and status.isdigit()
+        ):
+            raise http.client.BadStatusLine(line)
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._readline("header line")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("iso-8859-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+        if "transfer-encoding" in headers:
+            raise http.client.HTTPException("a chunked response is not supported")
+        declared = headers.get("content-length")
+        if declared is not None and not (declared.isascii() and declared.isdigit()):
+            raise http.client.HTTPException(f"bad Content-Length {declared!r}")
+        length = None if declared is None else int(declared)
+        closes = (
+            length is None
+            or version == "HTTP/1.0"
+            or headers.get("connection", "").lower() == "close"
+        )
+        return int(status), reason.strip(), length, closes
+
+    def read_body(self, length: int | None, closes: bool) -> bytes:
+        """The body: ``length`` bytes, or every byte to end-of-file."""
+        data = self._reader.read(length)
+        if length is not None and len(data) < length:
+            raise http.client.IncompleteRead(data, length - len(data))
+        if closes:
+            self.close()
+        return data
+
+    def _readline(self, what: str) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong(what)
+        return line
 
 
 class ServiceError(RuntimeError):
@@ -95,7 +197,8 @@ class ServiceClient:
         if parts.scheme != "http" or not parts.hostname:
             raise ValueError(f"base_url must be an http:// URL, got {base_url!r}")
         self._host = parts.hostname
-        self._port = parts.port
+        self._port = parts.port or 80
+        self._host_header = parts.netloc.rpartition("@")[2]
         self._prefix = parts.path
         self._local = threading.local()
         # Every live connection, so close() reaches other threads' ones; a
@@ -125,7 +228,9 @@ class ServiceClient:
         connection = getattr(self._local, "connection", None)
         with self._lock:
             if connection is None or connection not in self._connections:
-                connection = _Connection(self._host, self._port, timeout=self.timeout)
+                connection = _Connection(
+                    self._host, self._port, self._host_header, self.timeout
+                )
                 self._connections.add(connection)
                 self._local.connection = connection
         return connection
@@ -137,22 +242,22 @@ class ServiceClient:
 
     def _send(self, method: str, path: str, body: bytes | None) -> tuple[int, str, bytes]:
         """One request/response exchange: ``(status, reason, body bytes)``."""
-        headers = {} if body is None else {"Content-Type": "application/json"}
         resend = method == "GET" or (method == "POST" and path in _READ_POSTS)
         while True:
             connection = self._connection()
             reused = connection.sock is not None
-            response = None
+            head = None
             try:
-                connection.request(method, self._prefix + path, body, headers)
-                response = connection.getresponse()
-                return response.status, response.reason, response.read()
+                connection.request(method, self._prefix + path, body)
+                head = connection.read_head()
+                status, reason, length, closes = head
+                return status, reason, connection.read_body(length, closes)
             except BaseException as exc:
                 # After any failure the connection's state is unknown.
                 self._discard(connection)
                 # No status line over a reused connection: the server closed
                 # it while idle. A read goes out once more, on a fresh one.
-                dropped = response is None and isinstance(exc, _DROPPED)
+                dropped = head is None and isinstance(exc, _DROPPED)
                 if not (dropped and reused and resend):
                     raise
                 resend = False

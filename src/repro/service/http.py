@@ -37,12 +37,12 @@ path                        method  what it does
 ``/clean/step``             POST    one cleaning answer; returns the checkpoint
 ==========================  ======  ==============================================
 
-Every error is a structured JSON payload ``{"error": {"code", "message"}}``
-with the right status class: malformed JSON, a ``/query`` field the
-handler does not read and invalid queries are 400, an unknown dataset is
-404, a duplicate registration is 409, admission rejection is 429 with a
-``Retry-After`` header, and anything unexpected is a 500 that never leaks
-a traceback to the client.
+Every error a route raises is a structured JSON payload ``{"error":
+{"code", "message"}}`` with the right status class: malformed JSON, a
+``/query`` field the handler does not read and invalid queries are 400,
+an unknown dataset is 404, a duplicate registration is 409, admission
+rejection is 429 with a ``Retry-After`` header, and anything unexpected
+is a 500 that never leaks a traceback to the client.
 
 Every request runs inside an ``http.request`` root span (the head of the
 trace tree the lower layers grow), is timed into per-route latency
@@ -58,6 +58,19 @@ thread per request. :meth:`ServiceServer.close` ends every open
 connection once the broker has drained, so no handler thread stays
 parked on an idle connection after the server is closed.
 
+The framing is the handler's own, not the stdlib's ``email``-based
+header parser. The request line gets the stdlib's checks. Headers are
+read line by line into a dict keyed by lower-cased name: a line over
+65,536 bytes, or more than 100 of them, is a 431. The body is read by
+``Content-Length`` before any route runs. A body the server cannot
+delimit is refused and the connection closed: any ``Transfer-Encoding``
+is a 501; a ``Content-Length`` that is not one non-negative decimal, or
+is missing on a ``POST`` or ``PATCH``, is a 400. These refusals, like the
+request-line and header errors, are the stdlib's HTML ``send_error``
+pages, sent before routing. A response leaves in one write (status line,
+headers and body in one buffer), and says ``Connection: close`` when the
+server will close the connection after it.
+
 Start a server with :func:`make_service` (ephemeral port, background
 thread — what the tests and the CI smoke job use) or :func:`serve`
 (blocking — what ``repro serve`` calls).
@@ -71,6 +84,8 @@ import socket
 import sys
 import threading
 import time
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -375,6 +390,53 @@ class _RawResponse:
         self.content_type = content_type
 
 
+#: The longest request or header line, and the most header lines, a
+#: request may carry (the stdlib's limits); past either it is a 431.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: Methods whose every route reads a body, so a missing length is a 400.
+_BODY_METHODS = frozenset({"POST", "PATCH"})
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``(major, minor)`` of an ``HTTP/x.y`` token, or None if it is
+    malformed (the stdlib's rules: one dot, at most ten digits a side)."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
+def _content_length(declared: str) -> int | None:
+    """The body length a ``Content-Length`` value declares, or None unless
+    it is one non-negative decimal (repeats of one value count as one)."""
+    values = {value.strip() for value in declared.split(",")}
+    if len(values) != 1:
+        return None
+    (value,) = values
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
+#: ``(second, its IMF-fixdate)``: a response's ``Date`` is formatted at
+#: most once a second.
+_date_cache: tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    global _date_cache
+    now = int(time.time())
+    second, text = _date_cache
+    if second != now:
+        text = formatdate(now, usegmt=True)
+        _date_cache = (now, text)
+    return text
+
+
 #: Known route templates, for bounded-cardinality metric labels.
 _ROUTE_TEMPLATES = (
     "/healthz",
@@ -431,6 +493,108 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # default http.server chatter stays off; --access-log is structured
 
+    def parse_request(self) -> bool:
+        """Parse the request line, the headers and the body.
+
+        The request line gets the stdlib's checks (400 for bad syntax or
+        version, 505 from HTTP/2 on, HTTP/1.0 closes, ``//`` collapses),
+        and an HTTP/0.9 line, which has no version, is a 400 too.
+        Headers land in ``self.headers``, a dict keyed by lower-cased
+        name whose repeated fields are joined with ``", "``; a line over
+        :data:`_MAX_LINE` bytes or more than :data:`_MAX_HEADERS` lines
+        is a 431. The body is read here, by ``Content-Length``, so no
+        handler leaves bytes behind for the next request line. A framing
+        this server cannot delimit (any ``Transfer-Encoding``: 501; a
+        bad, negative or conflicting ``Content-Length``, or none on a
+        ``POST`` or ``PATCH``: 400) is refused and the connection closed.
+        Returns False once an error has been sent (or for a blank line).
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = ""  # not HTTP/0.9: an error gets a status line
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
+            )
+            return False
+        command, path, version = words
+        number = _version_number(version)
+        if number is None:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+            return False
+        if number >= (2, 0):
+            self.send_error(
+                HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                f"Invalid HTTP version ({version[5:]})",
+            )
+            return False
+        self.close_connection = number < (1, 1)
+        self.request_version = version
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")  # gh-87389: no scheme-relative paths
+        self.command, self.path = command, path
+
+        headers: dict[str, str] = {}
+        readline = self.rfile.readline
+        for _ in range(_MAX_HEADERS + 1):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long"
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            name, value = name.lower(), value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        else:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers"
+            )
+            return False
+        self.headers = headers
+
+        conntype = headers.get("connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        if "transfer-encoding" in headers:
+            self.send_error(
+                HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding is not supported"
+            )
+            return False
+        declared = headers.get("content-length")
+        if declared is None and command in _BODY_METHODS:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Content-Length required")
+            return False
+        length = 0 if declared is None else _content_length(declared)
+        if length is None:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad Content-Length ({declared!r})"
+            )
+            return False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+            and not self.handle_expect_100()
+        ):
+            return False
+        self._body = self.rfile.read(length) if length else b""
+        if len(self._body) < length:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Incomplete body")
+            return False
+        return True
+
     def _send_bytes(
         self,
         status: int,
@@ -438,31 +602,42 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         headers: dict | None = None,
     ) -> None:
+        """Write the whole response (status line, headers, body) at once."""
         self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_trace_id", None):
-            self.send_header("X-Trace-Id", self._trace_id)
+        phrase = self.responses[status][0] if status in self.responses else ""
+        head = (
+            f"{self.protocol_version} {status} {phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {_http_date()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if self._trace_id:
+            head += f"X-Trace-Id: {self._trace_id}\r\n"
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else None
+            payload = json.loads(self._body.decode("utf-8")) if self._body else None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise WireError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise WireError("request body must be a JSON object")
         return payload
 
-    def _dispatch(self, handler) -> None:
+    def _target(self) -> str:
+        """The request path without a trailing ``/``. Parses the target
+        once, keeping its query string for the GET routes that read it."""
+        target = urlparse(self.path)
+        self._query = target.query
+        return target.path.rstrip("/") or "/"
+
+    def _dispatch(self, handler, path: str) -> None:
         server = self.server
-        path = urlparse(self.path).path.rstrip("/") or "/"
         route = _route_label(path)
         self._last_status = 0
         self._trace_id = None
@@ -560,44 +735,44 @@ class _Handler(BaseHTTPRequestHandler):
         raise _NotFound(f"no route for {self.command} {path}")
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
-        path = urlparse(self.path).path.rstrip("/") or "/"
+        path = self._target()
         if path == "/healthz":
-            self._dispatch(self._get_healthz)
+            self._dispatch(self._get_healthz, path)
         elif path == "/metrics":
-            self._dispatch(self._get_metrics)
+            self._dispatch(self._get_metrics, path)
         elif path == "/debug/traces":
-            self._dispatch(self._get_traces)
+            self._dispatch(self._get_traces, path)
         elif path.startswith("/debug/traces/"):
             trace_id = path[len("/debug/traces/") :]
-            self._dispatch(lambda: self._get_trace(trace_id))
+            self._dispatch(lambda: self._get_trace(trace_id), path)
         elif path == "/datasets":
-            self._dispatch(self._get_datasets)
+            self._dispatch(self._get_datasets, path)
         elif path.startswith("/datasets/"):
             name = path[len("/datasets/") :]
-            self._dispatch(lambda: self._get_dataset(name))
+            self._dispatch(lambda: self._get_dataset(name), path)
         else:
-            self._dispatch(lambda: self._not_found(path))
+            self._dispatch(lambda: self._not_found(path), path)
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
-        path = urlparse(self.path).path.rstrip("/")
+        path = self._target()
         if path == "/datasets":
-            self._dispatch(self._post_datasets)
+            self._dispatch(self._post_datasets, path)
         elif path == "/query":
-            self._dispatch(self._post_query)
+            self._dispatch(self._post_query, path)
         elif path == "/sql":
-            self._dispatch(self._post_sql)
+            self._dispatch(self._post_sql, path)
         elif path == "/clean/step":
-            self._dispatch(self._post_clean_step)
+            self._dispatch(self._post_clean_step, path)
         else:
-            self._dispatch(lambda: self._not_found(path))
+            self._dispatch(lambda: self._not_found(path), path)
 
     def do_PATCH(self) -> None:  # noqa: N802 — http.server API
-        path = urlparse(self.path).path.rstrip("/")
+        path = self._target()
         if path.startswith("/datasets/"):
             name = path[len("/datasets/") :]
-            self._dispatch(lambda: self._patch_dataset(name))
+            self._dispatch(lambda: self._patch_dataset(name), path)
         else:
-            self._dispatch(lambda: self._not_found(path))
+            self._dispatch(lambda: self._not_found(path), path)
 
     # -- GET bodies ----------------------------------------------------
     def _get_healthz(self):
@@ -616,7 +791,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, body
 
     def _get_metrics(self):
-        query = parse_qs(urlparse(self.path).query)
+        query = parse_qs(self._query)
         if query.get("format", [""])[-1] == "prometheus":
             text = self.server.obs.metrics.render_prometheus()
             return _RawResponse(200, text, _PROMETHEUS_CONTENT_TYPE)
@@ -628,7 +803,7 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _get_traces(self):
-        query = parse_qs(urlparse(self.path).query)
+        query = parse_qs(self._query)
         limit = None
         if "limit" in query:
             try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import threading
 
 from repro.obs import (
@@ -12,6 +13,7 @@ from repro.obs import (
     TraceBuffer,
     Tracer,
     current_span,
+    new_span_id,
     trace_span,
 )
 
@@ -257,3 +259,36 @@ def test_observability_disabled_keeps_metrics_on():
     snap = obs.snapshot()
     assert snap["counters"]["still_counts_total"] == 1
     assert snap["tracing"]["published"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Span ids
+# ---------------------------------------------------------------------------
+
+
+def test_span_ids_are_16_hex_digits_and_never_repeat():
+    ids = [new_span_id() for _ in range(10_000)]
+    assert all(len(span_id) == 16 and int(span_id, 16) >= 0 for span_id in ids)
+    assert len(set(ids)) == len(ids)
+
+
+def test_span_ids_stay_unique_across_a_fork():
+    """A forked child (an executor process) draws from a fresh offset, not
+    from the continuation of its parent's counter."""
+    before = [new_span_id() for _ in range(1000)]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report its ids, then leave without cleanup
+        try:
+            with os.fdopen(write, "w") as pipe:
+                pipe.write(" ".join(new_span_id() for _ in range(1000)))
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        child = pipe.read().split()
+    os.waitpid(pid, 0)
+    after = [new_span_id() for _ in range(1000)]
+    ids = before + child + after
+    assert len(child) == 1000
+    assert len(set(ids)) == len(ids)

@@ -1,9 +1,11 @@
 """ServiceClient transport: one keep-alive connection per thread, a read
-re-sent once over a dropped idle connection, a write never re-sent, and
-a server close that leaves no handler thread parked on a connection."""
+re-sent once over a dropped idle connection, a write never re-sent, a
+server close that leaves no handler thread parked on a connection, and
+the client's own HTTP/1.1 framing against a scripted peer."""
 
 from __future__ import annotations
 
+import http.client
 import socket
 import threading
 import time
@@ -224,3 +226,107 @@ class TestServerClose:
         server.close()
         assert late == [b""]  # accepted and closed at once, never served
         assert not open_handlers(server)
+
+
+class ScriptedPeer:
+    """A one-thread HTTP peer that answers each request it reads with the
+    next scripted reply: ``(bytes, close_after)``, or ``None`` to close
+    the connection unanswered. It records ``(connection number, method)``
+    per request."""
+
+    def __init__(self, replies) -> None:
+        self.replies = list(replies)
+        self.requests: list[tuple[int, str]] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        n_connections = 0
+        while self.replies:
+            conn, _ = self._listener.accept()
+            n_connections += 1
+            with conn, conn.makefile("rb") as reader:
+                while self.replies and (line := reader.readline()):
+                    length = 0
+                    while (header := reader.readline()) not in (b"\r\n", b""):
+                        name, _, value = header.partition(b":")
+                        if name.strip().lower() == b"content-length":
+                            length = int(value)
+                    reader.read(length)
+                    self.requests.append((n_connections, line.split()[0].decode()))
+                    reply = self.replies.pop(0)
+                    if reply is None:
+                        break
+                    conn.sendall(reply[0])
+                    if reply[1]:
+                        break
+
+    def close(self) -> None:
+        self.replies.clear()
+        # Wake an accept() still waiting for a connection the test never made.
+        with socket.create_connection(self._listener.getsockname()):
+            pass
+        self._thread.join(timeout=10.0)
+        self._listener.close()
+
+
+OK_BODY = b'{"status": "ok"}'
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY), OK_BODY)
+
+
+class TestFraming:
+    """The client's own HTTP/1.1 framing, against a scripted peer."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(OK_BODY), OK_BODY),
+            b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(OK_BODY), OK_BODY),
+            b"HTTP/1.1 200 OK\r\n\r\n" + OK_BODY,  # no length: the body ends at EOF
+        ],
+        ids=["connection-close", "http-1.0", "no-length"],
+    )
+    def test_a_closing_response_makes_the_next_request_connect_afresh(self, reply):
+        peer = ScriptedPeer([(reply, True), (OK, False)])
+        client = ServiceClient(peer.url, timeout=5.0)
+        try:
+            assert client.healthz() == {"status": "ok"}
+            assert client.healthz() == {"status": "ok"}
+        finally:
+            client.close()
+            peer.close()
+        assert peer.requests == [(1, "GET"), (2, "GET")]
+
+    def test_a_body_shorter_than_its_length_raises(self):
+        short = b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n" + OK_BODY
+        peer = ScriptedPeer([(short, True)])
+        client = ServiceClient(peer.url, timeout=5.0)
+        try:
+            with pytest.raises(http.client.IncompleteRead):
+                client.healthz()
+        finally:
+            client.close()
+            peer.close()
+        assert peer.requests == [(1, "GET")]  # a partial answer is not re-sent
+
+    @pytest.mark.parametrize("method", ["GET", "PATCH"])
+    def test_only_a_read_is_resent_after_a_drop(self, method):
+        """The peer closes a reused connection without answering: a read
+        goes out once more on a fresh one, a PATCH raises."""
+        peer = ScriptedPeer([(OK, False), None, (OK, False)])
+        client = ServiceClient(peer.url, timeout=5.0)
+        try:
+            client.healthz()
+            if method == "GET":
+                assert client.healthz() == {"status": "ok"}
+            else:
+                with pytest.raises(ConnectionError):
+                    client.repair_cell("d", row=1, candidate=0)
+        finally:
+            client.close()
+            peer.close()
+        resent = [(2, "GET")] if method == "GET" else []
+        assert peer.requests == [(1, "GET"), (1, method), *resent]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import time
 from urllib import error, request
 
@@ -12,6 +13,7 @@ import pytest
 
 from repro.core.dataset import IncompleteDataset
 from repro.service import DatasetRegistry, ServiceClient, ServiceError, make_service
+from repro.service.broker import AdmissionError
 
 
 def small_dataset() -> IncompleteDataset:
@@ -354,3 +356,237 @@ class TestErrorPaths:
         finally:
             gate.release()
             broker.max_pending, broker.window_s = old
+
+
+# ---------------------------------------------------------------------------
+# Request framing and HTTP/1.1 conformance, over raw sockets
+# ---------------------------------------------------------------------------
+
+
+def raw_connection(server) -> socket.socket:
+    return socket.create_connection(server.server_address[:2], timeout=5.0)
+
+
+def read_response(reader) -> tuple[int, dict, bytes]:
+    """One response off a socket's reader: ``(status, headers, body)``,
+    headers keyed by lower-cased name."""
+    status_line = reader.readline()
+    assert status_line.startswith(b"HTTP/1."), status_line
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+def exchange_until_closed(server, data: bytes) -> list[tuple[int, dict, bytes]]:
+    """Send raw bytes on a fresh connection and read every response until
+    the server closes it (a server that keeps it open times the read out)."""
+    with raw_connection(server) as sock, sock.makefile("rb") as reader:
+        sock.sendall(data)
+        responses = []
+        while reader.peek(1):
+            responses.append(read_response(reader))
+    return responses
+
+
+class TestRequestFraming:
+    """A body the server cannot delimit is refused and the connection
+    closed, so none of its bytes is ever read as the next request."""
+
+    @pytest.mark.parametrize(
+        "length_headers, body",
+        [
+            ([], b'{"dataset": "d", "point": [0, 0]}'),  # missing on a POST
+            (["Content-Length: abc"], b"{}"),  # not a number
+            (["Content-Length: -1"], b"{}"),  # negative
+            (["Content-Length: 2", "Content-Length: 31"], b"{}"),  # conflicting
+        ],
+        ids=["missing", "non-numeric", "negative", "conflicting"],
+    )
+    def test_an_unusable_content_length_is_400_and_closes(
+        self, service, length_headers, body
+    ):
+        server, _ = service
+        head = "\r\n".join(["POST /query HTTP/1.1", "Host: x", *length_headers])
+        responses = exchange_until_closed(
+            server, head.encode() + b"\r\n\r\n" + body
+        )
+        assert len(responses) == 1
+        status, headers, _ = responses[0]
+        assert status == 400
+        assert headers["connection"] == "close"
+
+    def test_transfer_encoding_is_501_and_closes(self, service):
+        server, _ = service
+        request = (
+            b"POST /query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n"
+        )
+        responses = exchange_until_closed(server, request)
+        assert len(responses) == 1
+        status, headers, _ = responses[0]
+        assert status == 501
+        assert headers["connection"] == "close"
+
+    def test_repeats_of_one_content_length_are_one_length(self, service):
+        server, _ = service
+        body = json.dumps({"dataset": "d", "point": [0.0, 0.0]}).encode()
+        request = (
+            b"POST /query HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            + f"Content-Length: {len(body)}, {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        (response,) = exchange_until_closed(server, request)
+        assert response[0] == 200
+
+    def test_an_unread_body_does_not_become_the_next_request(self, service):
+        # /nope never reads its body; the next request on the connection
+        # must still be parsed from its own request line.
+        server, _ = service
+        with raw_connection(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(
+                b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            assert read_response(reader)[0] == 404
+            status, _, body = read_response(reader)
+            assert status == 200 and json.loads(body)["status"] == "ok"
+
+
+class TestConformance:
+    @pytest.mark.parametrize(
+        "request_line",
+        [b"GET", b"GET /healthz HTTP/1.1 extra", b"GET /healthz HTTP/1.x",
+         b"GET /healthz FTP/1.1", b"POST /query"],
+    )
+    def test_a_malformed_request_line_is_400(self, service, request_line):
+        server, _ = service
+        (response,) = exchange_until_closed(server, request_line + b"\r\n\r\n")
+        assert response[0] == 400
+        assert response[1]["connection"] == "close"
+
+    def test_http_2_is_505(self, service):
+        server, _ = service
+        (response,) = exchange_until_closed(server, b"GET /healthz HTTP/2.0\r\n\r\n")
+        assert response[0] == 505
+
+    def test_a_header_line_over_64_kib_is_431(self, service):
+        server, _ = service
+        line = b"X-Big: " + b"a" * (65537 - len(b"X-Big: \r\n")) + b"\r\n"
+        assert len(line) == 65537
+        (response,) = exchange_until_closed(
+            server, b"GET /healthz HTTP/1.1\r\n" + line + b"\r\n"
+        )
+        assert response[0] == 431
+
+    def test_more_than_100_headers_is_431(self, service):
+        server, _ = service
+
+        def request(n_headers: int) -> bytes:
+            headers = b"".join(b"X-H%d: v\r\n" % i for i in range(n_headers))
+            return b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + headers + b"\r\n"
+
+        (response,) = exchange_until_closed(server, request(99))
+        assert response[0] == 200  # 100 header lines in all
+        (response,) = exchange_until_closed(server, request(100))
+        assert response[0] == 431
+
+    def test_header_names_are_case_insensitive(self, service):
+        server, _ = service
+        body = json.dumps({"dataset": "d", "point": [0.0, 0.0]}).encode()
+        request = (
+            b"POST /query HTTP/1.1\r\nhOsT: x\r\nCONNECTION: Close\r\n"
+            + f"cOnTeNt-LeNgTh: {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        (response,) = exchange_until_closed(server, request)
+        assert response[0] == 200
+        assert json.loads(response[2])["values"]
+
+    def test_expect_100_continue_gets_an_interim_100_then_the_answer(self, service):
+        server, _ = service
+        body = json.dumps({"dataset": "d", "point": [0.0, 0.0]}).encode()
+        with raw_connection(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            assert reader.readline().split()[1] == b"100"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _, answer = read_response(reader)
+        assert status == 200 and json.loads(answer)["values"]
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [b"GET /healthz HTTP/1.0\r\n", b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_the_connection_closes_after_the_response(self, service, request_head):
+        server, _ = service
+        # Two requests are sent; only the first is answered.
+        request = request_head + b"\r\n"
+        responses = exchange_until_closed(server, request + request)
+        assert len(responses) == 1
+        status, headers, body = responses[0]
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert headers["connection"] == "close"
+
+    def test_keep_alive_answers_each_request_in_turn(self, service):
+        server, _ = service
+        with raw_connection(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" * 3)
+            for _ in range(3):
+                status, headers, _ = read_response(reader)
+                assert status == 200 and "connection" not in headers
+
+    def test_urllib_round_trips(self, service):
+        server, _ = service
+        with request.urlopen(server.url + "/healthz", timeout=10) as response:
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        status, payload = post_raw(
+            server, "/query", json.dumps({"dataset": "d", "point": [0, 0]}).encode()
+        )
+        assert status == 200 and payload["values"]
+
+    def test_responses_carry_their_standard_headers(self, service):
+        server, _ = service
+        with request.urlopen(server.url + "/healthz", timeout=10) as response:
+            headers = response.headers
+            assert headers["Content-Type"] == "application/json"
+            assert len(headers["X-Trace-Id"]) == 16
+            assert headers["Server"].startswith("BaseHTTP/")
+            assert headers["Date"].endswith(" GMT")
+            assert int(headers["Content-Length"]) == len(response.read())
+
+    def test_admission_rejection_sends_retry_after(self, service, monkeypatch):
+        server, _ = service
+
+        def overloaded(*args, **kwargs):
+            raise AdmissionError("at capacity", retry_after=0.25)
+
+        monkeypatch.setattr(server.broker, "query", overloaded)
+        body = json.dumps({"dataset": "d", "point": [0.0, 0.0]}).encode()
+        with raw_connection(server) as sock, sock.makefile("rb") as reader:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            status, headers, payload = read_response(reader)
+        assert status == 429
+        assert headers["retry-after"] == "0.250"
+        assert json.loads(payload)["error"]["code"] == "overloaded"
+
+    def test_neither_end_parses_headers_with_the_stdlib(self, service, monkeypatch):
+        server, client = service
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("http.client.parse_headers was called")
+
+        monkeypatch.setattr(http.client, "parse_headers", refuse)
+        assert client.healthz()["status"] == "ok"
+        assert client.query("d", point=[0.0, 0.0])["values"]
