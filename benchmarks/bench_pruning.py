@@ -16,7 +16,12 @@ that workload and measures three things, emitted human-readable and as
    acceptance bar is a >=2x wall-clock advantage (the default scale
    targets >=3x) with bit-identical counts.
 2. **Telemetry** — the pruning counters the run reported: rows and
-   candidate positions pruned, positions actually scanned.
+   candidate positions pruned, positions actually scanned. Beside them,
+   the boundary window's own figures: the share of the kept rows'
+   positions folded into the kernel's start state (the head below the
+   certificate's threshold), and the counting kernel's time over the
+   windows against its time over the whole kept scans (reported, not
+   gated).
 3. **Cross-backend identity** — the same query on the unpruned
    ``sequential`` reference and on ``batch``, both asserted
    bit-identical to the full-scan counts (pruning never changes an
@@ -41,7 +46,9 @@ import numpy as np
 from conftest import bench_output_path, write_bench_report
 from repro.core.batch_engine import PreparedBatch, _counts_from_scan
 from repro.core.dataset import IncompleteDataset
-from repro.core.planner import ExecutionOptions, execute_query, make_query
+from repro.core.planner import ExecutionOptions, _sims_problem, execute_query, make_query
+from repro.core.pruning import _reduced_from_sims, window_scan
+from repro.core.scan import _scan_from_sims
 from repro.utils.tables import format_table
 
 DEFAULT_OUTPUT = bench_output_path("pruning")
@@ -120,6 +127,37 @@ def bench_speedup(query, repeats: int) -> tuple[dict, dict, list]:
     return speedup, telemetry, off
 
 
+def bench_window(query, repeats: int) -> dict:
+    """The kernel over each point's boundary window vs its whole kept scan."""
+    prepared = PreparedBatch(query.dataset, query.test_X, k=query.k, kernel=query.kernel)
+    kept_scans, windows = [], []
+    for index in range(prepared.n_points):
+        _, kept, cert = _reduced_from_sims(*_sims_problem(prepared, index)[:6], None)
+        kept_scans.append(_scan_from_sims(*kept))
+        windows.append(window_scan(*kept, cert.threshold))
+    t_kept, full = _timed(
+        lambda: [_counts_from_scan(scan, query.k, query.n_labels) for scan in kept_scans],
+        repeats,
+    )
+    t_window, folded = _timed(
+        lambda: [
+            _counts_from_scan(window, query.k, query.n_labels, head)
+            for window, head in windows
+        ],
+        repeats,
+    )
+    assert folded == full, "window counts diverged from the kept-scan counts"
+    n_kept = sum(scan.n_candidates for scan in kept_scans)
+    n_head = sum(int(head.sum()) for _, head in windows)
+    return {
+        "kept_positions": n_kept,
+        "head_positions": n_head,
+        "head_share": n_head / n_kept,
+        "kept_scan_kernel_seconds": t_kept,
+        "window_kernel_seconds": t_window,
+    }
+
+
 def bench_identity(query, reference) -> dict:
     checks = []
     for backend, options in (
@@ -159,6 +197,7 @@ def main(argv=None) -> int:
     query = make_query(dataset, val_X, kind="counts", k=K)
 
     speedup, telemetry, reference = bench_speedup(query, repeats=2)
+    window = bench_window(query, repeats=2)
     identity = bench_identity(query, reference)
 
     report = {
@@ -174,6 +213,7 @@ def main(argv=None) -> int:
         },
         "speedup": speedup,
         "telemetry": telemetry,
+        "window": window,
         "identity": identity,
     }
     write_bench_report(args.output, report)
@@ -209,6 +249,19 @@ def main(argv=None) -> int:
                     f"{telemetry['n_pruned']}/{telemetry['n_candidates']}",
                 ],
                 ["positions scanned", str(telemetry["n_scanned"])],
+                [
+                    "kept positions folded into the start state",
+                    f"{window['head_positions']}/{window['kept_positions']} "
+                    f"({window['head_share']:.1%})",
+                ],
+                [
+                    "kernel seconds, whole kept scans",
+                    f"{window['kept_scan_kernel_seconds']:.4f}",
+                ],
+                [
+                    "kernel seconds, boundary windows",
+                    f"{window['window_kernel_seconds']:.4f}",
+                ],
             ],
             title="Prune-certificate telemetry (batch backend)",
         )

@@ -41,9 +41,9 @@ import os
 import sys
 import threading
 import uuid
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import Any
 
 import numpy as np
@@ -186,20 +186,33 @@ def _tally_plans(
     return tuple(plans)
 
 
+def _mul_binomial_power(poly: list[int], a: int, b: int, e: int) -> None:
+    """``poly *= (a + b z) ** e`` in place, truncated to ``poly``'s degree.
+
+    The power's coefficients are ``C(e, j) a^(e-j) b^j``; the product runs
+    descending so each step reads the not-yet-updated lower coefficients.
+    """
+    k = len(poly) - 1
+    top = min(e, k)
+    power = [comb(e, j) * a ** (e - j) * b**j for j in range(top + 1)]
+    for d in range(k, -1, -1):
+        poly[d] = sum(power[j] * poly[d - j] for j in range(min(d, top) + 1))
+
+
 def _counts_from_scan(
     scan: ScanOrder,
     k: int,
     n_labels: int,
-    fixed: Mapping[int, int] | None = None,
+    head: np.ndarray | None = None,
 ) -> list[int]:
     """Q2 counts from a precomputed scan order — the batch engine's kernel.
 
     Exactly the incremental algorithm of
     :func:`repro.core.engine.sortscan_counts` /
-    :meth:`repro.core.prepared.PreparedQuery.counts` (same big-integer
-    polynomial updates in the same order, so results are bit-identical),
-    restructured for batch throughput: scan arrays are converted to plain
-    Python lists once, the per-position tally loop uses the precomputed
+    :meth:`repro.core.prepared.PreparedQuery.counts` (the same exact
+    big-integer polynomials, so results are bit-identical), restructured
+    for batch throughput: scan arrays are converted to plain Python lists
+    once, the per-position tally loop uses the precomputed
     :func:`_tally_plans`, the linear-factor updates run in place on the
     coefficient lists (no per-step allocations or calls into
     :mod:`repro.core.polynomials`), and the forced-shift bookkeeping is
@@ -207,40 +220,43 @@ def _counts_from_scan(
     at every boundary position. The truncated divisions are exact by
     construction (see :mod:`repro.core.polynomials`); the closing
     sum-over-worlds assertion would catch any violation.
+
+    **Start state.** ``head[i]`` (default 0) is how many of row ``i``'s
+    candidates sit *before* the scan: the caller has already folded them.
+    Each label's polynomial starts as the closed-form product
+    ``prod (a_i + (m_i - a_i) z)`` over its rows with ``a_i = head[i] > 0``
+    (one binomial power per distinct ``(a_i, m_i)``), and only rows with
+    ``a_i == 0`` start in the forced-above set (``forced_count`` /
+    ``forced_scale``). The walk then continues from there. This is the
+    same product the walk would have built one factor at a time, so
+    skipping a head whose positions all have zero support — the positions
+    below the pruner's threshold, see :func:`repro.core.pruning.window_scan`
+    — leaves every count bit-identical. With no head this is the full scan.
     """
     rows = scan.rows.tolist()
-    cands = scan.cands.tolist()
     row_labels = scan.row_labels.tolist()
     counts = scan.row_counts.tolist()
-    pinned: list[int] | None = None
-    if fixed:
-        pinned = [-1] * len(counts)
-        for row, cand in fixed.items():
-            if not 0 <= cand < counts[row]:
-                raise IndexError(
-                    f"fixed candidate {cand} out of range for row {row} "
-                    f"with {counts[row]} candidates"
-                )
-            counts[row] = 1
-            pinned[row] = cand
 
     plans = _tally_plans(k, n_labels)
     n = len(row_labels)
-    alpha = [0] * n
+    alpha = [0] * n if head is None else head.tolist()
     polys = [poly_one(k) for _ in range(n_labels)]
     forced_count = [0] * n_labels
     forced_scale = [1] * n_labels
+    factors: dict[tuple[int, int, int], int] = {}
     for i in range(n):
-        forced_count[row_labels[i]] += 1
-        forced_scale[row_labels[i]] *= counts[i]
+        label = row_labels[i]
+        if alpha[i]:
+            key = (label, alpha[i], counts[i])
+            factors[key] = factors.get(key, 0) + 1
+        else:
+            forced_count[label] += 1
+            forced_scale[label] *= counts[i]
+    for (label, a, m), e in factors.items():
+        _mul_binomial_power(polys[label], a, m - a, e)
     result = [0] * n_labels
 
-    for pos in range(len(rows)):
-        i = rows[pos]
-        if pinned is not None:
-            pin = pinned[i]
-            if pin >= 0 and cands[pos] != pin:
-                continue
+    for i in rows:
         a = alpha[i] = alpha[i] + 1
         label_i = row_labels[i]
         m = counts[i]

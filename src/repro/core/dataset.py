@@ -264,16 +264,16 @@ class IncompleteDataset:
 
     def uncertain_rows(self) -> list[int]:
         """Indices of rows with more than one candidate (dirty rows)."""
-        return [i for i, c in enumerate(self._candidate_sets) if c.shape[0] > 1]
+        return np.flatnonzero(self.candidate_counts() > 1).tolist()
 
     def certain_rows(self) -> list[int]:
         """Indices of rows with exactly one candidate (clean rows)."""
-        return [i for i, c in enumerate(self._candidate_sets) if c.shape[0] == 1]
+        return np.flatnonzero(self.candidate_counts() == 1).tolist()
 
     @property
     def n_uncertain(self) -> int:
         """Number of dirty rows."""
-        return len(self.uncertain_rows())
+        return int(np.count_nonzero(self.candidate_counts() > 1))
 
     def n_worlds(self) -> int:
         """Exact number of possible worlds ``|I_D| = prod_i m_i`` (big int).

@@ -63,9 +63,10 @@ from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.pruning import (
     accumulate_prune_stats,
+    certificate_from_intervals,
     empty_prune_stats,
     prune_mask,
-    world_product,
+    window_scan,
 )
 from repro.core.scan import _scan_from_sims
 from repro.utils.validation import check_matrix, check_positive_int
@@ -305,13 +306,7 @@ class DeltaMaintainedState:
     # ------------------------------------------------------------------
     def _irrelevant_mask_for_point(self, point: int) -> np.ndarray:
         """Per-row irrelevance at one point (rule of :func:`row_is_irrelevant`)."""
-        mins = self._mins[point]
-        sorted_mins = np.sort(mins)
-        n = mins.shape[0]
-        bests = self._maxs[point]
-        n_dominating = n - np.searchsorted(sorted_mins, bests, side="right")
-        n_dominating = n_dominating - (mins > bests)
-        return n_dominating >= self.k
+        return prune_mask(self._mins[point], self._maxs[point], self.k)
 
     def _irrelevant_mask(self, row: int) -> np.ndarray:
         """Per-point: is ``row`` outside the support set? (``(n_points,)``)"""
@@ -333,10 +328,13 @@ class DeltaMaintainedState:
 
         With :attr:`prune` on, the scan is built from the kept rows' blocks
         only — the maintained envelopes are exactly the per-row candidate
-        intervals, so the certificate is one :func:`prune_mask` call — and
-        the reduced counts are scaled back by the pruned rows' world
-        multiplicity. Exact: a pruned row is outside every world's top-K,
-        so its candidates only multiply the count of each world.
+        intervals, so the certificate is one O(N)
+        :func:`~repro.core.pruning.certificate_from_intervals` call — the
+        kernel walks only the kept rows' boundary window
+        (:func:`~repro.core.pruning.window_scan`), and the reduced counts
+        are scaled back by the pruned rows' world multiplicity. Exact: a
+        pruned row is outside every world's top-K, so its candidates only
+        multiply the count of each world.
         """
         if self.prune:
             return self._recount_pruned(point)
@@ -348,35 +346,37 @@ class DeltaMaintainedState:
         return _counts_from_scan(scan, self.k, self.dataset.n_labels)
 
     def _recount_pruned(self, point: int) -> list[int]:
-        pruned = prune_mask(self._mins[point], self._maxs[point], self.k)
-        keep = np.nonzero(~pruned)[0]
+        cert = certificate_from_intervals(
+            self._mins[point], self._maxs[point], self.k, self._widths
+        )
+        keep = cert.keep_rows
         widths = self._widths[keep]
         sims = np.concatenate([self._row_sims[row][point] for row in keep.tolist()])
         rows = np.repeat(np.arange(keep.shape[0], dtype=np.int64), widths)
-        n_scanned = int(widths.sum())
+        n_kept = int(widths.sum())
         starts = np.repeat(np.cumsum(widths) - widths, widths)
-        cands = np.arange(n_scanned, dtype=np.int64) - starts
+        cands = np.arange(n_kept, dtype=np.int64) - starts
         labels = self.dataset.labels[keep].copy()
         # The kept subset of the full scan order IS the scan order of the
         # kept problem (the sort key (sim, row, cand) restricts to a strict
         # total order on any subset; the monotone row remap preserves it),
-        # so counting the reduced scan and scaling back is bit-identical.
-        scan = _scan_from_sims(sims, rows, cands, labels, widths)
-        counts = _counts_from_scan(scan, self.k, self.dataset.n_labels)
-        scale = world_product(self._widths[pruned])
+        # and only its boundary window reaches the kernel, so counting it and
+        # scaling back is bit-identical.
+        window, head = window_scan(sims, rows, cands, labels, widths, cert.threshold)
+        counts = _counts_from_scan(window, self.k, self.dataset.n_labels, head)
         total = int(self._widths.sum())
         accumulate_prune_stats(
             self.prune_stats,
             {
-                "n_rows": len(self._row_sims),
-                "n_rows_pruned": int(np.count_nonzero(pruned)),
+                "n_rows": cert.n_rows,
+                "n_rows_pruned": cert.n_pruned,
                 "n_candidates": total,
-                "n_pruned": total - n_scanned,
-                "n_scanned": n_scanned,
+                "n_pruned": total - window.n_candidates,
+                "n_scanned": window.n_candidates,
                 "early_terminated": False,
             },
         )
-        return [count * scale for count in counts]
+        return [count * cert.scale for count in counts]
 
     def _resize_labels(
         self, counts: list[int], new_n_labels: int, point: int

@@ -1103,8 +1103,7 @@ class IncrementalBackend(Backend):
         """The family's ``entry``, if its absorbed pins extend to the query's."""
         if entry is None:
             return None
-        pins = query.pins_dict()
-        if all(pins.get(row) == cand for row, cand in entry[1].items()):
+        if entry[1].items() <= query.pins_dict().items():
             return entry
         return None
 
@@ -1165,9 +1164,9 @@ class IncrementalBackend(Backend):
             state, absorbed, owner = entry
             skipped_before, recomputed_before = state.n_pruned, state.n_recomputed
             prune_before = dict(state.prune_stats)
-        new_pins = sorted(
-            (row, cand) for row, cand in query.pins if row not in absorbed
-        )
+        # The warm state's pins are a subset of the query's, so the new pins
+        # are the difference of the two.
+        new_pins = sorted(query.pins_dict().items() - absorbed.items())
         try:
             state.apply_many([CellRepair(row, cand) for row, cand in new_pins])
         except BaseException:

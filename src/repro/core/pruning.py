@@ -10,6 +10,18 @@ same irrelevance rule the delta-maintenance layer uses for update pruning
 (:func:`repro.core.deltas.row_is_irrelevant`), promoted to a first-class
 pre-scan pass with an explicit, checkable certificate.
 
+The rule has one order statistic at its heart: ``T``, the ``k``-th largest
+row minimum (:func:`dominance_threshold`, one ``np.partition``). A row is
+pruned iff its maximum is below ``T``, so a certificate costs O(N) after
+the row envelopes (one segment ``reduceat`` per extreme over the
+candidate layout). ``T`` also bounds the counting scan from below: a kept
+candidate below ``T`` has ``k`` rows strictly above it in every world, so
+it is never the K-th neighbour and its support is exactly 0. Those
+candidates form a prefix of the ascending scan, and the counts path folds
+them into the kernel's start state instead of walking them
+(:func:`window_scan`); only the boundary window ``>= T`` is sorted and
+walked.
+
 Dropping an irrelevant row is exact, not approximate:
 
 * *membership*: the top-K set of every world is contained in the kept
@@ -30,11 +42,17 @@ Dropping an irrelevant row is exact, not approximate:
 brute-force world oracle: pruned rows never appear in any world's top-K,
 and every query answer is bit-identical with pruning on or off.
 
+``tests/fuzz/test_boundary_window.py`` holds the window to the unpruned
+per-point reference on threshold ties, pins at the threshold and ``±inf``
+similarities.
+
 The reduced scans feed the exact counting kernels
 (:func:`repro.core.batch_engine._counts_from_scan` and friends) for
 ``counts`` queries, and the vectorised decision kernels of
 :mod:`repro.core.scan_kernels` — the generalized Fig-9 early-termination
-scan — for ``certain_label``/``check`` queries.
+scan — for ``certain_label``/``check`` queries. A decision scan walks its
+whole kept scan from the bottom, so it keeps its early exit and folds no
+head.
 """
 
 from __future__ import annotations
@@ -48,19 +66,21 @@ import numpy as np
 
 from repro.core.batch_engine import _counts_from_scan
 from repro.core.dataset import IncompleteDataset
-from repro.core.scan import ScanOrder
+from repro.core.scan import ScanOrder, _scan_from_sims, check_ranked
 from repro.core.scan_kernels import DecisionScan, decision_winners
 
 __all__ = [
     "PruneCertificate",
     "interval_arrays",
     "batch_interval_arrays",
+    "dominance_threshold",
     "prune_mask",
     "certificate_from_intervals",
     "world_product",
     "apply_pins_to_scan",
     "restrict_scan",
     "positive_support_scan",
+    "window_scan",
     "pruned_counts_from_sims",
     "pruned_decision_from_sims",
     "empty_prune_stats",
@@ -80,45 +100,77 @@ def interval_arrays(scan: ScanOrder) -> tuple[np.ndarray, np.ndarray]:
     """Per-row ``[min, max]`` candidate similarity of an *effective* scan.
 
     The scan must have pins folded (every position active), so a pinned
-    row's single remaining position collapses its interval to a point.
+    row's single remaining position collapses its interval to a point. A
+    row with no position keeps the empty interval ``[inf, -inf]``.
+
+    A stable sort by row turns the scan into row segments that keep its
+    ascending similarity order, so each segment's first and last entries
+    are the row's extremes. NumPy's stable sort is a radix sort on 8- and
+    16-bit keys, so with the narrowest key type this is O(P) for up to
+    65,536 rows.
     """
     n = scan.n_rows
     mins = np.full(n, np.inf, dtype=np.float64)
     maxs = np.full(n, -np.inf, dtype=np.float64)
-    np.minimum.at(mins, scan.rows, scan.sims)
-    np.maximum.at(maxs, scan.rows, scan.sims)
+    sizes = np.bincount(scan.rows, minlength=n)
+    present = sizes > 0
+    if present.any():
+        keys = scan.rows.astype(np.min_scalar_type(n - 1))
+        by_row = scan.sims[np.argsort(keys, kind="stable")]
+        ends = np.cumsum(sizes[present])
+        mins[present] = by_row[ends - sizes[present]]
+        maxs[present] = by_row[ends - 1]
     return mins, maxs
 
 
 def batch_interval_arrays(
     sims_matrix: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row intervals for *every* test point at once from a similarity matrix.
+    """Row intervals from candidate-order similarities, by row segment.
 
-    ``sims_matrix`` is the ``(T, P)`` candidate-order similarity matrix of a
+    ``sims_matrix`` is one point's ``(P,)`` candidate-order similarity row
+    or the ``(T, P)`` matrix of a
     :class:`~repro.core.batch_engine.PreparedBatch`; ``offsets`` its row
-    segment starts (``offsets[r]:offsets[r+1]`` is row ``r``). Returns
-    ``(mins, maxs)`` of shape ``(T, N)`` — one ``reduceat`` per extreme, no
-    per-point work.
+    segment starts (``offsets[r]:offsets[r+1]`` is row ``r``, every
+    segment non-empty). Returns ``(mins, maxs)`` of shape ``(N,)`` or
+    ``(T, N)`` — one ``reduceat`` per extreme, no per-point work.
     """
     starts = np.asarray(offsets[:-1], dtype=np.intp)
-    mins = np.minimum.reduceat(sims_matrix, starts, axis=1)
-    maxs = np.maximum.reduceat(sims_matrix, starts, axis=1)
+    mins = np.minimum.reduceat(sims_matrix, starts, axis=-1)
+    maxs = np.maximum.reduceat(sims_matrix, starts, axis=-1)
     return mins, maxs
 
 
+def dominance_threshold(mins: np.ndarray, k: int) -> float:
+    """``T``, the ``k``-th largest row minimum: one ``np.partition``, O(N).
+
+    At least ``k`` rows have every candidate at or above ``T``, and for any
+    ``x``, at least ``k`` rows have ``min > x`` exactly when ``T > x``. So a
+    row whose maximum is below ``T`` is dominated (:func:`prune_mask`), and
+    a candidate position below ``T`` has ``k`` rows strictly above it in
+    every world: it is never the K-th neighbour, which is what lets
+    :func:`window_scan` fold it into the counting kernel's start state.
+
+    A NaN minimum (a row with a NaN similarity) raises ``ValueError``
+    (:func:`~repro.core.scan.check_ranked`) rather than yield a threshold.
+    """
+    n = int(mins.shape[0])
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} rows")
+    check_ranked(mins)
+    return float(np.partition(mins, n - k)[n - k])
+
+
 def prune_mask(mins: np.ndarray, maxs: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of provably irrelevant rows.
+    """Boolean mask of provably irrelevant rows: ``maxs < T``.
 
     Row ``r`` is prunable iff at least ``k`` other rows have
-    ``min > maxs[r]``. The self term never fires (``mins[r] <= maxs[r]``),
-    so one sort plus one ``searchsorted`` answers all rows at once. The
-    rule is exactly :func:`repro.core.deltas.row_is_irrelevant`,
-    vectorised.
+    ``min > maxs[r]``, i.e. iff the :func:`dominance_threshold` ``T``
+    exceeds ``maxs[r]`` (the self term never fires: ``mins[r] <=
+    maxs[r]``). The rule is exactly
+    :func:`repro.core.deltas.row_is_irrelevant`, vectorised in O(N).
     """
-    sorted_mins = np.sort(mins)
-    n_dominating = mins.shape[0] - np.searchsorted(sorted_mins, maxs, side="right")
-    return n_dominating >= k
+    return maxs < dominance_threshold(mins, k)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +185,11 @@ class PruneCertificate:
     ``scale`` is the exact number of free world choices the pruned rows
     contribute (product of their world multiplicities — 1 for probability
     queries, where the pruned mass marginalises to 1). ``row_mins`` /
-    ``row_maxs`` are the intervals the certificate was issued from;
-    :meth:`verify` re-derives the domination argument from them.
+    ``row_maxs`` are the intervals the certificate was issued from, and
+    ``threshold`` their :func:`dominance_threshold` (derived when not
+    given): the kept rows are those whose maximum reaches it, and a kept
+    candidate below it is never the K-th neighbour. :meth:`verify`
+    re-derives both arguments from the intervals.
     """
 
     k: int
@@ -143,6 +198,12 @@ class PruneCertificate:
     scale: int
     row_mins: np.ndarray
     row_maxs: np.ndarray
+    threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.threshold is None:
+            threshold = dominance_threshold(self.row_mins, self.k)
+            object.__setattr__(self, "threshold", threshold)
 
     @property
     def n_rows(self) -> int:
@@ -170,21 +231,27 @@ class PruneCertificate:
             raise AssertionError(
                 f"certificate broken: only {self.n_kept} kept rows for k={self.k}"
             )
+        at_or_above = int(np.sum(kept_mins >= self.threshold))
+        if at_or_above < self.k:
+            raise AssertionError(
+                f"certificate broken: only {at_or_above} kept rows lie wholly at "
+                f"or above the threshold {self.threshold} (need >= {self.k})"
+            )
 
 
 def world_product(world_counts: Sequence[int] | np.ndarray) -> int:
-    """The exact product of ``world_counts`` as a Python int.
+    """The exact product of ``world_counts`` (non-negative) as a Python int.
 
     Multiplicities repeat a lot (a handful of distinct candidate-set
     sizes), so one exact power per distinct value replaces a big-integer
     multiply per row — a certificate's scale runs over almost every row.
+    One ``bincount`` tallies the values.
     """
-    values, exponents = np.unique(
-        np.asarray(world_counts, dtype=np.int64), return_counts=True
-    )
+    tally = np.bincount(np.asarray(world_counts, dtype=np.int64))
+    values = np.flatnonzero(tally)
     return math.prod(
         value**exponent
-        for value, exponent in zip(values.tolist(), exponents.tolist())
+        for value, exponent in zip(values.tolist(), tally[values].tolist())
     )
 
 
@@ -199,12 +266,11 @@ def certificate_from_intervals(
     ``world_counts[r]`` is the world multiplicity the scale absorbs when
     row ``r`` is pruned. The ``k`` rows with the largest worst-case
     similarity can never be pruned (at most ``k - 1`` rows sit strictly
-    above any of them), so at least ``k`` rows are always kept.
+    above any of them), so at least ``k`` rows are always kept. O(N):
+    one :func:`dominance_threshold` and the :func:`prune_mask` comparison.
     """
-    n = int(mins.shape[0])
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for {n} rows")
-    mask = prune_mask(mins, maxs, k)
+    threshold = dominance_threshold(mins, k)
+    mask = maxs < threshold
     pruned = np.flatnonzero(mask)
     keep = np.flatnonzero(~mask)
     scale = world_product(np.asarray(world_counts, dtype=np.int64)[pruned])
@@ -215,6 +281,7 @@ def certificate_from_intervals(
         scale=scale,
         row_mins=mins,
         row_maxs=maxs,
+        threshold=threshold,
     )
 
 
@@ -313,9 +380,15 @@ def positive_support_scan(
 # ---------------------------------------------------------------------------
 
 #: The counter keys every pruned path reports per point. ``n_candidates``
-#: and ``n_scanned`` count candidate positions (post-pin); ``n_pruned`` is
-#: their difference; ``early_terminated`` is per-point boolean, accumulated
-#: as ``n_early_terminated``.
+#: counts candidate positions (post-pin). ``n_scanned`` counts the positions
+#: the kernel actually walked: for counts, the boundary window
+#: (:func:`window_scan`); for a decision scan, the kept positions up to its
+#: early exit. ``n_pruned`` counts every position never handed to the
+#: kernel: the pruned rows' and, for counts, the folded head below the
+#: threshold, so ``n_scanned + n_pruned == n_candidates`` for counts.
+#: ``n_rows_pruned`` counts the certificate's pruned rows alone.
+#: ``early_terminated`` is per-point boolean, accumulated as
+#: ``n_early_terminated``.
 _POINT_KEYS = ("n_rows", "n_rows_pruned", "n_candidates", "n_pruned", "n_scanned")
 
 
@@ -344,20 +417,21 @@ def accumulate_prune_stats(totals: dict, stats: Mapping) -> dict:
 
 
 def _stats(
-    effective: ScanOrder,
-    certificate: PruneCertificate,
-    n_scanned: int,
-    early_terminated: bool,
+    cert: PruneCertificate,
+    n_candidates: int,
+    reduced: ScanOrder,
+    n_scanned: int | None = None,
+    early_terminated: bool = False,
 ) -> dict:
-    reduced_positions = effective.n_candidates - int(
-        np.sum(effective.row_counts[certificate.pruned_rows])
-    )
+    """One point's counters: ``n_pruned`` counts the positions never handed
+    to the kernel (``reduced`` holds the rest), ``n_scanned`` the positions
+    it walked — all of ``reduced`` unless given."""
     return {
-        "n_rows": certificate.n_rows,
-        "n_rows_pruned": certificate.n_pruned,
-        "n_candidates": effective.n_candidates,
-        "n_pruned": effective.n_candidates - reduced_positions,
-        "n_scanned": n_scanned,
+        "n_rows": cert.n_rows,
+        "n_rows_pruned": cert.n_pruned,
+        "n_candidates": n_candidates,
+        "n_pruned": n_candidates - reduced.n_candidates,
+        "n_scanned": reduced.n_candidates if n_scanned is None else n_scanned,
         "early_terminated": bool(early_terminated),
     }
 
@@ -381,73 +455,90 @@ def _reduced_from_sims(
     counts: np.ndarray,
     k: int,
     fixed: Mapping[int, int] | None,
-) -> tuple[int, ScanOrder, PruneCertificate]:
-    """Prune *before* sorting: certificate + reduced scan from raw sims.
+) -> tuple[int, tuple, PruneCertificate]:
+    """Prune *before* sorting: the certificate and the kept positions.
 
-    This is the batch backend's fast path — the full scan's
-    ``O(P log P)`` lexsort is replaced by a sort of only the surviving
-    positions, and the dropped positions never touch the counting kernel.
-    The subset sort with the same ``(similarity, row desc, cand desc)``
-    keys reproduces the full scan's order on the subset exactly (the order
-    is total: ``(row, cand)`` pairs are unique).
+    The arrays are one point's candidate layout
+    (:meth:`~repro.core.dataset.IncompleteDataset.candidate_layout`): row
+    ``r``'s candidates ``0 .. m_r - 1`` are the ``r``-th contiguous
+    segment. So the row envelopes are one ``reduceat`` per extreme, the
+    certificate is O(N), and only the kept rows' segments are gathered (a
+    pinned row's segment is its pinned position). Returns the number of
+    effective positions, the kept problem as unsorted
+    ``(sims, rows, cands, labels, counts)`` arrays with rows re-indexed
+    monotonically, and the certificate. Sorting any subset of the kept
+    positions by the ``(similarity, row desc, cand desc)`` keys reproduces
+    the full scan's order on it (the order is total: ``(row, cand)``
+    pairs are unique).
     """
+    counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.shape[0])
-    eff_counts = np.asarray(counts, dtype=np.int64).copy()
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    mins, maxs = batch_interval_arrays(sims_row, offsets)
+    starts = offsets[:-1]
+    eff_counts = counts
     if fixed:
-        pinned = np.full(n, -1, dtype=np.int64)
         for row, cand in fixed.items():
-            if not 0 <= cand < eff_counts[row]:
+            if not 0 <= cand < counts[row]:
                 raise IndexError(
                     f"fixed candidate {cand} out of range for row {row} "
-                    f"with {eff_counts[row]} candidates"
+                    f"with {counts[row]} candidates"
                 )
-            pinned[row] = cand
-            eff_counts[row] = 1
-        row_pins = pinned[rows]
-        active = (row_pins < 0) | (cands == row_pins)
-        act_rows, act_cands, act_sims = rows[active], cands[active], sims_row[active]
-    else:
-        act_rows, act_cands, act_sims = rows, cands, sims_row
-
-    mins = np.full(n, np.inf, dtype=np.float64)
-    maxs = np.full(n, -np.inf, dtype=np.float64)
-    np.minimum.at(mins, act_rows, act_sims)
-    np.maximum.at(maxs, act_rows, act_sims)
+        pin_rows = np.fromiter(fixed.keys(), dtype=np.int64, count=len(fixed))
+        pin_at = starts[pin_rows] + np.fromiter(
+            fixed.values(), dtype=np.int64, count=len(fixed)
+        )
+        mins[pin_rows] = maxs[pin_rows] = sims_row[pin_at]
+        starts = starts.copy()
+        starts[pin_rows] = pin_at
+        eff_counts = counts.copy()
+        eff_counts[pin_rows] = 1
     cert = certificate_from_intervals(mins, maxs, k, eff_counts)
 
-    keep_mask = np.zeros(n, dtype=bool)
-    keep_mask[cert.keep_rows] = True
-    position_mask = keep_mask[act_rows]
-    sub_rows = act_rows[position_mask]
-    sub_cands = act_cands[position_mask]
-    sub_sims = act_sims[position_mask]
-    order = np.lexsort((-sub_cands, -sub_rows, sub_sims))
-    new_index = np.cumsum(keep_mask) - 1
-    reduced = ScanOrder(
-        rows=new_index[sub_rows[order]],
-        cands=sub_cands[order],
-        sims=sub_sims[order],
-        row_labels=np.asarray(labels, dtype=np.int64)[keep_mask],
-        row_counts=eff_counts[keep_mask],
+    keep = cert.keep_rows
+    widths = eff_counts[keep]
+    ends = np.cumsum(widths)
+    positions = np.repeat(starts[keep] - (ends - widths), widths) + np.arange(ends[-1])
+    new_index = np.empty(n, dtype=np.int64)
+    new_index[keep] = np.arange(keep.shape[0])
+    kept = (
+        sims_row[positions],
+        new_index[rows[positions]],
+        cands[positions],
+        np.asarray(labels, dtype=np.int64)[keep],
+        widths,
     )
-    return int(act_rows.shape[0]), reduced, cert
+    return int(eff_counts.sum()), kept, cert
 
 
-def _sims_stats(
-    n_effective: int,
-    reduced: ScanOrder,
-    cert: PruneCertificate,
-    n_scanned: int,
-    early_terminated: bool,
-) -> dict:
-    return {
-        "n_rows": cert.n_rows,
-        "n_rows_pruned": cert.n_pruned,
-        "n_candidates": n_effective,
-        "n_pruned": n_effective - reduced.n_candidates,
-        "n_scanned": n_scanned,
-        "early_terminated": bool(early_terminated),
-    }
+def window_scan(
+    sims: np.ndarray,
+    rows: np.ndarray,
+    cands: np.ndarray,
+    labels: np.ndarray,
+    counts: np.ndarray,
+    threshold: float,
+) -> tuple[ScanOrder, np.ndarray]:
+    """The boundary window of a kept problem, and the head it leaves out.
+
+    ``sims``/``rows``/``cands`` hold the problem's positions in any order
+    (all of them, or at least those at or above ``threshold``). A position
+    below the certificate's threshold has ``k`` rows strictly above it in
+    every world, so its support is exactly 0, and in the ascending scan
+    such positions form a prefix. Only the window ``sims >= threshold`` is
+    sorted; ``head[r]`` counts row ``r``'s candidates below it, which is
+    the start state :func:`~repro.core.batch_engine._counts_from_scan`
+    folds in closed form. Positions tied at the threshold stay in the
+    window.
+    """
+    in_window = sims >= threshold
+    window_rows = rows[in_window]
+    head = counts - np.bincount(window_rows, minlength=counts.shape[0])
+    window = _scan_from_sims(
+        sims[in_window], window_rows, cands[in_window], labels, counts
+    )
+    return window, head
 
 
 def pruned_counts_from_sims(
@@ -460,18 +551,20 @@ def pruned_counts_from_sims(
     n_labels: int,
     fixed: Mapping[int, int] | None = None,
 ) -> tuple[list[int], dict]:
-    """Q2 counts straight from candidate-order similarities, pruned first.
+    """Q2 counts straight from candidate-layout similarities, pruned first.
 
     Bit-identical to ``_counts_from_scan(scan_of(sims_row), ...)``; the
-    full sort never happens.
+    full sort never happens, and the kernel walks only the boundary
+    window (:func:`window_scan`).
     """
-    n_effective, reduced, cert = _reduced_from_sims(
+    n_effective, kept, cert = _reduced_from_sims(
         sims_row, rows, cands, labels, counts, k, fixed
     )
-    result = _counts_from_scan(reduced, k, n_labels)
+    window, head = window_scan(*kept, cert.threshold)
+    result = _counts_from_scan(window, k, n_labels, head)
     if cert.scale != 1:
         result = [count * cert.scale for count in result]
-    return result, _sims_stats(n_effective, reduced, cert, reduced.n_candidates, False)
+    return result, _stats(cert, n_effective, window)
 
 
 def pruned_decision_from_sims(
@@ -484,13 +577,18 @@ def pruned_decision_from_sims(
     n_labels: int,
     fixed: Mapping[int, int] | None = None,
 ) -> tuple[DecisionScan, dict]:
-    """Certain-label verdict straight from candidate-order similarities."""
-    n_effective, reduced, cert = _reduced_from_sims(
+    """Certain-label verdict straight from candidate-layout similarities.
+
+    The decision scan walks every kept position from the bottom up, so it
+    can stop early on a mixed verdict; it folds no head.
+    """
+    n_effective, kept, cert = _reduced_from_sims(
         sims_row, rows, cands, labels, counts, k, fixed
     )
+    reduced = _scan_from_sims(*kept)
     decision = decision_winners(reduced, k, n_labels)
-    return decision, _sims_stats(
-        n_effective, reduced, cert, decision.positions_scanned, decision.early_terminated
+    return decision, _stats(
+        cert, n_effective, reduced, decision.positions_scanned, decision.early_terminated
     )
 
 
@@ -510,7 +608,7 @@ def pruned_topk_counts_from_scan(
     result = [0] * effective.n_rows
     for new_index, row in enumerate(cert.keep_rows.tolist()):
         result[row] = reduced_counts[new_index] * cert.scale
-    return result, _stats(effective, cert, reduced.n_candidates, False)
+    return result, _stats(cert, effective.n_candidates, reduced)
 
 
 def pruned_weighted_probabilities(
@@ -542,7 +640,7 @@ def pruned_weighted_probabilities(
         probabilities = weighted_prediction_probabilities(
             dataset, t, k=k, weights=list(weights), kernel=kernel, scan=scan
         )
-        return probabilities, _stats(effective, cert, effective.n_candidates, False)
+        return probabilities, _stats(cert, effective.n_candidates, effective)
     keep = cert.keep_rows.tolist()
     reduced_scan = restrict_scan(effective, cert.keep_rows)
     reduced_dataset = IncompleteDataset(
@@ -566,7 +664,7 @@ def pruned_weighted_probabilities(
     # top label ids; those labels can never win (the top-K is inside the
     # kept rows), so padding with exact zeros reproduces the full answer.
     result = probabilities + [Fraction(0)] * (dataset.n_labels - len(probabilities))
-    return result, _stats(effective, cert, reduced_scan.n_candidates, False)
+    return result, _stats(cert, effective.n_candidates, reduced_scan)
 
 
 def pruned_label_uncertain_counts(
@@ -624,4 +722,4 @@ def pruned_label_uncertain_counts(
     result = [0] * n_labels
     for label, count in enumerate(counts):
         result[label] = count * cert.scale
-    return result, _stats(effective, cert, reduced_scan.n_candidates, False)
+    return result, _stats(cert, effective.n_candidates, reduced_scan)

@@ -29,6 +29,7 @@ __all__ = [
     "compute_scan_order",
     "compute_scan_orders",
     "candidate_similarities",
+    "check_ranked",
 ]
 
 
@@ -75,6 +76,23 @@ class ScanOrder:
         return int(self.row_counts.shape[0])
 
 
+def check_ranked(sims: np.ndarray) -> None:
+    """Raise ``ValueError`` if any similarity is NaN.
+
+    A NaN similarity (an overflowing dot product gives ``inf - inf``)
+    ranks nothing, so no nearest-neighbour answer exists. A sort would
+    place it above every number, and an ``np.minimum`` envelope would
+    spread it over its row, so each way of ranking it would pick a
+    different answer; every scan build and every prune certificate
+    refuses it instead.
+    """
+    if np.isnan(sims).any():
+        raise ValueError(
+            "a candidate similarity is NaN: the kernel gives no ranking, so "
+            "no nearest-neighbour answer exists"
+        )
+
+
 def _scan_from_sims(
     sims: np.ndarray,
     rows: np.ndarray,
@@ -88,6 +106,7 @@ def _scan_from_sims(
     first so the smaller pair is treated as more similar (it sits later in
     the scan). lexsort uses the last key as the primary key.
     """
+    check_ranked(sims)
     order = np.lexsort((-cands, -rows, sims))
     return ScanOrder(
         rows=rows[order],

@@ -92,6 +92,77 @@ def test_prune_mask_matches_row_is_irrelevant(seed):
         assert mask[row] == row_is_irrelevant(mins, row, maxs[row], k)
 
 
+def _sort_searchsorted_mask(mins, maxs, k):
+    """The earlier O(N log N) form of the rule, kept as a reference: row
+    ``r`` is prunable iff at least ``k`` rows have ``min > maxs[r]``."""
+    sorted_mins = np.sort(mins)
+    n_dominating = mins.shape[0] - np.searchsorted(sorted_mins, maxs, side="right")
+    return n_dominating >= k
+
+
+def _interval_case(seed):
+    """Seeded ``(mins, maxs)`` with ties, duplicate minima and +-inf."""
+    rng = np.random.default_rng(seed)
+    # More rows than distinct values, so minima always repeat.
+    n = int(rng.integers(9, 30))
+    values = np.array([-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf])
+    a = rng.choice(values, size=n)
+    b = rng.choice(values, size=n)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_prune_mask_matches_the_sort_searchsorted_rule(seed):
+    mins, maxs = _interval_case(seed)
+    n = mins.shape[0]
+    for k in sorted({1, max(n // 2, 1), n}):
+        expected = _sort_searchsorted_mask(mins, maxs, k)
+        assert np.array_equal(prune_mask(mins, maxs, k), expected)
+        cert = certificate_from_intervals(mins, maxs, k, np.ones(n, dtype=np.int64))
+        assert np.array_equal(cert.pruned_rows, np.flatnonzero(expected))
+        cert.verify()
+
+
+def test_prune_mask_on_rows_tied_at_the_threshold():
+    # Three rows share the minimum 1.0; with k=2 the threshold is 1.0, and a
+    # row whose maximum equals it is not strictly dominated, so it is kept.
+    mins = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    maxs = np.array([2.0, 1.0, 1.0, 1.0, 0.5])
+    assert prune_mask(mins, maxs, 2).tolist() == [False, False, False, False, True]
+    assert np.array_equal(prune_mask(mins, maxs, 2), _sort_searchsorted_mask(mins, maxs, 2))
+
+
+def test_nan_intervals_are_rejected():
+    mins = np.array([0.0, np.nan, 1.0])
+    maxs = np.array([0.5, np.nan, 2.0])
+    with pytest.raises(ValueError, match="NaN"):
+        prune_mask(mins, maxs, 1)
+    with pytest.raises(ValueError, match="NaN"):
+        certificate_from_intervals(mins, maxs, 1, [1, 1, 1])
+
+
+@pytest.mark.parametrize("backend", ["sequential", "batch", "incremental"])
+def test_nan_similarity_is_rejected_on_every_backend(backend):
+    """An overflowing dot product (``inf + -inf``) gives a NaN similarity.
+    NaN ranks nothing, so every backend refuses the query alike instead of
+    sorting it as the largest similarity."""
+    from repro.core.kernels import LinearKernel
+
+    big = 1e200
+    sets = [
+        np.array([[big, big], [0.0, 0.1]]),
+        np.array([[1.0, 0.0]]),
+        np.array([[0.5, 0.2], [0.1, 0.1]]),
+        np.array([[0.3, 0.3]]),
+    ]
+    dataset = IncompleteDataset(sets, [0, 1, 1, 0])
+    t = np.array([big, -big])
+    assert np.isnan(LinearKernel().similarities(sets[0], t)).any()
+    query = make_query(dataset, t, kind="counts", k=1, kernel=LinearKernel())
+    with pytest.raises(ValueError, match="NaN"):
+        execute_query(query, backend=backend, options=ExecutionOptions(cache=False))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_certificate_verifies_and_keeps_at_least_k(seed):
     dataset, t, k, _ = random_problem(seed, clustered=True)
